@@ -22,8 +22,8 @@ double BetaBinomial::LogPmf(int64_t x) const {
   const double xd = static_cast<double>(x);
   const double kd = static_cast<double>(k_);
   // log C(k, x) + log B(x + a, k - x + b) - log B(a, b).
-  const double log_choose = std::lgamma(kd + 1.0) - std::lgamma(xd + 1.0) -
-                            std::lgamma(kd - xd + 1.0);
+  const double log_choose = LogGamma(kd + 1.0) - LogGamma(xd + 1.0) -
+                            LogGamma(kd - xd + 1.0);
   return log_choose + LogBeta(xd + a_, kd - xd + b_) - LogBeta(a_, b_);
 }
 

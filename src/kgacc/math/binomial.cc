@@ -31,8 +31,8 @@ Result<double> BinomialLogPmf(int64_t k, int64_t n, double p) {
   }
   const double kd = static_cast<double>(k);
   const double nd = static_cast<double>(n);
-  const double log_choose = std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
-                            std::lgamma(nd - kd + 1.0);
+  const double log_choose = LogGamma(nd + 1.0) - LogGamma(kd + 1.0) -
+                            LogGamma(nd - kd + 1.0);
   return log_choose + kd * std::log(p) + (nd - kd) * std::log1p(-p);
 }
 

@@ -12,9 +12,14 @@ constexpr double kTiny = 1e-300;
 
 }  // namespace
 
+double LogGamma(double x) {
+  int sign;
+  return lgamma_r(x, &sign);
+}
+
 double LogBeta(double a, double b) {
   KGACC_DCHECK(a > 0.0 && b > 0.0);
-  return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  return LogGamma(a) + LogGamma(b) - LogGamma(a + b);
 }
 
 namespace internal {

@@ -11,6 +11,10 @@
 
 namespace kgacc {
 
+/// ln |Gamma(x)|, thread-safe: `std::lgamma` writes the global `signgam`,
+/// a data race between concurrent workers; this returns the same values.
+double LogGamma(double x);
+
 /// Natural log of the complete beta function B(a, b). Requires a, b > 0.
 double LogBeta(double a, double b);
 

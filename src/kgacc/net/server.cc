@@ -25,6 +25,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// DRR cost of an open, in steps: a sampler build is charged like one step,
+/// so a tenant opening many audits takes its weighted turns like one
+/// sending many batches.
+constexpr uint64_t kOpenCost = 1;
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -41,33 +46,41 @@ Result<IntervalMethod> ParseMethodName(const std::string& name) {
 
 }  // namespace
 
+Result<SamplingDesign> ParseSamplingDesign(const std::string& design) {
+  if (design == "srs") return SamplingDesign::kSrs;
+  if (design == "twcs") return SamplingDesign::kTwcs;
+  if (design == "wcs") return SamplingDesign::kWcs;
+  if (design == "rcs") return SamplingDesign::kRcs;
+  if (design == "ssrs") return SamplingDesign::kSsrs;
+  if (design == "sys") return SamplingDesign::kSys;
+  return Status::InvalidArgument("unknown sampling design: " + design);
+}
+
+std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
+                                      SamplingDesign design, int twcs_m) {
+  switch (design) {
+    case SamplingDesign::kSrs:
+      return std::make_unique<SrsSampler>(kg, SrsConfig{});
+    case SamplingDesign::kTwcs:
+      return std::make_unique<TwcsSampler>(
+          kg, TwcsConfig{.second_stage_size = twcs_m});
+    case SamplingDesign::kWcs:
+      return std::make_unique<WcsSampler>(kg, ClusterConfig{});
+    case SamplingDesign::kRcs:
+      return std::make_unique<RcsSampler>(kg, ClusterConfig{});
+    case SamplingDesign::kSsrs:
+      return std::make_unique<StratifiedSampler>(kg, StratifiedConfig{});
+    case SamplingDesign::kSys:
+      return std::make_unique<SystematicSampler>(kg, SystematicConfig{});
+  }
+  return nullptr;
+}
+
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
     const KnowledgeGraph& kg, const std::string& design, int twcs_m) {
-  if (design == "srs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<SrsSampler>(kg, SrsConfig{}));
-  }
-  if (design == "twcs") {
-    return std::unique_ptr<Sampler>(std::make_unique<TwcsSampler>(
-        kg, TwcsConfig{.second_stage_size = twcs_m}));
-  }
-  if (design == "wcs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<WcsSampler>(kg, ClusterConfig{}));
-  }
-  if (design == "rcs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<RcsSampler>(kg, ClusterConfig{}));
-  }
-  if (design == "ssrs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<StratifiedSampler>(kg, StratifiedConfig{}));
-  }
-  if (design == "sys") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<SystematicSampler>(kg, SystematicConfig{}));
-  }
-  return Status::InvalidArgument("unknown sampling design: " + design);
+  KGACC_ASSIGN_OR_RETURN(const SamplingDesign parsed,
+                         ParseSamplingDesign(design));
+  return BuildSampler(kg, parsed, twcs_m);
 }
 
 /// One TCP peer. Owned and touched exclusively by the poll thread.
@@ -100,11 +113,27 @@ struct AuditDaemon::Connection {
 
 /// One audit session: the durable unit that outlives connections. The poll
 /// thread owns the registry and all metadata; while `busy` is set, the
-/// evaluation members (session/annotator/ckpt/store) belong to the worker
-/// running the batch and the poll thread must not touch them.
+/// evaluation members (sampler/annotator/session/ckpt, design_name) belong
+/// to the worker running the open or batch and the poll thread must not
+/// touch them. While `opening` is set they are not built yet.
 struct AuditDaemon::Session {
+  /// What the worker-side open needs from the OpenAudit request, parsed
+  /// and validated at admission.
+  struct OpenParams {
+    const KnowledgeGraph* kg = nullptr;
+    SamplingDesign design = SamplingDesign::kSrs;
+    int twcs_m = 0;
+    uint64_t seed = 0;
+    uint64_t checkpoint_every = 1;
+    bool resume = false;
+  };
+
   uint64_t audit_id = 0;
   std::string kg_name;
+  /// Admitted, but its open has not completed: set by the poll thread at
+  /// admission, cleared when the open's event is drained.
+  bool opening = false;
+  OpenParams open;
   std::string design_name;
   /// The KG's shared store (co-owned with the daemon registry and any
   /// sibling session auditing the same KG; appends group-commit).
@@ -128,8 +157,8 @@ struct AuditDaemon::Session {
   /// the daemon's life.
   std::string tenant;
   const TenantConfig* tenant_config = nullptr;
-  /// A batch is executing on the pool (poll thread sets before SubmitTo,
-  /// clears on the batch_done event).
+  /// An open or batch is executing on the pool (poll thread sets before
+  /// SubmitTo, clears when it drains the item's event).
   bool busy = false;
   /// Written by the worker while busy; read by the poll thread after.
   bool failed = false;
@@ -299,8 +328,13 @@ void AuditDaemon::DropQueuedBatches(Session& session) {
       static_cast<size_t>(session.home_worker) >= worker_sched_.size()) {
     return;
   }
-  const DrrRemoved removed =
+  DrrRemoved removed =
       worker_sched_[session.home_worker].RemoveId(session.audit_id);
+  if (session.opening && !session.busy) {
+    // The open was still queued and went too; it held no admission slot.
+    removed.items -= 1;
+    removed.cost -= kOpenCost;
+  }
   if (removed.items == 0) return;
   auto tit = tenant_inflight_steps_.find(session.tenant);
   if (tit != tenant_inflight_steps_.end()) {
@@ -316,8 +350,15 @@ void AuditDaemon::DropQueuedBatches(Session& session) {
 
 void AuditDaemon::DetachSession(Session& session) {
   DropQueuedBatches(session);
+  if (session.opening && !session.busy) {
+    // Its open was queued, never started: nothing was built or stepped, so
+    // the session simply never existed. A reconnect opens it afresh.
+    sessions_.erase(session.audit_id);
+    return;
+  }
   session.conn_fd = -1;
   session.conn_gen = 0;
+  // A running open or batch checkpoints when its event drains.
   if (!session.busy && !session.finished && !session.failed) {
     // Bound the reconnect replay: a detached session re-adopts from its
     // freshest possible snapshot. Best effort — every label is already in
@@ -573,6 +614,13 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
   auto sit = sessions_.find(msg.audit_id);
   if (sit != sessions_.end()) {
     Session& session = *sit->second;
+    if (session.opening) {
+      // Transient: once the open lands, a retry re-adopts (or, from the
+      // opening connection, is already attached).
+      QueueBusy(conn, "audit " + std::to_string(msg.audit_id) +
+                          " is still opening");
+      return;
+    }
     if (session.conn_fd >= 0 && session.conn_fd != conn.fd.get() &&
         conns_.count(session.conn_fd) != 0) {
       QueueError(conn, StatusCode::kFailedPrecondition, msg.audit_id, false,
@@ -672,59 +720,36 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
                method.status().message());
     return;
   }
-  auto sampler = MakeSamplerForDesign(*kg_it->second, msg.design,
-                                      static_cast<int>(msg.twcs_m));
-  if (!sampler.ok()) {
-    QueueError(conn, sampler.status().code(), msg.audit_id, true, false,
-               sampler.status().message());
+  const auto design = ParseSamplingDesign(msg.design);
+  if (!design.ok()) {
+    QueueError(conn, design.status().code(), msg.audit_id, true, false,
+               design.status().message());
     return;
   }
-
-  auto session = std::make_unique<Session>();
-  session->audit_id = msg.audit_id;
-  session->kg_name = msg.kg_name;
-  session->tenant = conn.tenant;
-  session->tenant_config = conn.tenant_config;
-  session->sampler = std::move(*sampler);
-  session->design_name = session->sampler->name();
-  session->config.method = *method;
-  session->config.alpha = msg.alpha;
-  session->config.moe_threshold = msg.epsilon;
-
   auto store = StoreForKg(msg.kg_name);
   if (!store.ok()) {
     QueueError(conn, store.status().code(), msg.audit_id, true, false,
                "cannot open annotation store: " + store.status().message());
     return;
   }
-  session->store = std::move(*store);
-  session->annotator = std::make_unique<StoredAnnotator>(
-      &session->inner, session->store.get(), msg.audit_id,
-      StoredAnnotator::Options{});
-  session->session = std::make_unique<EvaluationSession>(
-      *session->sampler, *session->annotator, session->config, msg.seed);
-  CheckpointOptions ckpt_options;
-  ckpt_options.every_steps =
+
+  auto session = std::make_unique<Session>();
+  session->audit_id = msg.audit_id;
+  session->kg_name = msg.kg_name;
+  session->opening = true;
+  session->open.kg = kg_it->second;
+  session->open.design = *design;
+  session->open.twcs_m = static_cast<int>(msg.twcs_m);
+  session->open.seed = msg.seed;
+  session->open.checkpoint_every =
       std::max<uint64_t>(msg.checkpoint_every, options_.checkpoint_every);
-  session->ckpt = std::make_unique<CheckpointManager>(
-      session->store.get(), msg.audit_id, ckpt_options);
-
-  bool resumed = false;
-  if (msg.resume && session->ckpt->CanResume()) {
-    const Status restored = session->ckpt->Resume(session->session.get());
-    if (!restored.ok()) {
-      QueueError(conn, restored.code(), msg.audit_id, true, false,
-                 "cannot resume audit " + std::to_string(msg.audit_id) +
-                     ": " + restored.message());
-      return;
-    }
-    resumed = true;
-    session->steps_done.store(
-        static_cast<uint64_t>(session->session->iterations()),
-        std::memory_order_relaxed);
-    stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
-  }
-
+  session->open.resume = msg.resume;
+  session->tenant = conn.tenant;
+  session->tenant_config = conn.tenant_config;
+  session->config.method = *method;
+  session->config.alpha = msg.alpha;
+  session->config.moe_threshold = msg.epsilon;
+  session->store = std::move(*store);
   session->max_steps =
       msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps;
   session->deadline_seconds = msg.deadline_seconds;
@@ -734,18 +759,75 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
   session->home_worker = static_cast<int>(
       msg.audit_id % static_cast<uint64_t>(pool_->num_threads()));
   conn.audits.push_back(msg.audit_id);
-  stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-
-  AuditOpenedMsg opened;
-  opened.audit_id = msg.audit_id;
-  opened.resumed = resumed;
-  opened.start_step = session->steps_done.load(std::memory_order_relaxed);
-  opened.labels_on_file = session->store->num_labeled();
-  opened.design_name = session->design_name;
-  opened.dataset_name = session->kg_name;
+  // The open queues on the home worker like a batch, so every StepBatch
+  // the client sends after it (even before AuditOpened arrives) runs
+  // after it, and its sampler build never blocks this thread.
+  const int worker = session->home_worker;
+  worker_sched_[worker].Push(conn.tenant, tenant_config.weight,
+                             DrrItem{msg.audit_id, kOpenCost});
   sessions_.emplace(msg.audit_id, std::move(session));
-  QueueFrame(conn,
-             FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened));
+  PumpWorker(worker);
+}
+
+Result<bool> AuditDaemon::OpenSession(Session& session) {
+  if (FailpointHit("net.open")) {
+    stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+    return Status::IoError("injected open failure (failpoint net.open)");
+  }
+  const Session::OpenParams& p = session.open;
+  session.sampler = BuildSampler(*p.kg, p.design, p.twcs_m);
+  session.design_name = session.sampler->name();
+  session.annotator = std::make_unique<StoredAnnotator>(
+      &session.inner, session.store.get(), session.audit_id,
+      StoredAnnotator::Options{});
+  session.session = std::make_unique<EvaluationSession>(
+      *session.sampler, *session.annotator, session.config, p.seed);
+  CheckpointOptions ckpt_options;
+  ckpt_options.every_steps = p.checkpoint_every;
+  session.ckpt = std::make_unique<CheckpointManager>(
+      session.store.get(), session.audit_id, ckpt_options);
+  if (!p.resume || !session.ckpt->CanResume()) return false;
+  KGACC_RETURN_IF_ERROR(session.ckpt->Resume(session.session.get()));
+  session.steps_done.store(
+      static_cast<uint64_t>(session.session->iterations()),
+      std::memory_order_relaxed);
+  stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void AuditDaemon::RunOpen(Session* session, int conn_fd, uint64_t conn_gen,
+                          int worker) {
+  Event ev;
+  ev.conn_fd = conn_fd;
+  ev.conn_gen = conn_gen;
+  ev.audit_id = session->audit_id;
+  ev.worker = worker;
+  ev.open = true;
+  const auto resumed = OpenSession(*session);
+  if (resumed.ok()) {
+    AuditOpenedMsg opened;
+    opened.audit_id = session->audit_id;
+    opened.resumed = *resumed;
+    opened.start_step = session->steps_done.load(std::memory_order_relaxed);
+    opened.labels_on_file = session->store->num_labeled();
+    opened.design_name = session->design_name;
+    opened.dataset_name = session->kg_name;
+    ev.frames = FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened);
+  } else {
+    ErrorMsg err;
+    err.code = static_cast<uint8_t>(resumed.status().code());
+    err.audit_id = session->audit_id;
+    err.fatal_to_session = true;
+    err.message = "cannot open audit " + std::to_string(session->audit_id) +
+                  ": " + resumed.status().message();
+    ev.frames = FrameOf(MessageType::kError, EncodeError, err);
+    ev.session_failed = true;
+  }
+  {
+    std::lock_guard<std::mutex> lock(events_mu_);
+    events_.push_back(std::move(ev));
+  }
+  WakePoll();
 }
 
 void AuditDaemon::HandleStepBatch(Connection& conn, const StepBatchMsg& msg) {
@@ -811,9 +893,18 @@ void AuditDaemon::PumpWorker(int worker) {
     session.busy = true;
     worker_busy_[worker] = 1;
     Session* sp = &session;
-    const uint64_t steps = item->cost;
     const int fd = session.conn_fd;
     const uint64_t gen = session.conn_gen;
+    if (session.opening) {
+      // An opening session's first (and only servable) item is its open:
+      // it was queued ahead of every batch, and holds the worker slot
+      // until it completes.
+      pool_->SubmitTo(worker, [this, sp, fd, gen, worker] {
+        RunOpen(sp, fd, gen, worker);
+      });
+      return;
+    }
+    const uint64_t steps = item->cost;
     pool_->SubmitTo(worker, [this, sp, steps, fd, gen, worker] {
       RunBatch(sp, steps, fd, gen, worker);
     });
@@ -1069,7 +1160,6 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     }
   }
 
-  ev.batch_done = true;
   {
     std::lock_guard<std::mutex> lock(events_mu_);
     events_.push_back(std::move(ev));
@@ -1092,22 +1182,44 @@ void AuditDaemon::DrainEvents() {
     if (conn != nullptr && !ev.frames.empty()) {
       QueueFrame(*conn, std::move(ev.frames));
     }
-    if (!ev.batch_done) continue;
-    if (conn != nullptr && conn->inflight_batches > 0) {
-      --conn->inflight_batches;
-    }
-    // Return the batch's reservations before any early-out: the worker
-    // slot frees, and the tenant's inflight-step account shrinks.
+    // The worker slot frees before any early-out.
     if (ev.worker >= 0 &&
         static_cast<size_t>(ev.worker) < worker_busy_.size()) {
       worker_busy_[ev.worker] = 0;
+    }
+    auto sit = sessions_.find(ev.audit_id);
+    if (ev.open) {
+      if (sit != sessions_.end()) {
+        Session& session = *sit->second;
+        session.busy = false;
+        session.opening = false;
+        if (ev.session_failed) {
+          // Nothing durable happened; the client got the fatal Error. Any
+          // batches it queued behind the open are dropped with it.
+          if (conn != nullptr) std::erase(conn->audits, ev.audit_id);
+          DropQueuedBatches(session);
+          sessions_.erase(sit);
+        } else {
+          stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
+          if (session.conn_fd < 0) {
+            // Detached while opening: checkpoint now, as after a batch.
+            (void)session.ckpt->Checkpoint(*session.session);
+          }
+        }
+      }
+      if (ev.worker >= 0) PumpWorker(ev.worker);
+      continue;
+    }
+    // Return the batch's reservations: the connection's inflight slot and
+    // the tenant's inflight-step account.
+    if (conn != nullptr && conn->inflight_batches > 0) {
+      --conn->inflight_batches;
     }
     auto tit = tenant_inflight_steps_.find(ev.tenant);
     if (tit != tenant_inflight_steps_.end()) {
       tit->second -= std::min(tit->second, ev.steps);
       if (tit->second == 0) tenant_inflight_steps_.erase(tit);
     }
-    auto sit = sessions_.find(ev.audit_id);
     if (sit != sessions_.end()) {
       Session& session = *sit->second;
       session.busy = false;
@@ -1160,6 +1272,12 @@ void AuditDaemon::DoDrain() {
   }
   for (DrrScheduler& sched : worker_sched_) sched.Clear();
   tenant_inflight_steps_.clear();
+  // Opens that were still queued went with the queues: those sessions were
+  // never built, so they leave the registry (a restart reopens them from
+  // the store). Running opens finish first; the poll loop waits for them.
+  std::erase_if(sessions_, [](const auto& entry) {
+    return entry.second->opening && !entry.second->busy;
+  });
 }
 
 void AuditDaemon::PollLoop() {

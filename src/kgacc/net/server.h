@@ -25,11 +25,26 @@
 
 /// \file server.h
 /// `AuditDaemon` — the crash-tolerant networked audit service behind the
-/// `kgaccd` tool. One poll()-loop thread owns every socket; audit steps
-/// execute on a `ThreadPool` sharded by audit id (`SubmitTo(audit_id %
-/// workers)`, the shard-per-core discipline of `EvaluationService`);
-/// workers hand encoded reply frames back to the poll thread through an
-/// event queue + self-pipe, so sockets are never touched off-thread.
+/// `kgaccd` tool. One poll()-loop thread owns every socket and does
+/// admission only: drain and cap checks, tenant quotas, KG / method /
+/// design-name lookup, and opening the KG's shared store on first use (that
+/// first store replay is the one heavy step left on it). Everything else
+/// runs on the audit's *home worker* (`audit_id % workers` on a
+/// `ThreadPool`, the shard-per-core discipline of `EvaluationService`), in
+/// per-worker weighted DRR order: first the audit's open — sampler build
+/// (a TWCS PPS alias table is O(#clusters)), evaluation session,
+/// checkpoint manager, resume — then its step batches. Workers hand
+/// encoded reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
+/// back to the poll thread through an event queue + self-pipe, so sockets
+/// are never touched off-thread and one client's open never stalls another
+/// client's frames.
+///
+/// Open edge cases: a duplicate OpenAudit for an audit whose open has not
+/// completed answers `Busy`; a StepBatch sent before AuditOpened queues
+/// behind the open; a detach while the open runs checkpoints when it
+/// completes (as a detach mid-batch does); a queued open is discarded with
+/// its connection or by drain, leaving no session behind, while drain waits
+/// for running opens.
 ///
 /// Robustness model, in one paragraph: the *session* (audit id + durable
 /// `AnnotationStore` file) is the unit that survives; the *connection* is
@@ -47,7 +62,8 @@
 /// Fault-injection sites (`util/failpoint`): `net.accept` drops a freshly
 /// accepted connection, `net.read.torn` flips one bit in a received chunk
 /// (the frame CRC catches it downstream), `net.write` fails a connection
-/// flush, `net.heartbeat.drop` suppresses one HeartbeatAck. All four map
+/// flush, `net.heartbeat.drop` suppresses one HeartbeatAck, `net.open`
+/// fails (or, armed `sleep:MS`, delays) the worker-side open. All five map
 /// injected faults to client-visible statuses and robustness counters.
 
 namespace kgacc {
@@ -186,24 +202,27 @@ class AuditDaemon {
   struct Connection;
   struct Session;
 
-  /// A worker-to-poll-thread handoff: frames to queue on a connection
-  /// and/or session lifecycle transitions to apply.
+  /// A worker-to-poll-thread handoff, posted when a worker finishes one DRR
+  /// item (an open or a step batch): frames to queue on a connection, the
+  /// worker slot to free, and session lifecycle transitions to apply.
   struct Event {
     int conn_fd = -1;
     uint64_t conn_gen = 0;
     uint64_t audit_id = 0;
-    /// Worker whose DRR slot this batch held (-1 = none); freed on
-    /// batch_done so the poll thread can pump the next queued batch.
+    /// Worker whose DRR slot the item held; freed so the poll thread can
+    /// pump the next queued item.
     int worker = -1;
+    /// The item was the session's open (AuditOpened or the fatal Error is
+    /// in `frames`), not a step batch.
+    bool open = false;
     /// Steps this batch reserved against its tenant's inflight cap.
     uint64_t steps = 0;
     /// Tenant the reservation belongs to.
     std::string tenant;
     /// Encoded frames to append to the connection's outbox.
     std::vector<uint8_t> frames;
-    /// The batch the worker was running completed (dispatch next).
-    bool batch_done = false;
-    /// The session sticky-failed (evict after flushing frames).
+    /// The session sticky-failed, or its open failed (evict after flushing
+    /// frames).
     bool session_failed = false;
     /// The session finished (report already in `frames`).
     bool session_finished = false;
@@ -215,19 +234,29 @@ class AuditDaemon {
   /// complete frame. Returns false when the connection must be closed.
   bool ServiceReadable(Connection& conn);
   bool HandleFrame(Connection& conn, const NetFrame& frame);
+  /// Admission on the poll thread; registers the session as opening and
+  /// queues its open on the home worker.
   void HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg);
   void HandleStepBatch(Connection& conn, const StepBatchMsg& msg);
+  /// Opens a session on a pool worker — builds its sampler, annotator,
+  /// evaluation session and checkpoint manager, resumes it — and posts
+  /// AuditOpened or the fatal Error back. Like RunBatch, it owns the
+  /// session's evaluation members until its event is drained.
+  void RunOpen(Session* session, int conn_fd, uint64_t conn_gen, int worker);
+  /// The worker-side body of RunOpen. True when it resumed a checkpoint.
+  Result<bool> OpenSession(Session& session);
   /// Runs one batch of steps on a pool worker; posts events back. The
   /// session pointer stays valid for the batch's duration: sessions are
-  /// only evicted by the poll thread after the batch_done event.
+  /// only evicted by the poll thread after the batch's event.
   void RunBatch(Session* session, uint64_t steps, int conn_fd,
                 uint64_t conn_gen, int worker);
   /// If `worker` is idle, pops its DRR scheduler and dispatches the next
-  /// queued batch (weighted fairness across tenants).
+  /// queued open or batch (weighted fairness across tenants).
   void PumpWorker(int worker);
-  /// Removes a session's still-queued batches from its worker's scheduler,
-  /// returning the admission slots (connection inflight counter, tenant
-  /// inflight steps) they held.
+  /// Removes a session's still-queued items (its batches, and its open if
+  /// that has not started) from its worker's scheduler, returning the
+  /// admission slots (connection inflight counter, tenant inflight steps)
+  /// the batches held.
   void DropQueuedBatches(Session& session);
   /// Flushes as much outbox as the socket accepts. False = failed.
   bool FlushOutbox(Connection& conn);
@@ -244,6 +273,8 @@ class AuditDaemon {
   /// Closes a connection, detaching (and checkpointing) its sessions.
   void CloseConnection(int fd, const Status& cause);
   /// Detaches one session from its connection; checkpoints unless busy.
+  /// A session whose open is still queued is discarded instead (erased
+  /// from the registry): nothing was built or stepped yet.
   void DetachSession(Session& session);
   void DrainEvents();
   void ReapIdle();
@@ -287,12 +318,13 @@ class AuditDaemon {
   std::map<int, std::unique_ptr<Connection>> conns_;
   std::map<uint64_t, std::unique_ptr<Session>> sessions_;
   uint64_t next_conn_gen_ = 1;
-  /// Per-worker weighted DRR queues replacing FIFO dispatch: batches queue
-  /// here (cost = steps) and `PumpWorker` serves them one-at-a-time per
-  /// worker in tenant-weighted shares. Poll-thread-owned.
+  /// Per-worker weighted DRR queues replacing FIFO dispatch: opens (cost
+  /// `kOpenCost`) and batches (cost = steps) queue here and `PumpWorker`
+  /// serves them one-at-a-time per worker in tenant-weighted shares.
+  /// Poll-thread-owned.
   std::vector<DrrScheduler> worker_sched_;
-  /// 1 while a batch is executing on that worker (DRR serves the next item
-  /// only when the slot frees — the fairness grain is one batch).
+  /// 1 while an open or batch is executing on that worker (DRR serves the
+  /// next item only when the slot frees — the fairness grain is one item).
   std::vector<uint8_t> worker_busy_;
   /// Steps queued or running per tenant, against
   /// `TenantConfig::max_inflight_steps` (breach is a transient Busy).
@@ -303,8 +335,20 @@ class AuditDaemon {
   std::deque<Event> events_;
 };
 
-/// Builds the sampler for a protocol design string ("srs", "twcs", ...) —
-/// the same vocabulary the `kgacc_audit` CLI accepts.
+/// The sampling designs a protocol design string can name.
+enum class SamplingDesign { kSrs, kTwcs, kWcs, kRcs, kSsrs, kSys };
+
+/// Parses a protocol design string ("srs", "twcs", "wcs", "rcs", "ssrs",
+/// "sys") — the same vocabulary the `kgacc_audit` CLI accepts. Cheap: the
+/// daemon rejects an unknown design at admission, before any build.
+Result<SamplingDesign> ParseSamplingDesign(const std::string& design);
+
+/// Builds the sampler for a parsed design. The cost is the design's
+/// precomputation: O(#clusters) for the PPS designs (TWCS, WCS).
+std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
+                                      SamplingDesign design, int twcs_m);
+
+/// Parse + build in one call.
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
     const KnowledgeGraph& kg, const std::string& design, int twcs_m);
 

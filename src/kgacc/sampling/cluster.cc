@@ -10,12 +10,9 @@ namespace kgacc {
 namespace internal {
 
 std::unique_ptr<AliasTable> BuildSizeAliasTable(const KgView& kg) {
-  const uint64_t n = kg.num_clusters();
-  std::vector<double> weights(n);
-  for (uint64_t c = 0; c < n; ++c) {
-    weights[c] = static_cast<double>(kg.cluster_size(c));
-  }
-  return std::make_unique<AliasTable>(weights);
+  return std::make_unique<AliasTable>(kg.num_clusters(), [&kg](uint64_t c) {
+    return static_cast<double>(kg.cluster_size(c));
+  });
 }
 
 std::vector<uint64_t> DrawSecondStage(uint64_t cluster_size, int m, Rng* rng) {

@@ -22,7 +22,7 @@
 /// emptied queue forfeits its deficit (standard DRR — credit never
 /// accumulates while idle, so a sleeping tenant cannot burst past its
 /// weight later). Costs are caller-defined (the daemon uses steps per
-/// batch); weighted long-run shares converge to weight ratios whenever
+/// batch, and 1 per audit open); weighted long-run shares converge to weight ratios whenever
 /// every tenant stays backlogged.
 ///
 /// Not thread-safe: the daemon instantiates one scheduler per worker and

@@ -113,51 +113,51 @@ void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
   }
 }
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
-  const size_t n = weights.size();
+void AliasTable::Build() {
+  const size_t n = prob_.size();
   KGACC_CHECK(n > 0);
   double total = 0.0;
-  for (double w : weights) {
+  for (double w : prob_) {
     KGACC_CHECK(w >= 0.0);
     total += w;
   }
   KGACC_CHECK(total > 0.0);
 
-  prob_.resize(n);
+  // Scale in place so the average bucket holds probability 1. A bucket's
+  // scaled value is final once it leaves the worklist, so prob_ doubles as
+  // Vose's working array.
+  for (double& p : prob_) p = (p / total) * static_cast<double>(n);
   alias_.resize(n);
-  normalized_.resize(n);
 
-  // Scale so the average bucket holds probability 1.
-  std::vector<double> scaled(n);
-  for (size_t i = 0; i < n; ++i) {
-    normalized_[i] = weights[i] / total;
-    scaled[i] = normalized_[i] * static_cast<double>(n);
-  }
-
-  std::vector<uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    large.pop_back();
-    prob_[s] = scaled[s];
+  // Vose's "small" (scaled < 1) and "large" worklists share one buffer:
+  // small grows up from the front, large down from the back. Every index
+  // sits in at most one of them, so they never meet.
+  std::vector<uint32_t> work(n);
+  size_t num_small = 0;
+  size_t num_large = 0;
+  auto push = [&](uint32_t i) {
+    if (prob_[i] < 1.0) {
+      work[num_small++] = i;
+    } else {
+      work[n - 1 - num_large++] = i;
+    }
+  };
+  for (size_t i = 0; i < n; ++i) push(static_cast<uint32_t>(i));
+  while (num_small > 0 && num_large > 0) {
+    const uint32_t s = work[--num_small];
+    const uint32_t l = work[n - num_large--];
     alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
+    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
+    push(l);
   }
   // Residuals are exactly-1 buckets up to floating point error.
-  for (uint32_t i : large) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+  for (size_t k = 0; k < num_small; ++k) {
+    prob_[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
   }
-  for (uint32_t i : small) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+  for (size_t k = n - num_large; k < n; ++k) {
+    prob_[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
   }
 }
 

@@ -1,6 +1,8 @@
 #ifndef KGACC_UTIL_RANDOM_H_
 #define KGACC_UTIL_RANDOM_H_
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -149,21 +151,39 @@ class AliasTable {
  public:
   /// Builds the table from non-negative `weights`; at least one weight must
   /// be positive. O(n) time and memory.
-  explicit AliasTable(const std::vector<double>& weights);
+  explicit AliasTable(const std::vector<double>& weights) : prob_(weights) {
+    Build();
+  }
+
+  /// Builds the table from `n` weights `weight(0) .. weight(n - 1)` without
+  /// materializing a weight vector (a PPS table over millions of clusters
+  /// reads the sizes straight from the KG). Bit-identical to the vector
+  /// constructor over the same weights.
+  template <typename WeightFn>
+    requires std::invocable<WeightFn&, size_t>
+  AliasTable(size_t n, WeightFn weight) : prob_(n) {
+    for (size_t i = 0; i < n; ++i) prob_[i] = weight(i);
+    Build();
+  }
 
   /// Draws an index with probability proportional to its weight.
   uint64_t Sample(Rng* rng) const;
 
-  /// Number of outcomes.
+  /// Number of outcomes (= buckets).
   size_t size() const { return prob_.size(); }
 
-  /// Normalized selection probability of outcome `i` (weights_i / sum).
-  double probability(size_t i) const { return normalized_[i]; }
+  /// Bucket `b`'s acceptance threshold: a draw landing in bucket b keeps
+  /// outcome b with this probability, else takes `alias(b)`.
+  double threshold(size_t b) const { return prob_[b]; }
+  /// Bucket `b`'s fallback outcome.
+  uint32_t alias(size_t b) const { return alias_[b]; }
 
  private:
+  /// Turns the raw weights held in `prob_` into the Vose table in place.
+  void Build();
+
   std::vector<double> prob_;      // Acceptance threshold per bucket.
   std::vector<uint32_t> alias_;   // Fallback outcome per bucket.
-  std::vector<double> normalized_;
 };
 
 }  // namespace kgacc

@@ -52,7 +52,7 @@ std::function<void()> TaskRing::PopBack() {
   return std::move(slots_[(head_ + count_) & (slots_.size() - 1)]);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
   KGACC_CHECK(num_threads >= 1);
   shards_ = std::make_unique<Shard[]>(num_threads);
   workers_.reserve(num_threads);
@@ -105,7 +105,7 @@ void ThreadPool::NotifyIfSleepers(int home) {
 
 void ThreadPool::Submit(std::function<void()> task) {
   SubmitTo(static_cast<int>(next_home_.fetch_add(1, std::memory_order_relaxed) %
-                            workers_.size()),
+                            static_cast<uint64_t>(num_threads_)),
            std::move(task));
 }
 

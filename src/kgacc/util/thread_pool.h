@@ -94,7 +94,7 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void Wait();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return num_threads_; }
 
   /// Index of the pool worker the calling thread is, or -1 when the caller
   /// is not one of this pool's workers.
@@ -166,6 +166,9 @@ class ThreadPool {
   /// (scan from home) so parked-home work is still picked up by a thief.
   void NotifyIfSleepers(int home);
 
+  /// Fixed before the first worker spawns: workers read it while the
+  /// constructor is still filling `workers_`.
+  const int num_threads_;
   std::unique_ptr<Shard[]> shards_;
   std::vector<std::thread> workers_;
   /// Tasks sitting in rings (not yet popped). The sleep predicate.

@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kgacc/eval/report.h"
@@ -546,6 +548,269 @@ TEST(AuditDaemonTest, GracefulDrainCheckpointsAndResumesElsewhere) {
               RenderedJson("kg", "SRS", reference));
     daemon.Stop();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Opens run on the audit's home worker, not the poll thread. The `net.open`
+// failpoint sits at the start of the worker-side open: `sleep:MS` holds an
+// open in flight, `once` fails one.
+// ---------------------------------------------------------------------------
+
+OpenAuditMsg OpenFor(uint64_t audit_id) {
+  OpenAuditMsg open;
+  open.audit_id = audit_id;
+  open.kg_name = "kg";
+  return open;
+}
+
+Status SendOpen(TestPeer& peer, uint64_t audit_id) {
+  return peer.Send(
+      FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, OpenFor(audit_id)));
+}
+
+/// Lets a just-sent open reach its worker (and its injected sleep).
+void LetTheOpenStart() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(AuditDaemonOpenTest, SlowOpenNeverStallsOtherConnections) {
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("open_async");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  ScopedFailpoints fp("net.open=sleep:300");
+  ASSERT_TRUE(fp.status().ok());
+
+  TestPeer opener;
+  ASSERT_TRUE(opener.Connect(daemon.port()).ok());
+  ASSERT_TRUE(SendOpen(opener, 1).ok());
+  LetTheOpenStart();
+
+  // While that open sleeps on its worker, a second client is served at
+  // once: handshake and heartbeat both land well inside the 300 ms.
+  const auto start = std::chrono::steady_clock::now();
+  TestPeer other;
+  ASSERT_TRUE(other.Connect(daemon.port()).ok());  // Hello -> HelloAck
+  HeartbeatMsg probe;
+  probe.nonce = 5;
+  ASSERT_TRUE(
+      other.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
+          .ok());
+  auto ack = other.Read();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
+  EXPECT_LT(elapsed_ms, 100.0);
+
+  auto opened = opener.Read();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
+  daemon.Stop();
+}
+
+TEST(AuditDaemonOpenTest, FailedOpenIsSessionFatalAndARetryResumes) {
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  ASSERT_GE(reference.iterations, 4);
+  const std::string dir = TempDir("open_fail");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  // A budgeted first leg leaves a durable mid-audit checkpoint.
+  OpenAuditMsg budgeted = OpenFor(4);
+  budgeted.max_steps = static_cast<uint64_t>(reference.iterations) / 2;
+  AuditClient first(ClientOptions(daemon.port()));
+  ASSERT_EQ(first.RunAudit(budgeted).status().code(),
+            StatusCode::kDeadlineExceeded);
+
+  {
+    ScopedFailpoints fp("net.open=once");
+    ASSERT_TRUE(fp.status().ok());
+    AuditClient failed(ClientOptions(daemon.port()));
+    auto report = failed.RunAudit(OpenFor(4));
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kIoError);
+    EXPECT_NE(report.status().message().find("net.open"), std::string::npos)
+        << report.status().ToString();
+    EXPECT_GE(daemon.stats().faults_injected.load(), 1u);
+  }
+
+  // The daemon kept serving, and the failed open left nothing behind: the
+  // retry resumes the checkpoint to the uninterrupted run's bytes.
+  AuditClient retry(ClientOptions(daemon.port()));
+  auto report = retry.RunAudit(OpenFor(4));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(retry.stats().opened.resumed);
+  EXPECT_GT(retry.stats().opened.start_step, 0u);
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonOpenTest, DuplicateOpenWhileOpeningAnswersBusy) {
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("open_dup");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  ScopedFailpoints fp("net.open=sleep:300");
+  ASSERT_TRUE(fp.status().ok());
+
+  TestPeer opener;
+  ASSERT_TRUE(opener.Connect(daemon.port()).ok());
+  ASSERT_TRUE(SendOpen(opener, 2).ok());
+  LetTheOpenStart();
+
+  TestPeer rival;
+  ASSERT_TRUE(rival.Connect(daemon.port()).ok());
+  ASSERT_TRUE(SendOpen(rival, 2).ok());
+  auto busy = rival.Read();
+  ASSERT_TRUE(busy.ok()) << busy.status().ToString();
+  EXPECT_EQ(busy->type, static_cast<uint8_t>(MessageType::kBusy));
+
+  auto opened = opener.Read();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
+  EXPECT_EQ(daemon.stats().sessions_opened.load(), 1u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonOpenTest, StepBatchSentBeforeAuditOpenedRunsAfterTheOpen) {
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("open_pipelined");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  ScopedFailpoints fp("net.open=sleep:100");
+  ASSERT_TRUE(fp.status().ok());
+
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+  ASSERT_TRUE(SendOpen(peer, 3).ok());
+  StepBatchMsg batch;
+  batch.audit_id = 3;
+  batch.steps = 2;
+  ASSERT_TRUE(
+      peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+          .ok());
+
+  auto opened = peer.Read();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
+  for (uint64_t step = 1; step <= 2; ++step) {
+    auto frame = peer.Read();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kIntervalUpdate));
+    auto update =
+        DecodeIntervalUpdate({frame->payload.data(), frame->payload.size()});
+    ASSERT_TRUE(update.ok());
+    EXPECT_EQ(update->step, step);
+  }
+  daemon.Stop();
+}
+
+TEST(AuditDaemonOpenTest, DetachWhileOpeningCheckpointsAndReadopts) {
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  const std::string dir = TempDir("open_detach");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  {
+    ScopedFailpoints fp("net.open=sleep:200");
+    ASSERT_TRUE(fp.status().ok());
+    TestPeer quitter;
+    ASSERT_TRUE(quitter.Connect(daemon.port()).ok());
+    ASSERT_TRUE(SendOpen(quitter, 6).ok());
+    LetTheOpenStart();
+  }  // The connection closes mid-open; the failpoint disarms.
+
+  // The client meets Busy until the open lands (its backoff outlasts the
+  // open), then re-adopts the detached session and finishes on the
+  // reference bytes.
+  auto patient = ClientOptions(daemon.port());
+  patient.backoff.max_attempts = 40;
+  patient.backoff.initial_delay_ms = 20.0;
+  AuditClient client(patient);
+  auto report = client.RunAudit(OpenFor(6));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  EXPECT_EQ(daemon.stats().sessions_opened.load(), 1u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonOpenTest, DrainWithQueuedOpensExitsAndRestartResumes) {
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  ASSERT_GE(reference.iterations, 4);
+  const std::string dir = TempDir("open_drain");
+  auto options = DaemonOptions(dir);
+  options.workers = 1;  // one home worker: later opens queue behind the first
+  {
+    AuditDaemon daemon(options);
+    daemon.RegisterKg("kg", &kg);
+    ASSERT_TRUE(daemon.Start().ok());
+    OpenAuditMsg budgeted = OpenFor(1);
+    budgeted.max_steps = static_cast<uint64_t>(reference.iterations) / 2;
+    AuditClient client(ClientOptions(daemon.port()));
+    ASSERT_EQ(client.RunAudit(budgeted).status().code(),
+              StatusCode::kDeadlineExceeded);
+
+    ScopedFailpoints fp("net.open=sleep:300");
+    ASSERT_TRUE(fp.status().ok());
+    TestPeer running;  // resumes audit 1's checkpoint
+    ASSERT_TRUE(running.Connect(daemon.port()).ok());
+    ASSERT_TRUE(SendOpen(running, 1).ok());
+    LetTheOpenStart();
+    // Audits 2 and 3 queue behind it, 2 with a batch queued behind its
+    // open; 3's connection goes away while its open is still queued.
+    TestPeer queued;
+    ASSERT_TRUE(queued.Connect(daemon.port()).ok());
+    ASSERT_TRUE(SendOpen(queued, 2).ok());
+    StepBatchMsg batch;
+    batch.audit_id = 2;
+    batch.steps = 2;
+    ASSERT_TRUE(
+        queued.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+            .ok());
+    {
+      TestPeer abandoned;
+      ASSERT_TRUE(abandoned.Connect(daemon.port()).ok());
+      ASSERT_TRUE(SendOpen(abandoned, 3).ok());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // Drain discards the queued opens, waits for the running one, and the
+    // poll loop exits: no hang, no crash on a half-built session.
+    daemon.RequestDrain();
+    daemon.Wait();
+    EXPECT_EQ(daemon.stats().sessions_opened.load(), 2u);  // leg 1 + resume
+    EXPECT_EQ(daemon.stats().steps_executed.load(),
+              static_cast<uint64_t>(reference.iterations) / 2);
+  }
+
+  // A restart over the same store resumes audit 1 from its checkpoint and
+  // runs the discarded audits from scratch, all to the reference bytes.
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  for (uint64_t id : {1, 2, 3}) {
+    AuditClient client(ClientOptions(daemon.port()));
+    auto report = client.RunAudit(OpenFor(id));
+    ASSERT_TRUE(report.ok()) << "audit " << id << ": "
+                             << report.status().ToString();
+    EXPECT_EQ(client.stats().opened.resumed, id == 1) << "audit " << id;
+    EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+              RenderedJson("kg", "SRS", reference))
+        << "audit " << id;
+  }
+  daemon.Stop();
 }
 
 TEST(AuditDaemonTest, DrainingDaemonAnswersBusyAtOpen) {

@@ -153,11 +153,30 @@ TEST(SecondStageTest, SecondStageOffsetsAreUnbiased) {
 TEST(BuildSizeAliasTableTest, ProbabilitiesMatchSizes) {
   const auto kg = MakeKg(10, 3.0);
   const auto table = internal::BuildSizeAliasTable(kg);
+  ASSERT_EQ(table->size(), kg.num_clusters());
+  // Rebuild each cluster's selection probability from the buckets: its own
+  // bucket's threshold plus the rejected mass of every bucket aliasing it.
+  std::vector<double> p(table->size(), 0.0);
+  for (size_t b = 0; b < table->size(); ++b) {
+    p[b] += table->threshold(b);
+    p[table->alias(b)] += 1.0 - table->threshold(b);
+  }
   for (uint64_t c = 0; c < kg.num_clusters(); ++c) {
-    EXPECT_NEAR(table->probability(c),
+    EXPECT_NEAR(p[c] / static_cast<double>(table->size()),
                 static_cast<double>(kg.cluster_size(c)) /
                     static_cast<double>(kg.num_triples()),
                 1e-12);
+  }
+  // The size-streaming build is the vector build over the same weights.
+  std::vector<double> sizes(kg.num_clusters());
+  for (uint64_t c = 0; c < kg.num_clusters(); ++c) {
+    sizes[c] = static_cast<double>(kg.cluster_size(c));
+  }
+  const AliasTable reference(sizes);
+  Rng a(17);
+  Rng b(17);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(table->Sample(&a), reference.Sample(&b)) << "draw " << i;
   }
 }
 

@@ -59,7 +59,10 @@ std::vector<uint8_t> Slurp(const std::string& path) {
 void Dump(const std::string& path, const std::vector<uint8_t>& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  // An empty vector's data() may be null, which fwrite must not receive.
+  if (!data.empty()) {
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  }
   std::fclose(f);
 }
 

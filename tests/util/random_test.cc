@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -162,6 +163,93 @@ TEST(SampleWithoutReplacementTest, EveryElementEquallyLikely) {
   }
 }
 
+/// Each outcome's selection probability, rebuilt from the buckets: outcome
+/// i owns threshold(i) of its own bucket plus the rejected remainder of
+/// every bucket aliasing to it, each bucket drawn with chance 1/n.
+std::vector<double> OutcomeProbabilities(const AliasTable& table) {
+  const size_t n = table.size();
+  std::vector<double> p(n, 0.0);
+  for (size_t b = 0; b < n; ++b) {
+    p[b] += table.threshold(b);
+    p[table.alias(b)] += 1.0 - table.threshold(b);
+  }
+  for (double& x : p) x /= static_cast<double>(n);
+  return p;
+}
+
+/// Textbook Vose construction with separate weight, scaled and worklist
+/// vectors — the reference the lean in-place build must match bit for bit.
+struct PlainVose {
+  std::vector<double> prob;
+  std::vector<uint32_t> alias;
+
+  explicit PlainVose(const std::vector<double>& weights) {
+    const size_t n = weights.size();
+    double total = 0.0;
+    for (double w : weights) total += w;
+    prob.resize(n);
+    alias.resize(n);
+    std::vector<double> scaled(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double normalized = weights[i] / total;
+      scaled[i] = normalized * static_cast<double>(n);
+    }
+    std::vector<uint32_t> small, large;
+    for (size_t i = 0; i < n; ++i) {
+      (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+      const uint32_t s = small.back();
+      small.pop_back();
+      const uint32_t l = large.back();
+      large.pop_back();
+      prob[s] = scaled[s];
+      alias[s] = l;
+      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+      (scaled[l] < 1.0 ? small : large).push_back(l);
+    }
+    for (uint32_t i : large) {
+      prob[i] = 1.0;
+      alias[i] = i;
+    }
+    for (uint32_t i : small) {
+      prob[i] = 1.0;
+      alias[i] = i;
+    }
+  }
+};
+
+void ExpectBitIdentical(const AliasTable& table, const PlainVose& ref) {
+  ASSERT_EQ(table.size(), ref.prob.size());
+  for (size_t b = 0; b < table.size(); ++b) {
+    const double got = table.threshold(b);
+    ASSERT_EQ(std::memcmp(&got, &ref.prob[b], sizeof(double)), 0)
+        << "bucket " << b << ": " << got << " vs " << ref.prob[b];
+    ASSERT_EQ(table.alias(b), ref.alias[b]) << "bucket " << b;
+  }
+}
+
+TEST(AliasTableTest, BitIdenticalToPlainVose) {
+  Rng rng(59);
+  for (const size_t n : {1u, 2u, 7u, 1000u, 100000u}) {
+    // Integer cluster-size-like weights (many ties), with some zeros.
+    std::vector<double> weights(n);
+    for (double& w : weights) {
+      w = rng.Uniform() < 0.05 ? 0.0 : 1.0 + static_cast<double>(
+                                                 rng.UniformInt(40));
+    }
+    weights[0] = 3.0;  // keep the total positive at n = 1
+    const PlainVose ref(weights);
+    ExpectBitIdentical(AliasTable(weights), ref);
+    ExpectBitIdentical(AliasTable(n, [&](size_t i) { return weights[i]; }),
+                       ref);
+  }
+  // Continuous weights exercise the floating-point residual branch.
+  std::vector<double> weights(5000);
+  for (double& w : weights) w = rng.Uniform();
+  ExpectBitIdentical(AliasTable(weights), PlainVose(weights));
+}
+
 TEST(AliasTableTest, MatchesWeightsEmpirically) {
   const std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
   AliasTable table(weights);
@@ -178,8 +266,14 @@ TEST(AliasTableTest, MatchesWeightsEmpirically) {
 
 TEST(AliasTableTest, NormalizedProbabilities) {
   AliasTable table({2.0, 6.0});
-  EXPECT_DOUBLE_EQ(table.probability(0), 0.25);
-  EXPECT_DOUBLE_EQ(table.probability(1), 0.75);
+  const std::vector<double> p = OutcomeProbabilities(table);
+  EXPECT_DOUBLE_EQ(p[0], 0.25);
+  EXPECT_DOUBLE_EQ(p[1], 0.75);
+  const std::vector<double> q =
+      OutcomeProbabilities(AliasTable({1.0, 2.0, 3.0, 4.0}));
+  for (size_t i = 0; i < q.size(); ++i) {
+    EXPECT_NEAR(q[i], (i + 1) / 10.0, 1e-15) << "outcome " << i;
+  }
 }
 
 TEST(AliasTableTest, ZeroWeightNeverSampled) {
