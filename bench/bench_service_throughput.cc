@@ -224,7 +224,6 @@ int main() {
             "\"degraded_jobs\": %zu, \"total_retries\": %llu, "
             "\"deadline_hits\": %zu, "
             "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
-            "\"hpd_warm_cache_hits\": %llu, "
             "\"hpd_beta_evals_per_solve\": %.2f}",
             first_record ? "" : ",\n", jobs_n, service.num_threads(), runs,
             median_wall, median_audits, median_triples,
@@ -235,7 +234,6 @@ int main() {
             static_cast<unsigned long long>(total_retries), deadline_hits,
             static_cast<unsigned long long>(cell_hpd.total_solves()),
             static_cast<unsigned long long>(cell_hpd.newton.solves),
-            static_cast<unsigned long long>(cell_hpd.warm_cache_hits),
             evals_per_solve);
         first_record = false;
       }
@@ -396,7 +394,8 @@ int main() {
   if (json != nullptr) {
     // The machine-independent summary record the perf gate compares: beta
     // evaluations per HPD solve aggregated over the whole sweep (every
-    // thread count and batch size), plus the Newton share.
+    // thread count and batch size), the Newton share, and the solves that
+    // left Newton's basin for the 1-D root fallback.
     const double sweep_evals_per_solve =
         sweep_hpd.total_solves() > 0
             ? static_cast<double>(sweep_hpd.total_beta_evals()) /
@@ -410,10 +409,10 @@ int main() {
     std::fprintf(json,
                  ",\n  {\"bench\": \"service_hpd_summary\", "
                  "\"hpd_solves\": %llu, \"hpd_beta_evals_per_solve\": %.2f, "
-                 "\"hpd_newton_share\": %.3f, \"hpd_warm_cache_hits\": %llu}",
+                 "\"hpd_newton_share\": %.3f, \"hpd_fallback_solves\": %llu}",
                  static_cast<unsigned long long>(sweep_hpd.total_solves()),
                  sweep_evals_per_solve, newton_share,
-                 static_cast<unsigned long long>(sweep_hpd.warm_cache_hits));
+                 static_cast<unsigned long long>(sweep_hpd.onedim.solves));
     std::fprintf(json,
                  ",\n  {\"bench\": \"service_thread_scaling\", "
                  "\"jobs\": %d, \"threads_scaling_ratio\": %.3f, "

@@ -18,7 +18,7 @@
 //
 // Each window additionally snapshots the thread-local HPD solver counters
 // (credible.h): how many solves each path took (the 2x2 Newton KKT primary,
-// its SQP fallback, limiting closed forms) and how many incomplete-beta
+// its 1-D root fallback, limiting closed forms) and how many incomplete-beta
 // evaluations (CDF + PDF + quantile) they spent per solve — so the Newton
 // path's eval reduction is *measured* in the checked-in record, not
 // asserted. The summary row carries the aggregate evals-per-solve, which
@@ -70,8 +70,8 @@ double EvalsPerSolve(const HpdSolveStats& stats) {
 
 double NewtonShare(const HpdSolveStats& stats) {
   // Share of the *numeric* (non-limiting) solves the Newton path handled.
-  const uint64_t numeric = stats.newton.solves + stats.slsqp.solves +
-                           stats.slsqp_fallback.solves + stats.onedim.solves;
+  const uint64_t numeric =
+      stats.newton.solves + stats.slsqp.solves + stats.onedim.solves;
   return numeric == 0 ? 0.0
                       : static_cast<double>(stats.newton.solves) /
                             static_cast<double>(numeric);
@@ -206,7 +206,6 @@ int main() {
                      "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
                      "\"hpd_sqp_solves\": %llu, \"hpd_onedim_solves\": %llu, "
                      "\"hpd_limiting_solves\": %llu, "
-                     "\"hpd_warm_cache_hits\": %llu, "
                      "\"hpd_beta_evals_per_solve\": %.2f}",
                      first_record ? "" : ",\n", design.name,
                      static_cast<unsigned long long>(cp.target_n),
@@ -214,11 +213,9 @@ int main() {
                      cp.p50_us, cp.p90_us, cp.p99_us, cp.steps_timed,
                      static_cast<unsigned long long>(cp.hpd.total_solves()),
                      static_cast<unsigned long long>(cp.hpd.newton.solves),
-                     static_cast<unsigned long long>(
-                         cp.hpd.slsqp.solves + cp.hpd.slsqp_fallback.solves),
+                     static_cast<unsigned long long>(cp.hpd.slsqp.solves),
                      static_cast<unsigned long long>(cp.hpd.onedim.solves),
                      static_cast<unsigned long long>(cp.hpd.limiting.solves),
-                     static_cast<unsigned long long>(cp.hpd.warm_cache_hits),
                      EvalsPerSolve(cp.hpd));
         first_record = false;
       }

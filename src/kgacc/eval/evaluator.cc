@@ -22,6 +22,15 @@ const char* StopReasonName(StopReason reason) {
   return "unknown";
 }
 
+Result<StopReason> StopReasonFromByte(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(StopReason::kPopulationExhausted)) {
+    return Status::InvalidArgument("stop reason byte " +
+                                   std::to_string(int(byte)) +
+                                   " is out of range");
+  }
+  return static_cast<StopReason>(byte);
+}
+
 const char* IntervalMethodName(IntervalMethod method) {
   switch (method) {
     case IntervalMethod::kWald:
@@ -100,15 +109,14 @@ Result<Interval> BuildInterval(const EvaluationConfig& config,
       }
       KGACC_ASSIGN_OR_RETURN(const BetaDistribution posterior,
                              config.priors[0].Posterior(tau_eff, n_eff));
-      AhpdWarmState::PriorState* state = nullptr;
+      std::optional<Interval>* carry = nullptr;
       if (warm != nullptr) {
         warm->Sync(1);
-        state = &warm->priors[0];
+        carry = &warm->priors[0];
       }
       KGACC_ASSIGN_OR_RETURN(
           const HpdResult hpd,
-          HpdIntervalWarm(posterior, tau_eff, n_eff, config.alpha, config.hpd,
-                          state));
+          HpdIntervalWarm(posterior, config.alpha, config.hpd, carry));
       return hpd.interval;
     }
     case IntervalMethod::kAhpd: {

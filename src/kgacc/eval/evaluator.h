@@ -103,6 +103,9 @@ enum class StopReason {
 /// Stable name for a stop reason ("converged", ...).
 const char* StopReasonName(StopReason reason);
 
+/// Decodes a serialized stop reason; bytes outside the enum are rejected.
+Result<StopReason> StopReasonFromByte(uint8_t byte);
+
 /// Outcome of one evaluation run.
 struct EvaluationResult {
   /// Final accuracy estimate mu-hat.
@@ -157,10 +160,10 @@ Result<EvaluationResult> RunEvaluation(Sampler& sampler, Annotator& annotator,
 /// pre-collected samples; `RunEvaluation` uses this internally. The Kish
 /// design-effect adjustment is applied for every non-SRS estimator kind.
 ///
-/// `warm`, when given, carries the per-prior HPD solutions across
+/// `warm`, when given, carries the per-prior HPD intervals across
 /// successive calls of one iterative run (kHpd / kAhpd only): each step's
-/// SQP then starts from the previous step's interval instead of the ET
-/// interval, and an unchanged effective (tau, n) skips the solve outright.
+/// Newton solve then starts from the previous step's interval instead of
+/// the ET interval.
 Result<Interval> BuildInterval(const EvaluationConfig& config,
                                EstimatorKind kind,
                                const AccuracyEstimate& estimate,

@@ -181,7 +181,7 @@ struct ServiceBatchStats {
   size_t groups = 0;
   size_t stolen_groups = 0;
   /// HPD solver counters aggregated across every worker thread of the
-  /// batch (per-path solve/eval tallies plus warm-cache hits). The
+  /// batch (per-path solve/eval tallies). The
   /// thread-local `ThreadHpdStatsSnapshot` counters are captured around
   /// each pinning-group task and summed, so solver efficiency
   /// (beta evals per solve, Newton share) is observable — and gateable —

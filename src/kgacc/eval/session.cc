@@ -17,7 +17,10 @@ namespace {
 /// v2: adds `unit_reservoir_capacity` to the config fingerprint and the
 ///     reservoir subsample to the AnnotatedSample payload — fields shifted,
 ///     so a v1 payload must fail the version gate rather than misparse.
-constexpr uint8_t kSessionSnapshotVersion = 2;
+/// v3: the HPD warm carry shrinks to one optional interval per prior (the
+///     solve cache key, the per-solve diagnostics and the BFGS Hessians
+///     are gone), so a v2 payload must fail the gate rather than misparse.
+constexpr uint8_t kSessionSnapshotVersion = 3;
 
 }  // namespace
 
@@ -116,9 +119,7 @@ Result<StepOutcome> EvaluationSession::Step() {
   // Phase 3: estimate from the accumulator — O(batch) per step where the
   // batch estimators re-walk the whole sample — and build the configured
   // 1-alpha interval. The warm state carries each prior's previous HPD
-  // solution into the next solve (seeding the 2x2 Newton KKT path, and the
-  // last SQP Hessian for its fallback), and serves unchanged (tau, n,
-  // alpha) steps straight from the cache.
+  // interval into the next solve, where it seeds the 2x2 Newton KKT path.
   Result<AccuracyEstimate> estimate_result =
       (sampler_.estimator() == EstimatorKind::kSrs &&
        config_.finite_population_correction)
@@ -299,8 +300,9 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(result_.deff, r->Double());
   KGACC_ASSIGN_OR_RETURN(result_.converged, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint8_t stop_reason, r->U8());
-  result_.stop_reason = static_cast<StopReason>(stop_reason);
-  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Varint());
+  KGACC_ASSIGN_OR_RETURN(result_.stop_reason, StopReasonFromByte(stop_reason));
+  // A trace point is at least a one-byte varint plus two doubles.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Count(17));
   result_.trace.clear();
   result_.trace.reserve(trace_size);
   for (uint64_t i = 0; i < trace_size; ++i) {

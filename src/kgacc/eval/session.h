@@ -114,8 +114,8 @@ class EvaluationSession {
   const EstimatorAccumulator& accumulator() const { return accumulator_; }
 
   /// The cross-step HPD warm carry threaded through `BuildInterval`: the
-  /// per-prior previous solutions that seed the Newton KKT solver each
-  /// step, plus the last SQP BFGS curvature for its fallback.
+  /// per-prior previous intervals that seed the Newton KKT solver each
+  /// step.
   const AhpdWarmState& interval_warm() const { return interval_warm_; }
 
   /// The seed this session's stochastic path is derived from.

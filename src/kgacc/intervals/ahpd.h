@@ -1,13 +1,12 @@
 #ifndef KGACC_INTERVALS_AHPD_H_
 #define KGACC_INTERVALS_AHPD_H_
 
-#include <array>
+#include <optional>
 #include <vector>
 
 #include "kgacc/intervals/credible.h"
 #include "kgacc/intervals/priors.h"
 #include "kgacc/util/status.h"
-#include "kgacc/util/thread_pool.h"
 
 /// \file ahpd.h
 /// The interval-selection core of the adaptive HPD algorithm (Algorithm 1,
@@ -33,56 +32,38 @@ struct AhpdChoice {
   std::vector<Interval> candidates;
 };
 
-/// Cross-step warm-start carry for iterative interval construction: the
-/// previous step's per-prior HPD solutions and the inputs they solved.
-/// Thread one instance through the successive `AhpdSelect` (or
-/// `BuildInterval`) calls of one evaluation run; each step then warm-starts
-/// the SQP from the last interval instead of paying two ET quantile solves
-/// per prior, and skips the solve entirely when `(tau, n, alpha)` did not
-/// move. Do not share one state across interleaved runs.
+/// Cross-step warm-start carry for iterative interval construction: per
+/// prior, the last unimodal HPD interval, if any. Thread one instance
+/// through the successive `AhpdSelect` (or `BuildInterval`) calls of one
+/// evaluation run; each step then seeds the Newton solve from the last
+/// interval instead of paying two ET quantile solves per prior. Do not
+/// share one state across interleaved runs.
 struct AhpdWarmState {
-  struct PriorState {
-    /// True once `hpd` holds a solution for (tau, n, alpha).
-    bool valid = false;
-    double tau = 0.0;
-    double n = 0.0;
-    double alpha = 0.0;
-    HpdResult hpd;
-    /// Last BFGS Lagrangian-Hessian model produced by an SQP solve for
-    /// this prior. Seeds the *fallback* SQP of later steps (via
-    /// `HpdOptions::warm_hessian`) so it does not restart from identity;
-    /// kept across Newton-path steps, which build no BFGS model.
-    bool has_hessian = false;
-    std::array<double, 4> hessian{};
-  };
-  /// Parallel to the prior set; resized (and invalidated) on size change.
-  std::vector<PriorState> priors;
+  /// Parallel to the prior set; resized (and cleared) on size change.
+  std::vector<std::optional<Interval>> priors;
 
   /// Aligns the carry with a prior set of `num_priors` entries, dropping
-  /// every stale solution when the set changed shape.
+  /// every stale interval when the set changed shape.
   void Sync(size_t num_priors) {
     if (priors.size() != num_priors) {
-      priors.assign(num_priors, PriorState{});
+      priors.assign(num_priors, std::nullopt);
     }
   }
 };
 
-/// Serializes / restores the warm carry for checkpoint/resume: every
-/// per-prior solution — inputs, interval, shape, path, the Newton residual
-/// certificate, and the carried BFGS Hessian — with bit-exact doubles, so a
-/// resumed audit's next `BuildInterval` sees the identical cache (including
-/// the unchanged-(tau, n, alpha) skip) as the uninterrupted run.
+/// Serializes / restores the warm carry for checkpoint/resume with
+/// bit-exact doubles, so a resumed audit's next `BuildInterval` starts its
+/// solves from the same intervals as the uninterrupted run.
 void SaveAhpdWarmState(const AhpdWarmState& state, ByteWriter* w);
 Status LoadAhpdWarmState(ByteReader* r, AhpdWarmState* state);
 
-/// One prior's HPD with warm-start carry: returns the cached solution when
-/// `state` matches `(tau, n, alpha)` exactly, otherwise solves — seeding
-/// the SQP from the carried interval when one is available — and refreshes
-/// `state`. A null `state` degrades to a plain `HpdInterval` call.
+/// One prior's HPD with warm-start carry: seeds the solve from `*carry`
+/// when it holds an interval, then stores the new interval when the
+/// posterior was unimodal (and clears the carry otherwise). A null `carry`
+/// degrades to a plain `HpdInterval` call.
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
-                                  double tau, double n, double alpha,
-                                  const HpdOptions& options,
-                                  AhpdWarmState::PriorState* state);
+                                  double alpha, const HpdOptions& options,
+                                  std::optional<Interval>* carry);
 
 /// Computes the per-prior posteriors Beta(a_i + tau, b_i + n - tau), their
 /// 1-alpha HPD intervals, and returns the shortest (Alg. 1 line 23).
@@ -95,21 +76,6 @@ Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
                               double tau, double n, double alpha,
                               const HpdOptions& options = {},
                               AhpdWarmState* warm = nullptr);
-
-/// Parallel variant of `AhpdSelect`: one task per prior on `pool` (the
-/// parallelization §4.5 points out keeps aHPD efficient "regardless of the
-/// number of considered priors"). Bitwise-identical results to the serial
-/// version; worthwhile from a handful of priors upward.
-///
-/// Waits only on its own tasks (per-task futures), so it is safe to call
-/// while unrelated work is in flight on the same pool. It must still not be
-/// called from *inside* a pool task: the waiting thread would occupy a
-/// worker slot, which deadlocks a fully busy pool.
-Result<AhpdChoice> AhpdSelectParallel(const std::vector<BetaPrior>& priors,
-                                      double tau, double n, double alpha,
-                                      ThreadPool* pool,
-                                      const HpdOptions& options = {},
-                                      AhpdWarmState* warm = nullptr);
 
 }  // namespace kgacc
 

@@ -13,8 +13,19 @@ namespace {
 
 /// Safeguarding box for the Newton KKT iterate. Interior unimodal optima
 /// live strictly inside (0, 1); an iterate pinned here has left the basin
-/// and is handed to the globalized SQP.
+/// and is handed to the 1-D root.
 constexpr double kNewtonBoxEps = 1e-12;
+
+/// Iteration cap for the Newton attempt; a healthy basin converges in 4-6.
+constexpr int kNewtonMaxIterations = 32;
+
+/// Clamp on the 1-D root's log-density gap. Brent's interpolation cannot
+/// take the infinite gaps at the bracket ends; clamping keeps every
+/// value's sign, so the root is unchanged.
+constexpr double kLogDensityCap = 1e4;
+
+/// The 1-D root's smallest bracket point, relative to its largest.
+constexpr double kOriginBracketScale = 1e-12;
 
 thread_local HpdSolveStats t_hpd_stats;
 
@@ -26,8 +37,6 @@ HpdPathTally& TallyFor(HpdPath path) {
       return t_hpd_stats.newton;
     case HpdPath::kSlsqp:
       return t_hpd_stats.slsqp;
-    case HpdPath::kSlsqpFallback:
-      return t_hpd_stats.slsqp_fallback;
     case HpdPath::kOneDim:
       return t_hpd_stats.onedim;
   }
@@ -58,7 +67,7 @@ Status ValidateAlpha(double alpha) {
 /// One evaluation costs 2 CDF + 2 PDF calls (the Jacobian's density row is
 /// shared with the coverage gradient; the log-density slopes are rational).
 bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
-                  const Interval& start, int max_iterations, HpdResult* out) {
+                  const Interval& start, HpdResult* out) {
   const double a = posterior.a();
   const double b = posterior.b();
   // Plain lambda, not a KktSystem2Fn: the solver is templated over the
@@ -79,7 +88,7 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
   };
 
   NewtonKkt2Options options;
-  options.max_iterations = max_iterations;
+  options.max_iterations = kNewtonMaxIterations;
   options.lo = kNewtonBoxEps;
   options.hi = 1.0 - kNewtonBoxEps;
   // Residual certificate thresholds: 1e-12 coverage mass and 1e-9 relative
@@ -102,14 +111,10 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
   return true;
 }
 
-/// Standard-case HPD via the SQP solver: minimize (u - l) subject to
-/// F(u) - F(l) = 1 - alpha with (l, u) in [0, 1]^2 (§4.3). `warm_hessian`,
-/// when given, seeds the BFGS Lagrangian model (the carried curvature of
-/// the previous solve) instead of identity.
+/// Standard-case HPD via the SQP reference: minimize (u - l) subject to
+/// F(u) - F(l) = 1 - alpha with (l, u) in [0, 1]^2 (§4.3).
 Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
-                   const Interval& warm_start,
-                   const std::array<double, 4>* warm_hessian,
-                   HpdResult* out) {
+                   const Interval& warm_start, HpdResult* out) {
   SlsqpProblem problem;
   problem.objective = [](const std::vector<double>& x) { return x[1] - x[0]; };
   problem.gradient = [](const std::vector<double>&) {
@@ -133,20 +138,13 @@ Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
   options.constraint_tol = 1e-10;
   // Endpoint precision: intervals live on [0,1] and the stop rule compares
   // the MoE against thresholds around 5e-2, so 1e-9 endpoints are already
-  // six orders of magnitude past any statistical meaning. The previous
-  // 1e-11 bought nothing but 2-4 extra SQP iterations (~2 CDF evaluations
-  // each) per solve on the evaluation hot path.
+  // six orders of magnitude past any statistical meaning.
   options.step_tol = 1e-9;
-  // KKT stationarity: a short first step from a carried warm start is not
-  // a solution certificate (the carry gate at 1e-9 width sits exactly on
-  // step_tol); demand a stationary projected Lagrangian gradient, whose
-  // natural scale here is O(1) (the objective gradient is (-1, 1)).
+  // KKT stationarity: a short first step from a warm start is not a
+  // solution certificate; demand a stationary projected Lagrangian
+  // gradient, whose natural scale here is O(1) (the objective gradient is
+  // (-1, 1)).
   options.stationarity_tol = 1e-6;
-  std::vector<double> initial_hessian;
-  if (warm_hessian != nullptr) {
-    initial_hessian.assign(warm_hessian->begin(), warm_hessian->end());
-    options.initial_hessian = &initial_hessian;
-  }
 
   KGACC_ASSIGN_OR_RETURN(
       SlsqpSolve solve,
@@ -158,56 +156,62 @@ Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
   }
   out->interval = Interval{solve.x[0], solve.x[1]};
   out->solver_iterations += solve.iterations;
-  if (solve.hessian.size() == 4) {
-    out->has_hessian = true;
-    std::copy(solve.hessian.begin(), solve.hessian.end(),
-              out->hessian.begin());
-  }
+  out->path = HpdPath::kSlsqp;
   return Status::OK();
 }
 
-/// Standard-case HPD via 1-D reduction: for each candidate lower bound l,
-/// the matching upper bound is u(l) = F^{-1}(F(l) + 1 - alpha); the width
-/// u(l) - l is unimodal in l for a unimodal posterior, so Brent's method
-/// finds the global minimum.
+/// Standard-case HPD via a 1-D root. Each lower bound l fixes the upper
+/// bound u(l) = F^{-1}(F(l) + 1 - alpha) that keeps the coverage exact, so
+/// Thm. 1's density condition becomes g(l) = log f(l) - log f(u(l)) = 0.
+/// On a unimodal posterior g < 0 near 0 and g = +inf at l = F^{-1}(alpha)
+/// (where u reaches 1), so the bracketed root is the HPD lower bound.
 Status HpdViaOneDim(const BetaDistribution& posterior, double alpha,
                     HpdResult* out) {
+  if (posterior.a() > posterior.b()) {
+    // Solve the mirror image Beta(b, a), so the boundary nearer the mode is
+    // always the origin and the safeguard below covers both ends.
+    KGACC_ASSIGN_OR_RETURN(
+        const BetaDistribution mirror,
+        BetaDistribution::Create(posterior.b(), posterior.a()));
+    KGACC_RETURN_IF_ERROR(HpdViaOneDim(mirror, alpha, out));
+    out->interval = Interval{1.0 - out->interval.upper,
+                             1.0 - out->interval.lower};
+    return Status::OK();
+  }
   ++out->quantile_evals;
   KGACC_ASSIGN_OR_RETURN(const double l_max, posterior.Quantile(alpha));
   Status failure = Status::OK();
-  auto width = [&](double l) {
-    const double target = posterior.Cdf(l) + (1.0 - alpha);
+  auto upper = [&](double l) {
     ++out->cdf_evals;
     ++out->quantile_evals;
-    Result<double> u = posterior.Quantile(std::min(target, 1.0));
-    if (!u.ok()) {
-      if (failure.ok()) failure = u.status();
-      // Poison value strictly wider than any feasible interval (widths on
-      // [0, 1] never exceed 1), so a failed evaluation can never be
-      // *selected* as the minimum; the failure itself is surfaced below.
-      return 2.0;
-    }
-    return *u - l;
+    Result<double> u =
+        posterior.Quantile(std::min(posterior.Cdf(l) + (1.0 - alpha), 1.0));
+    if (!u.ok() && failure.ok()) failure = u.status();
+    return u.ok() ? *u : 1.0;
   };
-  // Bracket floor: Quantile(alpha) can land arbitrarily close to 0 for
-  // posteriors concentrated near the origin, and a denormal upper bracket
-  // degenerates Brent's interval arithmetic. Flooring the bracket *up* is
-  // safe — the optimal l satisfies F(l) <= alpha, so it stays inside.
-  KGACC_ASSIGN_OR_RETURN(
-      ScalarSolve solve,
-      MinimizeBrent(width, 0.0, std::max(l_max, 1e-12), 1e-12));
-  // Any quantile failure poisons the search; surface it instead of
-  // accepting a minimizer chosen against poisoned widths.
+  // log f(0) = log f(1) = -inf for a unimodal posterior, hence the clamp.
+  auto g = [&](double l) {
+    if (l >= l_max) return kLogDensityCap;
+    out->pdf_evals += 2;
+    const double v = posterior.LogPdf(l) - posterior.LogPdf(upper(l));
+    return std::clamp(v, -kLogDensityCap, kLogDensityCap);
+  };
+  // The smallest bracket point sits just above the origin. If the density
+  // there already matches the far end (a -> 1+), the root lies below any
+  // resolvable l and the HPD lower bound is 0.
+  const double l_min = kOriginBracketScale * l_max;
+  double l = 0.0;
+  if (g(l_min) < 0.0) {
+    KGACC_ASSIGN_OR_RETURN(const ScalarSolve solve,
+                           FindRootBrent(g, l_min, l_max, 0.0));
+    l = solve.x;
+    out->solver_iterations += solve.iterations;
+  }
+  const double u = upper(l);
+  // Any quantile failure poisons the bracket; surface it instead of
+  // accepting a root located against substituted values.
   KGACC_RETURN_IF_ERROR(failure);
-
-  const double l = solve.x;
-  ++out->cdf_evals;
-  ++out->quantile_evals;
-  KGACC_ASSIGN_OR_RETURN(
-      const double u,
-      posterior.Quantile(std::min(posterior.Cdf(l) + (1.0 - alpha), 1.0)));
   out->interval = Interval{l, u};
-  out->solver_iterations += solve.iterations;
   out->path = HpdPath::kOneDim;
   return Status::OK();
 }
@@ -277,27 +281,16 @@ Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
     start = Interval{std::max(0.0, mode - 0.25), std::min(1.0, mode + 0.25)};
   }
 
-  // Primary unimodal path: the dedicated 2x2 Newton. A basin exit (pinned
-  // endpoint, residual growth, singular or non-finite system) falls through
-  // to the globalized SQP, seeded identically — plus the carried Hessian.
-  bool newton_attempted = false;
-  if (options.use_newton && options.newton_max_iterations > 0) {
-    newton_attempted = true;
-    if (TryHpdNewton(posterior, alpha, start, options.newton_max_iterations,
-                     &out)) {
-      return out;
-    }
-  }
-
-  const Status sqp =
-      HpdViaSlsqp(posterior, alpha, start, options.warm_hessian, &out);
-  if (sqp.ok()) {
-    out.path = newton_attempted ? HpdPath::kSlsqpFallback : HpdPath::kSlsqp;
+  if (options.solver == HpdSolver::kSlsqp) {
+    KGACC_RETURN_IF_ERROR(HpdViaSlsqp(posterior, alpha, start, &out));
     return out;
   }
-  // Extremely peaked or otherwise ill-conditioned posteriors can defeat the
-  // SQP line search; the 1-D reduction is slower but unconditionally robust
-  // for unimodal shapes.
+  // The audit path: the dedicated 2x2 Newton. A basin exit (pinned
+  // endpoint, residual growth, singular or non-finite system) falls through
+  // to the 1-D root, which needs no start.
+  if (TryHpdNewton(posterior, alpha, start, &out)) {
+    return out;
+  }
   KGACC_RETURN_IF_ERROR(HpdViaOneDim(posterior, alpha, &out));
   return out;
 }
@@ -312,8 +305,6 @@ const char* HpdPathName(HpdPath path) {
       return "newton";
     case HpdPath::kSlsqp:
       return "slsqp";
-    case HpdPath::kSlsqpFallback:
-      return "slsqp-fallback";
     case HpdPath::kOneDim:
       return "onedim";
   }
@@ -323,8 +314,6 @@ const char* HpdPathName(HpdPath path) {
 HpdSolveStats ThreadHpdStatsSnapshot() { return t_hpd_stats; }
 
 void ResetThreadHpdStats() { t_hpd_stats = HpdSolveStats{}; }
-
-void NoteHpdWarmCacheHit() { ++t_hpd_stats.warm_cache_hits; }
 
 Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
                                      double alpha) {

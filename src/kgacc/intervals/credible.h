@@ -1,7 +1,6 @@
 #ifndef KGACC_INTERVALS_CREDIBLE_H_
 #define KGACC_INTERVALS_CREDIBLE_H_
 
-#include <array>
 #include <cstdint>
 
 #include "kgacc/intervals/interval.h"
@@ -18,20 +17,24 @@ namespace kgacc {
 
 /// Which algorithm computes the standard-case (interior unimodal) HPD.
 enum class HpdSolver {
-  /// The standard path: a dedicated 2x2 damped Newton on the KKT system
-  /// {F(u) - F(l) = 1 - alpha, f(l) = f(u)} (§4.3's first-order
-  /// characterization; `opt/newton_kkt.h`), falling back to the SLSQP-style
-  /// SQP when the Newton iterate leaves the basin. `HpdOptions::use_newton`
-  /// = false forces the pure SQP formulation (the paper's prescription).
+  /// The audit path: a dedicated 2x2 damped Newton on the KKT system
+  /// {F(u) - F(l) = 1 - alpha, f(l) = f(u)} (Thm. 1's first-order
+  /// characterization; `opt/newton_kkt.h`). When the iterate leaves the
+  /// basin, the solve falls back to the bracketed 1-D root of `kOneDim`.
+  kNewton,
+  /// The paper's §4.3 reference: SLSQP on min (u - l) subject to coverage.
+  /// No fallback — a solve that does not converge returns an error. Kept
+  /// for the solver ablation and the cross-check tests, off the audit path.
   kSlsqp,
-  /// Independent 1-D reduction: u(l) = F^{-1}(F(l) + 1 - alpha), Brent
-  /// width minimization over l. Used for cross-validation and ablation.
+  /// The 1-D reduction alone: u(l) = F^{-1}(F(l) + 1 - alpha) keeps the
+  /// coverage exact, and Brent's bracketed root finder solves the density
+  /// condition log f(l) = log f(u(l)) for the lower bound.
   kOneDim,
 };
 
 /// Options for `HpdInterval`.
 struct HpdOptions {
-  HpdSolver solver = HpdSolver::kSlsqp;
+  HpdSolver solver = HpdSolver::kNewton;
   /// Warm-start the solver at the ET interval (Alg. 1 line 20). Disabling
   /// this (cold start at a central interval) is Ablation B.
   bool warm_start_at_et = true;
@@ -42,18 +45,6 @@ struct HpdOptions {
   /// quantile solves it replaces are the bulk of the standard-case cost.
   /// Not owned; must outlive the call.
   const Interval* warm_start = nullptr;
-  /// Try the 2x2 Newton KKT solver first on the unimodal standard case
-  /// (4-6 iterations of 2 CDF + 2 PDF evaluations each versus the SQP's
-  /// ~25 constraint evaluations). False forces the SQP reference path.
-  bool use_newton = true;
-  /// Iteration cap for the Newton attempt; 0 skips straight to the SQP
-  /// (handy for exercising the fallback in tests).
-  int newton_max_iterations = 32;
-  /// Warm start for the fallback SQP's BFGS Lagrangian-Hessian model
-  /// (row-major 2x2), typically the carried `AhpdWarmState` Hessian of the
-  /// previous solve so the fallback does not restart from identity. Not
-  /// owned; must outlive the call.
-  const std::array<double, 4>* warm_hessian = nullptr;
 };
 
 /// Which code path produced an HPD interval.
@@ -62,11 +53,9 @@ enum class HpdPath {
   kLimiting,
   /// 2x2 Newton on the KKT system — the standard unimodal path.
   kNewton,
-  /// SQP directly (Newton disabled or capped to 0 iterations).
+  /// The SQP reference (`HpdSolver::kSlsqp`).
   kSlsqp,
-  /// SQP after a Newton basin exit.
-  kSlsqpFallback,
-  /// Brent 1-D reduction (explicit choice, or last-resort fallback).
+  /// The bracketed 1-D root (explicit choice, or after a Newton basin exit).
   kOneDim,
 };
 
@@ -78,7 +67,7 @@ struct HpdResult {
   /// Which posterior-shape branch produced the interval.
   BetaShape shape = BetaShape::kUnimodal;
   /// Outer iterations used by the numeric solver (0 for limiting cases);
-  /// for a fallback solve this is Newton iterations + SQP iterations.
+  /// for a fallback solve this is Newton iterations + root iterations.
   int solver_iterations = 0;
   /// Solver path taken.
   HpdPath path = HpdPath::kLimiting;
@@ -94,10 +83,6 @@ struct HpdResult {
   /// Zero for non-Newton paths.
   double kkt_coverage_residual = 0.0;
   double kkt_density_residual = 0.0;
-  /// Final BFGS Lagrangian-Hessian model when an SQP ran; feed it back via
-  /// `HpdOptions::warm_hessian` on the next nearby solve.
-  bool has_hessian = false;
-  std::array<double, 4> hessian{};
 };
 
 /// Per-path tallies of the thread-local HPD solve statistics.
@@ -119,18 +104,17 @@ struct HpdPathTally {
 };
 
 /// Aggregate HPD solver counters for the calling thread, accumulated by
-/// every successful `HpdInterval` on that thread (the warm-state cache hits
-/// of `HpdIntervalWarm` are counted separately — they run no solver).
-/// Read/reset them around a measurement region to attribute incomplete-beta
-/// work to solver paths; used by `bench_step_latency` to report per-solve
-/// evaluation counts in BENCH_step.json.
+/// every successful `HpdInterval` on that thread. Read/reset them around a
+/// measurement region to attribute incomplete-beta work to solver paths;
+/// used by `bench_step_latency` to report per-solve evaluation counts in
+/// BENCH_step.json.
 struct HpdSolveStats {
   HpdPathTally limiting;
   HpdPathTally newton;
   HpdPathTally slsqp;
+  /// Always zero: SQP no longer runs as a fallback. Kept for stats readers.
   HpdPathTally slsqp_fallback;
   HpdPathTally onedim;
-  uint64_t warm_cache_hits = 0;
 
   uint64_t total_solves() const {
     return limiting.solves + newton.solves + slsqp.solves +
@@ -154,7 +138,6 @@ struct HpdSolveStats {
     slsqp += other.slsqp;
     slsqp_fallback += other.slsqp_fallback;
     onedim += other.onedim;
-    warm_cache_hits += other.warm_cache_hits;
     return *this;
   }
 };
@@ -165,9 +148,6 @@ HpdSolveStats ThreadHpdStatsSnapshot();
 /// Zeroes this thread's counters.
 void ResetThreadHpdStats();
 
-/// Records a warm-state cache hit (called by `HpdIntervalWarm`).
-void NoteHpdWarmCacheHit();
-
 /// 1-alpha Equal-Tailed credible interval (Eq. 9):
 /// [qBeta(alpha/2), qBeta(1 - alpha/2)] on the posterior.
 Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
@@ -176,8 +156,8 @@ Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
 /// 1-alpha Highest Posterior Density credible interval.
 ///
 /// Dispatches on the posterior shape:
-/// * interior unimodal — 2x2 Newton KKT solve with SQP fallback, or the
-///   solver selected by `options` (Thm. 1/2);
+/// * interior unimodal — 2x2 Newton KKT solve with the 1-D root as its
+///   fallback, or the solver selected by `options` (Thm. 1/2);
 /// * monotone decreasing (tau = 0 under an uninformative prior) —
 ///   [0, qBeta(1 - alpha)] (Eq. 11, Corollary 1/2);
 /// * monotone increasing (tau = n) — [qBeta(alpha), 1] (Eq. 10);

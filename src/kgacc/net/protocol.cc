@@ -55,10 +55,11 @@ Status GetResult(ByteReader* r, EvaluationResult* result) {
   KGACC_ASSIGN_OR_RETURN(result->deff, r->Double());
   KGACC_ASSIGN_OR_RETURN(result->converged, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint8_t reason, r->U8());
-  result->stop_reason = static_cast<StopReason>(reason);
+  KGACC_ASSIGN_OR_RETURN(result->stop_reason, StopReasonFromByte(reason));
   KGACC_ASSIGN_OR_RETURN(result->degraded, r->Bool());
   KGACC_ASSIGN_OR_RETURN(result->degradation_note, r->String());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_points, r->Varint());
+  // A trace point is at least a one-byte varint plus two doubles.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_points, r->Count(17));
   result->trace.clear();
   result->trace.reserve(static_cast<size_t>(trace_points));
   for (uint64_t i = 0; i < trace_points; ++i) {

@@ -6,10 +6,9 @@
 #include "kgacc/util/status.h"
 
 /// \file brent.h
-/// Derivative-free 1-D root finding and minimization (Brent's methods).
-/// Used by the reference HPD solver (`HpdOneDim`), which reduces the
-/// two-variable HPD problem to a 1-D width minimization, and as a fallback
-/// inside the interval library.
+/// Derivative-free 1-D root finding (Brent's method). The HPD solver's 1-D
+/// reduction (`HpdSolver::kOneDim`, also the Newton path's fallback) finds
+/// the lower bound as the root of the log-density gap between endpoints.
 
 namespace kgacc {
 
@@ -25,13 +24,6 @@ struct ScalarSolve {
 /// opposite signs (or one of them to be an exact root).
 Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
                                   double a, double b, double tol = 1e-12,
-                                  int max_iter = 200);
-
-/// Minimizes `f` over [a, b] with Brent's parabolic-interpolation /
-/// golden-section method. `f` should be unimodal on [a, b] for a global
-/// guarantee; otherwise a local minimum is returned.
-Result<ScalarSolve> MinimizeBrent(const std::function<double(double)>& f,
-                                  double a, double b, double tol = 1e-10,
                                   int max_iter = 200);
 
 }  // namespace kgacc

@@ -292,24 +292,9 @@ Result<SlsqpSolve> MinimizeSlsqp(const SlsqpProblem& problem,
     return worst;
   };
 
-  // BFGS model of the Lagrangian Hessian: the caller's warm-started model
-  // when one was supplied (and well-formed), identity otherwise.
+  // BFGS model of the Lagrangian Hessian, started at identity.
   std::vector<double> bmat(n * n, 0.0);
-  bool warm_hessian = false;
-  if (options.initial_hessian != nullptr &&
-      static_cast<int>(options.initial_hessian->size()) == n * n) {
-    warm_hessian = true;
-    for (double v : *options.initial_hessian) {
-      if (!std::isfinite(v)) {
-        warm_hessian = false;
-        break;
-      }
-    }
-    if (warm_hessian) bmat = *options.initial_hessian;
-  }
-  if (!warm_hessian) {
-    for (int i = 0; i < n; ++i) bmat[i * n + i] = 1.0;
-  }
+  for (int i = 0; i < n; ++i) bmat[i * n + i] = 1.0;
 
   double penalty = 1.0;
   SlsqpSolve out;
@@ -353,7 +338,6 @@ Result<SlsqpSolve> MinimizeSlsqp(const SlsqpProblem& problem,
       out.kkt_residual = kkt;
       out.iterations = iter;
       out.converged = true;
-      out.hessian = std::move(bmat);
       return out;
     }
 
@@ -405,7 +389,6 @@ Result<SlsqpSolve> MinimizeSlsqp(const SlsqpProblem& problem,
       out.converged = viol < options.constraint_tol && step_norm < 1e-6 &&
                       (options.stationarity_tol <= 0.0 ||
                        kkt < options.stationarity_tol);
-      out.hessian = std::move(bmat);
       return out;
     }
 
@@ -483,7 +466,6 @@ Result<SlsqpSolve> MinimizeSlsqp(const SlsqpProblem& problem,
   out.kkt_residual = kkt_residual(g, amat, lambda, x);
   out.iterations = options.max_iterations;
   out.converged = false;
-  out.hessian = std::move(bmat);
   return out;
 }
 

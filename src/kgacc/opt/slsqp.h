@@ -62,12 +62,6 @@ struct SlsqpOptions {
   double stationarity_tol = 0.0;
   /// Relative step for finite-difference derivatives.
   double fd_step = 1e-7;
-  /// Optional warm start for the BFGS model of the Lagrangian Hessian
-  /// (row-major n x n, symmetric positive definite); identity when null.
-  /// Pair with `SlsqpSolve::hessian` to carry curvature across a sequence
-  /// of slowly moving solves instead of rebuilding it from scratch each
-  /// time. Not owned; must outlive the call.
-  const std::vector<double>* initial_hessian = nullptr;
 };
 
 /// Outcome of an SLSQP solve.
@@ -78,9 +72,6 @@ struct SlsqpSolve {
   double kkt_residual = 0.0;      ///< Projected ||g + A'lambda||_inf at `x`.
   int iterations = 0;             ///< Outer iterations used.
   bool converged = false;         ///< True if every enabled tolerance was met.
-  /// Final BFGS model of the Lagrangian Hessian (row-major n x n); feed it
-  /// to `SlsqpOptions::initial_hessian` of a nearby follow-up solve.
-  std::vector<double> hessian;
 };
 
 /// Runs the SQP iteration from `x0` (clamped into the bounds first).

@@ -40,7 +40,8 @@ Status AnnotatedSample::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(num_units_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(num_triples_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(num_correct_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t history, r->Varint());
+  // A unit is five varints, each at least one byte.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t history, r->Count(5));
   units_.reserve(history);
   for (uint64_t i = 0; i < history; ++i) {
     AnnotatedUnit unit;
@@ -59,7 +60,7 @@ Status AnnotatedSample::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(reservoir_capacity_, r->Varint());
   if (reservoir_capacity_ > 0) {
     KGACC_RETURN_IF_ERROR(reservoir_rng_.LoadState(r));
-    KGACC_ASSIGN_OR_RETURN(const uint64_t kept, r->Varint());
+    KGACC_ASSIGN_OR_RETURN(const uint64_t kept, r->Count(5));
     if (kept > reservoir_capacity_) {
       return Status::InvalidArgument("reservoir larger than its capacity");
     }

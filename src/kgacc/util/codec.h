@@ -166,6 +166,17 @@ class ByteReader {
     KGACC_ASSIGN_OR_RETURN(const uint64_t v, Varint());
     return int64_t(v >> 1) ^ -int64_t(v & 1);
   }
+  /// A varint element count, rejected when the rest of the input cannot
+  /// hold that many elements of at least `min_element_bytes` each — so a
+  /// hostile count fails here instead of sizing an allocation.
+  Result<uint64_t> Count(size_t min_element_bytes) {
+    KGACC_ASSIGN_OR_RETURN(const uint64_t n, Varint());
+    if (n > remaining() / min_element_bytes) {
+      return Status::OutOfRange(
+          "codec: element count exceeds what the remaining input can hold");
+    }
+    return n;
+  }
   /// A view of the next `n` raw bytes (no copy).
   Result<std::span<const uint8_t>> Bytes(size_t n) {
     if (remaining() < n) return Truncated("bytes");

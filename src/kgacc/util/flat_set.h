@@ -364,7 +364,7 @@ inline void SaveFlatSet64(const FlatSet64& set, ByteWriter* w) {
 }
 
 inline Status LoadFlatSet64(ByteReader* r, FlatSet64* set) {
-  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Varint());
+  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Count(8));
   set->clear();
   set->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

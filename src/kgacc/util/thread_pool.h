@@ -6,11 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 /// \file thread_pool.h
@@ -24,9 +22,8 @@
 /// between workers at all — the global counters below are touched once per
 /// task, not once per audit.
 ///
-/// `AhpdSelectParallel` dispatches one task per prior through this pool so
-/// wall-clock cost stays flat as the prior set grows; `EvaluationService`
-/// routes whole pinning groups to their home workers via `SubmitTo`.
+/// `EvaluationService` routes whole pinning groups to their home workers
+/// via `SubmitTo`; `ParallelFor` fans independent work items out over it.
 
 namespace kgacc {
 
@@ -78,18 +75,6 @@ class ThreadPool {
   /// home worker runs it unless it is still busy when another worker runs
   /// dry, in which case the whole task is stolen (never split).
   void SubmitTo(int worker, std::function<void()> task);
-
-  /// Enqueues a value-returning task and hands back a future for its
-  /// result. The task must not throw (pool invariant); use `Result<T>`
-  /// return types for fallible work.
-  template <typename F>
-  auto SubmitWithResult(F func) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(func));
-    std::future<R> future = task->get_future();
-    Submit([task] { (*task)(); });
-    return future;
-  }
 
   /// Blocks until every submitted task has finished executing.
   void Wait();

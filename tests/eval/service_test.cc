@@ -314,8 +314,8 @@ TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
             baseline.stats.hpd.total_solves());
   EXPECT_EQ(parallel.stats.hpd.total_beta_evals(),
             baseline.stats.hpd.total_beta_evals());
-  EXPECT_EQ(parallel.stats.hpd.warm_cache_hits,
-            baseline.stats.hpd.warm_cache_hits);
+  EXPECT_EQ(parallel.stats.hpd.onedim.solves,
+            baseline.stats.hpd.onedim.solves);
   EXPECT_EQ(parallel.stats.hpd.newton.solves,
             baseline.stats.hpd.newton.solves);
 

@@ -1,5 +1,8 @@
 #include "kgacc/kgacc.h"
 
+#include <cmath>
+#include <initializer_list>
+
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -130,21 +133,46 @@ TEST(PaperPropertiesTest, TwcsCostsLessPerTripleThanSrs) {
   EXPECT_LT(twcs_cost_per_triple, srs_cost_per_triple);
 }
 
-TEST(PaperPropertiesTest, CredibleIntervalEmpiricalCoverage) {
-  // The 1-alpha CrI should contain the true accuracy in ~95% of runs —
-  // the one-shot guarantee CIs cannot give (§4).
+TEST(PaperPropertiesTest, AhpdCoverageIsNominalPerDesign) {
+  // The 1-alpha aHPD interval should contain the true accuracy in ~95% of
+  // audits under every sampling design — the one-shot guarantee CIs cannot
+  // give (§4), and the one an HPD solver change must not weaken. Each audit
+  // annotates a fixed 300 triples (the MoE target is unreachable), so the
+  // check measures the interval itself rather than the sequential stopping
+  // rule, which costs every design some coverage on its own.
+  //
+  // Tolerance: at nominal coverage the covered count of `reps` seeded
+  // audits is Binomial(reps, 1 - alpha). The check is one-sided and fails
+  // only below that binomial's mean minus three standard deviations — for
+  // 400 audits at 0.95, fewer than 367 covered (a ~0.13% false alarm rate
+  // per design).
   const auto kg = *MakeKg(DbpediaProfile(), 6);
   const double truth = kg.TrueAccuracy();
   OracleAnnotator annotator;
   EvaluationConfig config;  // aHPD, alpha = 0.05.
-  SrsSampler sampler(kg, SrsConfig{});
-  int covered = 0;
-  const int reps = 200;
-  for (int r = 0; r < reps; ++r) {
-    const auto result = *RunEvaluation(sampler, annotator, config, 9000 + r);
-    covered += result.interval.Contains(truth) ? 1 : 0;
+  config.moe_threshold = 1e-9;
+  config.max_triples = 300;
+  const int reps = 400;
+  const double nominal = 1.0 - config.alpha;
+  const double floor =
+      reps * nominal - 3.0 * std::sqrt(reps * nominal * (1.0 - nominal));
+  SrsSampler srs(kg, SrsConfig{});
+  TwcsSampler twcs(kg, TwcsConfig{});
+  StratifiedSampler ssrs(kg, StratifiedConfig{});
+  RcsSampler rcs(kg, ClusterConfig{});
+  for (Sampler* sampler : std::initializer_list<Sampler*>{&srs, &twcs, &ssrs,
+                                                          &rcs}) {
+    int covered = 0;
+    for (int r = 0; r < reps; ++r) {
+      const auto result =
+          RunEvaluation(*sampler, annotator, config, 9000 + r);
+      ASSERT_TRUE(result.ok()) << sampler->name();
+      EXPECT_EQ(result->stop_reason, StopReason::kTripleCapReached);
+      covered += result->interval.Contains(truth) ? 1 : 0;
+    }
+    EXPECT_GE(covered, floor) << sampler->name() << ": " << covered << "/"
+                              << reps << " covered";
   }
-  EXPECT_GE(covered / static_cast<double>(reps), 0.88);
 }
 
 TEST(PaperPropertiesTest, WaldZeroWidthFrequencyOnNellLikeData) {

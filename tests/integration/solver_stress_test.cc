@@ -8,14 +8,15 @@ namespace kgacc {
 namespace {
 
 /// Randomized stress of the HPD machinery: across a wide cloud of
-/// posteriors (including shapes far outside the curated test grids) both
-/// solvers must satisfy the coverage constraint, agree with each other, and
-/// never beat the theoretical minimality bound. Seeded, so failures are
-/// reproducible.
+/// posteriors (including shapes far outside the curated test grids) the
+/// Newton audit path, the 1-D root and the SQP reference must satisfy the
+/// coverage constraint and agree with each other. The SQP has no fallback;
+/// on the few draws where it does not converge, the root is held to
+/// Thm. 1's certificate instead. Seeded, so failures are reproducible.
 
 TEST(HpdSolverStress, RandomPosteriorCloud) {
   Rng rng(20260612);
-  int slsqp_checked = 0;
+  int sqp_unconverged = 0;
   for (int trial = 0; trial < 400; ++trial) {
     // Log-uniform shapes spanning [1.05, ~2000): early-iteration to
     // deep-into-the-audit posteriors.
@@ -24,34 +25,47 @@ TEST(HpdSolverStress, RandomPosteriorCloud) {
     const double alpha = rng.Uniform(0.005, 0.2);
     const auto d = *BetaDistribution::Create(a, b);
 
-    HpdOptions sqp_opts;
-    sqp_opts.solver = HpdSolver::kSlsqp;
-    const auto sqp = HpdInterval(d, alpha, sqp_opts);
-    ASSERT_TRUE(sqp.ok()) << "a=" << a << " b=" << b << " alpha=" << alpha;
+    const auto newton = HpdInterval(d, alpha);
+    ASSERT_TRUE(newton.ok()) << "a=" << a << " b=" << b << " alpha=" << alpha;
 
     HpdOptions oned_opts;
     oned_opts.solver = HpdSolver::kOneDim;
     const auto oned = HpdInterval(d, alpha, oned_opts);
     ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
 
-    // Coverage holds for both.
+    // Coverage and equal endpoint densities for the root.
+    const double oned_cov =
+        d.Cdf(oned->interval.upper) - d.Cdf(oned->interval.lower);
+    EXPECT_NEAR(oned_cov, 1.0 - alpha, 1e-12)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
+    EXPECT_NEAR(d.LogPdf(oned->interval.lower),
+                d.LogPdf(oned->interval.upper), 1e-9)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
+
+    // Solver agreement (scaled by the interval magnitude).
+    const double tol = 1e-4 * std::max(1e-2, oned->interval.Width());
+    EXPECT_NEAR(newton->interval.lower, oned->interval.lower, tol)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
+    EXPECT_NEAR(newton->interval.upper, oned->interval.upper, tol)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
+
+    HpdOptions sqp_opts;
+    sqp_opts.solver = HpdSolver::kSlsqp;
+    const auto sqp = HpdInterval(d, alpha, sqp_opts);
+    if (!sqp.ok()) {
+      ++sqp_unconverged;
+      continue;
+    }
     const double sqp_cov =
         d.Cdf(sqp->interval.upper) - d.Cdf(sqp->interval.lower);
     EXPECT_NEAR(sqp_cov, 1.0 - alpha, 1e-5)
         << "a=" << a << " b=" << b << " alpha=" << alpha;
-    const double oned_cov =
-        d.Cdf(oned->interval.upper) - d.Cdf(oned->interval.lower);
-    EXPECT_NEAR(oned_cov, 1.0 - alpha, 1e-5);
-
-    // Solver agreement (scaled by the interval magnitude).
-    const double tol = 1e-4 * std::max(1e-2, sqp->interval.Width());
     EXPECT_NEAR(sqp->interval.lower, oned->interval.lower, tol)
         << "a=" << a << " b=" << b << " alpha=" << alpha;
     EXPECT_NEAR(sqp->interval.upper, oned->interval.upper, tol)
         << "a=" << a << " b=" << b << " alpha=" << alpha;
-    ++slsqp_checked;
   }
-  EXPECT_EQ(slsqp_checked, 400);
+  EXPECT_LE(sqp_unconverged, 5);
 }
 
 TEST(HpdSolverStress, ExtremeEffectiveSamplesFromDesignEffects) {

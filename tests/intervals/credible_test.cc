@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,37 @@ namespace {
 
 BetaDistribution MakeBeta(double a, double b) {
   return *BetaDistribution::Create(a, b);
+}
+
+/// How much log f moves across one ulp either side of `x`: the finest
+/// density match any double endpoint can certify there.
+double UlpLogDensitySlack(const BetaDistribution& d, double x) {
+  return std::fabs(d.LogPdf(std::nextafter(x, 1.0)) -
+                   d.LogPdf(std::nextafter(x, 0.0)));
+}
+
+/// Thm. 1's certificate for a unimodal posterior's HPD [l, u]: coverage
+/// 1 - alpha within 1e-12, and f(l) = f(u) — to 1e-9 on log scale, plus
+/// what one ulp of each endpoint resolves. When the root lies closer to a
+/// boundary than any double can resolve (a or b -> 1+), the endpoint sits
+/// on that boundary instead, where the density is still no lower than at
+/// the other end: l = 0 with f(0+) >= f(u), or u = 1 with f(1-) >= f(l).
+void ExpectHpdCertificate(const BetaDistribution& d, double alpha,
+                          const Interval& hpd) {
+  const double l = hpd.lower;
+  const double u = hpd.upper;
+  SCOPED_TRACE(::testing::Message() << "a=" << d.a() << " b=" << d.b()
+                                    << " alpha=" << alpha << " l=" << l
+                                    << " u=" << u);
+  EXPECT_NEAR(d.Cdf(u) - d.Cdf(l), 1.0 - alpha, 1e-12);
+  if (l == 0.0) {
+    EXPECT_GE(d.LogPdf(1e-12 * u), d.LogPdf(u) - 1e-9);
+  } else if (u == 1.0) {
+    EXPECT_GE(d.LogPdf(1.0 - 1e-12 * (1.0 - l)), d.LogPdf(l) - 1e-9);
+  } else {
+    EXPECT_LE(std::fabs(d.LogPdf(l) - d.LogPdf(u)),
+              1e-9 + UlpLogDensitySlack(d, l) + UlpLogDensitySlack(d, u));
+  }
 }
 
 TEST(EqualTailedTest, QuantileDefinition) {
@@ -129,7 +161,7 @@ TEST(HpdTest, UShapedFallsBackToEqualTailed) {
 }
 
 TEST(HpdTest, SolversAgree) {
-  // The SQP and the independent 1-D reduction must find the same interval.
+  // The SQP reference and the 1-D root must find the same interval.
   for (const double a : {2.0, 6.5, 28.0, 170.0}) {
     for (const double b : {1.7, 5.0, 30.0}) {
       const auto d = MakeBeta(a, b);
@@ -139,9 +171,11 @@ TEST(HpdTest, SolversAgree) {
       oned_opts.solver = HpdSolver::kOneDim;
       const auto sqp = *HpdInterval(d, 0.05, sqp_opts);
       const auto oned = *HpdInterval(d, 0.05, oned_opts);
-      EXPECT_NEAR(sqp.interval.lower, oned.interval.lower, 5e-6)
+      EXPECT_EQ(sqp.path, HpdPath::kSlsqp);
+      EXPECT_EQ(oned.path, HpdPath::kOneDim);
+      EXPECT_NEAR(sqp.interval.lower, oned.interval.lower, 1e-8)
           << "a=" << a << " b=" << b;
-      EXPECT_NEAR(sqp.interval.upper, oned.interval.upper, 5e-6)
+      EXPECT_NEAR(sqp.interval.upper, oned.interval.upper, 1e-8)
           << "a=" << a << " b=" << b;
     }
   }
@@ -195,7 +229,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1.5, 1.5, 0.05),
                       std::make_tuple(0.5, 12.0, 0.05),   // limiting case
                       std::make_tuple(12.0, 0.5, 0.05),   // limiting case
-                      std::make_tuple(350.0, 300.0, 0.01)));
+                      std::make_tuple(350.0, 300.0, 0.01),
+                      // Near-limiting: the fallback root's territory.
+                      std::make_tuple(1.001, 20.0, 0.05),
+                      std::make_tuple(20.0, 1.001, 0.05),
+                      std::make_tuple(1.005, 300.0, 0.01),
+                      std::make_tuple(1.01, 1.5, 0.1),
+                      std::make_tuple(5000.0, 1.01, 0.05)));
 
 TEST(HpdNewtonTest, NewtonIsThePrimaryUnimodalPath) {
   const auto d = MakeBeta(28.0, 4.0);
@@ -226,7 +266,7 @@ TEST(HpdNewtonTest, UsesFewerBetaEvaluationsThanSqp) {
       const auto d = MakeBeta(a, 0.2 * a + 1.0);
       const auto newton = *HpdInterval(d, alpha);
       HpdOptions sqp_opts;
-      sqp_opts.use_newton = false;
+      sqp_opts.solver = HpdSolver::kSlsqp;
       const auto sqp = *HpdInterval(d, alpha, sqp_opts);
       ASSERT_EQ(newton.path, HpdPath::kNewton) << a;
       ASSERT_EQ(sqp.path, HpdPath::kSlsqp) << a;
@@ -243,10 +283,14 @@ TEST(HpdNewtonTest, UsesFewerBetaEvaluationsThanSqp) {
 /// Cross-check grid of the Newton path against both references across
 /// near-degenerate (a or b near 1), central, skewed, and extreme-peaked
 /// posteriors, including the limiting shapes (a or b <= 1) where all
-/// paths must agree on the closed forms.
+/// paths must agree on the closed forms. Every unimodal cell's Newton and
+/// root intervals also meet Thm. 1's certificate. On the cells where the
+/// SQP reference (no fallback) does not converge — one shape 5000, the
+/// other <= 5 — the certificate is the only check.
 TEST(HpdNewtonTest, GridCrossCheckAgainstSqpAndOneDim) {
   const double shapes[] = {0.5, 1.5, 2.0, 5.0, 20.0, 80.0,
                            300.0, 1200.0, 5000.0};
+  int sqp_unconverged = 0;
   for (const double a : shapes) {
     for (const double b : shapes) {
       for (const double alpha : {0.01, 0.05, 0.1}) {
@@ -254,64 +298,103 @@ TEST(HpdNewtonTest, GridCrossCheckAgainstSqpAndOneDim) {
         const auto hpd = HpdInterval(d, alpha);
         ASSERT_TRUE(hpd.ok()) << "a=" << a << " b=" << b << " alpha=" << alpha;
         HpdOptions sqp_opts;
-        sqp_opts.use_newton = false;
+        sqp_opts.solver = HpdSolver::kSlsqp;
         const auto sqp = HpdInterval(d, alpha, sqp_opts);
-        ASSERT_TRUE(sqp.ok()) << "a=" << a << " b=" << b;
-        // Newton endpoints within 1e-9 of the SQP reference.
-        EXPECT_NEAR(hpd->interval.lower, sqp->interval.lower, 1e-9)
-            << "a=" << a << " b=" << b << " alpha=" << alpha;
-        EXPECT_NEAR(hpd->interval.upper, sqp->interval.upper, 1e-9)
-            << "a=" << a << " b=" << b << " alpha=" << alpha;
-        if (d.Shape() != BetaShape::kUnimodal) continue;
-        EXPECT_EQ(hpd->path, HpdPath::kNewton)
-            << "a=" << a << " b=" << b << " alpha=" << alpha;
-        // Coverage certificate.
-        EXPECT_NEAR(d.Cdf(hpd->interval.upper) - d.Cdf(hpd->interval.lower),
-                    1.0 - alpha, 1e-10)
-            << "a=" << a << " b=" << b;
-        // Agreement with the independent 1-D reduction (whose Brent
-        // minimizer is the loosest of the three).
         HpdOptions oned_opts;
         oned_opts.solver = HpdSolver::kOneDim;
         const auto oned = HpdInterval(d, alpha, oned_opts);
         ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
-        EXPECT_NEAR(hpd->interval.lower, oned->interval.lower, 5e-6)
+        for (const auto* other : {&sqp, &oned}) {
+          if (!other->ok()) continue;
+          // Newton endpoints within 1e-9 of each reference.
+          EXPECT_NEAR(hpd->interval.lower, (*other)->interval.lower, 1e-9)
+              << "a=" << a << " b=" << b << " alpha=" << alpha;
+          EXPECT_NEAR(hpd->interval.upper, (*other)->interval.upper, 1e-9)
+              << "a=" << a << " b=" << b << " alpha=" << alpha;
+        }
+        if (d.Shape() != BetaShape::kUnimodal) {
+          ASSERT_TRUE(sqp.ok()) << "a=" << a << " b=" << b;
+          continue;
+        }
+        EXPECT_EQ(hpd->path, HpdPath::kNewton)
             << "a=" << a << " b=" << b << " alpha=" << alpha;
-        EXPECT_NEAR(hpd->interval.upper, oned->interval.upper, 5e-6)
-            << "a=" << a << " b=" << b << " alpha=" << alpha;
+        EXPECT_EQ(oned->path, HpdPath::kOneDim);
+        ExpectHpdCertificate(d, alpha, hpd->interval);
+        ExpectHpdCertificate(d, alpha, oned->interval);
+        if (!sqp.ok()) ++sqp_unconverged;
       }
+    }
+  }
+  EXPECT_LE(sqp_unconverged, 12);
+}
+
+TEST(HpdFallbackTest, NearLimitingPosteriorsLeaveNewtonForTheRoot) {
+  // A shape parameter just above 1 puts the HPD endpoint within a few ulps
+  // of (or on) the boundary, where Newton's box safeguard pins the iterate:
+  // real inputs, not a knob, send these solves to the 1-D root.
+  for (const auto& [a, b] : {std::pair{1.001, 20.0}, std::pair{20.0, 1.001}}) {
+    for (const double alpha : {0.01, 0.05, 0.1}) {
+      const auto d = MakeBeta(a, b);
+      const auto hpd = HpdInterval(d, alpha);
+      ASSERT_TRUE(hpd.ok()) << "a=" << a << " b=" << b;
+      EXPECT_EQ(hpd->path, HpdPath::kOneDim) << "a=" << a << " b=" << b;
+      // The wasted Newton attempt is part of the solve's cost.
+      EXPECT_GT(hpd->pdf_evals, 0);
+      EXPECT_GT(hpd->quantile_evals, 0);
+      ExpectHpdCertificate(d, alpha, hpd->interval);
     }
   }
 }
 
-TEST(HpdNewtonTest, CappedNewtonFallsBackToSqpWithSameInterval) {
-  // One Newton iteration cannot reach the residual tolerances, so the
-  // solve must take the SQP fallback — and land on the same interval.
-  const auto d = MakeBeta(96.0, 11.0);
-  HpdOptions capped;
-  capped.newton_max_iterations = 1;
-  const auto fallback = *HpdInterval(d, 0.05, capped);
-  EXPECT_EQ(fallback.path, HpdPath::kSlsqpFallback);
-  const auto primary = *HpdInterval(d, 0.05);
-  EXPECT_EQ(primary.path, HpdPath::kNewton);
-  EXPECT_NEAR(fallback.interval.lower, primary.interval.lower, 1e-9);
-  EXPECT_NEAR(fallback.interval.upper, primary.interval.upper, 1e-9);
-  // The fallback's counters include the wasted Newton attempt.
-  EXPECT_GT(fallback.cdf_evals, 0);
+TEST(HpdFallbackTest, NearLimitingGridMeetsTheCertificate) {
+  // a or b in {1.001, 1.005, 1.01} against the full range of the other
+  // shape: the 1-D root on its own, and the default path (which leaves
+  // Newton for the root on most of these cells).
+  const double near_one[] = {1.001, 1.005, 1.01};
+  const double others[] = {1.001, 1.01, 1.5, 2.0, 5.0, 20.0,
+                           80.0, 300.0, 1200.0, 5000.0};
+  ResetThreadHpdStats();
+  for (const double x : near_one) {
+    for (const double y : others) {
+      for (const auto& [a, b] : {std::pair{x, y}, std::pair{y, x}}) {
+        for (const double alpha : {0.01, 0.05, 0.1}) {
+          const auto d = MakeBeta(a, b);
+          HpdOptions oned_opts;
+          oned_opts.solver = HpdSolver::kOneDim;
+          const auto oned = HpdInterval(d, alpha, oned_opts);
+          ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
+          EXPECT_EQ(oned->path, HpdPath::kOneDim);
+          ExpectHpdCertificate(d, alpha, oned->interval);
+          const auto hpd = HpdInterval(d, alpha);
+          ASSERT_TRUE(hpd.ok()) << "a=" << a << " b=" << b;
+          ExpectHpdCertificate(d, alpha, hpd->interval);
+        }
+      }
+    }
+  }
+  const HpdSolveStats stats = ThreadHpdStatsSnapshot();
+  EXPECT_GT(stats.onedim.solves, stats.newton.solves);
+  EXPECT_EQ(stats.slsqp.solves + stats.slsqp_fallback.solves, 0u);
+  ResetThreadHpdStats();
 }
 
-TEST(HpdNewtonTest, DisabledNewtonIsThePureSqpPath) {
+TEST(HpdNewtonTest, SqpIsThePureReferenceWithoutFallback) {
   const auto d = MakeBeta(12.0, 5.0);
   HpdOptions opts;
-  opts.use_newton = false;
+  opts.solver = HpdSolver::kSlsqp;
   const auto hpd = *HpdInterval(d, 0.05, opts);
   EXPECT_EQ(hpd.path, HpdPath::kSlsqp);
-  EXPECT_TRUE(hpd.has_hessian);
+  EXPECT_EQ(hpd.kkt_coverage_residual, 0.0);  // Newton never ran.
 
-  HpdOptions zero_cap;
-  zero_cap.newton_max_iterations = 0;
-  const auto capped = *HpdInterval(d, 0.05, zero_cap);
-  EXPECT_EQ(capped.path, HpdPath::kSlsqp);
+  // Where the SQP does not converge it reports an error: nothing silently
+  // substitutes another solver's interval.
+  const auto peaked = MakeBeta(5000.0, 1.5);
+  int failures = 0;
+  for (const double alpha : {0.01, 0.05, 0.1}) {
+    if (!HpdInterval(peaked, alpha, opts).ok()) ++failures;
+    EXPECT_TRUE(HpdInterval(peaked, alpha).ok());
+  }
+  EXPECT_GT(failures, 0);
 }
 
 TEST(HpdNewtonTest, ThreadStatsAttributeSolvesToPaths) {
@@ -319,14 +402,17 @@ TEST(HpdNewtonTest, ThreadStatsAttributeSolvesToPaths) {
   const auto d = MakeBeta(28.0, 4.0);
   ASSERT_TRUE(HpdInterval(d, 0.05).ok());
   HpdOptions sqp_opts;
-  sqp_opts.use_newton = false;
+  sqp_opts.solver = HpdSolver::kSlsqp;
   ASSERT_TRUE(HpdInterval(d, 0.05, sqp_opts).ok());
   ASSERT_TRUE(HpdInterval(MakeBeta(0.5, 30.5), 0.05).ok());  // Limiting.
+  ASSERT_TRUE(HpdInterval(MakeBeta(1.001, 20.0), 0.05).ok());  // Fallback.
   const HpdSolveStats stats = ThreadHpdStatsSnapshot();
   EXPECT_EQ(stats.newton.solves, 1u);
   EXPECT_EQ(stats.slsqp.solves, 1u);
   EXPECT_EQ(stats.limiting.solves, 1u);
-  EXPECT_EQ(stats.total_solves(), 3u);
+  EXPECT_EQ(stats.onedim.solves, 1u);
+  EXPECT_EQ(stats.slsqp_fallback.solves, 0u);
+  EXPECT_EQ(stats.total_solves(), 4u);
   EXPECT_GT(stats.newton.cdf_evals, 0u);
   EXPECT_LT(stats.newton.cdf_evals + stats.newton.pdf_evals,
             stats.slsqp.cdf_evals + stats.slsqp.pdf_evals);
@@ -335,8 +421,8 @@ TEST(HpdNewtonTest, ThreadStatsAttributeSolvesToPaths) {
 }
 
 TEST(HpdOneDimTest, TinyAlphaKeepsABoundedBracket) {
-  // Regression for the denormal bracket floor: a near-degenerate lower
-  // quantile must not collapse Brent's interval arithmetic.
+  // A lower quantile near the origin must still leave the root a usable
+  // bracket.
   const auto d = MakeBeta(1.2, 2000.0);
   HpdOptions oned;
   oned.solver = HpdSolver::kOneDim;
@@ -347,14 +433,13 @@ TEST(HpdOneDimTest, TinyAlphaKeepsABoundedBracket) {
               1.0 - 1e-6, 1e-7);
   const auto newton = HpdInterval(d, 1e-6);
   ASSERT_TRUE(newton.ok());
-  EXPECT_NEAR(hpd->interval.upper, newton->interval.upper, 5e-5);
+  EXPECT_NEAR(hpd->interval.upper, newton->interval.upper, 1e-9);
 }
 
-TEST(HpdOneDimTest, WidePosteriorNeverSelectsThePoisonWidth) {
-  // Near-flat posterior at small alpha: feasible widths approach 1, the
-  // regime where the old `return 1.0` failure poison was indistinguishable
-  // from a genuine candidate. The solve must return a real interval whose
-  // width beats 1 and satisfies coverage.
+TEST(HpdOneDimTest, WidePosteriorFindsARealInterval) {
+  // Near-flat posterior at small alpha: feasible widths approach 1 and the
+  // log-density gap stays small across the whole bracket. The solve must
+  // return a real interval whose width beats 1 and satisfies coverage.
   const auto d = MakeBeta(1.05, 1.1);
   HpdOptions oned;
   oned.solver = HpdSolver::kOneDim;
@@ -363,6 +448,7 @@ TEST(HpdOneDimTest, WidePosteriorNeverSelectsThePoisonWidth) {
   EXPECT_LT(hpd->interval.Width(), 1.0);
   EXPECT_NEAR(d.Cdf(hpd->interval.upper) - d.Cdf(hpd->interval.lower), 0.995,
               1e-6);
+  ExpectHpdCertificate(d, 0.005, hpd->interval);
 }
 
 }  // namespace

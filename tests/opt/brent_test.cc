@@ -44,49 +44,5 @@ TEST(FindRootBrentTest, HandlesSteepFunctions) {
   EXPECT_NEAR(r->x, 0.0, 1e-9);
 }
 
-TEST(MinimizeBrentTest, QuadraticMinimum) {
-  const auto r = MinimizeBrent(
-      [](double x) { return (x - 2.0) * (x - 2.0) + 3.0; }, 0.0, 5.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->x, 2.0, 1e-7);
-  EXPECT_NEAR(r->fx, 3.0, 1e-12);
-}
-
-TEST(MinimizeBrentTest, NonQuadraticSmoothMinimum) {
-  // f(x) = x - ln(x); minimum at x = 1 with f = 1.
-  const auto r = MinimizeBrent(
-      [](double x) { return x - std::log(x); }, 0.01, 10.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->x, 1.0, 1e-6);
-  EXPECT_NEAR(r->fx, 1.0, 1e-10);
-}
-
-TEST(MinimizeBrentTest, MinimumAtIntervalEdge) {
-  // Monotone increasing on [1, 3]: minimizer pinned near the left edge.
-  const auto r = MinimizeBrent([](double x) { return x * x; }, 1.0, 3.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->x, 1.0, 1e-4);
-}
-
-TEST(MinimizeBrentTest, FlatFunctionTerminates) {
-  const auto r = MinimizeBrent([](double) { return 7.0; }, 0.0, 1.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->fx, 7.0);
-}
-
-TEST(MinimizeBrentTest, RejectsEmptyInterval) {
-  EXPECT_FALSE(MinimizeBrent([](double x) { return x; }, 1.0, 1.0).ok());
-  EXPECT_FALSE(MinimizeBrent([](double x) { return x; }, 2.0, 1.0).ok());
-}
-
-TEST(MinimizeBrentTest, AsymmetricValleyFoundPrecisely) {
-  // f(x) = |x - 0.3|^1.5 is non-smooth at the minimizer; Brent still
-  // converges via golden-section steps.
-  const auto r = MinimizeBrent(
-      [](double x) { return std::pow(std::fabs(x - 0.3), 1.5); }, 0.0, 1.0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->x, 0.3, 1e-5);
-}
-
 }  // namespace
 }  // namespace kgacc

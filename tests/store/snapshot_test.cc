@@ -230,25 +230,8 @@ TEST(SnapshotTest, ReservoirKeepsEverythingUnderCapacity) {
 TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
   AhpdWarmState original;
   original.Sync(3);
-  original.priors[0].valid = true;
-  original.priors[0].tau = 17.25;
-  original.priors[0].n = 120.5;
-  original.priors[0].alpha = 0.05;
-  original.priors[0].hpd.interval = {0.71234567891234, 0.83456789123456};
-  original.priors[0].hpd.shape = BetaShape::kUnimodal;
-  original.priors[0].hpd.solver_iterations = 5;
-  original.priors[0].hpd.path = HpdPath::kNewton;
-  original.priors[0].hpd.cdf_evals = 10;
-  original.priors[0].hpd.pdf_evals = 10;
-  original.priors[0].hpd.quantile_evals = 2;
-  original.priors[0].hpd.kkt_coverage_residual = 1e-13;
-  original.priors[0].hpd.kkt_density_residual = -3e-10;
-  original.priors[0].has_hessian = true;
-  original.priors[0].hessian = {1.5, -0.25, -0.25, 2.5};
-  original.priors[0].hpd.has_hessian = true;
-  original.priors[0].hpd.hessian = {1.0, 0.0, 0.0, 1.0};
-  original.priors[2].valid = true;
-  original.priors[2].hpd.path = HpdPath::kSlsqpFallback;
+  original.priors[0] = Interval{0.71234567891234, 0.83456789123456};
+  original.priors[2] = Interval{0.125, 0.5};
 
   ByteWriter w;
   SaveAhpdWarmState(original, &w);
@@ -257,20 +240,38 @@ TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
   ASSERT_TRUE(LoadAhpdWarmState(&r, &restored).ok());
   EXPECT_TRUE(r.empty());
   ASSERT_EQ(restored.priors.size(), 3u);
-  const auto& p0 = restored.priors[0];
-  EXPECT_TRUE(p0.valid);
-  EXPECT_EQ(p0.tau, 17.25);
-  EXPECT_EQ(p0.n, 120.5);
-  EXPECT_EQ(p0.alpha, 0.05);
-  EXPECT_EQ(p0.hpd.interval.lower, 0.71234567891234);
-  EXPECT_EQ(p0.hpd.interval.upper, 0.83456789123456);
-  EXPECT_EQ(p0.hpd.path, HpdPath::kNewton);
-  EXPECT_EQ(p0.hpd.solver_iterations, 5);
-  EXPECT_EQ(p0.hpd.kkt_density_residual, -3e-10);
-  EXPECT_TRUE(p0.has_hessian);
-  EXPECT_EQ(p0.hessian, (std::array<double, 4>{1.5, -0.25, -0.25, 2.5}));
-  EXPECT_FALSE(restored.priors[1].valid);
-  EXPECT_EQ(restored.priors[2].hpd.path, HpdPath::kSlsqpFallback);
+  ASSERT_TRUE(restored.priors[0].has_value());
+  EXPECT_EQ(restored.priors[0]->lower, 0.71234567891234);
+  EXPECT_EQ(restored.priors[0]->upper, 0.83456789123456);
+  EXPECT_FALSE(restored.priors[1].has_value());
+  ASSERT_TRUE(restored.priors[2].has_value());
+  EXPECT_EQ(restored.priors[2]->lower, 0.125);
+  EXPECT_EQ(restored.priors[2]->upper, 0.5);
+}
+
+/// A varint no payload of a few bytes can back with elements: 2^40.
+void PutHugeCount(ByteWriter* w) { w->PutVarint(uint64_t{1} << 40); }
+
+TEST(SnapshotTest, AhpdWarmStateRejectsAHugeCount) {
+  // Six bytes claiming 2^40 carried priors must fail the bounded count
+  // read, not size a vector from it.
+  ByteWriter w;
+  PutHugeCount(&w);
+  AhpdWarmState state;
+  ByteReader r(w.span());
+  EXPECT_FALSE(LoadAhpdWarmState(&r, &state).ok());
+}
+
+TEST(SnapshotTest, AnnotatedSampleRejectsAHugeHistoryCount) {
+  ByteWriter w;
+  w.PutBool(true);  // retain_units
+  w.PutVarint(1);   // num_units
+  w.PutVarint(1);   // num_triples
+  w.PutVarint(1);   // num_correct
+  PutHugeCount(&w);
+  AnnotatedSample sample;
+  ByteReader r(w.span());
+  EXPECT_FALSE(sample.LoadState(&r).ok());
 }
 
 /// Draws `steps` batches, saves the sampler, restores into a fresh clone,
@@ -361,13 +362,55 @@ TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
   session.SaveState(&w);
   std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
   ASSERT_FALSE(bytes.empty());
-  bytes[0] = 1;  // The pre-reservoir format.
-  EvaluationSession same(sampler, annotator, config, 42);
-  ByteReader r({bytes.data(), bytes.size()});
-  const Status status = same.LoadState(&r);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("incompatible"), std::string::npos)
-      << status.ToString();
+  // v1 is the pre-reservoir format; v2 still carried the HPD solve cache
+  // and BFGS Hessians in the warm state.
+  for (const uint8_t old_version : {1, 2}) {
+    bytes[0] = old_version;
+    EvaluationSession same(sampler, annotator, config, 42);
+    ByteReader r({bytes.data(), bytes.size()});
+    const Status status = same.LoadState(&r);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("incompatible"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(SnapshotTest, SessionSnapshotRejectsHostileResultFields) {
+  // The snapshot ends with the stop reason byte, the trace count, the done
+  // flag and the MoE. With the trace off the count is one zero byte, so
+  // both fields sit at fixed offsets from the end.
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  config.record_trace = false;
+  EvaluationSession session(sampler, annotator, config, 42);
+  ASSERT_TRUE(session.Step().ok());
+  ByteWriter w;
+  session.SaveState(&w);
+  const std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
+  const size_t count_at = bytes.size() - 10;
+  ASSERT_EQ(bytes[count_at], 0u);
+
+  const auto load = [&](const std::vector<uint8_t>& payload) {
+    EvaluationSession restored(sampler, annotator, config, 42);
+    ByteReader r({payload.data(), payload.size()});
+    return restored.LoadState(&r);
+  };
+  ASSERT_TRUE(load(bytes).ok());
+
+  // A trace count of 2^40 must fail the bounded count read, not reserve.
+  ByteWriter huge;
+  PutHugeCount(&huge);
+  std::vector<uint8_t> hostile(bytes.begin(), bytes.begin() + count_at);
+  hostile.insert(hostile.end(), huge.bytes().begin(), huge.bytes().end());
+  hostile.insert(hostile.end(), bytes.begin() + count_at + 1, bytes.end());
+  EXPECT_FALSE(load(hostile).ok());
+
+  // A stop reason past the enum is rejected, not cast.
+  std::vector<uint8_t> bad_reason = bytes;
+  bad_reason[count_at - 1] = 200;
+  EXPECT_FALSE(load(bad_reason).ok());
 }
 
 TEST(SnapshotTest, SessionSnapshotRejectsFingerprintMismatch) {

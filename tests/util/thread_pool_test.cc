@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -105,24 +103,6 @@ TEST(ThreadPoolTest, SingleThreadPoolIsSequentialButComplete) {
   pool.Wait();
   EXPECT_EQ(counter.load(), 30);
   EXPECT_EQ(pool.num_threads(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitWithResultDeliversValues) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.SubmitWithResult([i] { return i * i; }));
-  }
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(futures[i].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, SubmitWithResultSupportsMoveOnlyResults) {
-  ThreadPool pool(2);
-  auto future = pool.SubmitWithResult(
-      [] { return std::make_unique<int>(99); });
-  EXPECT_EQ(*future.get(), 99);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -279,9 +259,10 @@ TEST(ThreadPoolTest, CurrentWorkerIndexIdentifiesHomeAndOffPoolThreads) {
   }
   // A second pool's workers are strangers to the first.
   ThreadPool other(1);
-  auto cross = other.SubmitWithResult(
-      [&pool] { return pool.current_worker_index(); });
-  EXPECT_EQ(cross.get(), -1);
+  std::atomic<int> cross{0};
+  other.Submit([&pool, &cross] { cross.store(pool.current_worker_index()); });
+  other.Wait();
+  EXPECT_EQ(cross.load(), -1);
 }
 
 TEST(ThreadPoolTest, SpawnSecondsIsMeasuredOnce) {

@@ -21,6 +21,13 @@ parallel EvaluationService sweep. The step bench is single-threaded; a
 warm-carry or solver-path regression that only manifests under worker
 pinning (e.g. shared state resets between jobs) is only visible here.
 
+--service-fresh also arms the *fallback-share* gate: the same summary
+record counts the HPD solves that left the Newton basin for the 1-D root
+(`hpd_fallback_solves`), and the gate fails when they exceed
+MAX_FALLBACK_SHARE (0.5%) of all solves. Like evals-per-solve it is a
+count of solver paths, identical on every host; a jump means Newton's
+start or its basin certificate broke and the fallback took over.
+
 --service-fresh also arms the *thread-scaling* gate: the
 `service_thread_scaling` record carries the 4-thread / 1-thread audits/s
 ratio of the largest (>= 100 ms) sweep cell, and the gate fails when it
@@ -61,6 +68,10 @@ Stdlib only — runs anywhere a python3 exists.
 import argparse
 import json
 import sys
+
+# Largest share of HPD solves allowed on the 1-D root fallback in the
+# service sweep (about 0.0025 when the gate was introduced).
+MAX_FALLBACK_SHARE = 0.005
 
 
 def load_summaries(path):
@@ -137,6 +148,26 @@ def load_service_record(path, bench):
 def load_service_summary(path):
     """Returns the service_hpd_summary record from BENCH_service.json."""
     return load_service_record(path, "service_hpd_summary")
+
+
+def check_fallback_share(fresh_path):
+    """Gates the share of HPD solves that fell back off Newton; True on
+    failure. Absolute and machine-independent: both counts are solver-path
+    tallies of a deterministic workload."""
+    record = load_service_summary(fresh_path)
+    solves = (record or {}).get("hpd_solves")
+    fallbacks = (record or {}).get("hpd_fallback_solves")
+    if not isinstance(solves, int) or not isinstance(fallbacks, int) \
+            or solves <= 0:
+        print(f"error: no usable hpd_solves/hpd_fallback_solves in "
+              f"{fresh_path} (service_hpd_summary incomplete?)",
+              file=sys.stderr)
+        sys.exit(2)
+    share = fallbacks / solves
+    verdict = "OK" if share <= MAX_FALLBACK_SHARE else "REGRESSION"
+    print(f"  HPD fallback share: {share:.4f} ({fallbacks} of {solves} "
+          f"solves; maximum {MAX_FALLBACK_SHARE:.3f}) {verdict}")
+    return share > MAX_FALLBACK_SHARE
 
 
 def check_thread_scaling(fresh_path, min_scaling):
@@ -310,6 +341,7 @@ def main():
         failed |= check_service(args.service_fresh, args.service_record,
                                 args.max_regression)
     if args.service_fresh:
+        failed |= check_fallback_share(args.service_fresh)
         failed |= check_thread_scaling(args.service_fresh, args.min_scaling)
         failed |= check_store_compaction(args.service_fresh,
                                          args.max_space_amplification)
@@ -317,12 +349,13 @@ def main():
         failed |= check_net_fairness(args.net_fresh, args.fairness_tolerance)
 
     if failed:
-        print("\nstep-latency ratio, HPD evals-per-solve, thread-scaling "
-              "ratio, store compaction, or tenant fairness out of bounds "
-              "(see lines above)", file=sys.stderr)
+        print("\nstep-latency ratio, HPD evals-per-solve, HPD fallback "
+              "share, thread-scaling ratio, store compaction, or tenant "
+              "fairness out of bounds (see lines above)", file=sys.stderr)
         return 1
-    print("\nstep-latency ratios, HPD evals-per-solve, thread scaling, "
-          "store compaction, and tenant fairness within budget")
+    print("\nstep-latency ratios, HPD evals-per-solve, HPD fallback share, "
+          "thread scaling, store compaction, and tenant fairness within "
+          "budget")
     return 0
 
 
