@@ -128,7 +128,6 @@ void EvaluationService::RunJob(const EvaluationJob& job,
                                WorkerContext* context,
                                EvaluationJobOutcome* out) {
   out->label = job.label;
-  out->tenant = job.tenant;
   out->seed = job.seed;
   if (job.sampler == nullptr) {
     out->status = Status::InvalidArgument("job has no sampler");
@@ -298,64 +297,11 @@ EvaluationBatchResult EvaluationService::RunBatch(
     while (contexts_.size() < groups) {
       contexts_.push_back(std::make_unique<WorkerContext>());
     }
-    // Group membership. Untenanted batches keep the classic stride
-    // (group g owns jobs g, g+G, ...). When jobs carry tenants, the G
-    // groups are first partitioned among the tenants (first-appearance
-    // order, shares proportional to job counts, at least one group each)
-    // and each tenant round-robins its own jobs over its own slice — one
-    // tenant's jobs never share a context with another's, so per-tenant
-    // cache churn stays inside its slice. Membership is a pure function of
+    // Group membership: group g owns jobs g, g+G, ... — a pure function of
     // the job list, and grouping affects locality only, never results.
     std::vector<std::vector<size_t>> members(groups);
-    bool tenanted = false;
-    for (const EvaluationJob& job : jobs) {
-      if (!job.tenant.empty()) {
-        tenanted = true;
-        break;
-      }
-    }
-    if (tenanted && groups > 1) {
-      std::vector<std::string> order;
-      std::vector<std::vector<size_t>> per_tenant;
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        size_t t = 0;
-        while (t < order.size() && order[t] != jobs[i].tenant) ++t;
-        if (t == order.size()) {
-          order.push_back(jobs[i].tenant);
-          per_tenant.emplace_back();
-        }
-        per_tenant[t].push_back(i);
-      }
-      // Largest-remainder split of the groups, floor 1 per tenant; when
-      // there are more tenants than groups the surplus tenants fold into
-      // the last slice (locality degrades gracefully, correctness holds).
-      const size_t tenants = order.size();
-      std::vector<size_t> share(tenants, 0);
-      size_t assigned = 0;
-      for (size_t t = 0; t < tenants && assigned < groups; ++t) {
-        share[t] = std::max<size_t>(
-            1, per_tenant[t].size() * groups / jobs.size());
-        share[t] = std::min(share[t], groups - assigned);
-        assigned += share[t];
-      }
-      for (size_t t = 0; assigned < groups; t = (t + 1) % tenants) {
-        ++share[t];
-        ++assigned;
-      }
-      size_t base = 0;
-      for (size_t t = 0; t < tenants; ++t) {
-        const size_t slice = std::max<size_t>(share[t], 1);
-        const size_t start = std::min(base, groups - 1);
-        for (size_t k = 0; k < per_tenant[t].size(); ++k) {
-          members[start + k % std::min(slice, groups - start)].push_back(
-              per_tenant[t][k]);
-        }
-        base += share[t];
-      }
-    } else {
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        members[i % groups].push_back(i);
-      }
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      members[i % groups].push_back(i);
     }
     slots.resize(groups);
     const int num_threads = pool_.num_threads();

@@ -90,14 +90,6 @@ struct EvaluationJob {
   /// Free-form tag copied verbatim to the job's outcome (dataset name,
   /// method name, ...).
   std::string label;
-  /// Tenant the job bills to (empty = untenanted); copied verbatim to the
-  /// outcome. When any job in a batch carries a tenant, pinning groups are
-  /// partitioned by tenant — one tenant's jobs share execution contexts
-  /// instead of interleaving round-robin with everyone else's — so a
-  /// multi-tenant batch keeps per-tenant sampler caches warm and a noisy
-  /// tenant's cache churn stays inside its own groups. Like all grouping,
-  /// this affects locality only, never results.
-  std::string tenant;
   /// Optional per-step hook, invoked after every successful `Step()` of
   /// this job's session — the durable-audit integration point: bind a
   /// `CheckpointManager::OnStep` here and the job snapshots itself into
@@ -129,8 +121,6 @@ struct EvaluationJobOutcome {
   Status status;
   EvaluationResult result;
   std::string label;
-  /// Tenant tag copied from the job (empty = untenanted).
-  std::string tenant;
   uint64_t seed = 0;
   /// The job completed but its durable layer degraded (labels or
   /// checkpoints stopped persisting); `status` is still OK.

@@ -1,5 +1,6 @@
 #include "kgacc/net/frame.h"
 
+#include <optional>
 #include <string>
 
 #include "kgacc/util/codec.h"
@@ -9,11 +10,7 @@ namespace kgacc {
 void AppendNetFrame(uint8_t type, std::span<const uint8_t> payload,
                     std::vector<uint8_t>* out) {
   ByteWriter w;
-  w.PutU8(type);
-  w.PutVarint(payload.size());
-  w.PutBytes(payload.data(), payload.size());
-  const uint32_t crc = Crc32c(w.bytes().data(), w.size());
-  w.PutFixed32(crc);
+  w.PutFrame(type, payload);
   out->insert(out->end(), w.bytes().begin(), w.bytes().end());
 }
 
@@ -40,56 +37,19 @@ void FrameAssembler::Compact() {
 
 Result<bool> FrameAssembler::Next(NetFrame* frame) {
   if (!stream_error_.ok()) return stream_error_;
-  const uint8_t* base = buf_.data() + consumed_;
-  const size_t avail = buf_.size() - consumed_;
-  if (avail < 2) return false;  // type byte + at least one length byte
-
-  // Parse the varint length prefix by hand: the reader cannot distinguish
-  // "truncated because the peer is mid-send" (wait) from "structurally
-  // impossible" (fail), and that distinction is the whole read loop.
-  uint64_t payload_len = 0;
-  size_t len_bytes = 0;
-  for (int shift = 0;; shift += 7, ++len_bytes) {
-    if (1 + len_bytes >= avail) return false;  // prefix still in flight
-    const uint8_t byte = base[1 + len_bytes];
-    if (shift >= 63 && (byte & 0x7f) > 1) {
-      stream_error_ = Status::OutOfRange(
-          "net: frame length prefix overflows 64 bits");
-      return stream_error_;
-    }
-    payload_len |= uint64_t(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      ++len_bytes;
-      break;
-    }
-    if (len_bytes + 1 >= 10) {
-      stream_error_ = Status::OutOfRange(
-          "net: frame length prefix longer than 10 bytes");
-      return stream_error_;
-    }
-  }
-  if (payload_len > max_frame_bytes_) {
-    stream_error_ = Status::OutOfRange(
-        "net: frame payload of " + std::to_string(payload_len) +
-        " bytes exceeds the " + std::to_string(max_frame_bytes_) +
-        "-byte limit");
+  // The cap applies to the length prefix alone, so an overlong frame fails
+  // here before its payload is ever buffered.
+  const Result<std::optional<DecodedFrame>> decoded = DecodeFrame(
+      std::span<const uint8_t>(buf_).subspan(consumed_), max_frame_bytes_);
+  if (!decoded.ok()) {
+    stream_error_ = decoded.status();
     return stream_error_;
   }
-  const size_t framed = 1 + len_bytes + size_t(payload_len);
-  if (avail < framed + 4) return false;  // payload or CRC still in flight
-
-  uint32_t expect = 0;
-  for (int i = 0; i < 4; ++i) expect |= uint32_t(base[framed + i]) << (8 * i);
-  const uint32_t actual = Crc32c(base, framed);
-  if (actual != expect) {
-    stream_error_ = Status::IoError(
-        "net: frame checksum mismatch (torn or bit-flipped frame)");
-    return stream_error_;
-  }
-
-  frame->type = base[0];
-  frame->payload.assign(base + 1 + len_bytes, base + framed);
-  consumed_ += framed + 4;
+  if (!decoded->has_value()) return false;  // Frame still in flight.
+  const DecodedFrame& next = **decoded;
+  frame->type = next.type;
+  frame->payload.assign(next.payload.begin(), next.payload.end());
+  consumed_ += next.size;
   Compact();
   return true;
 }

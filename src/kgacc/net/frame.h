@@ -8,8 +8,9 @@
 #include "kgacc/util/status.h"
 
 /// \file frame.h
-/// Wire framing for the kgaccd protocol — the WAL's typed-frame discipline
-/// (store/wal.h) reused as a stream format. Every message travels as
+/// Wire framing for the kgaccd protocol: the store log's typed frame
+/// (util/codec.h, shared with store/wal.h rather than re-implemented)
+/// used as a stream format. Every message travels as
 ///
 ///   [type u8][payload_len varint][payload bytes][crc32c fixed32]
 ///

@@ -30,8 +30,9 @@ const AnnotationStore::Shard& AnnotationStore::ShardFor(uint64_t key) const {
 Status AnnotationStore::Replay(uint8_t type,
                                std::span<const uint8_t> payload) {
   // Open-time only: single-threaded, so the shard locks are not taken. The
-  // byte accounting mirrors what the live append path records.
-  const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(payload.size());
+  // byte accounting mirrors what the live append path records. Every field
+  // is bounds-checked: a payload with a valid CRC may still be garbage.
+  const uint64_t frame_bytes = FrameSize(payload.size());
   file_bytes_ += frame_bytes;
   ByteReader reader(payload);
   switch (type) {
@@ -42,6 +43,10 @@ Status AnnotationStore::Replay(uint8_t type,
       KGACC_ASSIGN_OR_RETURN(const uint64_t offset, reader.Varint());
       KGACC_ASSIGN_OR_RETURN(const bool label, reader.Bool());
       (void)audit_id;
+      if (cluster >= (uint64_t{1} << 40) || offset >= (uint64_t{1} << 24)) {
+        return Status::IoError(
+            "annotation store: record key out of range (corrupt record)");
+      }
       const uint64_t key = Key(cluster, offset);
       Shard& shard = ShardFor(key);
       if (shard.labeled.insert(key)) {
@@ -274,7 +279,7 @@ Status AnnotationStore::Append(uint64_t audit_id, uint64_t cluster,
   record.PutBool(label);
   // Log first, index second: the WAL is the source of truth, and an append
   // failure must leave the index claiming nothing the log cannot replay.
-  const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
+  const uint64_t frame_bytes = FrameSize(record.size());
   Status conflict;
   KGACC_RETURN_IF_ERROR(CommitFrame(
       walfmt::kAnnotationFrame, record.span(), options_.sync_appends, [&] {
@@ -316,7 +321,7 @@ Status AnnotationStore::AppendCheckpoint(uint64_t audit_id,
   ByteWriter record;
   record.PutVarint(audit_id);
   record.PutLengthPrefixed(snapshot);
-  const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
+  const uint64_t frame_bytes = FrameSize(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
       walfmt::kCheckpointFrame, record.span(), options_.sync_checkpoints,
       [&] {
@@ -367,7 +372,7 @@ Status AnnotationStore::AppendTenantSpend(const std::string& tenant,
   record.PutString(tenant);
   record.PutVarint(oracle_total);
   record.PutVarint(bytes_total);
-  const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
+  const uint64_t frame_bytes = FrameSize(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
       walfmt::kTenantLedgerFrame, record.span(), options_.sync_appends, [&] {
         file_bytes_ += frame_bytes;

@@ -68,9 +68,9 @@
 /// fsynced. Set `Options::auto_compact_garbage_ratio` to trigger it
 /// automatically once enough garbage accumulates.
 ///
-/// **mmap'd replay (fast resumes).** `Open` maps the log through
-/// `LogReader` and rebuilds the index from the mapping, falling back to a
-/// streaming read where mmap fails (`stats().recovery.used_mmap`).
+/// **One replay path.** `Open` reads the log in one `pread` pass and
+/// rebuilds the index through `Replay`, the store's only payload decoder;
+/// the offline verifier (`VerifyStoreLog`) decodes through it too.
 ///
 /// Fault-injection sites (chaos tests): `store.append` fails an annotation
 /// append and `store.checkpoint` a checkpoint append, both *before* the WAL
@@ -80,9 +80,11 @@
 /// phases have their own sites (`store.compact.write`, `store.compact.sync`,
 /// `store.compact.rename`, `store.compact.dirsync`); a failed compaction is
 /// transient — the store keeps running on whichever log the failure left
-/// installed. `store.mmap` forces the replay fallback.
+/// installed.
 
 namespace kgacc {
+
+struct StoreVerifyInfo;
 
 /// Replayed-store accounting from `AnnotationStore::Open`.
 struct AnnotationStoreStats {
@@ -95,7 +97,7 @@ struct AnnotationStoreStats {
   /// Compaction trailer frames replayed (1 when the log was last written
   /// by `Compact()`, 0 for a never-compacted log).
   uint64_t trailers_replayed = 0;
-  /// WAL-level recovery accounting (torn-tail truncation, mmap use).
+  /// WAL-level recovery accounting (torn-tail truncation).
   WalRecoveryInfo recovery;
 };
 
@@ -318,7 +320,12 @@ class AnnotationStore {
   Shard& ShardFor(uint64_t key);
   const Shard& ShardFor(uint64_t key) const;
 
+  /// Decodes one replayed frame's payload into the index, checkpoints,
+  /// ledgers and byte accounting; a compaction trailer is checked against
+  /// everything replayed before it. Open-time only (single-threaded).
   Status Replay(uint8_t type, std::span<const uint8_t> payload);
+  /// Decodes a log through `Replay` into a scratch store.
+  friend Result<StoreVerifyInfo> VerifyStoreLog(const std::string& path);
 
   /// Routes one frame through the group-commit queue. On success the
   /// commit *leader* runs `apply` (index/accounting update) under the

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "kgacc/store/annotation_store.h"
@@ -143,7 +144,7 @@ Status AnnotationStore::Compact() {
     payload.PutVarint(KeyOffset(record.key));
     payload.PutBool(record.label);
     chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kAnnotationFrame, payload.span());
+    out.PutFrame(walfmt::kAnnotationFrame, payload.span());
   }
   for (const CheckpointEntry* entry : live_checkpoints) {
     payload.Clear();
@@ -151,7 +152,7 @@ Status AnnotationStore::Compact() {
     payload.PutLengthPrefixed(
         {entry->snapshot.data(), entry->snapshot.size()});
     chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kCheckpointFrame, payload.span());
+    out.PutFrame(walfmt::kCheckpointFrame, payload.span());
   }
   for (const LedgerEntry* entry : live_ledgers) {
     payload.Clear();
@@ -159,7 +160,7 @@ Status AnnotationStore::Compact() {
     payload.PutVarint(entry->balance.oracle_spent);
     payload.PutVarint(entry->balance.store_bytes);
     chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kTenantLedgerFrame, payload.span());
+    out.PutFrame(walfmt::kTenantLedgerFrame, payload.span());
   }
   payload.Clear();
   payload.PutVarint(2);  // Trailer version (2 = tenant-ledger count added).
@@ -168,7 +169,7 @@ Status AnnotationStore::Compact() {
   payload.PutVarint(live_ledgers.size());
   payload.PutVarint(carried_next_seq);
   payload.PutFixed32(chain.value());
-  walfmt::AppendFrame(&out, walfmt::kCompactionTrailerFrame, payload.span());
+  out.PutFrame(walfmt::kCompactionTrailerFrame, payload.span());
 
   // Phases 2b-3: write and fsync the temp file. Any failure here deletes
   // the temp and leaves the old log the undisturbed source of truth.
@@ -259,125 +260,33 @@ Status AnnotationStore::Compact() {
 Result<StoreVerifyInfo> VerifyStoreLog(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IoError("cannot open store log", path);
-  Result<LogReader> reader = LogReader::Open(fd, path);
-  if (!reader.ok()) {
-    ::close(fd);
-    return reader.status();
-  }
-  const std::span<const uint8_t> data = reader->data();
+  const Result<std::vector<uint8_t>> data = ReadLogFile(fd, path);
+  ::close(fd);
+  if (!data.ok()) return data.status();
+
+  // Frames are decoded by the same scan, and payloads by the same `Replay`,
+  // that recovery runs — into a scratch store bound to no file, so
+  // verifying never truncates or writes. A payload that fails to decode
+  // despite a valid CRC, or a trailer that disagrees with the frames before
+  // it, fails the scan.
+  AnnotationStore replayed{AnnotationStore::Options()};
+  KGACC_ASSIGN_OR_RETURN(
+      const size_t valid_end,
+      WriteAheadLog::Scan(
+          path, *data,
+          [&replayed](uint8_t type, std::span<const uint8_t> payload) {
+            return replayed.Replay(type, payload);
+          },
+          /*frames_replayed=*/nullptr));
 
   StoreVerifyInfo info;
-  info.used_mmap = reader->mapped();
-  if (data.size() < walfmt::kMagicSize ||
-      std::memcmp(data.data(), walfmt::kMagic, walfmt::kMagicSize) != 0) {
-    ::close(fd);
-    return Status::IoError("'" + path +
-                           "' is not a kgacc WAL (bad or truncated magic)");
-  }
-
-  Crc32cChain chain;
-  uint64_t frames_before_trailer = 0;
-  size_t valid_end = walfmt::kMagicSize;
-  Status defect;
-  while (valid_end < data.size()) {
-    ByteReader frame(data.subspan(valid_end));
-    const size_t frame_start_remaining = frame.remaining();
-    const Result<uint8_t> type = frame.U8();
-    if (!type.ok()) break;
-    const Result<uint64_t> len = frame.Varint();
-    if (!len.ok() || *len > walfmt::kMaxPayloadBytes) break;
-    const Result<std::span<const uint8_t>> payload = frame.Bytes(*len);
-    if (!payload.ok()) break;
-    const Result<uint32_t> stored_crc = frame.Fixed32();
-    if (!stored_crc.ok()) break;
-    const size_t covered = frame_start_remaining - frame.remaining() - 4;
-    if (Crc32c(data.data() + valid_end, covered) != *stored_crc) break;
-
-    // The frame is intact; its payload must now decode. A valid CRC over
-    // garbage is a writer bug, not bit rot — report it as a defect.
-    ByteReader body(*payload);
-    switch (*type) {
-      case walfmt::kAnnotationFrame: {
-        Status decode;
-        for (int field = 0; field < 4 && decode.ok(); ++field) {
-          decode = body.Varint().status();
-        }
-        if (decode.ok()) decode = body.Bool().status();
-        if (!decode.ok()) {
-          defect = Status::IoError(
-              "store log: annotation frame with valid CRC fails to decode");
-        }
-        ++info.records;
-        break;
-      }
-      case walfmt::kCheckpointFrame: {
-        Status decode = body.Varint().status();
-        if (decode.ok()) decode = body.LengthPrefixed().status();
-        if (!decode.ok()) {
-          defect = Status::IoError(
-              "store log: checkpoint frame with valid CRC fails to decode");
-        }
-        ++info.checkpoints;
-        break;
-      }
-      case walfmt::kTenantLedgerFrame: {
-        Status decode = body.String().status();
-        if (decode.ok()) decode = body.Varint().status();
-        if (decode.ok()) decode = body.Varint().status();
-        if (!decode.ok()) {
-          defect = Status::IoError(
-              "store log: tenant ledger frame with valid CRC fails to decode");
-        }
-        ++info.ledgers;
-        break;
-      }
-      case walfmt::kCompactionTrailerFrame: {
-        const Result<uint64_t> version = body.Varint();
-        const Result<uint64_t> records = body.Varint();
-        const Result<uint64_t> checkpoints = body.Varint();
-        // v2 inserts the tenant-ledger count here; v1 predates ledgers.
-        Result<uint64_t> ledgers(uint64_t{0});
-        if (version.ok() && *version >= 2) ledgers = body.Varint();
-        const Result<uint64_t> next_seq = body.Varint();
-        const Result<uint32_t> live_crc = body.Fixed32();
-        if (!version.ok() || !records.ok() || !checkpoints.ok() ||
-            !ledgers.ok() || !next_seq.ok() || !live_crc.ok() ||
-            (*version != 1 && *version != 2)) {
-          defect = Status::IoError(
-              "store log: malformed compaction trailer frame");
-        } else if (*records + *checkpoints + *ledgers !=
-                       frames_before_trailer ||
-                   *records != info.records ||
-                   *checkpoints != info.checkpoints ||
-                   *ledgers != info.ledgers) {
-          defect = Status::IoError(
-              "store log: compaction trailer frame counts disagree with the "
-              "rewritten log");
-        } else if (*live_crc != chain.value()) {
-          defect = Status::IoError(
-              "store log: compaction trailer live-CRC mismatch (rewritten "
-              "log corrupted)");
-        } else {
-          info.compacted = true;
-        }
-        ++info.trailers;
-        break;
-      }
-      default:
-        defect = Status::IoError("store log: unknown WAL frame type " +
-                                 std::to_string(int(*type)));
-        break;
-    }
-    if (!defect.ok()) break;
-    chain.Extend(*payload);
-    ++frames_before_trailer;
-    valid_end += covered + 4;
-  }
-  ::close(fd);
-  if (!defect.ok()) return defect;
-
+  info.records = replayed.stats_.records_replayed;
+  info.checkpoints = replayed.stats_.checkpoints_replayed;
+  info.ledgers = replayed.stats_.ledgers_replayed;
+  info.trailers = replayed.stats_.trailers_replayed;
+  info.compacted = info.trailers > 0;
   info.bytes_valid = valid_end;
-  info.bytes_torn = data.size() - valid_end;
+  info.bytes_torn = data->size() - valid_end;
   info.clean_tail = info.bytes_torn == 0;
   return info;
 }

@@ -10,9 +10,11 @@
 /// Offline companions to `AnnotationStore::Compact()` (whose implementation
 /// lives in compaction.cc next to these): structural verification of a
 /// store log without opening it for writing — the `kgacc_store verify`
-/// admin path. The verifier walks the raw frames, re-checks every per-frame
-/// CRC, decodes each payload, and — when the log was written by compaction
-/// — re-derives the trailer's chained live-CRC and frame counts, so a
+/// admin path. The verifier reads and decodes the log exactly as recovery
+/// does — the same frame scan (`WriteAheadLog::Scan`) re-checks every
+/// per-frame CRC, and the same payload decoder (`AnnotationStore::Replay`)
+/// decodes each payload and, when the log was written by compaction,
+/// re-derives the trailer's chained live-CRC and frame counts — so a
 /// corrupted, truncated, or tampered rewrite is reported without touching
 /// the file.
 
@@ -33,8 +35,6 @@ struct StoreVerifyInfo {
   bool clean_tail = true;
   /// True when the log carries a verified compaction trailer.
   bool compacted = false;
-  /// True when the verifier read the file through mmap.
-  bool used_mmap = false;
 };
 
 /// Structurally verifies the store log at `path` read-only. Returns the

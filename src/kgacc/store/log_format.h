@@ -1,24 +1,23 @@
 #ifndef KGACC_STORE_LOG_FORMAT_H_
 #define KGACC_STORE_LOG_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-
-#include "kgacc/util/codec.h"
 
 /// \file log_format.h
-/// The one definition of the store's on-disk frame format, shared by the
-/// live appender (`WriteAheadLog`), the compaction rewriter (which builds a
-/// whole replacement log outside the WAL object), and the offline verifier
-/// (`kgacc_store verify`). A log file is:
+/// The one definition of the store's on-disk format, for writing and for
+/// reading. A log file is:
 ///
 ///   [8-byte magic "kgacWAL1"]
 ///   frame*   where frame = [type u8][payload_len varint][payload][crc32c]
 ///
-/// and the CRC covers type + length + payload. Keeping the encoder here —
-/// instead of private to wal.cc — is what lets compaction write a
-/// byte-compatible file that `WriteAheadLog::Open` replays with no special
-/// cases.
+/// Frames go through the shared codec in util/codec.h (`PutFrame`,
+/// `DecodeFrame`) with `kMaxPayloadBytes` as the decode cap, and their
+/// payloads through `AnnotationStore::Replay`. The live appender
+/// (`WriteAheadLog`), the compaction rewriter, recovery and the offline
+/// verifier (`kgacc_store verify`) all use exactly these pieces, so a
+/// rewritten log replays with no special cases and the verifier decodes
+/// what recovery decodes.
 
 namespace kgacc::walfmt {
 
@@ -44,35 +43,6 @@ inline constexpr uint8_t kCompactionTrailerFrame = 3;
 /// varint(store_bytes)`. Totals are *cumulative*, so replay is latest-wins
 /// per tenant and a frame lost to a torn tail is healed by the next one.
 inline constexpr uint8_t kTenantLedgerFrame = 4;
-
-/// Encoded size of a varint, needed for exact on-disk byte accounting
-/// (space-amplification tracking) without re-encoding.
-inline constexpr uint64_t VarintLength(uint64_t v) {
-  uint64_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-/// Exact bytes one frame with `payload_size` payload occupies on disk:
-/// type byte + length varint + payload + fixed32 CRC.
-inline constexpr uint64_t FrameBytesOnDisk(uint64_t payload_size) {
-  return 1 + VarintLength(payload_size) + payload_size + 4;
-}
-
-/// Appends one complete frame (type, length, payload, CRC) to `out` —
-/// the same bytes `WriteAheadLog::Append` writes.
-inline void AppendFrame(ByteWriter* out, uint8_t type,
-                        std::span<const uint8_t> payload) {
-  const size_t frame_start = out->size();
-  out->PutU8(type);
-  out->PutVarint(payload.size());
-  out->PutBytes(payload.data(), payload.size());
-  out->PutFixed32(
-      Crc32c(out->bytes().data() + frame_start, out->size() - frame_start));
-}
 
 }  // namespace kgacc::walfmt
 

@@ -1,14 +1,11 @@
 #include "kgacc/store/log_reader.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-
-#include "kgacc/util/failpoint.h"
 
 namespace kgacc {
 
@@ -20,68 +17,21 @@ Status IoError(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-Result<LogReader> LogReader::Open(int fd, const std::string& path) {
+Result<std::vector<uint8_t>> ReadLogFile(int fd, const std::string& path) {
   struct stat st;
   if (::fstat(fd, &st) != 0) return IoError("cannot stat log", path);
-  const size_t size = static_cast<size_t>(st.st_size);
-
-  LogReader reader;
-  if (size == 0) return reader;  // Nothing to map or read.
-
-  // Preferred path: map the file read-only. MAP_PRIVATE suffices — recovery
-  // never writes through the mapping, and the later tail truncation only
-  // shrinks past bytes the scan has already rejected.
-  if (!FailpointHit("store.mmap")) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr != MAP_FAILED) {
-      reader.data_ = static_cast<const uint8_t*>(addr);
-      reader.size_ = size;
-      reader.mapped_ = true;
-      return reader;
-    }
-  }
-
-  // Fallback: one streaming pread pass into an owned buffer. Identical
-  // bytes, identical recovery decisions — just a copy instead of a map.
-  reader.buffer_.resize(size);
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
   size_t read_so_far = 0;
-  while (read_so_far < reader.buffer_.size()) {
-    const ssize_t n =
-        ::pread(fd, reader.buffer_.data() + read_so_far,
-                reader.buffer_.size() - read_so_far,
-                static_cast<off_t>(read_so_far));
+  while (read_so_far < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + read_so_far,
+                              bytes.size() - read_so_far,
+                              static_cast<off_t>(read_so_far));
     if (n < 0) return IoError("cannot read log", path);
     if (n == 0) break;  // Raced truncation; treat the shortfall as tail.
     read_so_far += static_cast<size_t>(n);
   }
-  reader.buffer_.resize(read_so_far);
-  reader.data_ = reader.buffer_.data();
-  reader.size_ = reader.buffer_.size();
-  reader.mapped_ = false;
-  return reader;
-}
-
-LogReader::~LogReader() { Release(); }
-
-void LogReader::Release() {
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  buffer_.clear();
-}
-
-void LogReader::MoveFrom(LogReader& other) noexcept {
-  buffer_ = std::move(other.buffer_);
-  mapped_ = other.mapped_;
-  size_ = other.size_;
-  // The fallback buffer's address changes when the vector moves.
-  data_ = mapped_ ? other.data_ : (size_ == 0 ? nullptr : buffer_.data());
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
+  bytes.resize(read_so_far);
+  return bytes;
 }
 
 Status FsyncParentDir(const std::string& path) {

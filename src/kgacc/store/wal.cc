@@ -6,6 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <vector>
 
 #include "kgacc/store/log_format.h"
 #include "kgacc/store/log_reader.h"
@@ -20,44 +22,31 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status::IoError(what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// Scans `data` (past the magic) frame by frame. Returns the byte offset
-/// one past the last intact frame; everything after is a torn/corrupt tail.
-/// Replays intact frames through `replay`; a callback error is surfaced
-/// through `callback_status` and stops the scan.
-size_t ScanFrames(std::span<const uint8_t> data, size_t start,
-                  const WriteAheadLog::ReplayFn& replay,
-                  uint64_t* frames_replayed, Status* callback_status) {
-  size_t valid_end = start;
-  while (valid_end < data.size()) {
-    ByteReader reader(data.subspan(valid_end));
-    const size_t frame_start_remaining = reader.remaining();
-    const Result<uint8_t> type = reader.U8();
-    if (!type.ok()) break;
-    const Result<uint64_t> len = reader.Varint();
-    if (!len.ok() || *len > walfmt::kMaxPayloadBytes) break;
-    const Result<std::span<const uint8_t>> payload = reader.Bytes(*len);
-    if (!payload.ok()) break;
-    const Result<uint32_t> stored_crc = reader.Fixed32();
-    if (!stored_crc.ok()) break;
-    // The checksum covers everything before it: type, length, payload.
-    const size_t covered = frame_start_remaining - reader.remaining() - 4;
-    const uint32_t computed =
-        Crc32c(data.data() + valid_end, covered);
-    if (computed != *stored_crc) break;
-    if (replay) {
-      const Status status = replay(*type, *payload);
-      if (!status.ok()) {
-        *callback_status = status;
-        return valid_end;
-      }
-    }
-    ++*frames_replayed;
-    valid_end += covered + 4;
-  }
-  return valid_end;
-}
-
 }  // namespace
+
+Result<size_t> WriteAheadLog::Scan(const std::string& path,
+                                   std::span<const uint8_t> data,
+                                   const ReplayFn& replay,
+                                   uint64_t* frames_replayed) {
+  if (data.size() < walfmt::kMagicSize ||
+      std::memcmp(data.data(), walfmt::kMagic, walfmt::kMagicSize) != 0) {
+    return Status::IoError("'" + path +
+                           "' is not a kgacc WAL (bad or truncated magic)");
+  }
+  size_t valid_end = walfmt::kMagicSize;
+  while (true) {
+    // "Need more bytes" and corruption alike end the intact prefix: in a
+    // file both are the torn tail.
+    const Result<std::optional<DecodedFrame>> frame =
+        DecodeFrame(data.subspan(valid_end), walfmt::kMaxPayloadBytes);
+    if (!frame.ok() || !frame->has_value()) return valid_end;
+    if (replay) {
+      KGACC_RETURN_IF_ERROR(replay((*frame)->type, (*frame)->payload));
+    }
+    if (frames_replayed != nullptr) ++*frames_replayed;
+    valid_end += (*frame)->size;
+  }
+}
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path, const ReplayFn& replay, WalRecoveryInfo* info) {
@@ -68,20 +57,15 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   size_t valid_end = 0;
   size_t file_size = 0;
   {
-    // Map (or stream-read) the whole file for recovery: the scan walks the
-    // page cache directly on the mmap path, so replay-heavy resumes pay no
-    // copy of the log. The reader is released before the tail truncation
-    // below — recovery never touches discarded bytes afterwards.
-    Result<LogReader> reader = LogReader::Open(fd, path);
-    if (!reader.ok()) {
+    // The buffer is released before the tail truncation below — recovery
+    // never touches discarded bytes afterwards.
+    Result<std::vector<uint8_t>> data = ReadLogFile(fd, path);
+    if (!data.ok()) {
       ::close(fd);
-      return reader.status();
+      return data.status();
     }
-    const std::span<const uint8_t> data = reader->data();
-    file_size = data.size();
-    recovery.used_mmap = reader->mapped();
-
-    if (data.empty()) {
+    file_size = data->size();
+    if (data->empty()) {
       // Fresh log: stamp the magic, then make the file itself and its
       // directory entry durable before handing out a writable log.
       if (::pwrite(fd, walfmt::kMagic, walfmt::kMagicSize, 0) !=
@@ -100,20 +84,14 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
       }
       valid_end = walfmt::kMagicSize;
       file_size = valid_end;
-    } else if (data.size() < walfmt::kMagicSize ||
-               std::memcmp(data.data(), walfmt::kMagic, walfmt::kMagicSize) !=
-                   0) {
-      ::close(fd);
-      return Status::IoError("'" + path +
-                             "' is not a kgacc WAL (bad or truncated magic)");
     } else {
-      Status callback_status;
-      valid_end = ScanFrames(data, walfmt::kMagicSize, replay,
-                             &recovery.frames_replayed, &callback_status);
-      if (!callback_status.ok()) {
+      const Result<size_t> scanned =
+          Scan(path, *data, replay, &recovery.frames_replayed);
+      if (!scanned.ok()) {
         ::close(fd);
-        return callback_status;
+        return scanned.status();
       }
+      valid_end = *scanned;
     }
   }
   if (valid_end < file_size) {
@@ -178,7 +156,7 @@ Status WriteAheadLog::AppendFrame(uint8_t type,
   // Assemble the whole frame first so a partial write can only tear the
   // file at a frame boundary the CRC scan detects, never interleave.
   ByteWriter frame;
-  walfmt::AppendFrame(&frame, type, payload);
+  frame.PutFrame(type, payload);
   if (FailpointHit("wal.append.torn")) {
     // Write a genuine partial frame so recovery exercises the torn-tail
     // truncation path, then sticky-fail like a real mid-write crash.

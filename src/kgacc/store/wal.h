@@ -18,15 +18,15 @@
 ///   [type u8][payload_len varint][payload bytes][crc32c fixed32]
 ///
 /// where the checksum covers the type byte, the length prefix, and the
-/// payload, so a flipped bit anywhere in a frame is detected (the encoding
-/// lives in store/log_format.h, shared with the compaction rewriter).
-/// `Open` memory-maps the file (store/log_reader.h; streaming fallback on
-/// platforms or failpoints where mmap fails), replays every valid frame
-/// through a caller callback, then *physically truncates* a torn or corrupt
-/// tail so the next append starts at a clean frame boundary — everything
-/// before the first bad byte is kept, everything after is discarded
-/// (standard WAL recovery: a corrupt frame severs the chain, later frames
-/// are unreachable).
+/// payload, so a flipped bit anywhere in a frame is detected (the format is
+/// defined in store/log_format.h; frames are encoded and decoded by the
+/// shared codec in util/codec.h). `Open` reads the whole file in one
+/// `pread` pass (store/log_reader.h), replays every valid frame through a
+/// caller callback, then *physically truncates* a torn or corrupt tail so
+/// the next append starts at a clean frame boundary — everything before the
+/// first bad byte is kept, everything after is discarded (standard WAL
+/// recovery: a corrupt frame severs the chain, later frames are
+/// unreachable).
 ///
 /// Two append granularities serve the store's group-commit queue:
 /// `Append` writes one frame and flushes it (the single-writer path), while
@@ -42,8 +42,7 @@
 /// rather than risk interleaving good frames after a torn one; callers
 /// reopen (which truncates any torn tail) to recover. Fault-injection sites
 /// for the chaos tests: `wal.append` (fail before writing), `wal.append.torn`
-/// (write a partial frame, then fail), `wal.sync` (fail the fsync),
-/// `store.mmap` (force the streaming read fallback in `Open`).
+/// (write a partial frame, then fail), `wal.sync` (fail the fsync).
 
 namespace kgacc {
 
@@ -57,8 +56,7 @@ struct WalRecoveryInfo {
   uint64_t bytes_discarded = 0;
   /// True when a torn or corrupt tail was truncated away.
   bool truncated_tail = false;
-  /// True when recovery read the log through the mmap path (false: the
-  /// streaming fallback, or a freshly created empty log).
+  /// Always false: recovery has one `pread` path; kept for readers of it.
   bool used_mmap = false;
 };
 
@@ -80,6 +78,17 @@ class WriteAheadLog {
   static Result<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& path, const ReplayFn& replay,
       WalRecoveryInfo* info = nullptr);
+
+  /// Walks a whole log image read from `path` (`data` starts at the magic),
+  /// replaying each intact frame through `replay` in order and counting it
+  /// in `*frames_replayed` (each when given), and returns the offset one
+  /// past the last intact frame: everything after it is a torn or corrupt
+  /// tail. Fails when `data` lacks the magic or `replay` fails. Recovery
+  /// and the offline verifier both scan here.
+  static Result<size_t> Scan(const std::string& path,
+                             std::span<const uint8_t> data,
+                             const ReplayFn& replay,
+                             uint64_t* frames_replayed);
 
   ~WriteAheadLog();
   WriteAheadLog(const WriteAheadLog&) = delete;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,11 +13,20 @@
 
 /// \file codec.h
 /// Binary serialization primitives for the durable-store layer: LEB128
-/// varints, zigzag signed encoding, fixed-width little-endian words, and
-/// CRC32C (Castagnoli) checksums. `ByteWriter` appends to a growable
-/// buffer; `ByteReader` consumes a read-only span with bounds checking —
-/// every read returns a `Result`, so a truncated or malformed record
-/// surfaces as a status instead of undefined behavior.
+/// varints, zigzag signed encoding, fixed-width little-endian words,
+/// CRC32C (Castagnoli) checksums, and the one typed-frame codec shared by
+/// the store log and the kgaccd wire protocol. `ByteWriter` appends to a
+/// growable buffer; `ByteReader` consumes a read-only span with bounds
+/// checking — every read returns a `Result`, so a truncated or malformed
+/// record surfaces as a status instead of undefined behavior.
+///
+/// A frame is
+///
+///   [type u8][payload_len varint][payload bytes][crc32c fixed32]
+///
+/// with the checksum covering the type byte, the length prefix and the
+/// payload. `ByteWriter::PutFrame` is its only encoder and `DecodeFrame`
+/// its only decoder.
 ///
 /// Doubles travel as their IEEE-754 bit pattern (fixed 64-bit words), so a
 /// round trip is bit-exact — the property the checkpoint/resume machinery
@@ -48,6 +58,22 @@ class Crc32cChain {
  private:
   uint32_t value_ = 0;
 };
+
+/// Encoded size of a varint.
+inline constexpr uint64_t VarintLength(uint64_t v) {
+  uint64_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// Exact bytes one frame with `payload_size` payload bytes occupies: type
+/// byte + length varint + payload + fixed32 CRC.
+inline constexpr uint64_t FrameSize(uint64_t payload_size) {
+  return 1 + VarintLength(payload_size) + payload_size + 4;
+}
 
 /// Append-only serialization buffer.
 class ByteWriter {
@@ -104,6 +130,9 @@ class ByteWriter {
     PutVarint(s.size());
     PutBytes(s.data(), s.size());
   }
+
+  /// One complete frame: type, length prefix, payload, CRC32C.
+  void PutFrame(uint8_t type, std::span<const uint8_t> payload);
 
  private:
   std::vector<uint8_t> buf_;
@@ -204,6 +233,28 @@ class ByteReader {
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
+
+/// One intact frame decoded from the front of a byte span.
+struct DecodedFrame {
+  uint8_t type = 0;
+  /// A view into the decoded input (no copy).
+  std::span<const uint8_t> payload;
+  /// Bytes the whole frame occupies: `FrameSize(payload.size())`.
+  size_t size = 0;
+};
+
+/// Decodes the frame at the front of `data`. Three outcomes:
+///   * a frame — complete, and its CRC matches;
+///   * nullopt — `data` is a strict prefix of a frame that may still be
+///     valid ("need more bytes");
+///   * an error — corruption: a length prefix that overflows 64 bits or
+///     runs past 10 bytes, or a payload over `max_payload_bytes`
+///     (kOutOfRange, decided from the prefix alone, before any payload
+///     byte is needed), or a CRC mismatch (kIoError).
+/// Never copies or buffers the payload. A stream reader waits on nullopt
+/// and fails on an error; a log reader treats either as the torn tail.
+Result<std::optional<DecodedFrame>> DecodeFrame(std::span<const uint8_t> data,
+                                                uint64_t max_payload_bytes);
 
 }  // namespace kgacc
 

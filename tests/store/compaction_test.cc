@@ -4,9 +4,8 @@
 // ISSUE: after many re-audits of the same task the compacted log shrinks to
 // within 1.1x of its live bytes, a post-compaction resume is byte-identical,
 // the trailer catches tampered rewrites, stale temp files are swept at Open,
-// the mmap and streamed replay paths agree, a dirsync failure after the
-// rename is reported without losing the installed log, and the garbage-ratio
-// trigger compacts automatically.
+// a dirsync failure after the rename is reported without losing the
+// installed log, and the garbage-ratio trigger compacts automatically.
 
 #include "kgacc/store/compaction.h"
 
@@ -191,8 +190,7 @@ TEST(CompactionTest, PostCompactionResumeIsByteIdentical) {
 /// defect is semantic, which is exactly what the trailer exists to catch.
 void WriteLogWithTrailer(const std::string& path, uint64_t claimed_records,
                          bool corrupt_live_crc) {
-  ByteWriter out;
-  out.PutBytes(walfmt::kMagic, walfmt::kMagicSize);
+  ByteWriter out;  // Frames only; the magic is written ahead of them.
   Crc32cChain chain;
   ByteWriter payload;
   payload.PutVarint(0);  // Rewrite-owned audit id.
@@ -201,7 +199,7 @@ void WriteLogWithTrailer(const std::string& path, uint64_t claimed_records,
   payload.PutVarint(1);  // offset
   payload.PutBool(true);
   chain.Extend(payload.span());
-  walfmt::AppendFrame(&out, walfmt::kAnnotationFrame, payload.span());
+  out.PutFrame(walfmt::kAnnotationFrame, payload.span());
   payload.Clear();
   payload.PutVarint(1);  // Trailer version.
   payload.PutVarint(claimed_records);
@@ -209,9 +207,11 @@ void WriteLogWithTrailer(const std::string& path, uint64_t claimed_records,
   payload.PutVarint(1);  // carried next_seq
   payload.PutFixed32(corrupt_live_crc ? chain.value() ^ 0xdeadbeef
                                       : chain.value());
-  walfmt::AppendFrame(&out, walfmt::kCompactionTrailerFrame, payload.span());
+  out.PutFrame(walfmt::kCompactionTrailerFrame, payload.span());
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(walfmt::kMagic, 1, walfmt::kMagicSize, f),
+            walfmt::kMagicSize);
   ASSERT_EQ(std::fwrite(out.bytes().data(), 1, out.size(), f), out.size());
   std::fclose(f);
 }
@@ -263,46 +263,6 @@ TEST(CompactionTest, StaleCompactionTempIsRemovedAtOpen) {
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->Lookup(2, 3), std::optional<bool>(true));
   EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "stale temp survived Open";
-  std::remove(path.c_str());
-}
-
-TEST(CompactionTest, MmapAndStreamedReplayAgree) {
-  const auto kg = TestKg();
-  const std::string path = TempPath("mmap");
-  std::remove(path.c_str());
-  {
-    auto store = AnnotationStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    RunAudit(store->get(), kg, /*audit_id=*/1, /*seed=*/77);
-    ASSERT_TRUE((*store)->Compact().ok());
-    RunAudit(store->get(), kg, /*audit_id=*/2, /*seed=*/78);
-  }
-
-  // Default replay maps the log.
-  uint64_t labeled_mmap = 0, next_seq_mmap = 0;
-  std::map<std::pair<uint64_t, uint64_t>, bool> labels_mmap;
-  {
-    auto store = AnnotationStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    EXPECT_TRUE((*store)->stats().recovery.used_mmap);
-    labeled_mmap = (*store)->num_labeled();
-    next_seq_mmap = (*store)->next_seq();
-    labels_mmap = AllLabels(**store, kg);
-  }
-
-  // `store.mmap` armed: mmap(2) is treated as unavailable and recovery
-  // takes the streaming pread path — with identical results.
-  ScopedFailpoints armed("store.mmap=prob:1");
-  ASSERT_TRUE(armed.status().ok());
-  auto store = AnnotationStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  EXPECT_FALSE((*store)->stats().recovery.used_mmap);
-  EXPECT_EQ((*store)->num_labeled(), labeled_mmap);
-  EXPECT_EQ((*store)->next_seq(), next_seq_mmap);
-  EXPECT_EQ(AllLabels(**store, kg), labels_mmap);
-  const auto verify = VerifyStoreLog(path);
-  ASSERT_TRUE(verify.ok());
-  EXPECT_FALSE(verify->used_mmap);
   std::remove(path.c_str());
 }
 

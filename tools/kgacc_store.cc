@@ -2,12 +2,13 @@
 //
 // Subcommands:
 //
-//   kgacc_store verify  STORE.wal   read-only structural check: walks the
-//                                   raw frames, re-checks every CRC, decodes
-//                                   each payload, and re-derives a compacted
-//                                   log's trailer (counts + chained live
-//                                   CRC). Never modifies the file. Exit 0 on
-//                                   a clean log, 1 on corruption.
+//   kgacc_store verify  STORE.wal   read-only structural check: reads and
+//                                   decodes the log exactly as recovery
+//                                   does -- every CRC, every payload, and a
+//                                   compacted log's trailer (counts +
+//                                   chained live CRC). Never modifies the
+//                                   file. Exit 0 on a clean log, 1 on
+//                                   corruption.
 //   kgacc_store inspect STORE.wal   opens the store (performing normal
 //                                   recovery: torn tails are truncated,
 //                                   stale .compact temps deleted) and prints
@@ -46,10 +47,10 @@ int RunVerify(const std::string& path) {
     return 1;
   }
   std::printf("%s: %" PRIu64 " records, %" PRIu64 " checkpoints, %" PRIu64
-              " tenant ledgers%s, %" PRIu64 " valid bytes (%s)%s\n",
+              " tenant ledgers%s, %" PRIu64 " valid bytes%s\n",
               path.c_str(), info->records, info->checkpoints, info->ledgers,
               info->compacted ? ", compacted (trailer verified)" : "",
-              info->bytes_valid, info->used_mmap ? "mmap" : "streamed",
+              info->bytes_valid,
               info->clean_tail
                   ? ""
                   : (", torn tail: " + std::to_string(info->bytes_torn) +
@@ -81,8 +82,6 @@ int RunInspect(const std::string& path) {
               stats.ledgers_replayed);
   std::printf("  compacted       %s\n",
               stats.trailers_replayed > 0 ? "yes" : "no");
-  std::printf("  replay          %s\n",
-              stats.recovery.used_mmap ? "mmap" : "streamed");
   std::printf("  file bytes      %" PRIu64 "\n", (*store)->file_bytes());
   std::printf("  live bytes      %" PRIu64 "\n", (*store)->live_bytes());
   std::printf("  garbage ratio   %.3f\n", (*store)->garbage_ratio());
