@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kgacc/kg/kg_view.h"
@@ -20,6 +19,9 @@
 namespace kgacc {
 
 /// Interned string vocabulary shared by subjects, predicates and objects.
+/// Ids are dense and assigned in first-seen order. Each term is stored once,
+/// in one contiguous character arena; lookups go through an open-addressing
+/// table of ids, so interning allocates nothing per term.
 class Vocabulary {
  public:
   /// Returns the id for `term`, interning it on first sight.
@@ -28,14 +30,24 @@ class Vocabulary {
   /// Looks up an existing term; NotFound if absent.
   Result<uint32_t> Find(std::string_view term) const;
 
-  /// The term for `id`; id must have been produced by Intern.
-  const std::string& TermOf(uint32_t id) const;
+  /// The term for `id`; id must have been produced by Intern. The view
+  /// points into the arena and stays valid until the next `Intern`.
+  std::string_view TermOf(uint32_t id) const;
 
-  size_t size() const { return terms_.size(); }
+  size_t size() const { return ends_.size(); }
 
  private:
-  std::vector<std::string> terms_;
-  std::unordered_map<std::string, uint32_t> index_;
+  /// Marks a free slot in `slots_`; never handed out as an id.
+  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+
+  /// The slot holding `term`'s id, or the free slot where it belongs.
+  size_t Probe(std::string_view term) const;
+  /// Doubles `slots_` (at least 16 slots) and re-inserts every id.
+  void Grow();
+
+  std::string chars_;            // Every term, back to back.
+  std::vector<uint64_t> ends_;   // ends_[id]: end of term `id` in chars_.
+  std::vector<uint32_t> slots_;  // Power-of-two size, at most half full.
 };
 
 /// Immutable, entity-clustered in-memory KG. Build instances with
@@ -94,11 +106,15 @@ class KnowledgeGraphBuilder {
   /// Number of facts added so far.
   size_t size() const { return triples_.size(); }
 
-  /// Finalizes the graph: groups triples by subject and checks for
-  /// duplicates. The builder is left empty afterwards.
+  /// Finalizes the graph in O(n + V) plus the per-cluster sorts: a stable
+  /// counting sort groups triples by subject id, then each cluster is
+  /// sorted by (predicate, object), which also finds duplicates. The
+  /// builder is left empty afterwards, whether or not Build succeeds.
   Result<KnowledgeGraph> Build();
 
  private:
+  void Reset();
+
   Vocabulary vocab_;
   std::vector<Triple> triples_;
   std::vector<uint8_t> labels_;

@@ -17,6 +17,19 @@ constexpr uint64_t kLabelSalt = 0x1abe11abe11abe1ULL;
 constexpr uint64_t kRoundSalt = 0x20a4d20a4d20a4dULL;
 constexpr uint64_t kExactAccuracyLimit = 32ull * 1000 * 1000;
 
+/// p_c ~ Beta(mu*k, (1-mu)*k), k = (1-rho)/rho, drawn from a per-cluster
+/// stream; the degenerate accuracies 0 and 1 draw nothing.
+double DrawBetaClusterAccuracy(const SyntheticKgConfig& config,
+                               uint64_t cluster) {
+  const double mu = config.accuracy;
+  if (mu <= 0.0) return 0.0;
+  if (mu >= 1.0) return 1.0;
+  const double rho = config.intra_cluster_rho;
+  const double k = (1.0 - rho) / rho;
+  Rng rng(Mix64(config.seed ^ kClusterSalt ^ (cluster * 2 + 1)));
+  return rng.Beta(mu * k, (1.0 - mu) * k);
+}
+
 }  // namespace
 
 Result<SyntheticKg> SyntheticKg::Create(const SyntheticKgConfig& config) {
@@ -128,6 +141,12 @@ Result<SyntheticKg> SyntheticKg::Create(const SyntheticKgConfig& config) {
   kg.prefix_.resize(n + 1);
   kg.prefix_[0] = 0;
   for (uint64_t c = 0; c < n; ++c) kg.prefix_[c + 1] = kg.prefix_[c] + sizes[c];
+  if (config.label_model == LabelModel::kBetaMixture) {
+    kg.beta_accuracy_.resize(n);
+    for (uint64_t c = 0; c < n; ++c) {
+      kg.beta_accuracy_[c] = DrawBetaClusterAccuracy(config, c);
+    }
+  }
   return kg;
 }
 
@@ -135,15 +154,8 @@ double SyntheticKg::ClusterAccuracy(uint64_t cluster) const {
   switch (config_.label_model) {
     case LabelModel::kIid:
       return config_.accuracy;
-    case LabelModel::kBetaMixture: {
-      const double mu = config_.accuracy;
-      if (mu <= 0.0) return 0.0;
-      if (mu >= 1.0) return 1.0;
-      const double rho = config_.intra_cluster_rho;
-      const double k = (1.0 - rho) / rho;
-      Rng rng(Mix64(config_.seed ^ kClusterSalt ^ (cluster * 2 + 1)));
-      return rng.Beta(mu * k, (1.0 - mu) * k);
-    }
+    case LabelModel::kBetaMixture:
+      return beta_accuracy_[cluster];
     case LabelModel::kBalanced: {
       const uint64_t m = cluster_size(cluster);
       const double exact = config_.accuracy * static_cast<double>(m);

@@ -10,8 +10,9 @@
 /// Procedural synthetic KG populations. Labels are *not* materialized:
 /// the correctness of triple (c, o) is a pure function of (seed, c, o),
 /// derived with counter-based hashing, so a 101M-triple SYN 100M instance
-/// costs O(#clusters) memory (the cluster-size prefix array) instead of
-/// O(#triples). This reproduces the paper's SYN 100M scalability workload
+/// costs O(#clusters) memory (the cluster-size prefix array, plus each
+/// cluster's drawn accuracy under `kBetaMixture`) instead of O(#triples).
+/// This reproduces the paper's SYN 100M scalability workload
 /// (§5, Table 1) without multi-GB materialization.
 
 namespace kgacc {
@@ -98,6 +99,8 @@ class SyntheticKg final : public KgView {
 
   SyntheticKgConfig config_;
   std::vector<uint64_t> prefix_;  // Size num_clusters + 1.
+  // p_c per cluster, drawn once in Create; kBetaMixture only, else empty.
+  std::vector<double> beta_accuracy_;
   mutable bool accuracy_cached_ = false;
   mutable double cached_accuracy_ = 0.0;
 };

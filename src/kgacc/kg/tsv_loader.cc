@@ -3,30 +3,28 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <vector>
 
 namespace kgacc {
 
 namespace {
 
 /// Splits `line` on tabs into exactly four fields; empty fields are errors.
+/// Fields past the fourth are only counted, so a line allocates nothing.
 Status ParseLine(std::string_view line, size_t line_no,
                  KnowledgeGraphBuilder* builder) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  while (start <= line.size()) {
+  std::string_view fields[4];
+  size_t num_fields = 0;
+  for (size_t start = 0;;) {
     const size_t tab = line.find('\t', start);
-    if (tab == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, tab - start));
+    if (num_fields < 4) fields[num_fields] = line.substr(start, tab - start);
+    ++num_fields;
+    if (tab == std::string_view::npos) break;
     start = tab + 1;
   }
-  if (fields.size() != 4) {
+  if (num_fields != 4) {
     return Status::InvalidArgument("line " + std::to_string(line_no) +
                                    ": expected 4 tab-separated fields, got " +
-                                   std::to_string(fields.size()));
+                                   std::to_string(num_fields));
   }
   for (int i = 0; i < 3; ++i) {
     if (fields[i].empty()) {
