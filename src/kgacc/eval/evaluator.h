@@ -72,13 +72,8 @@ struct EvaluationConfig {
   /// streaming `EstimatorAccumulator` the session estimates from never
   /// replays units, so long-running audits can opt out and hold O(1)
   /// sample memory; keep it on (default) when `session.sample().units()`
-  /// is inspected afterwards (diagnostics, bootstrap, custom estimators).
+  /// is inspected afterwards (the batch estimators, custom analyses).
   bool retain_unit_history = true;
-  /// With retention off, keep a seeded uniform reservoir of this many units
-  /// instead (0 = nothing): post-run bootstrap/design-effect diagnostics
-  /// read `sample().reservoir_units()` while the audit itself stays O(1) in
-  /// sample memory. Ignored while `retain_unit_history` is on.
-  uint64_t unit_reservoir_capacity = 256;
 };
 
 /// One point of the convergence trace.

@@ -16,6 +16,20 @@ namespace kgacc {
 
 namespace {
 
+/// Pinning groups per worker thread. More groups mean finer-grained
+/// stealing when job durations are uneven, at the price of colder
+/// per-context caches.
+constexpr size_t kGroupsPerThread = 4;
+
+/// Minimum jobs per pinning group. Small batches used to shred into
+/// `threads x kGroupsPerThread` near-empty groups — at 32 jobs on 4
+/// threads that is 16 two-job tasks, all cold contexts and queue traffic
+/// (the measured thread-degradation cliff). The floor caps the group count
+/// at `jobs / kMinJobsPerGroup`, so a small batch becomes a few substantial
+/// whole-group handoffs instead. Group membership never affects results,
+/// only locality.
+constexpr size_t kMinJobsPerGroup = 8;
+
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -74,10 +88,7 @@ struct EvaluationService::WorkerContext {
 EvaluationService::EvaluationService() : EvaluationService(Options{}) {}
 
 EvaluationService::EvaluationService(const Options& options)
-    : options_(options), pool_(ResolveThreads(options.num_threads)) {
-  options_.groups_per_thread = std::max(options_.groups_per_thread, 1);
-  options_.min_jobs_per_group = std::max(options_.min_jobs_per_group, 1);
-}
+    : pool_(ResolveThreads(options.num_threads)) {}
 
 EvaluationService::~EvaluationService() = default;
 
@@ -88,25 +99,6 @@ void EvaluationService::RegisterPrototype(const Sampler* prototype) {
     return;
   }
   registered_prototypes_.push_back(prototype);
-}
-
-void EvaluationService::UnregisterPrototype(const Sampler* prototype) {
-  std::erase(registered_prototypes_, prototype);
-  // Drop the now-unpromised clones immediately: the caller may destroy the
-  // prototype's population right after this call.
-  for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    std::erase_if(context->samplers,
-                  [prototype](const WorkerContext::CachedSampler& entry) {
-                    return entry.prototype == prototype;
-                  });
-  }
-}
-
-void EvaluationService::ClearPrototypes() {
-  registered_prototypes_.clear();
-  for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    context->samplers.clear();
-  }
 }
 
 uint64_t EvaluationService::sampler_clones_created() const {
@@ -125,7 +117,7 @@ uint64_t EvaluationService::DeriveJobSeed(uint64_t base_seed,
 }
 
 void EvaluationService::RunJob(const EvaluationJob& job,
-                               WorkerContext* context,
+                               WorkerContext& context,
                                EvaluationJobOutcome* out) {
   out->label = job.label;
   out->seed = job.seed;
@@ -137,14 +129,7 @@ void EvaluationService::RunJob(const EvaluationJob& job,
     out->status = Status::InvalidArgument("job has no annotator");
     return;
   }
-  Sampler* sampler = nullptr;
-  std::unique_ptr<Sampler> owned;
-  if (context != nullptr) {
-    sampler = context->GetSampler(job.sampler);
-  } else {
-    owned = job.sampler->Clone();
-    sampler = owned.get();
-  }
+  Sampler* sampler = context.GetSampler(job.sampler);
   if (sampler == nullptr) {
     out->status = Status::Unimplemented(
         std::string(job.sampler->name()) +
@@ -167,8 +152,7 @@ void EvaluationService::RunJob(const EvaluationJob& job,
   Result<EvaluationResult> result = [&]() -> Result<EvaluationResult> {
     try {
       EvaluationSession session(*sampler, *annotator, job.config, job.seed,
-                                context != nullptr ? &context->scratch
-                                                   : nullptr);
+                                &context.scratch);
       const bool budgeted = job.max_steps > 0 || job.deadline_seconds > 0.0;
       if (!job.on_step && !budgeted) return session.Run();
       // Hooked or budgeted jobs step explicitly so every iteration is
@@ -184,6 +168,10 @@ void EvaluationService::RunJob(const EvaluationJob& job,
         KGACC_ASSIGN_OR_RETURN(const StepOutcome outcome, session.Step());
         (void)outcome;
         ++steps;
+        // Fail before the hook checkpoints a step whose labels never
+        // reached the log: a snapshot must not certify state the WAL
+        // cannot replay.
+        if (stored) KGACC_RETURN_IF_ERROR(stored->status());
         if (job.on_step) KGACC_RETURN_IF_ERROR(job.on_step(session));
         if (job.max_steps > 0 && steps >= job.max_steps && !session.done()) {
           out->deadline_exceeded = true;
@@ -275,81 +263,64 @@ EvaluationBatchResult EvaluationService::RunBatch(
   }
 
   const auto start = std::chrono::steady_clock::now();
+  const uint64_t stolen_before = pool_.stolen_tasks();
+  // Deterministic pinning: job i belongs to group i % G, where G caps at
+  // threads x kGroupsPerThread and floors at kMinJobsPerGroup jobs per
+  // group. Each group is one whole task handed to its home worker's
+  // ring (group g -> worker g % threads); a worker finishing its ring
+  // early steals a complete group from a neighbour — stealing never
+  // splits a group, so every group's jobs run sequentially on a single
+  // thread against one warm context.
+  const size_t max_groups =
+      static_cast<size_t>(pool_.num_threads()) * kGroupsPerThread;
+  const size_t floored_groups =
+      std::max<size_t>(jobs.size() / kMinJobsPerGroup, 1);
+  const size_t groups = std::min({jobs.size(), max_groups, floored_groups});
+  while (contexts_.size() < groups) {
+    contexts_.push_back(std::make_unique<WorkerContext>());
+  }
+  // Group membership: group g owns jobs g, g+G, ... — a pure function of
+  // the job list, and grouping affects locality only, never results.
+  std::vector<std::vector<size_t>> members(groups);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    members[i % groups].push_back(i);
+  }
   // One slot per pool task: a task runs start-to-finish on one thread, so
   // resetting the thread-local HPD counters at task start and snapshotting
   // at task end yields exact per-task deltas, summed into the batch stats
   // below regardless of which worker the task landed on.
-  std::vector<GroupSlot> slots;
-  const uint64_t stolen_before = pool_.stolen_tasks();
-  if (options_.reuse_contexts && !jobs.empty()) {
-    // Deterministic pinning: job i belongs to group i % G, where G caps at
-    // threads x groups_per_thread and floors at min_jobs_per_group jobs
-    // per group. Each group is one whole task handed to its home worker's
-    // ring (group g -> worker g % threads); a worker finishing its ring
-    // early steals a complete group from a neighbour — stealing never
-    // splits a group, so every group's jobs run sequentially on a single
-    // thread against one warm context.
-    const size_t max_groups = static_cast<size_t>(pool_.num_threads()) *
-                              static_cast<size_t>(options_.groups_per_thread);
-    const size_t floored_groups = std::max<size_t>(
-        jobs.size() / static_cast<size_t>(options_.min_jobs_per_group), 1);
-    const size_t groups = std::min({jobs.size(), max_groups, floored_groups});
-    while (contexts_.size() < groups) {
-      contexts_.push_back(std::make_unique<WorkerContext>());
-    }
-    // Group membership: group g owns jobs g, g+G, ... — a pure function of
-    // the job list, and grouping affects locality only, never results.
-    std::vector<std::vector<size_t>> members(groups);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      members[i % groups].push_back(i);
-    }
-    slots.resize(groups);
-    const int num_threads = pool_.num_threads();
-    for (size_t g = 0; g < groups; ++g) {
-      pool_.SubmitTo(static_cast<int>(g % num_threads), [&, g] {
-        const auto task_start = std::chrono::steady_clock::now();
-        ResetThreadHpdStats();
-        WorkerContext& context = *contexts_[g];
-        for (size_t i : members[g]) {
-          RunJob(jobs[i], &context, &batch.outcomes[i]);
-        }
-        context.ReleaseSamplers(registered_prototypes_);
-        GroupSlot& slot = slots[g];
-        slot.hpd = ThreadHpdStatsSnapshot();
-        slot.run_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - task_start)
-                               .count();
-      });
-    }
-    const auto submitted = std::chrono::steady_clock::now();
-    pool_.Wait();
-    const auto finished = std::chrono::steady_clock::now();
-    stats.submit_seconds =
-        std::chrono::duration<double>(submitted - start).count();
-    stats.barrier_seconds =
-        std::chrono::duration<double>(finished - submitted).count();
-  } else {
-    slots.resize(jobs.size());
-    ParallelFor(pool_, jobs.size(), [&](size_t i) {
+  std::vector<GroupSlot> slots(groups);
+  const int num_threads = pool_.num_threads();
+  for (size_t g = 0; g < groups; ++g) {
+    pool_.SubmitTo(static_cast<int>(g % num_threads), [&, g] {
       const auto task_start = std::chrono::steady_clock::now();
       ResetThreadHpdStats();
-      RunJob(jobs[i], nullptr, &batch.outcomes[i]);
-      GroupSlot& slot = slots[i];
+      WorkerContext& context = *contexts_[g];
+      for (size_t i : members[g]) {
+        RunJob(jobs[i], context, &batch.outcomes[i]);
+      }
+      context.ReleaseSamplers(registered_prototypes_);
+      GroupSlot& slot = slots[g];
       slot.hpd = ThreadHpdStatsSnapshot();
       slot.run_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - task_start)
                              .count();
     });
   }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
+  const auto submitted = std::chrono::steady_clock::now();
+  pool_.Wait();
+  const auto finished = std::chrono::steady_clock::now();
+  stats.submit_seconds =
+      std::chrono::duration<double>(submitted - start).count();
+  stats.barrier_seconds =
+      std::chrono::duration<double>(finished - submitted).count();
 
   stats.num_threads = pool_.num_threads();
   stats.jobs = jobs.size();
-  stats.groups = slots.size();
+  stats.groups = groups;
   stats.stolen_groups =
       static_cast<size_t>(pool_.stolen_tasks() - stolen_before);
-  stats.wall_seconds = elapsed.count();
+  stats.wall_seconds = std::chrono::duration<double>(finished - start).count();
   for (const GroupSlot& slot : slots) {
     stats.hpd += slot.hpd;
     stats.run_seconds += slot.run_seconds;

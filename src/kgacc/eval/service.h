@@ -34,8 +34,7 @@
 /// group granularity — a worker that runs dry takes a complete group off a
 /// neighbour's ring, never individual jobs — which keeps per-context
 /// caches hot and a single-group batch on a single thread for its whole
-/// life. `Options::reuse_contexts = false` selects the legacy
-/// fresh-state-per-job path (same results, used as a cross-check).
+/// life.
 ///
 /// Determinism: each job's stochastic path is fully determined by its own
 /// seed (jobs clone their sampler prototypes and own their RNGs; a context
@@ -94,8 +93,11 @@ struct EvaluationJob {
   /// this job's session — the durable-audit integration point: bind a
   /// `CheckpointManager::OnStep` here and the job snapshots itself into
   /// the annotation WAL as it progresses. A non-OK return aborts the job
-  /// with that status (fail the audit rather than outrun its log). Runs on
-  /// the worker thread; per-job state only, unless externally synchronized.
+  /// with that status (fail the audit rather than outrun its log). A
+  /// store-backed step whose labels the store refused fails the job with
+  /// the append error before the hook runs, so a checkpoint never
+  /// certifies labels the log lacks. Runs on the worker thread; per-job
+  /// state only, unless externally synchronized.
   std::function<Status(const EvaluationSession&)> on_step;
   /// Hard step budget (0 = unlimited): the job is cancelled with
   /// DeadlineExceeded once its session has run this many steps without
@@ -213,23 +215,6 @@ class EvaluationService {
     /// Worker threads; 0 means std::thread::hardware_concurrency()
     /// (at least 1).
     int num_threads = 0;
-    /// Pin jobs to per-group execution contexts that reuse cloned samplers
-    /// and session scratch across the batch (the fast path). Disable to run
-    /// every job with fresh state — results are byte-identical either way;
-    /// the slow path exists as the reference for determinism tests.
-    bool reuse_contexts = true;
-    /// Pinning groups per worker thread (>= 1). More groups mean
-    /// finer-grained stealing when job durations are uneven, at the price
-    /// of colder per-context caches.
-    int groups_per_thread = 4;
-    /// Minimum jobs per pinning group (>= 1). Small batches used to shred
-    /// into `threads x groups_per_thread` near-empty groups — at 32 jobs on
-    /// 4 threads that is 16 two-job tasks, all cold contexts and queue
-    /// traffic (the measured thread-degradation cliff). The floor caps the
-    /// group count at `jobs / min_jobs_per_group`, so a small batch becomes
-    /// a few substantial whole-group handoffs instead. Group membership
-    /// never affects results, only locality.
-    int min_jobs_per_group = 8;
   };
 
   /// Default: one worker per hardware thread.
@@ -258,13 +243,6 @@ class EvaluationService {
   /// while a batch is running (the service is not reentrant).
   void RegisterPrototype(const Sampler* prototype);
 
-  /// Ends the lifetime promise: drops the registration and every cached
-  /// clone of `prototype` from all contexts.
-  void UnregisterPrototype(const Sampler* prototype);
-
-  /// Unregisters everything (bulk generation bump between workloads).
-  void ClearPrototypes();
-
   /// Sampler clones created by worker contexts so far (service lifetime).
   /// Registration is observable here: repeated batches over a registered
   /// prototype stop minting new clones. Call between batches only.
@@ -279,11 +257,10 @@ class EvaluationService {
   struct WorkerContext;
 
   /// Runs one job into `*out`, drawing the sampler clone and scratch from
-  /// `context` when non-null.
-  static void RunJob(const EvaluationJob& job, WorkerContext* context,
+  /// `context`.
+  static void RunJob(const EvaluationJob& job, WorkerContext& context,
                      EvaluationJobOutcome* out);
 
-  Options options_;
   ThreadPool pool_;
   /// Whether a batch already reported the pool's one-time spawn cost in
   /// its stats (the pool itself is persistent across RunBatch calls).

@@ -20,7 +20,10 @@ namespace {
 /// v3: the HPD warm carry shrinks to one optional interval per prior (the
 ///     solve cache key, the per-solve diagnostics and the BFGS Hessians
 ///     are gone), so a v2 payload must fail the gate rather than misparse.
-constexpr uint8_t kSessionSnapshotVersion = 3;
+/// v4: the diagnostic unit reservoir is gone — its capacity leaves the
+///     config fingerprint and its subsample the AnnotatedSample payload —
+///     so a v3 payload must fail the gate rather than misparse.
+constexpr uint8_t kSessionSnapshotVersion = 4;
 
 }  // namespace
 
@@ -61,12 +64,6 @@ EvaluationSession::EvaluationSession(Sampler& sampler, Annotator& annotator,
   }
   cost_model_.annotators_per_triple = annotator_.JudgmentsPerTriple();
   sample_->set_retain_units(config_.retain_unit_history);
-  if (!config_.retain_unit_history && config_.unit_reservoir_capacity > 0) {
-    // The reservoir's stream is decorrelated from the session Rng (its own
-    // seeded generator), so arming it never perturbs the audit's draws.
-    sample_->EnableReservoir(config_.unit_reservoir_capacity,
-                             Mix64(seed ^ 0x7265737672756e69ULL));
-  }
   if (init_status_.ok()) sampler_.Reset();
 }
 
@@ -198,7 +195,6 @@ void EvaluationSession::SaveState(ByteWriter* w) const {
   w->PutDouble(config_.max_cost_seconds);
   w->PutBool(config_.finite_population_correction);
   w->PutBool(config_.retain_unit_history);
-  w->PutVarint(config_.unit_reservoir_capacity);
   w->PutBool(config_.record_trace);
   w->PutVarint(config_.priors.size());
   // The prior *parameters*, not just the count: a snapshot solved under
@@ -256,7 +252,6 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(const double max_cost, r->Double());
   KGACC_ASSIGN_OR_RETURN(const bool fpc, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const bool retain, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t reservoir_capacity, r->Varint());
   KGACC_ASSIGN_OR_RETURN(const bool record_trace, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint64_t num_priors, r->Varint());
   bool priors_match = num_priors == config_.priors.size();
@@ -274,7 +269,6 @@ Status EvaluationSession::LoadState(ByteReader* r) {
       max_cost != config_.max_cost_seconds ||
       fpc != config_.finite_population_correction ||
       retain != config_.retain_unit_history ||
-      reservoir_capacity != config_.unit_reservoir_capacity ||
       record_trace != config_.record_trace || !priors_match) {
     return Status::InvalidArgument(
         "session snapshot fingerprint does not match this session's design, "

@@ -297,20 +297,6 @@ Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
 
 }  // namespace
 
-const char* HpdPathName(HpdPath path) {
-  switch (path) {
-    case HpdPath::kLimiting:
-      return "limiting";
-    case HpdPath::kNewton:
-      return "newton";
-    case HpdPath::kSlsqp:
-      return "slsqp";
-    case HpdPath::kOneDim:
-      return "onedim";
-  }
-  return "unknown";
-}
-
 HpdSolveStats ThreadHpdStatsSnapshot() { return t_hpd_stats; }
 
 void ResetThreadHpdStats() { t_hpd_stats = HpdSolveStats{}; }

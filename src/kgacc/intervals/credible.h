@@ -59,8 +59,6 @@ enum class HpdPath {
   kOneDim,
 };
 
-const char* HpdPathName(HpdPath path);
-
 /// An HPD computation result with solver diagnostics.
 struct HpdResult {
   Interval interval;

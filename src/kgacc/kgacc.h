@@ -39,7 +39,6 @@
 #include "kgacc/kg/triple.h"
 #include "kgacc/kg/tsv_loader.h"
 #include "kgacc/math/beta.h"
-#include "kgacc/math/beta_binomial.h"
 #include "kgacc/math/binomial.h"
 #include "kgacc/math/normal.h"
 #include "kgacc/math/special.h"
@@ -55,9 +54,7 @@
 #include "kgacc/store/annotation_store.h"
 #include "kgacc/store/checkpoint.h"
 #include "kgacc/store/wal.h"
-#include "kgacc/stats/bootstrap.h"
 #include "kgacc/stats/descriptive.h"
-#include "kgacc/stats/mann_whitney.h"
 #include "kgacc/stats/replication.h"
 #include "kgacc/stats/ttest.h"
 #include "kgacc/util/arg_parser.h"

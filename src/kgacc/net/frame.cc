@@ -7,20 +7,6 @@
 
 namespace kgacc {
 
-void AppendNetFrame(uint8_t type, std::span<const uint8_t> payload,
-                    std::vector<uint8_t>* out) {
-  ByteWriter w;
-  w.PutFrame(type, payload);
-  out->insert(out->end(), w.bytes().begin(), w.bytes().end());
-}
-
-std::vector<uint8_t> EncodeNetFrame(uint8_t type,
-                                    std::span<const uint8_t> payload) {
-  std::vector<uint8_t> out;
-  AppendNetFrame(type, payload, &out);
-  return out;
-}
-
 void FrameAssembler::Feed(std::span<const uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }

@@ -22,9 +22,10 @@
 /// closes that connection, and the session behind it resumes from its
 /// durable checkpoint over a fresh connection.
 ///
-/// `FrameAssembler` is the read side: feed it whatever byte chunks the
-/// socket hands you (a frame may arrive in many reads, or many frames in
-/// one) and pull complete frames out. It enforces a maximum frame length,
+/// `ByteWriter::PutFrame` is the write side. `FrameAssembler` is the read
+/// side: feed it whatever byte chunks the socket hands you (a frame may
+/// arrive in many reads, or many frames in one) and pull complete frames
+/// out. It enforces a maximum frame length,
 /// so a malicious or corrupt length prefix cannot make the daemon buffer
 /// unbounded memory.
 
@@ -40,15 +41,6 @@ struct NetFrame {
   uint8_t type = 0;
   std::vector<uint8_t> payload;
 };
-
-/// Appends one encoded frame (type + length prefix + payload + CRC32C) to
-/// `out` — the write side of the protocol.
-void AppendNetFrame(uint8_t type, std::span<const uint8_t> payload,
-                    std::vector<uint8_t>* out);
-
-/// Convenience: a freshly allocated encoded frame.
-std::vector<uint8_t> EncodeNetFrame(uint8_t type,
-                                    std::span<const uint8_t> payload);
 
 /// Incremental frame extractor over a byte stream. Not thread-safe; one
 /// assembler per connection.

@@ -7,6 +7,7 @@
 
 #include "kgacc/eval/evaluator.h"
 #include "kgacc/net/frame.h"
+#include "kgacc/util/codec.h"
 #include "kgacc/util/status.h"
 
 /// \file protocol.h
@@ -270,8 +271,9 @@ template <typename EncodeFn, typename Msg>
 std::vector<uint8_t> FrameOf(MessageType type, EncodeFn encode,
                              const Msg& m) {
   const std::vector<uint8_t> payload = encode(m);
-  return EncodeNetFrame(static_cast<uint8_t>(type),
-                        {payload.data(), payload.size()});
+  ByteWriter w;
+  w.PutFrame(static_cast<uint8_t>(type), payload);
+  return w.bytes();
 }
 
 }  // namespace kgacc

@@ -15,19 +15,6 @@ std::unique_ptr<AliasTable> BuildSizeAliasTable(const KgView& kg) {
   });
 }
 
-std::vector<uint64_t> DrawSecondStage(uint64_t cluster_size, int m, Rng* rng) {
-  std::vector<uint64_t> out;
-  FlatSet64 scratch;
-  DrawSecondStageInto(cluster_size, m, rng, &out, &scratch);
-  return out;
-}
-
-void DrawSecondStageInto(uint64_t cluster_size, int m, Rng* rng,
-                         std::vector<uint64_t>* out, FlatSet64* scratch) {
-  out->clear();
-  DrawSecondStageAppend(cluster_size, m, rng, out, scratch);
-}
-
 void DrawSecondStageAppend(uint64_t cluster_size, int m, Rng* rng,
                            std::vector<uint64_t>* out, FlatSet64* scratch) {
   KGACC_DCHECK(cluster_size >= 1);

@@ -113,20 +113,10 @@ namespace internal {
 std::unique_ptr<AliasTable> BuildSizeAliasTable(const KgView& kg);
 
 /// Draws min{M_i, m} second-stage offsets from a cluster by SRS without
-/// replacement (the whole cluster when m >= M_i).
-std::vector<uint64_t> DrawSecondStage(uint64_t cluster_size, int m, Rng* rng);
-
-/// Allocation-lean variant for the samplers' hot loop: fills `*out`
-/// (cleared first) and reuses `*scratch` across units instead of building
-/// fresh containers per sampled unit. Identical Rng consumption and draw as
-/// `DrawSecondStage`.
-void DrawSecondStageInto(uint64_t cluster_size, int m, Rng* rng,
-                         std::vector<uint64_t>* out, FlatSet64* scratch);
-
-/// Appending variant for the flat `SampleBatch` representation: leaves the
-/// existing elements of `*out` (the batch's shared offset buffer) in place
-/// and writes the unit's draw at the tail. Identical Rng consumption and
-/// draw as the other two.
+/// replacement (the whole cluster when m >= M_i). Leaves the existing
+/// elements of `*out` (the flat `SampleBatch`'s shared offset buffer) in
+/// place, writes the unit's draw at the tail, and reuses `*scratch` across
+/// units.
 void DrawSecondStageAppend(uint64_t cluster_size, int m, Rng* rng,
                            std::vector<uint64_t>* out, FlatSet64* scratch);
 

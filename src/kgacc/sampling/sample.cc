@@ -20,18 +20,6 @@ void AnnotatedSample::SaveState(ByteWriter* w) const {
   }
   SaveFlatSet64(entities_, w);
   SaveFlatSet64(triples_, w);
-  w->PutVarint(reservoir_capacity_);
-  if (reservoir_capacity_ > 0) {
-    reservoir_rng_.SaveState(w);
-    w->PutVarint(reservoir_.size());
-    for (const AnnotatedUnit& unit : reservoir_) {
-      w->PutVarint(unit.cluster);
-      w->PutVarint(unit.cluster_population);
-      w->PutVarint(unit.stratum);
-      w->PutVarint(unit.drawn);
-      w->PutVarint(unit.correct);
-    }
-  }
 }
 
 Status AnnotatedSample::LoadState(ByteReader* r) {
@@ -57,42 +45,12 @@ Status AnnotatedSample::LoadState(ByteReader* r) {
   }
   KGACC_RETURN_IF_ERROR(LoadFlatSet64(r, &entities_));
   KGACC_RETURN_IF_ERROR(LoadFlatSet64(r, &triples_));
-  KGACC_ASSIGN_OR_RETURN(reservoir_capacity_, r->Varint());
-  if (reservoir_capacity_ > 0) {
-    KGACC_RETURN_IF_ERROR(reservoir_rng_.LoadState(r));
-    KGACC_ASSIGN_OR_RETURN(const uint64_t kept, r->Count(5));
-    if (kept > reservoir_capacity_) {
-      return Status::InvalidArgument("reservoir larger than its capacity");
-    }
-    reservoir_.reserve(kept);
-    for (uint64_t i = 0; i < kept; ++i) {
-      AnnotatedUnit unit;
-      KGACC_ASSIGN_OR_RETURN(unit.cluster, r->Varint());
-      KGACC_ASSIGN_OR_RETURN(unit.cluster_population, r->Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t stratum, r->Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t drawn, r->Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t correct, r->Varint());
-      unit.stratum = static_cast<uint32_t>(stratum);
-      unit.drawn = static_cast<uint32_t>(drawn);
-      unit.correct = static_cast<uint32_t>(correct);
-      reservoir_.push_back(unit);
-    }
-  }
   return Status::OK();
-}
-
-void AnnotatedSample::EnableReservoir(uint64_t capacity, uint64_t seed) {
-  reservoir_capacity_ = capacity;
-  reservoir_.clear();
-  reservoir_.reserve(capacity);
-  reservoir_rng_.Reseed(seed);
 }
 
 void AnnotatedSample::Clear() {
   units_.clear();
   retain_units_ = true;
-  reservoir_.clear();
-  reservoir_capacity_ = 0;
   num_units_ = 0;
   num_triples_ = 0;
   num_correct_ = 0;
@@ -102,19 +60,7 @@ void AnnotatedSample::Clear() {
 
 void AnnotatedSample::Add(const AnnotatedUnit& unit) {
   KGACC_DCHECK(unit.correct <= unit.drawn);
-  if (retain_units_) {
-    units_.push_back(unit);
-  } else if (reservoir_capacity_ > 0) {
-    // Algorithm R: unit i (0-based, = num_units_ pre-increment) enters a
-    // full reservoir with probability capacity/(i+1), evicting a uniform
-    // victim — every unit seen so far is in the reservoir equiprobably.
-    if (reservoir_.size() < reservoir_capacity_) {
-      reservoir_.push_back(unit);
-    } else {
-      const uint64_t j = reservoir_rng_.UniformInt(num_units_ + 1);
-      if (j < reservoir_capacity_) reservoir_[j] = unit;
-    }
-  }
+  if (retain_units_) units_.push_back(unit);
   ++num_units_;
   num_triples_ += unit.drawn;
   num_correct_ += unit.correct;

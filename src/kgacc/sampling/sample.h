@@ -9,7 +9,6 @@
 #include "kgacc/kg/triple.h"
 #include "kgacc/util/check.h"
 #include "kgacc/util/flat_set.h"
-#include "kgacc/util/random.h"
 #include "kgacc/util/status.h"
 
 /// \file sample.h
@@ -181,22 +180,6 @@ class AnnotatedSample {
   void set_retain_units(bool retain) { retain_units_ = retain; }
   bool retain_units() const { return retain_units_; }
 
-  /// Arms the diagnostic reservoir: while unit retention is *off*, `Add`
-  /// maintains a fixed-capacity uniform subsample of the dropped units
-  /// (Vitter's Algorithm R over its own seeded Rng), so bootstrap and
-  /// design-effect diagnostics still have per-unit data after an O(1)-memory
-  /// audit. Inactive while retention is on — `units()` is already complete.
-  /// The reservoir and its Rng ride through `SaveState`/`LoadState`, so a
-  /// resumed audit continues the same subsampling stream.
-  void EnableReservoir(uint64_t capacity, uint64_t seed);
-
-  /// The reservoir's units (arrival order is *not* preserved past the first
-  /// `reservoir_capacity()` entries — it is a uniform subset, not a prefix).
-  const std::vector<AnnotatedUnit>& reservoir_units() const {
-    return reservoir_;
-  }
-  uint64_t reservoir_capacity() const { return reservoir_capacity_; }
-
   /// Distinct entities |E_S| identified so far.
   uint64_t num_distinct_entities() const { return entities_.size(); }
 
@@ -221,11 +204,6 @@ class AnnotatedSample {
 
   std::vector<AnnotatedUnit> units_;
   bool retain_units_ = true;
-  /// Algorithm-R state; active only when `reservoir_capacity_ > 0` and
-  /// retention is off.
-  std::vector<AnnotatedUnit> reservoir_;
-  uint64_t reservoir_capacity_ = 0;
-  Rng reservoir_rng_{0};
   uint64_t num_units_ = 0;
   uint64_t num_triples_ = 0;
   uint64_t num_correct_ = 0;

@@ -52,25 +52,4 @@ Result<TTestResult> PooledTTest(const std::vector<double>& xs,
   return FinishTest(mx - my, se, df);
 }
 
-Result<TTestResult> WelchTTest(const std::vector<double>& xs,
-                               const std::vector<double>& ys) {
-  KGACC_RETURN_IF_ERROR(ValidateInputs(xs, ys));
-  const double nx = static_cast<double>(xs.size());
-  const double ny = static_cast<double>(ys.size());
-  KGACC_ASSIGN_OR_RETURN(const double mx, Mean(xs));
-  KGACC_ASSIGN_OR_RETURN(const double my, Mean(ys));
-  KGACC_ASSIGN_OR_RETURN(const double vx, SampleVariance(xs));
-  KGACC_ASSIGN_OR_RETURN(const double vy, SampleVariance(ys));
-  const double ax = vx / nx;
-  const double ay = vy / ny;
-  const double se = std::sqrt(ax + ay);
-  double df = 1.0;
-  if (ax + ay > 0.0) {
-    const double denom =
-        ax * ax / (nx - 1.0) + ay * ay / (ny - 1.0);
-    df = denom > 0.0 ? (ax + ay) * (ax + ay) / denom : nx + ny - 2.0;
-  }
-  return FinishTest(mx - my, se, df);
-}
-
 }  // namespace kgacc

@@ -8,8 +8,7 @@
 /// \file ttest.h
 /// Independent two-sample t-tests. The paper marks performance differences
 /// significant via "standard independent t-tests with p < 0.01" (Tables
-/// 3-4); we provide both the pooled-variance Student test (the "standard"
-/// one) and Welch's unequal-variance variant.
+/// 3-4); this is the pooled-variance Student test (the "standard" one).
 
 namespace kgacc {
 
@@ -27,10 +26,6 @@ struct TTestResult {
 /// p = 1 when the means coincide and p = 0 otherwise.
 Result<TTestResult> PooledTTest(const std::vector<double>& xs,
                                 const std::vector<double>& ys);
-
-/// Welch's unequal-variance t-test with Satterthwaite degrees of freedom.
-Result<TTestResult> WelchTTest(const std::vector<double>& xs,
-                               const std::vector<double>& ys);
 
 }  // namespace kgacc
 

@@ -11,7 +11,7 @@
 
 #include "kgacc/store/annotation_store.h"
 #include "kgacc/store/log_format.h"
-#include "kgacc/store/log_reader.h"
+#include "kgacc/store/wal.h"
 #include "kgacc/util/codec.h"
 #include "kgacc/util/failpoint.h"
 

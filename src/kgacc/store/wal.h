@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "kgacc/util/status.h"
 
@@ -21,7 +22,7 @@
 /// payload, so a flipped bit anywhere in a frame is detected (the format is
 /// defined in store/log_format.h; frames are encoded and decoded by the
 /// shared codec in util/codec.h). `Open` reads the whole file in one
-/// `pread` pass (store/log_reader.h), replays every valid frame through a
+/// `pread` pass (`ReadLogFile`), replays every valid frame through a
 /// caller callback, then *physically truncates* a torn or corrupt tail so
 /// the next append starts at a clean frame boundary — everything before the
 /// first bad byte is kept, everything after is discarded (standard WAL
@@ -136,6 +137,23 @@ class WriteAheadLog {
   uint64_t size_bytes_ = 0;
   Status sticky_;
 };
+
+/// The store's one read path: recovery (`WriteAheadLog::Open`) and the
+/// offline verifier both read a log file whole, in one streamed `pread`
+/// pass, into an owned buffer. There is deliberately no mmap path: on a
+/// 10^6-label (17.8 MB) log it opened only 1.05-1.08x faster, too little
+/// to justify a second read path to keep equivalent.
+///
+/// Reads the whole file behind `fd` (a readable regular file). A file that
+/// shrinks mid-read yields the bytes read so far; the missing tail is then
+/// just a torn tail to the frame scan.
+Result<std::vector<uint8_t>> ReadLogFile(int fd, const std::string& path);
+
+/// Fsyncs the directory containing `path`, making a just-created, renamed,
+/// or truncated file's directory entry durable. Shared by WAL open (file
+/// creation, torn-tail truncation) and compaction (the rename that installs
+/// a rewritten log must itself survive power loss).
+Status FsyncParentDir(const std::string& path);
 
 }  // namespace kgacc
 

@@ -76,21 +76,6 @@ double Rng::Beta(double a, double b) {
   return x / (x + y);
 }
 
-std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k,
-                                               Rng* rng) {
-  std::vector<uint64_t> out;
-  FlatSet64 chosen;
-  SampleWithoutReplacementInto(n, k, rng, &out, &chosen);
-  return out;
-}
-
-void SampleWithoutReplacementInto(uint64_t n, uint64_t k, Rng* rng,
-                                  std::vector<uint64_t>* out,
-                                  FlatSet64* scratch) {
-  out->clear();
-  SampleWithoutReplacementAppend(n, k, rng, out, scratch);
-}
-
 void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
                                     std::vector<uint64_t>* out,
                                     FlatSet64* scratch) {

@@ -123,23 +123,11 @@ class FlatSet64;
 
 /// Draws `k` distinct indices uniformly from {0, ..., n-1} (sampling without
 /// replacement) using Robert Floyd's algorithm: O(k) expected time and O(k)
-/// memory, independent of `n`. The returned order is unspecified.
-std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k,
-                                               Rng* rng);
-
-/// Allocation-free variant for hot loops: writes the draw into `*out`
-/// (cleared first) and tracks chosen indices in `*scratch` (cleared first),
-/// both reused across calls. Consumes the identical Rng stream — and
-/// returns the identical draw — as `SampleWithoutReplacement`.
-void SampleWithoutReplacementInto(uint64_t n, uint64_t k, Rng* rng,
-                                  std::vector<uint64_t>* out,
-                                  FlatSet64* scratch);
-
-/// Appending variant: leaves existing elements of `*out` untouched and
-/// writes the k drawn indices at its tail (the flat `SampleBatch` offset
-/// buffer, where every unit's draw lands behind the previous one's).
-/// `*scratch` is cleared first. Identical Rng stream and draw as the other
-/// two variants.
+/// memory, independent of `n`. Leaves existing elements of `*out` untouched
+/// and writes the k drawn indices, in unspecified order, at its tail (the
+/// flat `SampleBatch` offset buffer, where every unit's draw lands behind
+/// the previous one's). `*scratch` tracks chosen indices and is cleared
+/// first; both buffers are reused across calls.
 void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
                                     std::vector<uint64_t>* out,
                                     FlatSet64* scratch);

@@ -103,12 +103,6 @@ void ThreadPool::NotifyIfSleepers(int home) {
   if (target != nullptr) target->cv.notify_one();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  SubmitTo(static_cast<int>(next_home_.fetch_add(1, std::memory_order_relaxed) %
-                            static_cast<uint64_t>(num_threads_)),
-           std::move(task));
-}
-
 void ThreadPool::SubmitTo(int worker, std::function<void()> task) {
   KGACC_CHECK(!shutting_down_.load());
   KGACC_CHECK(worker >= 0 && worker < num_threads());
@@ -222,23 +216,6 @@ void ThreadPool::WorkerLoop(int self) {
     sleepers_.fetch_sub(1);
     if (shutting_down_.load() && queued_.load() == 0) return;
   }
-}
-
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&, i] {
-      fn(i);
-      std::unique_lock<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace kgacc

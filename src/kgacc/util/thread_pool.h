@@ -23,7 +23,7 @@
 /// task, not once per audit.
 ///
 /// `EvaluationService` routes whole pinning groups to their home workers
-/// via `SubmitTo`; `ParallelFor` fans independent work items out over it.
+/// via `SubmitTo`.
 
 namespace kgacc {
 
@@ -67,9 +67,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task on some worker's ring (round-robin home assignment).
-  void Submit(std::function<void()> task);
 
   /// Enqueues a task on `worker`'s ring — the shard-per-core handoff. The
   /// home worker runs it unless it is still busy when another worker runs
@@ -160,8 +157,6 @@ class ThreadPool {
   std::atomic<size_t> queued_{0};
   /// Tasks submitted but not yet finished executing. The Wait predicate.
   std::atomic<size_t> unfinished_{0};
-  /// Round-robin cursor for home assignment of plain Submit calls.
-  std::atomic<uint64_t> next_home_{0};
   /// Workers currently blocked on their shard condvar; lets submitters
   /// skip the lock + notify entirely while everyone is busy. Modified
   /// only under sleep_mu_ (alongside Shard::asleep); read lockless on the
@@ -177,14 +172,6 @@ class ThreadPool {
   std::condition_variable done_cv_;
   double spawn_seconds_ = 0.0;
 };
-
-/// Runs `fn(0), ..., fn(n - 1)` on the pool and blocks until all calls have
-/// completed. Tracks its own completion count, so it is safe to use while
-/// unrelated tasks are in flight on the same pool — unlike `pool.Wait()`,
-/// which waits for everything. Must not be called from inside a pool task
-/// (the waiting thread would occupy a worker slot and can deadlock).
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace kgacc
 

@@ -19,6 +19,8 @@
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/store/annotation_store.h"
+#include "kgacc/store/checkpoint.h"
+#include "kgacc/util/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,44 @@ TEST(ServiceStoreTest, SecondBatchOverPopulatedStorePaysZeroOracleCalls) {
   EXPECT_GT(hits, 0u);
   EXPECT_EQ(second.stats.store_oracle_calls, 0u);
   EXPECT_EQ(second.stats.store_hits, hits);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceStoreTest, RefusedLabelFailsTheJobBeforeItsCheckpoint) {
+  // Fail-fast job whose every label append is refused: the job must end
+  // with the append error, and the checkpoint hook must never run on the
+  // refused step — a snapshot would certify labels the log does not hold.
+  const auto kg = MakeKg();
+  OracleAnnotator annotator;
+  SrsSampler srs(kg, SrsConfig{});
+  const std::string path = TempPath("refused");
+  std::remove(path.c_str());
+  auto store = AnnotationStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  CheckpointManager manager(store->get(), 1);
+
+  EvaluationJob job;
+  job.sampler = &srs;
+  job.annotator = &annotator;
+  job.seed = 3;
+  job.store = store->get();
+  job.audit_id = 1;
+  job.store_options.write_error_mode =
+      StoredAnnotator::WriteErrorMode::kFailFast;
+  job.on_step = [&manager](const EvaluationSession& session) {
+    return manager.OnStep(session);
+  };
+  EvaluationService service(EvaluationService::Options{.num_threads = 1});
+  {
+    ScopedFailpoints armed("store.append=every:1");
+    ASSERT_TRUE(armed.status().ok());
+    const auto batch = service.RunBatch({job});
+    ASSERT_EQ(batch.outcomes.size(), 1u);
+    EXPECT_EQ(batch.outcomes[0].status.code(), StatusCode::kIoError)
+        << batch.outcomes[0].status.ToString();
+    EXPECT_EQ(batch.stats.failed, 1u);
+  }
+  EXPECT_FALSE(CheckpointManager(store->get(), 1).CanResume());
   std::remove(path.c_str());
 }
 

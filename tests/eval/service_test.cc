@@ -13,6 +13,7 @@
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
 #include "kgacc/stats/replication.h"
+#include "kgacc/util/check.h"
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,20 @@ std::vector<EvaluationJob> MixedJobs(const Sampler& srs, const Sampler& twcs,
   return jobs;
 }
 
+/// The serial reference every service execution shape must reproduce: each
+/// job run through `RunEvaluation` on a fresh clone of its prototype.
+std::vector<EvaluationResult> SerialReference(
+    const std::vector<EvaluationJob>& jobs) {
+  std::vector<EvaluationResult> results;
+  for (const EvaluationJob& job : jobs) {
+    auto clone = job.sampler->Clone();
+    KGACC_CHECK(clone != nullptr);
+    results.push_back(
+        *RunEvaluation(*clone, *job.annotator, job.config, job.seed));
+  }
+  return results;
+}
+
 TEST(EvaluationServiceTest, ResultsAreIndependentOfThreadCount) {
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
@@ -94,41 +109,6 @@ TEST(EvaluationServiceTest, ResultsAreIndependentOfThreadCount) {
   }
 }
 
-TEST(EvaluationServiceTest, PinnedAndUnpinnedExecutionAgree) {
-  const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
-  SrsSampler srs(kg, SrsConfig{.without_replacement = true});
-  TwcsSampler twcs(kg, TwcsConfig{});
-  const auto jobs = MixedJobs(srs, twcs, annotator);
-
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 2, .reuse_contexts = false});
-  const auto reference = unpinned.RunBatch(jobs);
-  for (const auto& outcome : reference.outcomes) {
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
-
-  // Context reuse (warm sampler clones + recycled scratch) must be
-  // invisible in the results, at several pinning granularities. Running two
-  // batches back to back also exercises reuse of contexts *across* batches.
-  for (const int groups_per_thread : {1, 4}) {
-    EvaluationService pinned(EvaluationService::Options{
-        .num_threads = 2, .reuse_contexts = true,
-        .groups_per_thread = groups_per_thread});
-    for (int round = 0; round < 2; ++round) {
-      const auto batch = pinned.RunBatch(jobs);
-      ASSERT_EQ(batch.outcomes.size(), jobs.size());
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].label + " g" + std::to_string(groups_per_thread) +
-                     " round " + std::to_string(round));
-        ASSERT_TRUE(batch.outcomes[i].status.ok());
-        ExpectSameResult(reference.outcomes[i].result,
-                         batch.outcomes[i].result);
-      }
-    }
-  }
-}
-
 TEST(EvaluationServiceTest, MatchesDirectRunEvaluation) {
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
@@ -138,17 +118,14 @@ TEST(EvaluationServiceTest, MatchesDirectRunEvaluation) {
 
   EvaluationService service(EvaluationService::Options{.num_threads = 4});
   const auto batch = service.RunBatch(jobs);
+  // A fresh clone run serially through the wrapper must agree.
+  const auto reference = SerialReference(jobs);
   for (size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(jobs[i].label);
     ASSERT_TRUE(batch.outcomes[i].status.ok());
     EXPECT_EQ(batch.outcomes[i].label, jobs[i].label);
     EXPECT_EQ(batch.outcomes[i].seed, jobs[i].seed);
-    // A fresh clone run serially through the wrapper must agree.
-    auto clone = jobs[i].sampler->Clone();
-    ASSERT_NE(clone, nullptr);
-    ExpectSameResult(
-        *RunEvaluation(*clone, annotator, jobs[i].config, jobs[i].seed),
-        batch.outcomes[i].result);
+    ExpectSameResult(reference[i], batch.outcomes[i].result);
   }
 }
 
@@ -295,7 +272,7 @@ TEST(SamplerCloneTest, ClonesAreIndependentAndEquivalent) {
 TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
   // The per-thread HPD counters must fold into the batch stats — and,
   // being pure algorithm properties, agree exactly across thread counts
-  // and with a pinned-vs-unpinned cross-check.
+  // and with the same jobs run serially on this thread.
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{});
@@ -319,22 +296,19 @@ TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
   EXPECT_EQ(parallel.stats.hpd.newton.solves,
             baseline.stats.hpd.newton.solves);
 
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 4, .reuse_contexts = false});
-  const auto fresh = unpinned.RunBatch(jobs);
-  EXPECT_EQ(fresh.stats.hpd.total_solves(),
-            baseline.stats.hpd.total_solves());
-  EXPECT_EQ(fresh.stats.hpd.total_beta_evals(),
-            baseline.stats.hpd.total_beta_evals());
+  ResetThreadHpdStats();
+  (void)SerialReference(jobs);
+  const HpdSolveStats serial = ThreadHpdStatsSnapshot();
+  EXPECT_EQ(serial.total_solves(), baseline.stats.hpd.total_solves());
+  EXPECT_EQ(serial.total_beta_evals(), baseline.stats.hpd.total_beta_evals());
 }
 
 TEST(EvaluationServiceTest, RegisteredPrototypesKeepClonesAcrossBatches) {
   const auto kg = MakeKg(0.85, 500);
   OracleAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{});
-  // One worker, one group: exactly one context ever clones.
-  EvaluationService service(EvaluationService::Options{
-      .num_threads = 1, .groups_per_thread = 1});
+  // One worker, four jobs, one group: exactly one context ever clones.
+  EvaluationService service(EvaluationService::Options{.num_threads = 1});
   std::vector<EvaluationJob> jobs(4);
   for (size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].sampler = &srs;
@@ -359,35 +333,30 @@ TEST(EvaluationServiceTest, RegisteredPrototypesKeepClonesAcrossBatches) {
 
   // Results are unaffected by cache reuse (sessions Reset their sampler).
   const auto with_cache = service.RunBatch(jobs);
-  service.UnregisterPrototype(&srs);
-  const auto without_cache = service.RunBatch(jobs);
-  ASSERT_EQ(with_cache.outcomes.size(), without_cache.outcomes.size());
-  for (size_t i = 0; i < with_cache.outcomes.size(); ++i) {
+  const auto reference = SerialReference(jobs);
+  ASSERT_EQ(with_cache.outcomes.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
     ASSERT_TRUE(with_cache.outcomes[i].status.ok());
-    ASSERT_TRUE(without_cache.outcomes[i].status.ok());
-    ExpectSameResult(with_cache.outcomes[i].result,
-                     without_cache.outcomes[i].result);
+    ExpectSameResult(reference[i], with_cache.outcomes[i].result);
   }
-  // Unregistering dropped the cached clone: the next batch re-clones.
-  const uint64_t after_unregister = service.sampler_clones_created();
-  service.RunBatch(jobs);
-  EXPECT_EQ(service.sampler_clones_created(), after_unregister + 1);
 }
 
-TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsGroupingAndReuse) {
-  // The determinism contract, hammered: the same batch through every
-  // execution shape — thread counts {1, 2, 4, hardware}, context reuse on
-  // and off, and group-size extremes — must be byte-identical to the
-  // single-threaded fresh-state reference.
+TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsAndGrouping) {
+  // The determinism contract, hammered: the same jobs through every
+  // execution shape — thread counts {1, 2, 4, hardware}, two rounds per
+  // service (contexts reused across batches), and batches of 4, 16 and all
+  // 64 jobs (one, two and several pinning groups) — must be byte-identical
+  // to the serial fresh-clone reference.
   const auto kg = MakeKg(0.85);
   NoisyAnnotator annotator(0.1);  // Stochastic: Rng misuse would show here.
   SrsSampler srs(kg, SrsConfig{.without_replacement = true});
   TwcsSampler twcs(kg, TwcsConfig{});
+  // Seeds outermost, so every prefix batch mixes designs and methods.
   std::vector<EvaluationJob> jobs;
-  for (const IntervalMethod method :
-       {IntervalMethod::kWilson, IntervalMethod::kAhpd}) {
-    for (const Sampler* sampler : std::vector<const Sampler*>{&srs, &twcs}) {
-      for (uint64_t i = 0; i < 4; ++i) {
+  for (uint64_t i = 0; i < 16; ++i) {
+    for (const IntervalMethod method :
+         {IntervalMethod::kWilson, IntervalMethod::kAhpd}) {
+      for (const Sampler* sampler : std::vector<const Sampler*>{&srs, &twcs}) {
         EvaluationJob job;
         job.sampler = sampler;
         job.annotator = &annotator;
@@ -397,38 +366,33 @@ TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsGroupingAndReuse) {
       }
     }
   }
-
-  EvaluationService reference_service(EvaluationService::Options{
-      .num_threads = 1, .reuse_contexts = false});
-  const auto reference = reference_service.RunBatch(jobs);
-  for (const auto& outcome : reference.outcomes) {
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
+  const auto reference = SerialReference(jobs);
 
   std::set<int> thread_counts{1, 2, 4};
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw > 0) thread_counts.insert(static_cast<int>(hw));
   for (const int threads : thread_counts) {
-    for (const bool reuse : {true, false}) {
-      // min_jobs_per_group = 1 removes the grouping floor, maximizing the
-      // number of groups (and so steal pressure) for the reuse path.
-      for (const int min_per_group : {1, 8}) {
-        EvaluationService service(EvaluationService::Options{
-            .num_threads = threads, .reuse_contexts = reuse,
-            .min_jobs_per_group = min_per_group});
-        const auto batch = service.RunBatch(jobs);
-        ASSERT_EQ(batch.outcomes.size(), jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i) {
-          SCOPED_TRACE("job " + std::to_string(i) + " @" +
-                       std::to_string(threads) + "t reuse=" +
-                       std::to_string(reuse) + " min=" +
-                       std::to_string(min_per_group));
+    EvaluationService service(
+        EvaluationService::Options{.num_threads = threads});
+    std::set<size_t> group_counts;
+    for (int round = 0; round < 2; ++round) {
+      for (const size_t size : {size_t{4}, size_t{16}, jobs.size()}) {
+        const std::vector<EvaluationJob> prefix(jobs.begin(),
+                                                jobs.begin() + size);
+        const auto batch = service.RunBatch(prefix);
+        ASSERT_EQ(batch.outcomes.size(), size);
+        group_counts.insert(batch.stats.groups);
+        for (size_t i = 0; i < size; ++i) {
+          SCOPED_TRACE("job " + std::to_string(i) + " of " +
+                       std::to_string(size) + " @" + std::to_string(threads) +
+                       "t round " + std::to_string(round));
           ASSERT_TRUE(batch.outcomes[i].status.ok());
-          ExpectSameResult(reference.outcomes[i].result,
-                           batch.outcomes[i].result);
+          ExpectSameResult(reference[i], batch.outcomes[i].result);
         }
       }
     }
+    // The three batch sizes really ran as three different group counts.
+    EXPECT_EQ(group_counts.size(), 3u) << threads << " threads";
   }
 }
 
@@ -455,14 +419,14 @@ class ThreadRecordingAnnotator final : public Annotator {
 };
 
 TEST(EvaluationServiceTest, SingleGroupBatchNeverMigratesMidBatch) {
-  // Whole-group handoff: with the min_jobs_per_group floor collapsing a
+  // Whole-group handoff: with the eight-jobs-per-group floor collapsing a
   // small batch into one group, that group is one pool task — every job in
   // it must run on a single thread, no mid-batch migration, regardless of
   // how many workers sit idle.
   const auto kg = MakeKg(0.85, 500);
   ThreadRecordingAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{});
-  std::vector<EvaluationJob> jobs(4);  // 4 jobs < min_jobs_per_group = 8.
+  std::vector<EvaluationJob> jobs(4);  // 4 jobs < the floor of 8 per group.
   for (size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].sampler = &srs;
     jobs[i].annotator = &annotator;
@@ -498,16 +462,6 @@ TEST(EvaluationServiceTest, BatchStatsReportTheTimingSplit) {
   const auto second = service.RunBatch(jobs);
   EXPECT_EQ(second.stats.spawn_seconds, 0.0);
   EXPECT_GT(second.stats.run_seconds, 0.0);
-
-  // The unpinned path runs one task per job and reports that as the group
-  // count; handoff phases do not exist there and stay zero.
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 2, .reuse_contexts = false});
-  const auto fresh = unpinned.RunBatch(jobs);
-  EXPECT_EQ(fresh.stats.groups, jobs.size());
-  EXPECT_EQ(fresh.stats.submit_seconds, 0.0);
-  EXPECT_EQ(fresh.stats.barrier_seconds, 0.0);
-  EXPECT_GT(fresh.stats.run_seconds, 0.0);
 }
 
 TEST(EvaluationServiceTest, OnStepHookObservesEveryIterationAndCanAbort) {

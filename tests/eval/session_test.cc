@@ -10,6 +10,7 @@
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
 #include "kgacc/sampling/systematic.h"
+#include "kgacc/util/codec.h"
 
 #include <gtest/gtest.h>
 
@@ -169,50 +170,59 @@ TEST(EvaluationSessionTest, DroppingUnitHistoryDoesNotChangeTheRun) {
   }
 }
 
-TEST(EvaluationSessionTest, LeanSessionsKeepASeededReservoirSubsample) {
-  // retain_unit_history=false no longer throws every unit away: the
-  // session keeps a bounded, seeded reservoir subsample for post-hoc
-  // diagnostics, without changing the audit itself.
+TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
+  // retain_unit_history=false keeps totals and distinct sets only. A lean
+  // session checkpointed mid-run and resumed in a fresh session must end
+  // in the same result, the same sample totals and distinct sets, and the
+  // same snapshot bytes as the uninterrupted run.
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
   EvaluationConfig lean;
   lean.retain_unit_history = false;
-  lean.unit_reservoir_capacity = 16;
+  lean.record_trace = true;
+  for (const bool twcs : {false, true}) {
+    SCOPED_TRACE(twcs ? "TWCS" : "SRS");
+    SrsSampler srs_a(kg, SrsConfig{}), srs_b(kg, SrsConfig{}),
+        srs_c(kg, SrsConfig{});
+    TwcsSampler twcs_a(kg, TwcsConfig{}), twcs_b(kg, TwcsConfig{}),
+        twcs_c(kg, TwcsConfig{});
+    Sampler& a = twcs ? static_cast<Sampler&>(twcs_a) : srs_a;
+    Sampler& b = twcs ? static_cast<Sampler&>(twcs_b) : srs_b;
+    Sampler& c = twcs ? static_cast<Sampler&>(twcs_c) : srs_c;
 
-  SrsSampler sampler_a(kg, SrsConfig{}), sampler_b(kg, SrsConfig{});
-  EvaluationSession a(sampler_a, annotator, lean, 33);
-  EvaluationSession b(sampler_b, annotator, lean, 33);
-  const auto result_a = *a.Run();
-  const auto result_b = *b.Run();
-  ExpectSameResult(result_a, result_b);
+    EvaluationSession uninterrupted(a, annotator, lean, 33);
+    const auto want = *uninterrupted.Run();
 
-  EXPECT_TRUE(a.sample().units().empty());
-  const auto& reservoir = a.sample().reservoir_units();
-  EXPECT_EQ(reservoir.size(),
-            std::min<uint64_t>(16, a.sample().num_units()));
-  EXPECT_FALSE(reservoir.empty());
-  // Seeded: identical sessions keep the identical subsample.
-  ASSERT_EQ(reservoir.size(), b.sample().reservoir_units().size());
-  for (size_t i = 0; i < reservoir.size(); ++i) {
-    EXPECT_EQ(reservoir[i].cluster, b.sample().reservoir_units()[i].cluster);
-    EXPECT_EQ(reservoir[i].correct, b.sample().reservoir_units()[i].correct);
+    EvaluationSession first_half(b, annotator, lean, 33);
+    for (int i = 0; i < 3 && !first_half.done(); ++i) {
+      ASSERT_TRUE(first_half.Step().ok());
+    }
+    ASSERT_FALSE(first_half.done());
+    ByteWriter checkpoint;
+    first_half.SaveState(&checkpoint);
+
+    EvaluationSession resumed(c, annotator, lean, 33);
+    ByteReader r(checkpoint.span());
+    ASSERT_TRUE(resumed.LoadState(&r).ok());
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(resumed.sample().num_triples(),
+              first_half.sample().num_triples());
+    EXPECT_EQ(resumed.sample().num_distinct_triples(),
+              first_half.sample().num_distinct_triples());
+    const auto got = *resumed.Run();
+    ExpectSameResult(want, got);
+
+    EXPECT_TRUE(resumed.sample().units().empty());
+    EXPECT_EQ(resumed.sample().num_units(), uninterrupted.sample().num_units());
+    EXPECT_EQ(resumed.sample().num_correct(),
+              uninterrupted.sample().num_correct());
+    EXPECT_EQ(resumed.sample().num_distinct_entities(),
+              uninterrupted.sample().num_distinct_entities());
+    ByteWriter want_bytes, got_bytes;
+    uninterrupted.SaveState(&want_bytes);
+    resumed.SaveState(&got_bytes);
+    EXPECT_EQ(want_bytes.bytes(), got_bytes.bytes());
   }
-
-  // Capacity zero opts out; full retention never engages the reservoir.
-  EvaluationConfig none = lean;
-  none.unit_reservoir_capacity = 0;
-  SrsSampler sampler_c(kg, SrsConfig{});
-  EvaluationSession c(sampler_c, annotator, none, 33);
-  ExpectSameResult(*c.Run(), result_a);
-  EXPECT_TRUE(c.sample().reservoir_units().empty());
-
-  EvaluationConfig full;
-  full.record_trace = lean.record_trace;
-  SrsSampler sampler_d(kg, SrsConfig{});
-  EvaluationSession d(sampler_d, annotator, full, 33);
-  (void)d.Run();
-  EXPECT_FALSE(d.sample().units().empty());
-  EXPECT_TRUE(d.sample().reservoir_units().empty());
 }
 
 TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {

@@ -2,7 +2,10 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
+
+#include "kgacc/util/codec.h"
 
 #include <gtest/gtest.h>
 
@@ -20,9 +23,16 @@ std::vector<uint8_t> Payload(size_t n, uint8_t seed = 7) {
   return p;
 }
 
+std::vector<uint8_t> EncodeFrame(uint8_t type,
+                                 std::span<const uint8_t> payload) {
+  ByteWriter w;
+  w.PutFrame(type, payload);
+  return w.bytes();
+}
+
 TEST(NetFrameTest, RoundTripsSingleFrame) {
   const std::vector<uint8_t> payload = Payload(100);
-  const std::vector<uint8_t> wire = EncodeNetFrame(9, payload);
+  const std::vector<uint8_t> wire = EncodeFrame(9, payload);
   FrameAssembler assembler;
   assembler.Feed(wire);
   NetFrame frame;
@@ -39,7 +49,7 @@ TEST(NetFrameTest, RoundTripsSingleFrame) {
 }
 
 TEST(NetFrameTest, RoundTripsEmptyPayload) {
-  const std::vector<uint8_t> wire = EncodeNetFrame(3, {});
+  const std::vector<uint8_t> wire = EncodeFrame(3, {});
   FrameAssembler assembler;
   assembler.Feed(wire);
   NetFrame frame;
@@ -51,12 +61,10 @@ TEST(NetFrameTest, RoundTripsEmptyPayload) {
 }
 
 TEST(NetFrameTest, ManyFramesInOneFeed) {
-  std::vector<uint8_t> wire;
-  for (uint8_t t = 1; t <= 40; ++t) {
-    AppendNetFrame(t, Payload(t * 3, t), &wire);
-  }
+  ByteWriter wire;
+  for (uint8_t t = 1; t <= 40; ++t) wire.PutFrame(t, Payload(t * 3, t));
   FrameAssembler assembler;
-  assembler.Feed(wire);
+  assembler.Feed(wire.bytes());
   for (uint8_t t = 1; t <= 40; ++t) {
     NetFrame frame;
     auto have = assembler.Next(&frame);
@@ -75,11 +83,11 @@ TEST(NetFrameTest, ByteByByteDeliveryAssemblesEveryFrame) {
   // Worst-case interleaving: the socket hands over one byte per read. The
   // assembler must report "need more" at every prefix and produce each
   // frame exactly at its final byte.
-  std::vector<uint8_t> wire;
-  for (uint8_t t = 1; t <= 5; ++t) AppendNetFrame(t, Payload(64, t), &wire);
+  ByteWriter wire;
+  for (uint8_t t = 1; t <= 5; ++t) wire.PutFrame(t, Payload(64, t));
   FrameAssembler assembler;
   int frames = 0;
-  for (const uint8_t byte : wire) {
+  for (const uint8_t byte : wire.bytes()) {
     assembler.Feed({&byte, 1});
     NetFrame frame;
     auto have = assembler.Next(&frame);
@@ -95,13 +103,13 @@ TEST(NetFrameTest, ByteByByteDeliveryAssemblesEveryFrame) {
 }
 
 TEST(NetFrameTest, RandomChunkingAssemblesEveryFrame) {
-  std::vector<uint8_t> wire;
+  ByteWriter writer;
   for (int t = 1; t <= 30; ++t) {
-    AppendNetFrame(static_cast<uint8_t>(t),
-                   Payload(static_cast<size_t>(t) * 17 % 300,
-                           static_cast<uint8_t>(t)),
-                   &wire);
+    writer.PutFrame(static_cast<uint8_t>(t),
+                    Payload(static_cast<size_t>(t) * 17 % 300,
+                            static_cast<uint8_t>(t)));
   }
+  const std::vector<uint8_t>& wire = writer.bytes();
   std::mt19937 rng(1234);
   for (int trial = 0; trial < 20; ++trial) {
     FrameAssembler assembler;
@@ -129,7 +137,7 @@ TEST(NetFrameTest, TruncatedPrefixIsNeedMoreNotError) {
   // Every strict prefix of a valid frame is "in flight", never corrupt:
   // the assembler cannot tell a slow sender from a torn tail until more
   // bytes arrive, so it must keep answering ok/false.
-  const std::vector<uint8_t> wire = EncodeNetFrame(5, Payload(200));
+  const std::vector<uint8_t> wire = EncodeFrame(5, Payload(200));
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     FrameAssembler assembler;
     assembler.Feed({wire.data(), cut});
@@ -148,7 +156,7 @@ TEST(NetFrameTest, EveryeSingleBitFlipIsDetected) {
   // that merely lengthen the frame) a "need more bytes" stall — never a
   // silently delivered wrong frame.
   const std::vector<uint8_t> payload = Payload(48);
-  const std::vector<uint8_t> wire = EncodeNetFrame(7, payload);
+  const std::vector<uint8_t> wire = EncodeFrame(7, payload);
   for (size_t byte = 0; byte < wire.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> corrupt = wire;
@@ -175,7 +183,7 @@ TEST(NetFrameTest, EveryeSingleBitFlipIsDetected) {
 TEST(NetFrameTest, CrcMismatchIsStickyEvenAfterMoreValidFrames) {
   // Once the stream is corrupt there is no trustworthy frame boundary;
   // feeding perfectly valid frames afterwards must not resurrect it.
-  std::vector<uint8_t> wire = EncodeNetFrame(2, Payload(32));
+  std::vector<uint8_t> wire = EncodeFrame(2, Payload(32));
   wire[wire.size() - 1] ^= 0xff;  // smash the CRC
   FrameAssembler assembler;
   assembler.Feed(wire);
@@ -183,7 +191,7 @@ TEST(NetFrameTest, CrcMismatchIsStickyEvenAfterMoreValidFrames) {
   auto have = assembler.Next(&frame);
   ASSERT_FALSE(have.ok());
   EXPECT_EQ(have.status().code(), StatusCode::kIoError);
-  assembler.Feed(EncodeNetFrame(2, Payload(32)));
+  assembler.Feed(EncodeFrame(2, Payload(32)));
   auto again = assembler.Next(&frame);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), have.status().code());
@@ -193,8 +201,7 @@ TEST(NetFrameTest, OverlongFrameIsRejectedBeforeBuffering) {
   // A length prefix beyond the cap must fail immediately — the assembler
   // may not wait for (or buffer) a payload that large.
   FrameAssembler assembler(/*max_frame_bytes=*/1024);
-  std::vector<uint8_t> wire;
-  AppendNetFrame(1, Payload(2048), &wire);
+  const std::vector<uint8_t> wire = EncodeFrame(1, Payload(2048));
   // Feed just the header: type + varint length. The cap check needs no
   // payload bytes.
   assembler.Feed({wire.data(), 4});
@@ -208,7 +215,7 @@ TEST(NetFrameTest, OverlongFrameIsRejectedBeforeBuffering) {
 TEST(NetFrameTest, AtCapFrameStillRoundTrips) {
   FrameAssembler assembler(/*max_frame_bytes=*/1024);
   const std::vector<uint8_t> payload = Payload(1024);
-  assembler.Feed(EncodeNetFrame(4, payload));
+  assembler.Feed(EncodeFrame(4, payload));
   NetFrame frame;
   auto have = assembler.Next(&frame);
   ASSERT_TRUE(have.ok()) << have.status().ToString();
@@ -261,8 +268,8 @@ TEST(NetFrameTest, RandomGarbageNeverCrashesOrHangs) {
 TEST(NetFrameTest, InterleavedPartialFramesAcrossFeeds) {
   // A frame boundary split inside the CRC while the next frame's bytes
   // ride in the same Feed call — the assembler must keep both straight.
-  const std::vector<uint8_t> a = EncodeNetFrame(1, Payload(50, 1));
-  const std::vector<uint8_t> b = EncodeNetFrame(2, Payload(60, 2));
+  const std::vector<uint8_t> a = EncodeFrame(1, Payload(50, 1));
+  const std::vector<uint8_t> b = EncodeFrame(2, Payload(60, 2));
   std::vector<uint8_t> wire = a;
   wire.insert(wire.end(), b.begin(), b.end());
   const size_t split = a.size() - 2;  // mid-CRC of frame a

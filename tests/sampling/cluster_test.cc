@@ -121,17 +121,24 @@ TEST(RcsSamplerTest, UniformOverClusters) {
   EXPECT_STREQ(sampler.name(), "RCS");
 }
 
+std::vector<uint64_t> DrawSecondStage(uint64_t cluster_size, int m, Rng* rng) {
+  std::vector<uint64_t> out;
+  FlatSet64 scratch;
+  internal::DrawSecondStageAppend(cluster_size, m, rng, &out, &scratch);
+  return out;
+}
+
 TEST(SecondStageTest, DrawsExactlyMinOfSizeAndM) {
   Rng rng(6);
-  EXPECT_EQ(internal::DrawSecondStage(10, 3, &rng).size(), 3u);
-  EXPECT_EQ(internal::DrawSecondStage(2, 3, &rng).size(), 2u);
-  EXPECT_EQ(internal::DrawSecondStage(3, 3, &rng).size(), 3u);
-  EXPECT_EQ(internal::DrawSecondStage(5, 0, &rng).size(), 5u);  // Whole.
+  EXPECT_EQ(DrawSecondStage(10, 3, &rng).size(), 3u);
+  EXPECT_EQ(DrawSecondStage(2, 3, &rng).size(), 2u);
+  EXPECT_EQ(DrawSecondStage(3, 3, &rng).size(), 3u);
+  EXPECT_EQ(DrawSecondStage(5, 0, &rng).size(), 5u);  // Whole.
 }
 
 TEST(SecondStageTest, WholeClusterIsIdentityRange) {
   Rng rng(7);
-  const auto offsets = internal::DrawSecondStage(4, 0, &rng);
+  const auto offsets = DrawSecondStage(4, 0, &rng);
   ASSERT_EQ(offsets.size(), 4u);
   for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(offsets[i], i);
 }
@@ -142,7 +149,7 @@ TEST(SecondStageTest, SecondStageOffsetsAreUnbiased) {
   std::vector<int> counts(6, 0);
   const int reps = 30000;
   for (int r = 0; r < reps; ++r) {
-    for (uint64_t o : internal::DrawSecondStage(6, 2, &rng)) ++counts[o];
+    for (uint64_t o : DrawSecondStage(6, 2, &rng)) ++counts[o];
   }
   const double expected = reps * 2.0 / 6.0;
   for (int i = 0; i < 6; ++i) {

@@ -5,6 +5,7 @@
 // the allocating reference stream for stream.
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "kgacc/kg/synthetic.h"
@@ -138,15 +139,21 @@ TEST(SampleBatchSoaTest, ClonesReplayThePrototypeStream) {
   }
 }
 
-TEST(SampleBatchSoaTest, AppendingFloydDrawMatchesAllocatingReference) {
+TEST(SampleBatchSoaTest, AppendingFloydDrawMatchesReference) {
   // SampleWithoutReplacementAppend must consume the identical Rng stream —
-  // and land the identical draw — as the allocating reference, regardless
-  // of what already sits in the output buffer.
+  // and land the identical draw — as Floyd's algorithm spelled out over a
+  // std::set, regardless of what already sits in the output buffer.
   for (const uint64_t n : {5ull, 40ull, 1000ull}) {
     for (const uint64_t k : {1ull, 3ull, 5ull}) {
       Rng rng_ref(n * 100 + k), rng_app(n * 100 + k);
-      const std::vector<uint64_t> reference =
-          SampleWithoutReplacement(n, k, &rng_ref);
+      std::vector<uint64_t> reference;
+      std::set<uint64_t> chosen;
+      for (uint64_t j = n - k; j < n; ++j) {
+        const uint64_t t = rng_ref.UniformInt(j + 1);
+        const uint64_t pick = chosen.count(t) == 0 ? t : j;
+        chosen.insert(pick);
+        reference.push_back(pick);
+      }
       std::vector<uint64_t> appended = {777, 888};  // Pre-existing tail.
       FlatSet64 scratch;
       SampleWithoutReplacementAppend(n, k, &rng_app, &appended, &scratch);
@@ -162,20 +169,23 @@ TEST(SampleBatchSoaTest, AppendingFloydDrawMatchesAllocatingReference) {
   }
 }
 
-TEST(SampleBatchSoaTest, SecondStageAppendMatchesInto) {
+TEST(SampleBatchSoaTest, SecondStageAppendKeepsTheTail) {
+  // Appending behind a pre-existing element lands the same draw, from the
+  // same Rng stream, as appending into an empty buffer.
   for (const int m : {0, 2, 3, 10}) {
-    Rng rng_into(400 + m), rng_append(400 + m);
-    std::vector<uint64_t> into;
-    FlatSet64 scratch_into, scratch_append;
-    internal::DrawSecondStageInto(7, m, &rng_into, &into, &scratch_into);
+    Rng rng_empty(400 + m), rng_append(400 + m);
+    std::vector<uint64_t> fresh;
+    FlatSet64 scratch_empty, scratch_append;
+    internal::DrawSecondStageAppend(7, m, &rng_empty, &fresh, &scratch_empty);
     std::vector<uint64_t> appended = {42};
     internal::DrawSecondStageAppend(7, m, &rng_append, &appended,
                                     &scratch_append);
-    ASSERT_EQ(appended.size(), 1 + into.size());
-    for (size_t i = 0; i < into.size(); ++i) {
-      EXPECT_EQ(appended[1 + i], into[i]) << "m=" << m;
+    ASSERT_EQ(appended.size(), 1 + fresh.size());
+    EXPECT_EQ(appended[0], 42u);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(appended[1 + i], fresh[i]) << "m=" << m;
     }
-    EXPECT_EQ(rng_into.Next(), rng_append.Next());
+    EXPECT_EQ(rng_empty.Next(), rng_append.Next());
   }
 }
 

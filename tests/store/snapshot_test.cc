@@ -166,65 +166,48 @@ TEST(SnapshotTest, AnnotatedSampleRoundTripsTotalsHistoryAndDistinctSets) {
   }
 }
 
-TEST(SnapshotTest, ReservoirSubsampleRoundTripsAndContinuesDeterministic) {
-  // With retention off, the sample keeps a seeded Algorithm-R reservoir
-  // instead of the full unit history. Two requirements: identical streams
-  // and seeds give identical reservoirs, and a Save/LoadState round trip
-  // restores both the kept units and the replacement RNG mid-stream.
-  const auto compare = [](const AnnotatedSample& x, const AnnotatedSample& y) {
-    ASSERT_EQ(x.reservoir_units().size(), y.reservoir_units().size());
-    for (size_t i = 0; i < x.reservoir_units().size(); ++i) {
-      EXPECT_EQ(x.reservoir_units()[i].cluster, y.reservoir_units()[i].cluster);
-      EXPECT_EQ(x.reservoir_units()[i].cluster_population,
-                y.reservoir_units()[i].cluster_population);
-      EXPECT_EQ(x.reservoir_units()[i].stratum, y.reservoir_units()[i].stratum);
-      EXPECT_EQ(x.reservoir_units()[i].drawn, y.reservoir_units()[i].drawn);
-      EXPECT_EQ(x.reservoir_units()[i].correct, y.reservoir_units()[i].correct);
+TEST(SnapshotTest, LeanSampleResumesMidStreamByteIdentically) {
+  // With retention off the sample is totals plus the two distinct sets. A
+  // Save/LoadState round trip mid-stream must restore both, and the
+  // restored sample must then track the original through the same future
+  // units: same totals, same distinct sets, same snapshot bytes.
+  AnnotatedSample original;
+  original.set_retain_units(false);
+  const auto feed = [](AnnotatedSample* sample, Rng* rng, int units) {
+    for (int i = 0; i < units; ++i) {
+      const AnnotatedUnit unit = RandomUnit(rng, 2);
+      for (uint32_t d = 0; d < unit.drawn; ++d) {
+        sample->MarkAnnotated(TripleRef{unit.cluster, d});
+      }
+      sample->Add(unit);
     }
   };
-  AnnotatedSample a, b;
-  a.set_retain_units(false);
-  b.set_retain_units(false);
-  a.EnableReservoir(32, 99);
-  b.EnableReservoir(32, 99);
-  Rng stream_a(4), stream_b(4);
-  for (int i = 0; i < 500; ++i) {
-    a.Add(RandomUnit(&stream_a, 2));
-    b.Add(RandomUnit(&stream_b, 2));
-  }
-  EXPECT_TRUE(a.units().empty());  // Full history stays dropped.
-  ASSERT_EQ(a.reservoir_units().size(), 32u);
-  compare(a, b);
+  Rng stream(4);
+  feed(&original, &stream, 500);
 
   ByteWriter w;
-  a.SaveState(&w);
+  original.SaveState(&w);
   AnnotatedSample restored;
   ByteReader r(w.span());
   ASSERT_TRUE(restored.LoadState(&r).ok());
   EXPECT_TRUE(r.empty());
-  EXPECT_EQ(restored.reservoir_capacity(), 32u);
-  compare(a, restored);
+  EXPECT_FALSE(restored.retain_units());
+  EXPECT_TRUE(restored.units().empty());
 
-  // The replacement stream continues bit-exact after restore: same future
-  // units land in the same slots.
   Rng future_a(9), future_b(9);
-  for (int i = 0; i < 200; ++i) {
-    a.Add(RandomUnit(&future_a, 2));
-    restored.Add(RandomUnit(&future_b, 2));
-  }
-  EXPECT_EQ(a.num_units(), restored.num_units());
-  compare(a, restored);
-}
-
-TEST(SnapshotTest, ReservoirKeepsEverythingUnderCapacity) {
-  AnnotatedSample sample;
-  sample.set_retain_units(false);
-  sample.EnableReservoir(64, 7);
-  Rng rng(11);
-  for (int i = 0; i < 20; ++i) sample.Add(RandomUnit(&rng, 2));
-  // Fewer units than slots: the reservoir IS the history, in arrival order.
-  EXPECT_EQ(sample.reservoir_units().size(), 20u);
-  EXPECT_EQ(sample.num_units(), 20u);
+  feed(&original, &future_a, 200);
+  feed(&restored, &future_b, 200);
+  EXPECT_EQ(restored.num_units(), original.num_units());
+  EXPECT_EQ(restored.num_triples(), original.num_triples());
+  EXPECT_EQ(restored.num_correct(), original.num_correct());
+  EXPECT_EQ(restored.num_distinct_entities(),
+            original.num_distinct_entities());
+  EXPECT_EQ(restored.num_distinct_triples(), original.num_distinct_triples());
+  EXPECT_TRUE(restored.units().empty());
+  ByteWriter want, got;
+  original.SaveState(&want);
+  restored.SaveState(&got);
+  EXPECT_EQ(want.bytes(), got.bytes());
 }
 
 TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
@@ -349,9 +332,9 @@ TEST(SnapshotTest, StatelessClusterSamplersRoundTripTrivially) {
 }
 
 TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
-  // v2 inserted fields mid-payload (reservoir capacity + subsample); a
-  // payload stamped with another version must fail the explicit version
-  // gate up front, not misparse with every later field shifted by one.
+  // Every version bump shifted fields mid-payload; a payload stamped with
+  // another version must fail the explicit version gate up front, not
+  // misparse with every later field shifted.
   const auto kg = TestKg();
   OracleAnnotator annotator;
   SrsSampler sampler(kg, SrsConfig{});
@@ -363,8 +346,8 @@ TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
   std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
   ASSERT_FALSE(bytes.empty());
   // v1 is the pre-reservoir format; v2 still carried the HPD solve cache
-  // and BFGS Hessians in the warm state.
-  for (const uint8_t old_version : {1, 2}) {
+  // and BFGS Hessians in the warm state; v3 still carried the reservoir.
+  for (const uint8_t old_version : {1, 2, 3}) {
     bytes[0] = old_version;
     EvaluationSession same(sampler, annotator, config, 42);
     ByteReader r({bytes.data(), bytes.size()});

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "kgacc/net/frame.h"
+#include "kgacc/net/protocol.h"
 #include "kgacc/store/log_format.h"
 #include "kgacc/store/wal.h"
 #include "kgacc/util/random.h"
@@ -283,7 +283,14 @@ TEST(CodecTest, FrameGoldenBytesOnDiskAndOnWire) {
   const std::span<const uint8_t> payload(
       reinterpret_cast<const uint8_t*>(text.data()), text.size());
 
-  EXPECT_EQ(EncodeNetFrame(7, payload), golden);
+  ByteWriter w;
+  w.PutFrame(7, payload);
+  EXPECT_EQ(w.bytes(), golden);
+  // The wire encoder every kgaccd message goes through.
+  const auto raw = [&payload](int) {
+    return std::vector<uint8_t>(payload.begin(), payload.end());
+  };
+  EXPECT_EQ(FrameOf(static_cast<MessageType>(7), raw, 0), golden);
 
   const std::string path = testing::TempDir() + "/kgacc_codec_golden_" +
                            std::to_string(::getpid());

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "kgacc/util/flat_set.h"
+
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -126,6 +128,14 @@ TEST(RngTest, BetaMeanMatchesParameters) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, a / (a + b), 0.01);
+}
+
+std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k,
+                                               Rng* rng) {
+  std::vector<uint64_t> out;
+  FlatSet64 scratch;
+  SampleWithoutReplacementAppend(n, k, rng, &out, &scratch);
+  return out;
 }
 
 TEST(SampleWithoutReplacementTest, ProducesDistinctIndices) {

@@ -60,7 +60,8 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.SubmitTo(i % pool.num_threads(),
+                  [&counter] { counter.fetch_add(1); });
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 100);
@@ -76,7 +77,8 @@ TEST(ThreadPoolTest, TasksCanWriteDisjointSlots) {
   ThreadPool pool(3);
   std::vector<int> results(50, 0);
   for (int i = 0; i < 50; ++i) {
-    pool.Submit([&results, i] { results[i] = i * i; });
+    pool.SubmitTo(i % pool.num_threads(),
+                  [&results, i] { results[i] = i * i; });
   }
   pool.Wait();
   for (int i = 0; i < 50; ++i) EXPECT_EQ(results[i], i * i);
@@ -87,7 +89,8 @@ TEST(ThreadPoolTest, MultipleWaitRoundsWork) {
   std::atomic<int> counter{0};
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.SubmitTo(i % pool.num_threads(),
+                  [&counter] { counter.fetch_add(1); });
     }
     pool.Wait();
     EXPECT_EQ(counter.load(), (round + 1) * 20);
@@ -98,39 +101,12 @@ TEST(ThreadPoolTest, SingleThreadPoolIsSequentialButComplete) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
   for (int i = 0; i < 30; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.SubmitTo(i % pool.num_threads(),
+                  [&counter] { counter.fetch_add(1); });
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 30);
   EXPECT_EQ(pool.num_threads(), 1);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(200);
-  ParallelFor(pool, hits.size(),
-              [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, ZeroIterationsReturnsImmediately) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 0, [](size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ParallelForTest, SafeAlongsideUnrelatedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> background{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&background] { background.fetch_add(1); });
-  }
-  std::atomic<int> covered{0};
-  ParallelFor(pool, 30, [&](size_t) { covered.fetch_add(1); });
-  EXPECT_EQ(covered.load(), 30);  // Did not wait on a wrong signal.
-  pool.Wait();
-  EXPECT_EQ(background.load(), 50);
 }
 
 /// Parks every worker of a pool inside one spinning task each, so a test
@@ -260,7 +236,8 @@ TEST(ThreadPoolTest, CurrentWorkerIndexIdentifiesHomeAndOffPoolThreads) {
   // A second pool's workers are strangers to the first.
   ThreadPool other(1);
   std::atomic<int> cross{0};
-  other.Submit([&pool, &cross] { cross.store(pool.current_worker_index()); });
+  other.SubmitTo(0,
+                 [&pool, &cross] { cross.store(pool.current_worker_index()); });
   other.Wait();
   EXPECT_EQ(cross.load(), -1);
 }
@@ -269,7 +246,7 @@ TEST(ThreadPoolTest, SpawnSecondsIsMeasuredOnce) {
   ThreadPool pool(2);
   const double spawn = pool.spawn_seconds();
   EXPECT_GE(spawn, 0.0);
-  pool.Submit([] {});
+  pool.SubmitTo(0, [] {});
   pool.Wait();
   EXPECT_EQ(pool.spawn_seconds(), spawn);  // Construction-time only.
 }
@@ -300,7 +277,8 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 40; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.SubmitTo(i % pool.num_threads(),
+                  [&counter] { counter.fetch_add(1); });
     }
     // No Wait(): the destructor must still run everything.
   }
@@ -355,7 +333,7 @@ TEST(ThreadPoolTest, ThrowingTaskIsContainedCountedAndPoolSurvives) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    pool.Submit([&ran, i] {
+    pool.SubmitTo(i % pool.num_threads(), [&ran, i] {
       if (i % 2 == 0) throw std::runtime_error("task bug");
       ran.fetch_add(1);
     });
@@ -366,7 +344,7 @@ TEST(ThreadPoolTest, ThrowingTaskIsContainedCountedAndPoolSurvives) {
   EXPECT_EQ(ran.load(), 4);
   EXPECT_EQ(pool.task_exceptions(), 4u);
   EXPECT_EQ(pool.executed_tasks(), 8u);
-  pool.Submit([&ran] { ran.fetch_add(1); });
+  pool.SubmitTo(0, [&ran] { ran.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(ran.load(), 5);
 }

@@ -473,6 +473,13 @@ int RunMain(int argc, char** argv) {
         return 1;
       }
       ++steps_this_run;
+      // Fail before checkpointing a step whose labels the store refused: a
+      // snapshot must not certify state the WAL cannot replay.
+      if (!stored.status().ok()) {
+        std::fprintf(stderr, "annotation store append failed: %s\n",
+                     stored.status().ToString().c_str());
+        return 1;
+      }
       // Crash injection for recovery testing: die *between* the step and
       // its checkpoint — the hard case, where the tail step's labels are
       // already on file but its snapshot is not.
@@ -486,11 +493,6 @@ int RunMain(int argc, char** argv) {
                      checkpointed.ToString().c_str());
         return 1;
       }
-    }
-    if (!stored.status().ok()) {
-      std::fprintf(stderr, "annotation store append failed: %s\n",
-                   stored.status().ToString().c_str());
-      return 1;
     }
     const auto result = session.Finish();
     if (!result.ok()) {
