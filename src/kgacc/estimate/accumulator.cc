@@ -3,56 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kgacc/util/codec.h"
-
 namespace kgacc {
-
-void EstimatorAccumulator::SaveState(ByteWriter* w) const {
-  w->PutU8(static_cast<uint8_t>(kind_));
-  w->PutVarint(n_);
-  w->PutVarint(tau_);
-  w->PutVarint(units_);
-  w->PutDouble(sum_mu_);
-  w->PutDouble(welford_mean_);
-  w->PutDouble(welford_m2_);
-  w->PutVarint(sum_tau_);
-  w->PutVarint(sum_m_);
-  w->PutVarint(sum_tau2_);
-  w->PutVarint(sum_taum_);
-  w->PutVarint(sum_m2_);
-  w->PutVarint(n_h_.size());
-  for (size_t h = 0; h < n_h_.size(); ++h) {
-    w->PutVarint(n_h_[h]);
-    w->PutVarint(tau_h_[h]);
-  }
-}
-
-Status EstimatorAccumulator::LoadState(ByteReader* r) {
-  KGACC_ASSIGN_OR_RETURN(const uint8_t kind, r->U8());
-  if (kind != static_cast<uint8_t>(kind_)) {
-    return Status::InvalidArgument(
-        "accumulator snapshot was taken under a different estimator kind");
-  }
-  KGACC_ASSIGN_OR_RETURN(n_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(tau_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(units_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_mu_, r->Double());
-  KGACC_ASSIGN_OR_RETURN(welford_mean_, r->Double());
-  KGACC_ASSIGN_OR_RETURN(welford_m2_, r->Double());
-  KGACC_ASSIGN_OR_RETURN(sum_tau_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_m_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_tau2_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_taum_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_m2_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t strata, r->Varint());
-  n_h_.assign(strata, 0);
-  tau_h_.assign(strata, 0);
-  for (uint64_t h = 0; h < strata; ++h) {
-    KGACC_ASSIGN_OR_RETURN(n_h_[h], r->Varint());
-    KGACC_ASSIGN_OR_RETURN(tau_h_[h], r->Varint());
-  }
-  return Status::OK();
-}
 
 void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
   n_ += unit.drawn;

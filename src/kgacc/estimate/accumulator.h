@@ -35,9 +35,6 @@
 
 namespace kgacc {
 
-class ByteWriter;
-class ByteReader;
-
 /// Ingests annotated units incrementally and produces the matching
 /// design-based accuracy estimate from O(1) state (O(#strata) for
 /// stratified designs). One accumulator serves one evaluation run; pair it
@@ -74,13 +71,6 @@ class EstimatorAccumulator {
   Result<AccuracyEstimate> Estimate(
       const std::vector<double>* stratum_weights = nullptr,
       uint64_t population_size = 0) const;
-
-  /// Serializes every running statistic (all variants, not just the active
-  /// kind's) with bit-exact doubles, so a restored accumulator produces the
-  /// identical estimate stream. The kind is written for validation: a
-  /// snapshot restored into an accumulator of a different kind is rejected.
-  void SaveState(ByteWriter* w) const;
-  Status LoadState(ByteReader* r);
 
  private:
   EstimatorKind kind_;

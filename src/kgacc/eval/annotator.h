@@ -58,9 +58,10 @@ class Annotator {
   virtual std::string degradation_note() const { return {}; }
 
   /// Consumes exactly the Rng draws one `Annotate` call would, judging
-  /// nothing. `StoredAnnotator`'s opt-in `burn_rng_on_hits` calls this on
-  /// store hits so a store-backed run of a *stochastic* simulation
-  /// annotator follows a bitwise-identical random path to a bare run. The
+  /// nothing. `StoredAnnotator` calls this on every store hit so a
+  /// store-backed run of a *stochastic* simulation annotator follows a
+  /// bitwise-identical random path to a bare run (and a replayed resume
+  /// the path of the run that wrote the labels). The
   /// default is correct for every annotator that never touches the Rng
   /// (Oracle, Interactive); stochastic annotators must override it in
   /// lockstep with `Annotate`.

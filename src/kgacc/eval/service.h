@@ -78,8 +78,8 @@ struct EvaluationJob {
   /// Audit id for the job's store writes and checkpoints. Concurrent jobs
   /// sharing a store must use distinct ids.
   uint64_t audit_id = 0;
-  /// Policy for the wrapping `StoredAnnotator` (retry/degradation, Rng
-  /// burning). Ignored when `store` is null.
+  /// Policy for the wrapping `StoredAnnotator` (retry and degradation).
+  /// Ignored when `store` is null.
   StoredAnnotator::Options store_options;
   EvaluationConfig config;
   /// Seed of the job's stochastic path. Use `DeriveJobSeed` to split one

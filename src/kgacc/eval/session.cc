@@ -1,31 +1,10 @@
 #include "kgacc/eval/session.h"
 
-#include <cstring>
 #include <utility>
 
 #include "kgacc/util/codec.h"
 
 namespace kgacc {
-
-namespace {
-
-/// Bump when the snapshot layout changes; a restored payload of another
-/// version is rejected outright (no cross-version migration — checkpoints
-/// are working state, not archival data).
-///
-/// v1: original layout.
-/// v2: adds `unit_reservoir_capacity` to the config fingerprint and the
-///     reservoir subsample to the AnnotatedSample payload — fields shifted,
-///     so a v1 payload must fail the version gate rather than misparse.
-/// v3: the HPD warm carry shrinks to one optional interval per prior (the
-///     solve cache key, the per-solve diagnostics and the BFGS Hessians
-///     are gone), so a v2 payload must fail the gate rather than misparse.
-/// v4: the diagnostic unit reservoir is gone — its capacity leaves the
-///     config fingerprint and its subsample the AnnotatedSample payload —
-///     so a v3 payload must fail the gate rather than misparse.
-constexpr uint8_t kSessionSnapshotVersion = 4;
-
-}  // namespace
 
 Status ValidateEvaluationConfig(const EvaluationConfig& config) {
   if (!(config.moe_threshold > 0.0)) {
@@ -180,11 +159,7 @@ Result<EvaluationResult> EvaluationSession::Run() {
   return Finish();
 }
 
-void EvaluationSession::SaveState(ByteWriter* w) const {
-  w->PutU8(kSessionSnapshotVersion);
-  // Identity fingerprint: the snapshot only replays correctly into a
-  // session over the same design, configuration, and seed. LoadState
-  // verifies every field below before touching any state.
+void EvaluationSession::EncodeFingerprint(ByteWriter* w) const {
   w->PutFixed64(seed_);
   w->PutString(sampler_.name());
   w->PutU8(static_cast<uint8_t>(config_.method));
@@ -194,121 +169,27 @@ void EvaluationSession::SaveState(ByteWriter* w) const {
   w->PutVarint(config_.max_triples);
   w->PutDouble(config_.max_cost_seconds);
   w->PutBool(config_.finite_population_correction);
-  w->PutBool(config_.retain_unit_history);
   w->PutBool(config_.record_trace);
   w->PutVarint(config_.priors.size());
-  // The prior *parameters*, not just the count: a snapshot solved under
-  // Beta(20, 2) must not restore into a session configured with Beta(5, 5).
+  // The prior *parameters*, not just the count: a checkpoint taken under
+  // Beta(20, 2) must not resume into a session configured with Beta(5, 5).
   for (const BetaPrior& prior : config_.priors) {
     w->PutDouble(prior.a);
     w->PutDouble(prior.b);
   }
-
-  rng_.SaveState(w);
-  // Length-prefixed sampler sub-payload: designs with no across-batch state
-  // write nothing, and the framing stays self-describing either way.
-  ByteWriter sampler_state;
-  sampler_.SaveState(&sampler_state);
-  w->PutLengthPrefixed(sampler_state.span());
-  accumulator_.SaveState(w);
-  sample_->SaveState(w);
-  SaveAhpdWarmState(interval_warm_, w);
-
-  w->PutDouble(result_.mu);
-  w->PutDouble(result_.interval.lower);
-  w->PutDouble(result_.interval.upper);
-  w->PutZigzag(result_.iterations);
-  w->PutVarint(result_.winning_prior);
-  w->PutDouble(result_.deff);
-  w->PutBool(result_.converged);
-  w->PutU8(static_cast<uint8_t>(result_.stop_reason));
-  w->PutVarint(result_.trace.size());
-  for (const TracePoint& point : result_.trace) {
-    w->PutVarint(point.n);
-    w->PutDouble(point.moe);
-    w->PutDouble(point.mu);
+  w->PutU8(static_cast<uint8_t>(config_.hpd.solver));
+  w->PutBool(config_.hpd.warm_start_at_et);
+  const Interval* warm_start = config_.hpd.warm_start;
+  w->PutBool(warm_start != nullptr);
+  if (warm_start != nullptr) {
+    w->PutDouble(warm_start->lower);
+    w->PutDouble(warm_start->upper);
   }
-  w->PutBool(done_);
-  w->PutDouble(moe_);
-}
-
-Status EvaluationSession::LoadState(ByteReader* r) {
-  if (!init_status_.ok()) return init_status_;
-  KGACC_ASSIGN_OR_RETURN(const uint8_t version, r->U8());
-  if (version != kSessionSnapshotVersion) {
-    return Status::InvalidArgument(
-        "session snapshot version " + std::to_string(int(version)) +
-        " is incompatible with this build (expects version " +
-        std::to_string(int(kSessionSnapshotVersion)) +
-        "); the audit must restart rather than resume");
-  }
-  KGACC_ASSIGN_OR_RETURN(const uint64_t seed, r->Fixed64());
-  KGACC_ASSIGN_OR_RETURN(const std::string design, r->String());
-  KGACC_ASSIGN_OR_RETURN(const uint8_t method, r->U8());
-  KGACC_ASSIGN_OR_RETURN(const double alpha, r->Double());
-  KGACC_ASSIGN_OR_RETURN(const double moe_threshold, r->Double());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t min_triples, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t max_triples, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(const double max_cost, r->Double());
-  KGACC_ASSIGN_OR_RETURN(const bool fpc, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const bool retain, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const bool record_trace, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t num_priors, r->Varint());
-  bool priors_match = num_priors == config_.priors.size();
-  for (uint64_t i = 0; i < num_priors; ++i) {
-    KGACC_ASSIGN_OR_RETURN(const double a, r->Double());
-    KGACC_ASSIGN_OR_RETURN(const double b, r->Double());
-    priors_match = priors_match && i < config_.priors.size() &&
-                   a == config_.priors[i].a && b == config_.priors[i].b;
-  }
-  if (seed != seed_ || design != sampler_.name() ||
-      method != static_cast<uint8_t>(config_.method) ||
-      alpha != config_.alpha || moe_threshold != config_.moe_threshold ||
-      min_triples != config_.min_sample_triples ||
-      max_triples != config_.max_triples ||
-      max_cost != config_.max_cost_seconds ||
-      fpc != config_.finite_population_correction ||
-      retain != config_.retain_unit_history ||
-      record_trace != config_.record_trace || !priors_match) {
-    return Status::InvalidArgument(
-        "session snapshot fingerprint does not match this session's design, "
-        "configuration, or seed");
-  }
-
-  KGACC_RETURN_IF_ERROR(rng_.LoadState(r));
-  KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> sampler_payload,
-                         r->LengthPrefixed());
-  sampler_.Reset();
-  ByteReader sampler_reader(sampler_payload);
-  KGACC_RETURN_IF_ERROR(sampler_.LoadState(&sampler_reader));
-  KGACC_RETURN_IF_ERROR(accumulator_.LoadState(r));
-  KGACC_RETURN_IF_ERROR(sample_->LoadState(r));
-  KGACC_RETURN_IF_ERROR(LoadAhpdWarmState(r, &interval_warm_));
-
-  KGACC_ASSIGN_OR_RETURN(result_.mu, r->Double());
-  KGACC_ASSIGN_OR_RETURN(result_.interval.lower, r->Double());
-  KGACC_ASSIGN_OR_RETURN(result_.interval.upper, r->Double());
-  KGACC_ASSIGN_OR_RETURN(const int64_t iterations, r->Zigzag());
-  result_.iterations = static_cast<int>(iterations);
-  KGACC_ASSIGN_OR_RETURN(result_.winning_prior, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(result_.deff, r->Double());
-  KGACC_ASSIGN_OR_RETURN(result_.converged, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const uint8_t stop_reason, r->U8());
-  KGACC_ASSIGN_OR_RETURN(result_.stop_reason, StopReasonFromByte(stop_reason));
-  // A trace point is at least a one-byte varint plus two doubles.
-  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Count(17));
-  result_.trace.clear();
-  result_.trace.reserve(trace_size);
-  for (uint64_t i = 0; i < trace_size; ++i) {
-    TracePoint point;
-    KGACC_ASSIGN_OR_RETURN(point.n, r->Varint());
-    KGACC_ASSIGN_OR_RETURN(point.moe, r->Double());
-    KGACC_ASSIGN_OR_RETURN(point.mu, r->Double());
-    result_.trace.push_back(point);
-  }
-  KGACC_ASSIGN_OR_RETURN(done_, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(moe_, r->Double());
-  return Status::OK();
+  w->PutDouble(cost_model_.entity_identification_seconds);
+  w->PutDouble(cost_model_.fact_verification_seconds);
+  w->PutZigzag(cost_model_.annotators_per_triple);
+  w->PutDouble(config_.design_effect.min_deff);
+  w->PutDouble(config_.design_effect.max_deff);
 }
 
 }  // namespace kgacc

@@ -34,7 +34,6 @@
 namespace kgacc {
 
 class ByteWriter;
-class ByteReader;
 
 /// Validates the stop-rule parameters shared by `RunEvaluation` and
 /// `EvaluationSession`: positive MoE budget, alpha in (0,1), and a minimum
@@ -124,20 +123,15 @@ class EvaluationSession {
   /// Batches drawn so far.
   int iterations() const { return result_.iterations; }
 
-  /// Serializes the complete resumable state — RNG stream position, sampler
-  /// bookkeeping, streaming estimator, annotated sample (totals, distinct
-  /// sets, retained history), HPD warm carry, and the partial result — as
-  /// one snapshot payload (the checkpoint frames `CheckpointManager` writes
-  /// into the annotation WAL). All doubles travel bit-exact: a restored
-  /// session replays the identical stochastic and floating-point path, so
-  /// resuming mid-audit reproduces the uninterrupted report byte for byte.
-  void SaveState(ByteWriter* w) const;
-
-  /// Restores a snapshot into a session constructed over the *same* design,
-  /// population, configuration, and seed (a fingerprint is verified; a
-  /// mismatched snapshot is rejected, not half-applied). The sampler is
-  /// Reset() and its serialized bookkeeping reloaded.
-  Status LoadState(ByteReader* r);
+  /// Encodes the session's identity: the seed, the design name, and every
+  /// configuration field that can change the result (the effective cost
+  /// model included, so the annotator's panel size counts). A session is a
+  /// deterministic function of this identity and its labels, which is what
+  /// lets `CheckpointManager` resume by replaying steps: two sessions with
+  /// equal fingerprints, fed the same labels, take the same path bit for
+  /// bit. `retain_unit_history` is left out; it changes memory, not
+  /// results.
+  void EncodeFingerprint(ByteWriter* w) const;
 
  private:
   /// Builds the snapshot for the current state.

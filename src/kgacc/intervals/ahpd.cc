@@ -1,33 +1,6 @@
 #include "kgacc/intervals/ahpd.h"
 
-#include "kgacc/util/codec.h"
-
 namespace kgacc {
-
-void SaveAhpdWarmState(const AhpdWarmState& state, ByteWriter* w) {
-  w->PutVarint(state.priors.size());
-  for (const std::optional<Interval>& carry : state.priors) {
-    w->PutBool(carry.has_value());
-    if (!carry) continue;
-    w->PutDouble(carry->lower);
-    w->PutDouble(carry->upper);
-  }
-}
-
-Status LoadAhpdWarmState(ByteReader* r, AhpdWarmState* state) {
-  // Each entry encodes at least its presence flag.
-  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Count(1));
-  state->priors.assign(count, std::nullopt);
-  for (std::optional<Interval>& carry : state->priors) {
-    KGACC_ASSIGN_OR_RETURN(const bool present, r->Bool());
-    if (!present) continue;
-    Interval interval;
-    KGACC_ASSIGN_OR_RETURN(interval.lower, r->Double());
-    KGACC_ASSIGN_OR_RETURN(interval.upper, r->Double());
-    carry = interval;
-  }
-  return Status::OK();
-}
 
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
                                   double alpha, const HpdOptions& options,

@@ -16,9 +16,6 @@
 
 namespace kgacc {
 
-class ByteWriter;
-class ByteReader;
-
 /// Outcome of one aHPD selection round.
 struct AhpdChoice {
   /// The winning (shortest) 1-alpha HPD interval.
@@ -50,12 +47,6 @@ struct AhpdWarmState {
     }
   }
 };
-
-/// Serializes / restores the warm carry for checkpoint/resume with
-/// bit-exact doubles, so a resumed audit's next `BuildInterval` starts its
-/// solves from the same intervals as the uninterrupted run.
-void SaveAhpdWarmState(const AhpdWarmState& state, ByteWriter* w);
-Status LoadAhpdWarmState(ByteReader* r, AhpdWarmState* state);
 
 /// One prior's HPD with warm-start carry: seeds the solve from `*carry`
 /// when it holds an interval, then stores the new interval when the

@@ -173,6 +173,9 @@ struct AuditDaemon::Session {
   /// step (never lost, never double-counted).
   uint64_t metered_oracle_calls = 0;
   uint64_t metered_store_bytes = 0;
+  /// Store hits of the open's checkpoint replay, left out of the report:
+  /// its store accounting covers the steps this session's batches ran.
+  uint64_t replayed_hits = 0;
   /// Steps completed, atomically mirrored for the poll thread (AuditOpened
   /// on re-adoption reads it while a batch may be running).
   std::atomic<uint64_t> steps_done{0};
@@ -788,6 +791,7 @@ Result<bool> AuditDaemon::OpenSession(Session& session) {
       session.store.get(), session.audit_id, ckpt_options);
   if (!p.resume || !session.ckpt->CanResume()) return false;
   KGACC_RETURN_IF_ERROR(session.ckpt->Resume(session.session.get()));
+  session.replayed_hits = session.annotator->store_hits();
   session.steps_done.store(
       static_cast<uint64_t>(session.session->iterations()),
       std::memory_order_relaxed);
@@ -919,7 +923,7 @@ std::vector<uint8_t> AuditDaemon::BuildReportFrame(
   report.design_name = session.design_name;
   report.dataset_name = session.kg_name;
   report.result = result;
-  report.store_hits = session.annotator->store_hits();
+  report.store_hits = session.annotator->store_hits() - session.replayed_hits;
   report.oracle_calls = session.annotator->oracle_calls();
   report.checkpoints_written = session.ckpt->checkpoints_written();
   report.store_retries = session.annotator->retries() +

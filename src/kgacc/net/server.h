@@ -52,8 +52,9 @@
 /// crash costs exactly one connection — the session checkpoints and waits
 /// to be re-adopted by a reconnect (`OpenAudit{resume}` with the same audit
 /// id). A daemon SIGKILL costs every connection but no labels: stores
-/// replay on restart and sessions resume from their last checkpoint to the
-/// byte-identical report. Overload is an explicit `Busy` frame (admission
+/// replay on restart, and a reopened session resumes by replaying its
+/// checkpointed step count from the stored labels (zero oracle calls, not
+/// counted in the report's `store_hits`) to the byte-identical report. Overload is an explicit `Busy` frame (admission
 /// control), never a silent hang; budget and wall-clock exhaustion are
 /// explicit `Error` frames (`kDeadlineExceeded`); a degraded store demotes
 /// the session to read-only persistence and tells the client; a sticky WAL

@@ -1,52 +1,8 @@
 #include "kgacc/sampling/sample.h"
 
 #include "kgacc/util/check.h"
-#include "kgacc/util/codec.h"
 
 namespace kgacc {
-
-void AnnotatedSample::SaveState(ByteWriter* w) const {
-  w->PutBool(retain_units_);
-  w->PutVarint(num_units_);
-  w->PutVarint(num_triples_);
-  w->PutVarint(num_correct_);
-  w->PutVarint(units_.size());
-  for (const AnnotatedUnit& unit : units_) {
-    w->PutVarint(unit.cluster);
-    w->PutVarint(unit.cluster_population);
-    w->PutVarint(unit.stratum);
-    w->PutVarint(unit.drawn);
-    w->PutVarint(unit.correct);
-  }
-  SaveFlatSet64(entities_, w);
-  SaveFlatSet64(triples_, w);
-}
-
-Status AnnotatedSample::LoadState(ByteReader* r) {
-  Clear();
-  KGACC_ASSIGN_OR_RETURN(retain_units_, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(num_units_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(num_triples_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(num_correct_, r->Varint());
-  // A unit is five varints, each at least one byte.
-  KGACC_ASSIGN_OR_RETURN(const uint64_t history, r->Count(5));
-  units_.reserve(history);
-  for (uint64_t i = 0; i < history; ++i) {
-    AnnotatedUnit unit;
-    KGACC_ASSIGN_OR_RETURN(unit.cluster, r->Varint());
-    KGACC_ASSIGN_OR_RETURN(unit.cluster_population, r->Varint());
-    KGACC_ASSIGN_OR_RETURN(const uint64_t stratum, r->Varint());
-    KGACC_ASSIGN_OR_RETURN(const uint64_t drawn, r->Varint());
-    KGACC_ASSIGN_OR_RETURN(const uint64_t correct, r->Varint());
-    unit.stratum = static_cast<uint32_t>(stratum);
-    unit.drawn = static_cast<uint32_t>(drawn);
-    unit.correct = static_cast<uint32_t>(correct);
-    units_.push_back(unit);
-  }
-  KGACC_RETURN_IF_ERROR(LoadFlatSet64(r, &entities_));
-  KGACC_RETURN_IF_ERROR(LoadFlatSet64(r, &triples_));
-  return Status::OK();
-}
 
 void AnnotatedSample::Clear() {
   units_.clear();

@@ -18,8 +18,6 @@
 
 namespace kgacc {
 
-class ByteWriter;
-class ByteReader;
 
 /// One sampled unit: either a single SRS triple or one first-stage cluster
 /// occurrence with its second-stage offsets (TWCS/WCS). Produced by the
@@ -168,7 +166,7 @@ class AnnotatedSample {
 
   /// Sampled units in arrival order (the first-stage units for cluster
   /// designs; one unit per triple for SRS). Empty when unit retention is
-  /// disabled — check `retain_units()` before replaying.
+  /// disabled (`set_retain_units`).
   const std::vector<AnnotatedUnit>& units() const { return units_; }
 
   /// Controls whether `Add` keeps the per-unit history. The batch
@@ -178,7 +176,6 @@ class AnnotatedSample {
   /// O(units). Totals and distinct-set tracking are unaffected. Disabling
   /// retention mid-run keeps what was already recorded.
   void set_retain_units(bool retain) { retain_units_ = retain; }
-  bool retain_units() const { return retain_units_; }
 
   /// Distinct entities |E_S| identified so far.
   uint64_t num_distinct_entities() const { return entities_.size(); }
@@ -192,12 +189,6 @@ class AnnotatedSample {
   bool MarkAnnotated(const TripleRef& ref);
 
   bool empty() const { return num_units_ == 0; }
-
-  /// Serializes totals, the retained unit history (when enabled), and the
-  /// members of both distinct sets. Restore rebuilds the sets by
-  /// re-insertion — membership is the state; the table layout is not.
-  void SaveState(ByteWriter* w) const;
-  Status LoadState(ByteReader* r);
 
  private:
   static uint64_t TripleKey(const TripleRef& ref);

@@ -65,13 +65,10 @@ class Sampler {
     return nullptr;
   }
 
-  /// Serializes the design's mutable across-batch state (without-
-  /// replacement bookkeeping, sweep positions, allocation carries) for
-  /// checkpoint/resume. The default is empty: most designs draw each batch
-  /// purely from the Rng stream and population structure, so a Reset()
-  /// sampler plus a restored Rng already replays identically. Stateful
-  /// designs (SRS-WOR, systematic, stratified) override both methods;
-  /// `LoadState` is always called on a freshly Reset() sampler.
+  /// Inert: nothing in kgacc calls these. Checkpoints resume by replaying
+  /// steps (`CheckpointManager::Resume`), so no design serializes its
+  /// state. They remain only because the benchmark's forwarding sampler
+  /// (kgbench/harness.h) still overrides them.
   virtual void SaveState(ByteWriter* w) const { (void)w; }
   virtual Status LoadState(ByteReader* r) {
     (void)r;

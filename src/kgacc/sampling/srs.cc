@@ -1,17 +1,8 @@
 #include "kgacc/sampling/srs.h"
 
 #include "kgacc/util/check.h"
-#include "kgacc/util/codec.h"
 
 namespace kgacc {
-
-void SrsSampler::SaveState(ByteWriter* w) const {
-  SaveFlatSet64(drawn_, w);
-}
-
-Status SrsSampler::LoadState(ByteReader* r) {
-  return LoadFlatSet64(r, &drawn_);
-}
 
 SrsSampler::SrsSampler(const KgView& kg, const SrsConfig& config)
     : kg_(kg), config_(config) {

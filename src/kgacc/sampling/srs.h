@@ -34,9 +34,6 @@ class SrsSampler final : public Sampler {
   std::unique_ptr<Sampler> Clone() const override {
     return std::make_unique<SrsSampler>(kg_, config_);
   }
-  /// WOR bookkeeping: the set of already-drawn global indices.
-  void SaveState(ByteWriter* w) const override;
-  Status LoadState(ByteReader* r) override;
 
  private:
   const KgView& kg_;

@@ -3,28 +3,8 @@
 #include <algorithm>
 
 #include "kgacc/util/check.h"
-#include "kgacc/util/codec.h"
 
 namespace kgacc {
-
-void StratifiedSampler::SaveState(ByteWriter* w) const {
-  w->PutVarint(carry_.size());
-  for (const double c : carry_) w->PutDouble(c);
-}
-
-Status StratifiedSampler::LoadState(ByteReader* r) {
-  KGACC_ASSIGN_OR_RETURN(const uint64_t strata, r->Varint());
-  if (strata != index_->strata.size()) {
-    return Status::InvalidArgument(
-        "SSRS snapshot carries a different stratum count than the bound "
-        "population");
-  }
-  carry_.assign(strata, 0.0);
-  for (uint64_t h = 0; h < strata; ++h) {
-    KGACC_ASSIGN_OR_RETURN(carry_[h], r->Double());
-  }
-  return Status::OK();
-}
 
 StratifiedSampler::StratifiedSampler(const KgView& kg,
                                      const StratifiedConfig& config)

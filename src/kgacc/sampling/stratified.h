@@ -51,9 +51,6 @@ class StratifiedSampler final : public Sampler {
   }
   /// Cheap: the clone shares the immutable per-stratum triple index.
   std::unique_ptr<Sampler> Clone() const override;
-  /// The fractional allocation carry per stratum.
-  void SaveState(ByteWriter* w) const override;
-  Status LoadState(ByteReader* r) override;
 
   /// Number of non-empty strata.
   size_t num_strata() const { return index_->strata.size(); }

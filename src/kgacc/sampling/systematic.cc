@@ -1,18 +1,8 @@
 #include "kgacc/sampling/systematic.h"
 
 #include "kgacc/util/check.h"
-#include "kgacc/util/codec.h"
 
 namespace kgacc {
-
-void SystematicSampler::SaveState(ByteWriter* w) const {
-  w->PutFixed64(position_);
-}
-
-Status SystematicSampler::LoadState(ByteReader* r) {
-  KGACC_ASSIGN_OR_RETURN(position_, r->Fixed64());
-  return Status::OK();
-}
 
 SystematicSampler::SystematicSampler(const KgView& kg,
                                      const SystematicConfig& config)

@@ -39,9 +39,6 @@ class SystematicSampler final : public Sampler {
   std::unique_ptr<Sampler> Clone() const override {
     return std::make_unique<SystematicSampler>(kg_, config_);
   }
-  /// The sweep position (kNotStarted before the first batch).
-  void SaveState(ByteWriter* w) const override;
-  Status LoadState(ByteReader* r) override;
 
  private:
   static constexpr uint64_t kNotStarted = ~uint64_t{0};

@@ -508,9 +508,9 @@ bool StoredAnnotator::Annotate(const KgView& kg, const TripleRef& ref,
   const std::optional<bool> stored = store_->Lookup(ref.cluster, ref.offset);
   if (stored.has_value()) {
     ++store_hits_;
-    // Opt-in Rng parity: consume what the inner annotator would have
-    // drawn, so stored and bare runs share one random path bit for bit.
-    if (options_.burn_rng_on_hits) inner_->BurnRngDraws(rng);
+    // Rng parity: consume what the inner annotator would have drawn, so
+    // stored and bare runs share one random path bit for bit.
+    inner_->BurnRngDraws(rng);
     return *stored;
   }
   const bool label = inner_->Annotate(kg, ref, rng);

@@ -17,6 +17,7 @@
 #include "kgacc/eval/annotator.h"
 #include "kgacc/store/wal.h"
 #include "kgacc/util/backoff.h"
+#include "kgacc/util/codec.h"
 #include "kgacc/util/flat_set.h"
 #include "kgacc/util/status.h"
 
@@ -35,9 +36,9 @@
 ///   reuses every overlapping label: already-labeled triples cost zero
 ///   oracle/human calls (`StoredAnnotator` hit counters assert this).
 ///
-/// Session snapshots interleave with the annotation records in the same
+/// Checkpoint records interleave with the annotation records in the same
 /// log (`AppendCheckpoint`), giving one self-contained durable artifact per
-/// audit store — an LSM-lite log + snapshot design with three structural
+/// audit store — an LSM-lite log + checkpoint design with three structural
 /// pieces on top of the plain WAL:
 ///
 /// **Sharded index + group commit (concurrent writers).** The label index
@@ -198,7 +199,7 @@ class AnnotationStore {
   Status Append(uint64_t audit_id, uint64_t cluster, uint64_t offset,
                 bool label, uint64_t* appended_bytes = nullptr);
 
-  /// Interleaves a session snapshot into the log, replacing this audit's
+  /// Interleaves a checkpoint record into the log, replacing this audit's
   /// previous checkpoint as the resume point. `appended_bytes` as in
   /// `Append`.
   Status AppendCheckpoint(uint64_t audit_id, std::span<const uint8_t> snapshot,
@@ -397,16 +398,13 @@ class AnnotationStore {
 /// per job) may share one `AnnotationStore` concurrently; the instance
 /// itself belongs to its job's thread.
 ///
-/// Stream caveat: by default a hit consumes no Rng, so with *stochastic*
-/// simulation annotators (Noisy, MajorityVote) a store-backed run follows a
-/// different random path than a bare one — semantically right (a human does
-/// not re-judge a triple), but not bitwise comparable. Opt in to
-/// `burn_rng_on_hits` for bitwise store/no-store comparability: every hit
-/// then consumes the inner annotator's equivalent draws
-/// (`Annotator::BurnRngDraws`), so the downstream stream is exactly what a
-/// bare run would have seen. The deterministic annotators (Oracle,
-/// Interactive/human) never touch the Rng and need no burning; those are
-/// the resume-exactness cases the checkpoint tests assert.
+/// Rng parity: a hit consumes exactly the draws the inner annotator would
+/// have made (`Annotator::BurnRngDraws`), so a store-backed run follows the
+/// bare run's random path bit for bit even with *stochastic* simulation
+/// annotators (Noisy, MajorityVote). Checkpoint resume depends on it: it
+/// replays steps whose labels all come from the store. The deterministic
+/// annotators (Oracle, Interactive/human) never touch the Rng, so for them
+/// the burn is a no-op.
 ///
 /// Failure semantics: a transient append failure (I/O error) is retried
 /// with bounded seeded backoff. When the budget is exhausted the behavior
@@ -434,8 +432,6 @@ class StoredAnnotator final : public Annotator {
   };
 
   struct Options {
-    /// Consume the inner annotator's Rng draws on store hits (see above).
-    bool burn_rng_on_hits = false;
     /// Exhausted-retry policy for store writes.
     WriteErrorMode write_error_mode = WriteErrorMode::kDegrade;
     /// Retry schedule for transient append failures.

@@ -1,10 +1,26 @@
 #include "kgacc/store/checkpoint.h"
 
 #include <algorithm>
+#include <string>
 
 #include "kgacc/util/codec.h"
 
 namespace kgacc {
+
+namespace {
+
+/// Bump when the checkpoint record changes; a record of another version is
+/// rejected outright (no cross-version migration — checkpoints are working
+/// state, not archival data).
+///
+/// v1-v4 serialized the whole session (RNG, sampler bookkeeping, streaming
+/// estimator, annotated sample, HPD warm carry, partial result).
+/// v5: the record is the session fingerprint plus the completed step count,
+///     and resume replays that many steps from the stored labels. Nothing
+///     of a v1-v4 payload is readable as v5, so those fail the gate.
+constexpr uint8_t kSessionSnapshotVersion = 5;
+
+}  // namespace
 
 CheckpointManager::CheckpointManager(AnnotationStore* store, uint64_t audit_id,
                                      const CheckpointOptions& options)
@@ -20,8 +36,11 @@ Status CheckpointManager::OnStep(const EvaluationSession& session) {
 
 Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
   if (degraded_) return Status::OK();  // Snapshotting was abandoned.
+  // Record: version, completed steps, then the fingerprint to the end.
   ByteWriter snapshot;
-  session.SaveState(&snapshot);
+  snapshot.PutU8(kSessionSnapshotVersion);
+  snapshot.PutVarint(static_cast<uint64_t>(session.iterations()));
+  session.EncodeFingerprint(&snapshot);
   uint64_t frame_bytes = 0;
   const Status appended = RetryWithBackoff(
       options_.backoff,
@@ -49,7 +68,7 @@ bool CheckpointManager::CanResume() const {
 }
 
 Status CheckpointManager::Resume(EvaluationSession* session) const {
-  // The snapshot arrives by value: other audits on a shared store (daemon
+  // The record arrives by value: other audits on a shared store (daemon
   // worker threads) may append their own checkpoints while this one loads.
   const std::optional<std::vector<uint8_t>> snapshot =
       store_->LatestCheckpoint(audit_id_);
@@ -57,8 +76,41 @@ Status CheckpointManager::Resume(EvaluationSession* session) const {
     return Status::FailedPrecondition(
         "no checkpoint stored for this audit id");
   }
+  if (session->iterations() != 0 || session->done()) {
+    return Status::FailedPrecondition(
+        "resume replays into a fresh session; this one has already stepped");
+  }
   ByteReader reader({snapshot->data(), snapshot->size()});
-  return session->LoadState(&reader);
+  KGACC_ASSIGN_OR_RETURN(const uint8_t version, reader.U8());
+  if (version != kSessionSnapshotVersion) {
+    return Status::InvalidArgument(
+        "session snapshot version " + std::to_string(int(version)) +
+        " is incompatible with this build (expects version " +
+        std::to_string(int(kSessionSnapshotVersion)) +
+        "); the audit must restart rather than resume");
+  }
+  KGACC_ASSIGN_OR_RETURN(const uint64_t steps, reader.Varint());
+  KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> stored,
+                         reader.Bytes(reader.remaining()));
+  ByteWriter live;
+  session->EncodeFingerprint(&live);
+  if (!std::ranges::equal(stored, live.span())) {
+    return Status::InvalidArgument(
+        "session snapshot fingerprint does not match this session's design, "
+        "configuration, or seed");
+  }
+  // Replay: the session is a deterministic function of its fingerprint and
+  // its labels, and its annotator serves every label these steps drew the
+  // first time from the store, at zero oracle cost.
+  for (uint64_t step = 0; step < steps; ++step) {
+    if (session->done()) {
+      return Status::InvalidArgument(
+          "checkpoint records " + std::to_string(steps) +
+          " steps but the audit ends after " + std::to_string(step));
+    }
+    KGACC_RETURN_IF_ERROR(session->Step().status());
+  }
+  return Status::OK();
 }
 
 Result<EvaluationResult> RunDurableAudit(EvaluationSession& session,

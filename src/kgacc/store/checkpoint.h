@@ -8,19 +8,24 @@
 #include "kgacc/util/status.h"
 
 /// \file checkpoint.h
-/// Durable audits: `CheckpointManager` interleaves periodic
-/// `EvaluationSession` snapshots with the annotation WAL, and restores the
-/// latest one on recovery. The division of labor with the store:
+/// Durable audits: `CheckpointManager` interleaves periodic checkpoint
+/// records with the annotation WAL, and resumes from the latest one on
+/// recovery. A session is a deterministic function of its seed, its
+/// configuration and its labels, and the labels are the only costly part,
+/// so a checkpoint stores no session state: it is the session's identity
+/// fingerprint (`EvaluationSession::EncodeFingerprint`) and its completed
+/// step count. The division of labor with the store:
 ///
 /// * every judgment is in the WAL the moment it is made (never lost);
-/// * snapshots bound the *recompute* after a crash — the session resumes
-///   from the last checkpoint and re-executes the few steps since, whose
-///   labels replay from the store at zero oracle cost, landing on the
-///   byte-identical report the uninterrupted run would have produced.
+/// * resume checks the fingerprint, then re-executes the recorded steps
+///   on a fresh session. The session's `StoredAnnotator` serves their
+///   labels from the store at zero oracle cost; the few steps after the
+///   checkpoint re-execute the same way, landing on the byte-identical
+///   report the uninterrupted run would have produced.
 ///
-/// Snapshot cadence is therefore a pure compute/log-size trade: even
-/// `every_steps = 1` only appends a few-KB frame per batch, and a cadence
-/// of N merely re-runs at most N-1 cheap, already-labeled steps on resume.
+/// A record is a few dozen bytes whatever the audit's length, so
+/// `every_steps = 1` costs one small frame per batch; a cadence of N only
+/// moves where the durable step count lags, by at most N-1 steps.
 
 namespace kgacc {
 
@@ -52,20 +57,26 @@ class CheckpointManager {
   CheckpointManager(AnnotationStore* store, uint64_t audit_id,
                     const CheckpointOptions& options = {});
 
-  /// Step hook: snapshots the session when its step count hits the cadence.
+  /// Step hook: checkpoints the session when its step count hits the
+  /// cadence.
   /// Call after every successful `Step()` (or install via
   /// `EvaluationJob::on_step`).
   Status OnStep(const EvaluationSession& session);
 
-  /// Unconditionally snapshots the session now.
+  /// Unconditionally checkpoints the session now.
   Status Checkpoint(const EvaluationSession& session);
 
   /// True when the store holds a checkpoint for this audit id.
   bool CanResume() const;
 
-  /// Restores the stored checkpoint into `session` (constructed over the
-  /// same design, configuration, and seed — the snapshot fingerprint is
-  /// verified). FailedPrecondition when there is nothing to resume from.
+  /// Brings a fresh `session` to the stored checkpoint by replay: checks
+  /// that its fingerprint equals the stored one byte for byte, then calls
+  /// `Step()` the recorded number of times. Build the session over the
+  /// same design, configuration and seed, with a `StoredAnnotator` on this
+  /// store and audit id so the replayed steps read their labels back.
+  /// FailedPrecondition when there is nothing to resume from or the
+  /// session already stepped; InvalidArgument for another record version,
+  /// a fingerprint mismatch, or an audit that ends before the count.
   Status Resume(EvaluationSession* session) const;
 
   uint64_t audit_id() const { return audit_id_; }

@@ -25,7 +25,7 @@ namespace kgacc::walfmt {
 inline constexpr char kMagic[8] = {'k', 'g', 'a', 'c', 'W', 'A', 'L', '1'};
 inline constexpr size_t kMagicSize = sizeof(kMagic);
 
-/// Upper bound on one frame's payload. Snapshots of audit sessions are
+/// Upper bound on one frame's payload. Real payloads are bytes to
 /// kilobytes; anything near this limit in a length prefix is corruption,
 /// not data, and must not drive a giant allocation during recovery.
 inline constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 30;

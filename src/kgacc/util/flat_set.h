@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "kgacc/util/codec.h"
 #include "kgacc/util/random.h"
 
 /// \file flat_set.h
@@ -353,30 +352,6 @@ class FlatSet64 {
   size_t size_ = 0;  // Members, including the zero key.
   bool has_zero_ = false;
 };
-
-/// Serializes the set's *membership* (count + raw keys); the table layout
-/// is not part of the state — `LoadFlatSet64` rebuilds it by re-insertion.
-/// Shared by every snapshotting owner of a FlatSet64 (distinct-triple
-/// tracking, SRS without-replacement bookkeeping, ...).
-inline void SaveFlatSet64(const FlatSet64& set, ByteWriter* w) {
-  w->PutVarint(set.size());
-  set.ForEach([w](uint64_t key) { w->PutFixed64(key); });
-}
-
-inline Status LoadFlatSet64(ByteReader* r, FlatSet64* set) {
-  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Count(8));
-  set->clear();
-  set->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    KGACC_ASSIGN_OR_RETURN(const uint64_t key, r->Fixed64());
-    set->insert(key);
-  }
-  if (set->size() != count) {
-    return Status::InvalidArgument(
-        "flat-set snapshot held duplicate keys (corrupt payload)");
-  }
-  return Status::OK();
-}
 
 }  // namespace kgacc
 

@@ -2,32 +2,9 @@
 
 #include <cmath>
 
-#include "kgacc/util/codec.h"
 #include "kgacc/util/flat_set.h"
 
 namespace kgacc {
-
-void Rng::SaveState(ByteWriter* w) const {
-  for (int i = 0; i < 4; ++i) w->PutFixed64(s_[i]);
-  w->PutBool(has_spare_normal_);
-  w->PutDouble(spare_normal_);
-}
-
-Status Rng::LoadState(ByteReader* r) {
-  uint64_t s[4];
-  for (int i = 0; i < 4; ++i) {
-    KGACC_ASSIGN_OR_RETURN(s[i], r->Fixed64());
-  }
-  if ((s[0] | s[1] | s[2] | s[3]) == 0) {
-    return Status::InvalidArgument("Rng state is all-zero (corrupt snapshot)");
-  }
-  KGACC_ASSIGN_OR_RETURN(const bool has_spare, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const double spare, r->Double());
-  for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  has_spare_normal_ = has_spare;
-  spare_normal_ = spare;
-  return Status::OK();
-}
 
 double Rng::Normal() {
   if (has_spare_normal_) {

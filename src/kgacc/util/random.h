@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "kgacc/util/check.h"
-#include "kgacc/util/status.h"
 
 /// \file random.h
 /// Deterministic, explicitly seeded randomness used across the library.
@@ -15,9 +14,6 @@
 /// experiment replication is exactly reproducible.
 
 namespace kgacc {
-
-class ByteWriter;
-class ByteReader;
 
 /// SplitMix64 finalizer step: a high-quality 64-bit mix function. Used both
 /// to expand seeds and as a stateless counter-based hash (`SyntheticKg`
@@ -102,13 +98,6 @@ class Rng {
 
   /// Beta(a, b) deviate via two gamma draws.
   double Beta(double a, double b);
-
-  /// Serializes the complete generator state — the four xoshiro words plus
-  /// the polar-method spare-normal cache — so a restored Rng continues the
-  /// *identical* stream (checkpoint/resume must replay the same stochastic
-  /// path bit for bit, including a buffered half of a normal pair).
-  void SaveState(ByteWriter* w) const;
-  Status LoadState(ByteReader* r);
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

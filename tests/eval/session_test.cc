@@ -1,6 +1,9 @@
 #include "kgacc/eval/session.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -10,7 +13,7 @@
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
 #include "kgacc/sampling/systematic.h"
-#include "kgacc/util/codec.h"
+#include "kgacc/store/checkpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -172,16 +175,21 @@ TEST(EvaluationSessionTest, DroppingUnitHistoryDoesNotChangeTheRun) {
 
 TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
   // retain_unit_history=false keeps totals and distinct sets only. A lean
-  // session checkpointed mid-run and resumed in a fresh session must end
-  // in the same result, the same sample totals and distinct sets, and the
-  // same snapshot bytes as the uninterrupted run.
+  // session checkpointed mid-run and resumed by replay in a fresh session
+  // must read the replayed steps' labels back from the store and end in the
+  // same result, sample totals, distinct sets and HPD warm carry as the
+  // uninterrupted run.
   const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
+  OracleAnnotator oracle;
   EvaluationConfig lean;
   lean.retain_unit_history = false;
   lean.record_trace = true;
   for (const bool twcs : {false, true}) {
     SCOPED_TRACE(twcs ? "TWCS" : "SRS");
+    const std::string path = testing::TempDir() + "/kgacc_session_lean_" +
+                             (twcs ? "twcs_" : "srs_") +
+                             std::to_string(::getpid());
+    std::remove(path.c_str());
     SrsSampler srs_a(kg, SrsConfig{}), srs_b(kg, SrsConfig{}),
         srs_c(kg, SrsConfig{});
     TwcsSampler twcs_a(kg, TwcsConfig{}), twcs_b(kg, TwcsConfig{}),
@@ -190,25 +198,30 @@ TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
     Sampler& b = twcs ? static_cast<Sampler&>(twcs_b) : srs_b;
     Sampler& c = twcs ? static_cast<Sampler&>(twcs_c) : srs_c;
 
-    EvaluationSession uninterrupted(a, annotator, lean, 33);
+    EvaluationSession uninterrupted(a, oracle, lean, 33);
     const auto want = *uninterrupted.Run();
 
-    EvaluationSession first_half(b, annotator, lean, 33);
-    for (int i = 0; i < 3 && !first_half.done(); ++i) {
-      ASSERT_TRUE(first_half.Step().ok());
+    auto store = AnnotationStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    uint64_t triples_at_checkpoint = 0;
+    {
+      StoredAnnotator annotator(&oracle, store->get(), 33);
+      EvaluationSession first_half(b, annotator, lean, 33);
+      for (int i = 0; i < 3 && !first_half.done(); ++i) {
+        ASSERT_TRUE(first_half.Step().ok());
+      }
+      ASSERT_FALSE(first_half.done());
+      ASSERT_TRUE(
+          CheckpointManager(store->get(), 33).Checkpoint(first_half).ok());
+      triples_at_checkpoint = first_half.sample().num_triples();
     }
-    ASSERT_FALSE(first_half.done());
-    ByteWriter checkpoint;
-    first_half.SaveState(&checkpoint);
 
+    StoredAnnotator annotator(&oracle, store->get(), 33);
     EvaluationSession resumed(c, annotator, lean, 33);
-    ByteReader r(checkpoint.span());
-    ASSERT_TRUE(resumed.LoadState(&r).ok());
-    EXPECT_TRUE(r.empty());
-    EXPECT_EQ(resumed.sample().num_triples(),
-              first_half.sample().num_triples());
-    EXPECT_EQ(resumed.sample().num_distinct_triples(),
-              first_half.sample().num_distinct_triples());
+    ASSERT_TRUE(CheckpointManager(store->get(), 33).Resume(&resumed).ok());
+    EXPECT_EQ(resumed.iterations(), 3);
+    EXPECT_EQ(resumed.sample().num_triples(), triples_at_checkpoint);
+    EXPECT_EQ(annotator.oracle_calls(), 0u);
     const auto got = *resumed.Run();
     ExpectSameResult(want, got);
 
@@ -218,10 +231,19 @@ TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
               uninterrupted.sample().num_correct());
     EXPECT_EQ(resumed.sample().num_distinct_entities(),
               uninterrupted.sample().num_distinct_entities());
-    ByteWriter want_bytes, got_bytes;
-    uninterrupted.SaveState(&want_bytes);
-    resumed.SaveState(&got_bytes);
-    EXPECT_EQ(want_bytes.bytes(), got_bytes.bytes());
+    EXPECT_EQ(resumed.sample().num_distinct_triples(),
+              uninterrupted.sample().num_distinct_triples());
+    const auto& got_warm = resumed.interval_warm().priors;
+    const auto& want_warm = uninterrupted.interval_warm().priors;
+    ASSERT_EQ(got_warm.size(), want_warm.size());
+    for (size_t p = 0; p < want_warm.size(); ++p) {
+      ASSERT_EQ(got_warm[p].has_value(), want_warm[p].has_value());
+      if (!want_warm[p]) continue;
+      EXPECT_EQ(got_warm[p]->lower, want_warm[p]->lower);
+      EXPECT_EQ(got_warm[p]->upper, want_warm[p]->upper);
+    }
+    store->reset();
+    std::remove(path.c_str());
   }
 }
 

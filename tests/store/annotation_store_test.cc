@@ -293,11 +293,12 @@ TEST(AnnotationStoreTest, BurnRngDrawsConsumesExactlyWhatAnnotateWould) {
   }
 }
 
-TEST(AnnotationStoreTest, BurningHitsKeepsStoreBackedRunsBitwiseEqual) {
+TEST(AnnotationStoreTest, StoreBackedNoisyRunsEqualTheBareRunBitwise) {
   // A session feeds one Rng to both its sampler and its annotator, so with
-  // a stochastic annotator a silent store hit shifts every later draw —
-  // including which triples get sampled next. With burn_rng_on_hits the
-  // all-hits rerun must follow the bare run bit for bit.
+  // a stochastic annotator a store hit that skipped the annotator's draws
+  // would shift every later draw — including which triples get sampled
+  // next. Every hit burns those draws, so the all-hits rerun (the shape of
+  // a replayed resume) must follow the bare run bit for bit.
   const std::string path = TempPath("burn_rng");
   std::remove(path.c_str());
   SyntheticKgConfig cfg;
@@ -336,11 +337,10 @@ TEST(AnnotationStoreTest, BurningHitsKeepsStoreBackedRunsBitwiseEqual) {
     EXPECT_EQ(result->annotated_triples, bare_result.annotated_triples);
   }
   {
-    // Rerun against the populated store with burning on: pure hits, zero
-    // inner calls, and a bitwise-identical audit.
+    // Rerun against the populated store: pure hits, zero inner calls, and
+    // a bitwise-identical audit.
     NoisyAnnotator inner(0.15);
-    StoredAnnotator burning(&inner, store->get(), 2,
-                            StoredAnnotator::Options{.burn_rng_on_hits = true});
+    StoredAnnotator burning(&inner, store->get(), 2);
     SrsSampler sampler(kg, SrsConfig{.without_replacement = true});
     EvaluationSession session(sampler, burning, config, seed);
     const auto result = session.Run();

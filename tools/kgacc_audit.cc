@@ -16,10 +16,11 @@
 // to a write-ahead annotation log before the evaluation loop consumes it,
 // and the session checkpoints itself into the same log (every
 // `--checkpoint-every` steps). A killed audit restarted with `--resume`
-// continues from the last checkpoint — the steps since replay their labels
-// from the store at zero oracle/human cost — and lands on the report the
-// uninterrupted run would have produced, byte for byte. A later audit of
-// the same KG pointed at the same store reuses every overlapping label.
+// replays its checkpointed steps and then the steps since, reading their
+// labels back from the store at zero oracle/human cost, and lands on the
+// report the uninterrupted run would have produced, byte for byte. A
+// later audit of the same KG pointed at the same store reuses every
+// overlapping label.
 //
 // `--failpoints=SPEC` (or the KGACC_FAILPOINTS environment variable) arms
 // deterministic fault injection for chaos testing; see failpoint.h for the
@@ -86,7 +87,7 @@ ArgParser BuildParser() {
       .AddFlag("audit-id",
                "audit identity inside the store (default: the seed)")
       .AddFlag("checkpoint-every",
-               "session snapshot cadence in steps (default 1)")
+               "checkpoint cadence in steps (default 1)")
       .AddFlag("crash-after-steps",
                "SIGKILL the process after N steps of this run (crash-"
                "recovery testing)")

@@ -57,7 +57,7 @@ ArgParser BuildParser() {
       .AddFlag("seed", "random seed (default 42)")
       .AddFlag("m", "TWCS second-stage size (default 3)")
       .AddFlag("checkpoint-every",
-               "daemon snapshot cadence in steps (default 1)")
+               "daemon checkpoint cadence in steps (default 1)")
       .AddFlag("max-steps", "session step budget (default 0 = unlimited)")
       .AddFlag("deadline-seconds",
                "session wall-clock deadline (default 0 = none)")

@@ -73,7 +73,7 @@ ArgParser BuildParser() {
                "step budget when the client requests none (default 0 = "
                "unlimited)")
       .AddFlag("checkpoint-every",
-               "session snapshot cadence floor in steps (default 1)")
+               "checkpoint cadence floor in steps (default 1)")
       .AddFlag("compact-threshold",
                "auto-compact a KG store once this fraction of its log is "
                "garbage (default 0 = drain-time compaction only)")
