@@ -51,6 +51,16 @@ const char* IntervalMethodName(IntervalMethod method) {
   return "Unknown";
 }
 
+Result<IntervalMethod> ParseIntervalMethod(const std::string& name) {
+  if (name == "ahpd") return IntervalMethod::kAhpd;
+  if (name == "hpd") return IntervalMethod::kHpd;
+  if (name == "et") return IntervalMethod::kEqualTailed;
+  if (name == "wilson") return IntervalMethod::kWilson;
+  if (name == "wald") return IntervalMethod::kWald;
+  if (name == "cp") return IntervalMethod::kClopperPearson;
+  return Status::InvalidArgument("unknown interval method: " + name);
+}
+
 Result<Interval> BuildInterval(const EvaluationConfig& config,
                                EstimatorKind kind,
                                const AccuracyEstimate& estimate,

@@ -37,6 +37,10 @@ enum class IntervalMethod {
 /// Human-readable method name ("aHPD", "Wilson", ...).
 const char* IntervalMethodName(IntervalMethod method);
 
+/// Parses the CLI and protocol method vocabulary:
+/// ahpd|hpd|et|wilson|wald|cp.
+Result<IntervalMethod> ParseIntervalMethod(const std::string& name);
+
 /// Configuration of one evaluation run.
 struct EvaluationConfig {
   IntervalMethod method = IntervalMethod::kAhpd;

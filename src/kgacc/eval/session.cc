@@ -160,36 +160,36 @@ Result<EvaluationResult> EvaluationSession::Run() {
 }
 
 void EvaluationSession::EncodeFingerprint(ByteWriter* w) const {
-  w->PutFixed64(seed_);
-  w->PutString(sampler_.name());
-  w->PutU8(static_cast<uint8_t>(config_.method));
-  w->PutDouble(config_.alpha);
-  w->PutDouble(config_.moe_threshold);
-  w->PutVarint(config_.min_sample_triples);
-  w->PutVarint(config_.max_triples);
-  w->PutDouble(config_.max_cost_seconds);
-  w->PutBool(config_.finite_population_correction);
-  w->PutBool(config_.record_trace);
-  w->PutVarint(config_.priors.size());
+  w->Fixed64(seed_);
+  w->String(sampler_.name());
+  w->U8(static_cast<uint8_t>(config_.method));
+  w->Double(config_.alpha);
+  w->Double(config_.moe_threshold);
+  w->Varint(config_.min_sample_triples);
+  w->Varint(config_.max_triples);
+  w->Double(config_.max_cost_seconds);
+  w->Bool(config_.finite_population_correction);
+  w->Bool(config_.record_trace);
+  w->Varint(config_.priors.size());
   // The prior *parameters*, not just the count: a checkpoint taken under
   // Beta(20, 2) must not resume into a session configured with Beta(5, 5).
   for (const BetaPrior& prior : config_.priors) {
-    w->PutDouble(prior.a);
-    w->PutDouble(prior.b);
+    w->Double(prior.a);
+    w->Double(prior.b);
   }
-  w->PutU8(static_cast<uint8_t>(config_.hpd.solver));
-  w->PutBool(config_.hpd.warm_start_at_et);
+  w->U8(static_cast<uint8_t>(config_.hpd.solver));
+  w->Bool(config_.hpd.warm_start_at_et);
   const Interval* warm_start = config_.hpd.warm_start;
-  w->PutBool(warm_start != nullptr);
+  w->Bool(warm_start != nullptr);
   if (warm_start != nullptr) {
-    w->PutDouble(warm_start->lower);
-    w->PutDouble(warm_start->upper);
+    w->Double(warm_start->lower);
+    w->Double(warm_start->upper);
   }
-  w->PutDouble(cost_model_.entity_identification_seconds);
-  w->PutDouble(cost_model_.fact_verification_seconds);
-  w->PutZigzag(cost_model_.annotators_per_triple);
-  w->PutDouble(config_.design_effect.min_deff);
-  w->PutDouble(config_.design_effect.max_deff);
+  w->Double(cost_model_.entity_identification_seconds);
+  w->Double(cost_model_.fact_verification_seconds);
+  w->Zigzag(cost_model_.annotators_per_triple);
+  w->Double(config_.design_effect.min_deff);
+  w->Double(config_.design_effect.max_deff);
 }
 
 }  // namespace kgacc

@@ -67,8 +67,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
 
     HelloMsg hello;
     hello.tenant = options_.tenant;
-    KGACC_RETURN_IF_ERROR(
-        SendFrame(FrameOf(MessageType::kHello, EncodeHello, hello)));
+    KGACC_RETURN_IF_ERROR(SendFrame(FrameOf(hello)));
     auto reply = ReadFrame();
     if (!reply.ok()) {
       last = reply.status();
@@ -81,8 +80,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
     }
     if (reply->type == static_cast<uint8_t>(MessageType::kError)) {
       KGACC_ASSIGN_OR_RETURN(
-          const ErrorMsg err,
-          DecodeError({reply->payload.data(), reply->payload.size()}));
+          const ErrorMsg err, Decode<ErrorMsg>(reply->payload));
       last = err.ToStatus();
       Disconnect();
       if (last.code() == StatusCode::kNotFound) {
@@ -100,8 +98,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
           MessageTypeName(reply->type));
     }
     KGACC_ASSIGN_OR_RETURN(
-        const HelloAckMsg ack,
-        DecodeHelloAck({reply->payload.data(), reply->payload.size()}));
+        const HelloAckMsg ack, Decode<HelloAckMsg>(reply->payload));
     if (options_.recv_timeout_ms == 0 && ack.heartbeat_interval_ms != 0) {
       effective_timeout_ms_ = ack.heartbeat_interval_ms;
       KGACC_RETURN_IF_ERROR(
@@ -113,8 +110,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
       continue;
     }
 
-    KGACC_RETURN_IF_ERROR(
-        SendFrame(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open)));
+    KGACC_RETURN_IF_ERROR(SendFrame(FrameOf(open)));
     auto opened = ReadFrame();
     if (!opened.ok()) {
       last = opened.status();
@@ -123,8 +119,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
     if (opened->type == static_cast<uint8_t>(MessageType::kBusy)) {
       ++stats_.busy_retries;
       KGACC_ASSIGN_OR_RETURN(
-          const BusyMsg busy,
-          DecodeBusy({opened->payload.data(), opened->payload.size()}));
+          const BusyMsg busy, Decode<BusyMsg>(opened->payload));
       last = Status::IoError("daemon busy at OpenAudit: " + busy.reason);
       Disconnect();
       continue;
@@ -134,16 +129,14 @@ Status AuditClient::Establish(OpenAuditMsg open) {
       // until an operator raises the budget. Surface it immediately.
       KGACC_ASSIGN_OR_RETURN(
           const QuotaExceededMsg exceeded,
-          DecodeQuotaExceeded(
-              {opened->payload.data(), opened->payload.size()}));
+          Decode<QuotaExceededMsg>(opened->payload));
       ++stats_.quota_exceeded_frames;
       stats_.last_quota_exceeded = exceeded;
       return exceeded.ToStatus();
     }
     if (opened->type == static_cast<uint8_t>(MessageType::kError)) {
       KGACC_ASSIGN_OR_RETURN(
-          const ErrorMsg err,
-          DecodeError({opened->payload.data(), opened->payload.size()}));
+          const ErrorMsg err, Decode<ErrorMsg>(opened->payload));
       if (err.fatal_to_connection) {
         // Stream-level failure (e.g. our OpenAudit arrived torn): the
         // connection is dead but the request is fine — rebuild and retry.
@@ -159,8 +152,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
           MessageTypeName(opened->type));
     }
     KGACC_ASSIGN_OR_RETURN(
-        stats_.opened,
-        DecodeAuditOpened({opened->payload.data(), opened->payload.size()}));
+        stats_.opened, Decode<AuditOpenedMsg>(opened->payload));
     return Status::OK();
   }
   return Status::IoError("could not establish audit session: " +
@@ -209,8 +201,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
       StepBatchMsg batch;
       batch.audit_id = request.audit_id;
       batch.steps = options_.batch_steps;
-      const Status sent = SendFrame(
-          FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch));
+      const Status sent = SendFrame(FrameOf(batch));
       if (!sent.ok()) {
         KGACC_RETURN_IF_ERROR(transport_failure(sent));
         continue;
@@ -234,8 +225,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
         probe.nonce = next_heartbeat_nonce_++;
         ++stats_.heartbeats_sent;
         heartbeat_outstanding = true;
-        const Status sent = SendFrame(
-            FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe));
+        const Status sent = SendFrame(FrameOf(probe));
         if (!sent.ok()) KGACC_RETURN_IF_ERROR(transport_failure(sent));
         continue;
       }
@@ -249,7 +239,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
     switch (static_cast<MessageType>(frame->type)) {
       case MessageType::kIntervalUpdate: {
         KGACC_ASSIGN_OR_RETURN(const IntervalUpdateMsg update,
-                               DecodeIntervalUpdate(payload));
+                               Decode<IntervalUpdateMsg>(payload));
         ++stats_.updates_received;
         ++updates_this_batch;
         if (update.degraded) stats_.degraded_seen = true;
@@ -261,7 +251,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
       }
       case MessageType::kAuditReport: {
         KGACC_ASSIGN_OR_RETURN(AuditReportMsg report,
-                               DecodeAuditReport(payload));
+                               Decode<AuditReportMsg>(payload));
         if (report.degraded) stats_.degraded_seen = true;
         return report;
       }
@@ -272,7 +262,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
         break;
       }
       case MessageType::kBusy: {
-        KGACC_ASSIGN_OR_RETURN(const BusyMsg busy, DecodeBusy(payload));
+        KGACC_ASSIGN_OR_RETURN(const BusyMsg busy, Decode<BusyMsg>(payload));
         // Admission push-back mid-stream: back off, re-request the batch.
         ++stats_.busy_retries;
         batch_outstanding = false;
@@ -282,7 +272,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
       }
       case MessageType::kQuotaExceeded: {
         KGACC_ASSIGN_OR_RETURN(const QuotaExceededMsg exceeded,
-                               DecodeQuotaExceeded(payload));
+                               Decode<QuotaExceededMsg>(payload));
         ++stats_.quota_exceeded_frames;
         stats_.last_quota_exceeded = exceeded;
         if (!exceeded.fatal_to_session && exceeded.quota == "store_quota") {
@@ -297,7 +287,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
         return exceeded.ToStatus();
       }
       case MessageType::kError: {
-        KGACC_ASSIGN_OR_RETURN(const ErrorMsg err, DecodeError(payload));
+        KGACC_ASSIGN_OR_RETURN(const ErrorMsg err, Decode<ErrorMsg>(payload));
         if (err.fatal_to_session) return err.ToStatus();
         if (err.fatal_to_connection) {
           KGACC_RETURN_IF_ERROR(transport_failure(err.ToStatus()));

@@ -11,6 +11,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
@@ -34,18 +36,11 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-Result<IntervalMethod> ParseMethodName(const std::string& name) {
-  if (name == "ahpd") return IntervalMethod::kAhpd;
-  if (name == "hpd") return IntervalMethod::kHpd;
-  if (name == "et") return IntervalMethod::kEqualTailed;
-  if (name == "wilson") return IntervalMethod::kWilson;
-  if (name == "wald") return IntervalMethod::kWald;
-  if (name == "cp") return IntervalMethod::kClopperPearson;
-  return Status::InvalidArgument("unknown interval method: " + name);
-}
+/// The sampling designs a protocol design string can name.
+enum class SamplingDesign { kSrs, kTwcs, kWcs, kRcs, kSsrs, kSys };
 
-}  // namespace
-
+/// Cheap: the daemon rejects an unknown design at admission, before any
+/// build.
 Result<SamplingDesign> ParseSamplingDesign(const std::string& design) {
   if (design == "srs") return SamplingDesign::kSrs;
   if (design == "twcs") return SamplingDesign::kTwcs;
@@ -57,10 +52,12 @@ Result<SamplingDesign> ParseSamplingDesign(const std::string& design) {
 }
 
 std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
-                                      SamplingDesign design, int twcs_m) {
+                                      SamplingDesign design, int twcs_m,
+                                      bool srs_without_replacement) {
   switch (design) {
     case SamplingDesign::kSrs:
-      return std::make_unique<SrsSampler>(kg, SrsConfig{});
+      return std::make_unique<SrsSampler>(
+          kg, SrsConfig{.without_replacement = srs_without_replacement});
     case SamplingDesign::kTwcs:
       return std::make_unique<TwcsSampler>(
           kg, TwcsConfig{.second_stage_size = twcs_m});
@@ -76,11 +73,14 @@ std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
   return nullptr;
 }
 
+}  // namespace
+
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m) {
+    const KnowledgeGraph& kg, const std::string& design, int twcs_m,
+    bool srs_without_replacement) {
   KGACC_ASSIGN_OR_RETURN(const SamplingDesign parsed,
                          ParseSamplingDesign(design));
-  return BuildSampler(kg, parsed, twcs_m);
+  return BuildSampler(kg, parsed, twcs_m, srs_without_replacement);
 }
 
 /// One TCP peer. Owned and touched exclusively by the poll thread.
@@ -273,12 +273,12 @@ void AuditDaemon::QueueError(Connection& conn, StatusCode code,
                              bool fatal_to_connection,
                              const std::string& message) {
   ErrorMsg err;
-  err.code = static_cast<uint8_t>(code);
+  err.code = code;
   err.audit_id = audit_id;
   err.fatal_to_session = fatal_to_session;
   err.fatal_to_connection = fatal_to_connection;
   err.message = message;
-  QueueFrame(conn, FrameOf(MessageType::kError, EncodeError, err));
+  QueueFrame(conn, FrameOf(err));
   if (fatal_to_connection) conn.close_after_flush = true;
 }
 
@@ -286,7 +286,7 @@ void AuditDaemon::QueueBusy(Connection& conn, const std::string& reason) {
   stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
   BusyMsg busy;
   busy.reason = reason;
-  QueueFrame(conn, FrameOf(MessageType::kBusy, EncodeBusy, busy));
+  QueueFrame(conn, FrameOf(busy));
 }
 
 void AuditDaemon::QueueQuotaExceeded(Connection& conn, uint64_t audit_id,
@@ -300,8 +300,7 @@ void AuditDaemon::QueueQuotaExceeded(Connection& conn, uint64_t audit_id,
   exceeded.remaining = remaining;
   exceeded.fatal_to_session = true;
   exceeded.message = message;
-  QueueFrame(conn, FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded,
-                           exceeded));
+  QueueFrame(conn, FrameOf(exceeded));
 }
 
 bool AuditDaemon::FlushOutbox(Connection& conn) {
@@ -403,8 +402,7 @@ void AuditDaemon::DoAccept() {
       stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
       BusyMsg busy;
       busy.reason = draining() ? "daemon is draining" : "connection limit";
-      const std::vector<uint8_t> frame =
-          FrameOf(MessageType::kBusy, EncodeBusy, busy);
+      const std::vector<uint8_t> frame = FrameOf(busy);
       (void)!send(accepted->get(), frame.data(), frame.size(), MSG_NOSIGNAL);
       continue;
     }
@@ -446,11 +444,10 @@ bool AuditDaemon::ServiceReadable(Connection& conn) {
         // Corrupt stream: tell the peer why (best effort — its read side
         // usually still works), then fail the connection, not the daemon.
         ErrorMsg err;
-        err.code = static_cast<uint8_t>(next.status().code());
+        err.code = next.status().code();
         err.fatal_to_connection = true;
         err.message = next.status().message();
-        const std::vector<uint8_t> bytes =
-            FrameOf(MessageType::kError, EncodeError, err);
+        const std::vector<uint8_t> bytes = FrameOf(err);
         (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
         CloseConnection(conn.fd.get(), next.status());
         return false;
@@ -474,22 +471,30 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
     QueueError(conn, cause.code(), 0, false, true, cause.message());
     return true;  // close_after_flush delivers the error, then closes
   }
+  // One decode path for every client message: a body that fails its
+  // field list is connection-fatal.
+  const auto decode = [&](auto& msg) {
+    auto decoded = Decode<std::remove_cvref_t<decltype(msg)>>(payload);
+    if (decoded.ok()) {
+      msg = std::move(decoded).value();
+      return true;
+    }
+    QueueError(conn, decoded.status().code(), 0, false, true,
+               decoded.status().message());
+    return false;
+  };
   switch (type) {
     case MessageType::kHello: {
-      const auto msg = DecodeHello(payload);
-      if (!msg.ok()) {
-        QueueError(conn, msg.status().code(), 0, false, true,
-                   msg.status().message());
-        return true;
-      }
-      if (msg->magic != kNetMagic || msg->version != kNetVersion) {
+      HelloMsg msg;
+      if (!decode(msg)) return true;
+      if (msg.magic != kNetMagic || msg.version != kNetVersion) {
         QueueError(conn, StatusCode::kInvalidArgument, 0, false, true,
                    "protocol mismatch: peer speaks magic " +
-                       std::to_string(msg->magic) + " v" +
-                       std::to_string(msg->version));
+                       std::to_string(msg.magic) + " v" +
+                       std::to_string(msg.version));
         return true;
       }
-      const std::string tenant = TenantRegistry::Normalize(msg->tenant);
+      const std::string tenant = TenantRegistry::Normalize(msg.tenant);
       const TenantConfig* tenant_config = options_.tenants.Lookup(tenant);
       if (tenant_config == nullptr) {
         QueueError(conn, StatusCode::kNotFound, 0, false, true,
@@ -504,51 +509,33 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
       ack.draining = draining();
       ack.heartbeat_interval_ms = options_.heartbeat_interval_ms;
       ack.idle_timeout_ms = options_.idle_timeout_ms;
-      QueueFrame(conn, FrameOf(MessageType::kHelloAck, EncodeHelloAck, ack));
+      QueueFrame(conn, FrameOf(ack));
       return true;
     }
     case MessageType::kOpenAudit: {
-      const auto msg = DecodeOpenAudit(payload);
-      if (!msg.ok()) {
-        QueueError(conn, msg.status().code(), 0, false, true,
-                   msg.status().message());
-        return true;
-      }
-      HandleOpenAudit(conn, *msg);
+      OpenAuditMsg msg;
+      if (decode(msg)) HandleOpenAudit(conn, msg);
       return true;
     }
     case MessageType::kStepBatch: {
-      const auto msg = DecodeStepBatch(payload);
-      if (!msg.ok()) {
-        QueueError(conn, msg.status().code(), 0, false, true,
-                   msg.status().message());
-        return true;
-      }
-      HandleStepBatch(conn, *msg);
+      StepBatchMsg msg;
+      if (decode(msg)) HandleStepBatch(conn, msg);
       return true;
     }
     case MessageType::kCloseAudit: {
-      const auto msg = DecodeCloseAudit(payload);
-      if (!msg.ok()) {
-        QueueError(conn, msg.status().code(), 0, false, true,
-                   msg.status().message());
-        return true;
-      }
-      auto sit = sessions_.find(msg->audit_id);
+      CloseAuditMsg msg;
+      if (!decode(msg)) return true;
+      auto sit = sessions_.find(msg.audit_id);
       if (sit != sessions_.end() &&
           sit->second->conn_fd == conn.fd.get()) {
         DetachSession(*sit->second);
-        std::erase(conn.audits, msg->audit_id);
+        std::erase(conn.audits, msg.audit_id);
       }
       return true;
     }
     case MessageType::kHeartbeat: {
-      const auto msg = DecodeHeartbeat(payload);
-      if (!msg.ok()) {
-        QueueError(conn, msg.status().code(), 0, false, true,
-                   msg.status().message());
-        return true;
-      }
+      HeartbeatMsg msg;
+      if (!decode(msg)) return true;
       if (FailpointHit("net.heartbeat.drop")) {
         // Injected dead-air: the ack vanishes; the client's miss counter
         // and the idle reaper are the detectors under test.
@@ -557,8 +544,7 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
         return true;
       }
       stats_.heartbeats_acked.fetch_add(1, std::memory_order_relaxed);
-      QueueFrame(conn, FrameOf(MessageType::kHeartbeatAck, EncodeHeartbeatAck,
-                               *msg));
+      QueueFrame(conn, FrameOf(HeartbeatAckMsg{msg}));
       return true;
     }
     default: {
@@ -664,8 +650,7 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
     opened.labels_on_file = session.store->num_labeled();
     opened.design_name = session.design_name;
     opened.dataset_name = session.kg_name;
-    QueueFrame(conn,
-               FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened));
+    QueueFrame(conn, FrameOf(opened));
     return;
   }
 
@@ -717,7 +702,7 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
                "no registered knowledge graph named '" + msg.kg_name + "'");
     return;
   }
-  const auto method = ParseMethodName(msg.method);
+  const auto method = ParseIntervalMethod(msg.method);
   if (!method.ok()) {
     QueueError(conn, method.status().code(), msg.audit_id, true, false,
                method.status().message());
@@ -778,7 +763,8 @@ Result<bool> AuditDaemon::OpenSession(Session& session) {
     return Status::IoError("injected open failure (failpoint net.open)");
   }
   const Session::OpenParams& p = session.open;
-  session.sampler = BuildSampler(*p.kg, p.design, p.twcs_m);
+  session.sampler = BuildSampler(*p.kg, p.design, p.twcs_m,
+                                 /*srs_without_replacement=*/false);
   session.design_name = session.sampler->name();
   session.annotator = std::make_unique<StoredAnnotator>(
       &session.inner, session.store.get(), session.audit_id,
@@ -816,15 +802,15 @@ void AuditDaemon::RunOpen(Session* session, int conn_fd, uint64_t conn_gen,
     opened.labels_on_file = session->store->num_labeled();
     opened.design_name = session->design_name;
     opened.dataset_name = session->kg_name;
-    ev.frames = FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened);
+    ev.frames = FrameOf(opened);
   } else {
     ErrorMsg err;
-    err.code = static_cast<uint8_t>(resumed.status().code());
+    err.code = resumed.status().code();
     err.audit_id = session->audit_id;
     err.fatal_to_session = true;
     err.message = "cannot open audit " + std::to_string(session->audit_id) +
                   ": " + resumed.status().message();
-    ev.frames = FrameOf(MessageType::kError, EncodeError, err);
+    ev.frames = FrameOf(err);
     ev.session_failed = true;
   }
   {
@@ -935,7 +921,7 @@ std::vector<uint8_t> AuditDaemon::BuildReportFrame(
   } else if (session.ckpt->degraded()) {
     report.degradation_note = session.ckpt->degraded_cause().ToString();
   }
-  return FrameOf(MessageType::kAuditReport, EncodeAuditReport, report);
+  return FrameOf(report);
 }
 
 void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
@@ -950,12 +936,11 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
   auto fail_session = [&](StatusCode code, const std::string& message,
                           bool count_failed) {
     ErrorMsg err;
-    err.code = static_cast<uint8_t>(code);
+    err.code = code;
     err.audit_id = session->audit_id;
     err.fatal_to_session = true;
     err.message = message;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kError, EncodeError, err);
+    const std::vector<uint8_t> frame = FrameOf(err);
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
     ev.session_failed = true;
     session->failed = true;
@@ -971,8 +956,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     exceeded.remaining = remaining;
     exceeded.fatal_to_session = false;
     exceeded.message = message;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded, exceeded);
+    const std::vector<uint8_t> frame = FrameOf(exceeded);
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
   };
   const TenantConfig& tenant_config = *session->tenant_config;
@@ -1138,8 +1122,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     update.done = outcome->done;
     update.stop_reason = static_cast<uint8_t>(outcome->stop_reason);
     update.degraded = degraded;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update);
+    const std::vector<uint8_t> frame = FrameOf(update);
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
 
     if (outcome->done) {
@@ -1271,7 +1254,7 @@ void AuditDaemon::DoDrain() {
   notice.message = "daemon draining; sessions checkpointed, reconnect to "
                    "resume";
   for (auto& [fd, conn] : conns_) {
-    QueueFrame(*conn, FrameOf(MessageType::kDrain, EncodeDrain, notice));
+    QueueFrame(*conn, FrameOf(notice));
     conn->close_after_flush = true;
   }
   for (DrrScheduler& sched : worker_sched_) sched.Clear();

@@ -336,22 +336,14 @@ class AuditDaemon {
   std::deque<Event> events_;
 };
 
-/// The sampling designs a protocol design string can name.
-enum class SamplingDesign { kSrs, kTwcs, kWcs, kRcs, kSsrs, kSys };
-
-/// Parses a protocol design string ("srs", "twcs", "wcs", "rcs", "ssrs",
-/// "sys") — the same vocabulary the `kgacc_audit` CLI accepts. Cheap: the
-/// daemon rejects an unknown design at admission, before any build.
-Result<SamplingDesign> ParseSamplingDesign(const std::string& design);
-
-/// Builds the sampler for a parsed design. The cost is the design's
-/// precomputation: O(#clusters) for the PPS designs (TWCS, WCS).
-std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
-                                      SamplingDesign design, int twcs_m);
-
-/// Parse + build in one call.
+/// Builds the sampler a design string names: srs|twcs|wcs|rcs|ssrs|sys,
+/// the vocabulary of the protocol and of `kgacc_audit`. `twcs_m` is the
+/// TWCS second-stage size; `srs_without_replacement` selects the
+/// finite-population SRS draw. The cost is the design's precomputation:
+/// O(#clusters) for the PPS designs (TWCS, WCS).
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m);
+    const KnowledgeGraph& kg, const std::string& design, int twcs_m,
+    bool srs_without_replacement = false);
 
 }  // namespace kgacc
 

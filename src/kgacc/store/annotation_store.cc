@@ -27,112 +27,109 @@ const AnnotationStore::Shard& AnnotationStore::ShardFor(uint64_t key) const {
   return shards_[Mix64(key) & (kNumShards - 1)];
 }
 
+bool AnnotationStore::IndexLabel(uint64_t key, bool label,
+                                 uint64_t frame_bytes) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.labeled.insert(key)) {
+    if (label) shard.correct.insert(key);
+    return label;
+  }
+  // A later record for a stored key (an append race): replay keeps the
+  // first, so this frame is garbage bytes.
+  garbage_bytes_ += frame_bytes;
+  return shard.correct.contains(key);
+}
+
+void AnnotationStore::IndexCheckpoint(uint64_t audit_id,
+                                      std::span<const uint8_t> snapshot,
+                                      uint64_t frame_bytes) {
+  std::vector<uint8_t> copy(snapshot.begin(), snapshot.end());
+  std::lock_guard<std::mutex> lock(checkpoints_mu_);
+  for (CheckpointEntry& entry : checkpoints_) {
+    if (entry.audit_id == audit_id) {
+      garbage_bytes_ += entry.frame_bytes;  // Superseded frame.
+      entry.snapshot = std::move(copy);
+      entry.frame_bytes = frame_bytes;
+      return;
+    }
+  }
+  checkpoints_.push_back({audit_id, std::move(copy), frame_bytes});
+}
+
+void AnnotationStore::IndexLedger(TenantBalance balance,
+                                  uint64_t frame_bytes) {
+  std::lock_guard<std::mutex> lock(ledgers_mu_);
+  for (LedgerEntry& entry : ledgers_) {
+    if (entry.balance.tenant == balance.tenant) {
+      garbage_bytes_ += entry.frame_bytes;  // Superseded frame.
+      entry.balance = std::move(balance);
+      entry.frame_bytes = frame_bytes;
+      return;
+    }
+  }
+  ledgers_.push_back({std::move(balance), frame_bytes});
+}
+
 Status AnnotationStore::Replay(uint8_t type,
                                std::span<const uint8_t> payload) {
-  // Open-time only: single-threaded, so the shard locks are not taken. The
-  // byte accounting mirrors what the live append path records. Every field
-  // is bounds-checked: a payload with a valid CRC may still be garbage.
+  // Open-time only (single-threaded). The byte accounting and the index
+  // updates are the live append path's. Every field is bounds-checked: a
+  // payload with a valid CRC may still be garbage.
   const uint64_t frame_bytes = FrameSize(payload.size());
   file_bytes_ += frame_bytes;
-  ByteReader reader(payload);
   switch (type) {
-    case walfmt::kAnnotationFrame: {
-      KGACC_ASSIGN_OR_RETURN(const uint64_t audit_id, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t seq, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t cluster, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t offset, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const bool label, reader.Bool());
-      (void)audit_id;
-      if (cluster >= (uint64_t{1} << 40) || offset >= (uint64_t{1} << 24)) {
-        return Status::IoError(
-            "annotation store: record key out of range (corrupt record)");
-      }
-      const uint64_t key = Key(cluster, offset);
-      Shard& shard = ShardFor(key);
-      if (shard.labeled.insert(key)) {
-        if (label) shard.correct.insert(key);
-      } else {
-        // A duplicate record (benign append race); its bytes are garbage.
-        garbage_bytes_ += frame_bytes;
-      }
-      next_seq_ = std::max(next_seq_.load(std::memory_order_relaxed), seq + 1);
+    case walfmt::LabelRecord::kType: {
+      KGACC_ASSIGN_OR_RETURN(
+          const walfmt::LabelRecord record,
+          DecodeFields<walfmt::LabelRecord>(payload, "annotation"));
+      IndexLabel(Key(record.cluster, record.offset), record.label,
+                 frame_bytes);
+      next_seq_ = std::max(next_seq_.load(std::memory_order_relaxed),
+                           record.seq + 1);
       ++stats_.records_replayed;
       break;
     }
-    case walfmt::kCheckpointFrame: {
-      KGACC_ASSIGN_OR_RETURN(const uint64_t audit_id, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> snapshot,
-                             reader.LengthPrefixed());
-      std::vector<uint8_t> copy(snapshot.begin(), snapshot.end());
+    case walfmt::CheckpointRecord::kType: {
+      KGACC_ASSIGN_OR_RETURN(
+          const walfmt::CheckpointRecord record,
+          DecodeFields<walfmt::CheckpointRecord>(payload, "checkpoint"));
+      IndexCheckpoint(record.audit_id, record.snapshot, frame_bytes);
       ++stats_.checkpoints_replayed;
-      for (CheckpointEntry& entry : checkpoints_) {
-        if (entry.audit_id == audit_id) {
-          garbage_bytes_ += entry.frame_bytes;  // The old frame is dead.
-          entry.snapshot = std::move(copy);
-          entry.frame_bytes = frame_bytes;
-          replay_crc_.Extend(payload);
-          return Status::OK();
-        }
-      }
-      checkpoints_.push_back({audit_id, std::move(copy), frame_bytes});
       break;
     }
-    case walfmt::kTenantLedgerFrame: {
-      // Cumulative totals, latest-wins per tenant: a superseded frame's
-      // bytes are garbage, exactly like a replaced checkpoint.
-      KGACC_ASSIGN_OR_RETURN(const std::string tenant, reader.String());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t oracle_spent, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t store_bytes, reader.Varint());
+    case walfmt::LedgerRecord::kType: {
+      // Cumulative totals, latest-wins per tenant.
+      KGACC_ASSIGN_OR_RETURN(
+          TenantBalance balance,
+          DecodeFields<TenantBalance>(payload, "tenant ledger"));
+      IndexLedger(std::move(balance), frame_bytes);
       ++stats_.ledgers_replayed;
-      for (LedgerEntry& entry : ledgers_) {
-        if (entry.balance.tenant == tenant) {
-          garbage_bytes_ += entry.frame_bytes;  // The old frame is dead.
-          entry.balance.oracle_spent = oracle_spent;
-          entry.balance.store_bytes = store_bytes;
-          entry.frame_bytes = frame_bytes;
-          replay_crc_.Extend(payload);
-          return Status::OK();
-        }
-      }
-      ledgers_.push_back({{tenant, oracle_spent, store_bytes}, frame_bytes});
       break;
     }
-    case walfmt::kCompactionTrailerFrame: {
+    case walfmt::TrailerRecord::kType: {
       // The trailer seals a compacted log: every frame before it must be
       // exactly the live set the rewrite emitted, in order. Verify the
       // counts and the chained payload CRC — a lost, duplicated, or
       // reordered frame in the rewritten region fails loudly here instead
       // of resurfacing as a silently different resume.
-      KGACC_ASSIGN_OR_RETURN(const uint64_t version, reader.Varint());
-      if (version != 1 && version != 2) {
-        return Status::IoError(
-            "annotation store: unknown compaction trailer version " +
-            std::to_string(version));
-      }
-      KGACC_ASSIGN_OR_RETURN(const uint64_t records, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint64_t checkpoints, reader.Varint());
-      // v2 adds the tenant-ledger count; a v1 trailer was written before
-      // ledger frames existed, so its rewritten region holds none.
-      uint64_t ledgers = 0;
-      if (version >= 2) {
-        KGACC_ASSIGN_OR_RETURN(ledgers, reader.Varint());
-      }
-      KGACC_ASSIGN_OR_RETURN(const uint64_t carried_next_seq, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const uint32_t live_crc, reader.Fixed32());
-      if (records != stats_.records_replayed ||
-          checkpoints != stats_.checkpoints_replayed ||
-          ledgers != stats_.ledgers_replayed) {
+      KGACC_ASSIGN_OR_RETURN(
+          const walfmt::TrailerRecord trailer,
+          DecodeFields<walfmt::TrailerRecord>(payload, "compaction trailer"));
+      if (trailer.records != stats_.records_replayed ||
+          trailer.checkpoints != stats_.checkpoints_replayed ||
+          trailer.ledgers != stats_.ledgers_replayed) {
         return Status::IoError(
             "annotation store: compaction trailer frame counts disagree with "
             "the rewritten log (incomplete or reordered rewrite)");
       }
-      if (live_crc != replay_crc_.value()) {
+      if (trailer.live_crc != replay_crc_.value()) {
         return Status::IoError(
             "annotation store: compaction trailer live-CRC mismatch "
             "(rewritten log corrupted)");
       }
       next_seq_ = std::max(next_seq_.load(std::memory_order_relaxed),
-                           carried_next_seq);
+                           trailer.next_seq);
       ++stats_.trailers_replayed;
       break;
     }
@@ -272,34 +269,30 @@ Status AnnotationStore::Append(uint64_t audit_id, uint64_t cluster,
         "injected annotation append failure (failpoint store.append)");
   }
   ByteWriter record;
-  record.PutVarint(audit_id);
-  record.PutVarint(next_seq_.fetch_add(1, std::memory_order_relaxed));
-  record.PutVarint(cluster);
-  record.PutVarint(offset);
-  record.PutBool(label);
+  EncodeFields(
+      walfmt::LabelRecord{
+          .audit_id = audit_id,
+          .seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+          .cluster = cluster,
+          .offset = offset,
+          .label = label},
+      &record);
   // Log first, index second: the WAL is the source of truth, and an append
   // failure must leave the index claiming nothing the log cannot replay.
   const uint64_t frame_bytes = FrameSize(record.size());
   Status conflict;
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::kAnnotationFrame, record.span(), options_.sync_appends, [&] {
+      walfmt::LabelRecord::kType, record.span(), options_.sync_appends, [&] {
         file_bytes_ += frame_bytes;
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (shard.labeled.insert(key)) {
-          if (label) shard.correct.insert(key);
-        } else {
-          // Two writers raced the same novel key past the pre-check; both
-          // frames are in the log, the first apply won and replay agrees
-          // (first record wins), so this frame is garbage bytes. If the
-          // winner stored the *opposite* label this caller must not be
-          // told OK — what replay produces is the winner's label — so the
-          // race surfaces the same FailedPrecondition serial callers get.
-          garbage_bytes_ += frame_bytes;
-          if (shard.correct.contains(key) != label) {
-            conflict = Status::FailedPrecondition(
-                "annotation store: conflicting label for an already-stored "
-                "triple (stored judgments are immutable)");
-          }
+        // Two writers may race the same novel key past the pre-check: both
+        // frames are in the log and the first apply won, as in replay. If
+        // the winner stored the *opposite* label this caller must not be
+        // told OK — what replay produces is the winner's label — so the
+        // race surfaces the same FailedPrecondition serial callers get.
+        if (IndexLabel(key, label, frame_bytes) != label) {
+          conflict = Status::FailedPrecondition(
+              "annotation store: conflicting label for an already-stored "
+              "triple (stored judgments are immutable)");
         }
       }));
   KGACC_RETURN_IF_ERROR(conflict);
@@ -319,24 +312,13 @@ Status AnnotationStore::AppendCheckpoint(uint64_t audit_id,
         "injected checkpoint append failure (failpoint store.checkpoint)");
   }
   ByteWriter record;
-  record.PutVarint(audit_id);
-  record.PutLengthPrefixed(snapshot);
+  EncodeFields(walfmt::CheckpointRecord{audit_id, snapshot}, &record);
   const uint64_t frame_bytes = FrameSize(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::kCheckpointFrame, record.span(), options_.sync_checkpoints,
+      walfmt::CheckpointRecord::kType, record.span(), options_.sync_checkpoints,
       [&] {
         file_bytes_ += frame_bytes;
-        std::vector<uint8_t> copy(snapshot.begin(), snapshot.end());
-        std::lock_guard<std::mutex> lock(checkpoints_mu_);
-        for (CheckpointEntry& entry : checkpoints_) {
-          if (entry.audit_id == audit_id) {
-            garbage_bytes_ += entry.frame_bytes;  // Superseded frame.
-            entry.snapshot = std::move(copy);
-            entry.frame_bytes = frame_bytes;
-            return;
-          }
-        }
-        checkpoints_.push_back({audit_id, std::move(copy), frame_bytes});
+        IndexCheckpoint(audit_id, snapshot, frame_bytes);
       }));
   if (appended_bytes != nullptr) *appended_bytes = frame_bytes;
   MaybeAutoCompact();
@@ -368,25 +350,14 @@ Status AnnotationStore::AppendTenantSpend(const std::string& tenant,
       }
     }
   }
+  const TenantBalance balance{tenant, oracle_total, bytes_total};
   ByteWriter record;
-  record.PutString(tenant);
-  record.PutVarint(oracle_total);
-  record.PutVarint(bytes_total);
+  EncodeFields(balance, &record);
   const uint64_t frame_bytes = FrameSize(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::kTenantLedgerFrame, record.span(), options_.sync_appends, [&] {
+      TenantBalance::kType, record.span(), options_.sync_appends, [&] {
         file_bytes_ += frame_bytes;
-        std::lock_guard<std::mutex> lock(ledgers_mu_);
-        for (LedgerEntry& entry : ledgers_) {
-          if (entry.balance.tenant == tenant) {
-            garbage_bytes_ += entry.frame_bytes;  // Superseded frame.
-            entry.balance.oracle_spent = oracle_total;
-            entry.balance.store_bytes = bytes_total;
-            entry.frame_bytes = frame_bytes;
-            return;
-          }
-        }
-        ledgers_.push_back({{tenant, oracle_total, bytes_total}, frame_bytes});
+        IndexLedger(balance, frame_bytes);
       }));
   MaybeAutoCompact();
   return Status::OK();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "kgacc/eval/annotator.h"
+#include "kgacc/store/log_format.h"
 #include "kgacc/store/wal.h"
 #include "kgacc/util/backoff.h"
 #include "kgacc/util/codec.h"
@@ -69,9 +70,13 @@
 /// fsynced. Set `Options::auto_compact_garbage_ratio` to trigger it
 /// automatically once enough garbage accumulates.
 ///
-/// **One replay path.** `Open` reads the log in one `pread` pass and
-/// rebuilds the index through `Replay`, the store's only payload decoder;
-/// the offline verifier (`VerifyStoreLog`) decodes through it too.
+/// **One replay path, one layout per record.** `Open` reads the log in one
+/// `pread` pass and rebuilds the index through `Replay`, the store's only
+/// payload decoder; the offline verifier (`VerifyStoreLog`) decodes
+/// through it too. Each payload is a record of store/log_format.h whose
+/// one field list the append path and `Compact()` encode and `Replay`
+/// decodes, and a settled frame reaches the index through the same
+/// `Index*` update whether it was just appended or is being replayed.
 ///
 /// Fault-injection sites (chaos tests): `store.append` fails an annotation
 /// append and `store.checkpoint` a checkpoint append, both *before* the WAL
@@ -134,16 +139,10 @@ struct CompactionStats {
   uint64_t last_ledgers = 0;
 };
 
-/// One tenant's durable spend totals, as replayed/appended. Cumulative
-/// since the tenant's first ledger frame (compaction preserves the totals
-/// in a single live frame per tenant).
-struct TenantBalance {
-  std::string tenant;
-  /// Oracle (inner-annotator) calls charged to this tenant.
-  uint64_t oracle_spent = 0;
-  /// Store bytes (annotation + checkpoint frames) charged to this tenant.
-  uint64_t store_bytes = 0;
-};
+/// One tenant's durable spend totals: exactly what its ledger frame
+/// carries. Cumulative since the tenant's first ledger frame (compaction
+/// preserves the totals in a single live frame per tenant).
+using TenantBalance = walfmt::LedgerRecord;
 
 /// A durable, shareable label store over one WAL file. Thread-safe: lookups
 /// probe a lock-striped shard, appends serialize through the group-commit
@@ -320,6 +319,14 @@ class AnnotationStore {
   static uint64_t Key(uint64_t cluster, uint64_t offset);
   Shard& ShardFor(uint64_t key);
   const Shard& ShardFor(uint64_t key) const;
+
+  /// A settled frame's index update, for appends and replay alike. A
+  /// superseded frame's bytes become garbage; `IndexLabel` returns the
+  /// stored label, which a racing earlier record wins.
+  bool IndexLabel(uint64_t key, bool label, uint64_t frame_bytes);
+  void IndexCheckpoint(uint64_t audit_id, std::span<const uint8_t> snapshot,
+                       uint64_t frame_bytes);
+  void IndexLedger(TenantBalance balance, uint64_t frame_bytes);
 
   /// Decodes one replayed frame's payload into the index, checkpoints,
   /// ledgers and byte accounting; a compaction trailer is checked against

@@ -1,6 +1,7 @@
 #include "kgacc/store/checkpoint.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "kgacc/util/codec.h"
@@ -20,6 +21,27 @@ namespace {
 ///     of a v1-v4 payload is readable as v5, so those fail the gate.
 constexpr uint8_t kSessionSnapshotVersion = 5;
 
+/// The checkpoint record: version, completed steps, then the session
+/// fingerprint to the end.
+struct SnapshotRecord {
+  uint8_t version = kSessionSnapshotVersion;
+  uint64_t steps = 0;
+  std::span<const uint8_t> fingerprint;
+
+  static void Fields(auto& r, auto& c) {
+    c.U8(r.version);
+    c.Check(r.version == kSessionSnapshotVersion, [&] {
+      return Status::InvalidArgument(
+          "session snapshot version " + std::to_string(int(r.version)) +
+          " is incompatible with this build (expects version " +
+          std::to_string(int(kSessionSnapshotVersion)) +
+          "); the audit must restart rather than resume");
+    });
+    c.Varint(r.steps);
+    c.Rest(r.fingerprint);
+  }
+};
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(AnnotationStore* store, uint64_t audit_id,
@@ -36,11 +58,13 @@ Status CheckpointManager::OnStep(const EvaluationSession& session) {
 
 Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
   if (degraded_) return Status::OK();  // Snapshotting was abandoned.
-  // Record: version, completed steps, then the fingerprint to the end.
+  ByteWriter fingerprint;
+  session.EncodeFingerprint(&fingerprint);
   ByteWriter snapshot;
-  snapshot.PutU8(kSessionSnapshotVersion);
-  snapshot.PutVarint(static_cast<uint64_t>(session.iterations()));
-  session.EncodeFingerprint(&snapshot);
+  EncodeFields(
+      SnapshotRecord{.steps = static_cast<uint64_t>(session.iterations()),
+                     .fingerprint = fingerprint.span()},
+      &snapshot);
   uint64_t frame_bytes = 0;
   const Status appended = RetryWithBackoff(
       options_.backoff,
@@ -80,21 +104,12 @@ Status CheckpointManager::Resume(EvaluationSession* session) const {
     return Status::FailedPrecondition(
         "resume replays into a fresh session; this one has already stepped");
   }
-  ByteReader reader({snapshot->data(), snapshot->size()});
-  KGACC_ASSIGN_OR_RETURN(const uint8_t version, reader.U8());
-  if (version != kSessionSnapshotVersion) {
-    return Status::InvalidArgument(
-        "session snapshot version " + std::to_string(int(version)) +
-        " is incompatible with this build (expects version " +
-        std::to_string(int(kSessionSnapshotVersion)) +
-        "); the audit must restart rather than resume");
-  }
-  KGACC_ASSIGN_OR_RETURN(const uint64_t steps, reader.Varint());
-  KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> stored,
-                         reader.Bytes(reader.remaining()));
+  KGACC_ASSIGN_OR_RETURN(
+      const SnapshotRecord record,
+      DecodeFields<SnapshotRecord>(*snapshot, "checkpoint snapshot"));
   ByteWriter live;
   session->EncodeFingerprint(&live);
-  if (!std::ranges::equal(stored, live.span())) {
+  if (!std::ranges::equal(record.fingerprint, live.span())) {
     return Status::InvalidArgument(
         "session snapshot fingerprint does not match this session's design, "
         "configuration, or seed");
@@ -102,10 +117,10 @@ Status CheckpointManager::Resume(EvaluationSession* session) const {
   // Replay: the session is a deterministic function of its fingerprint and
   // its labels, and its annotator serves every label these steps drew the
   // first time from the store, at zero oracle cost.
-  for (uint64_t step = 0; step < steps; ++step) {
+  for (uint64_t step = 0; step < record.steps; ++step) {
     if (session->done()) {
       return Status::InvalidArgument(
-          "checkpoint records " + std::to_string(steps) +
+          "checkpoint records " + std::to_string(record.steps) +
           " steps but the audit ends after " + std::to_string(step));
     }
     KGACC_RETURN_IF_ERROR(session->Step().status());

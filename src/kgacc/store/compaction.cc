@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kgacc/store/annotation_store.h"
@@ -58,13 +59,6 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status::IoError(what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// Splits the packed index key back into (cluster, offset) — the inverse
-/// of `AnnotationStore::Key`.
-constexpr uint64_t KeyCluster(uint64_t key) { return key >> 24; }
-constexpr uint64_t KeyOffset(uint64_t key) {
-  return key & ((uint64_t{1} << 24) - 1);
-}
-
 }  // namespace
 
 Status AnnotationStore::Compact() {
@@ -84,47 +78,32 @@ Status AnnotationStore::Compact() {
 
   // Snapshot the live label set, key-sorted so the rewrite is
   // deterministic (byte-identical across runs and thread counts).
-  struct LiveRecord {
-    uint64_t key;
-    bool label;
-  };
-  std::vector<LiveRecord> live;
+  std::vector<std::pair<uint64_t, bool>> live;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard.mu);
     shard.labeled.ForEach([&](uint64_t key) {
-      live.push_back({key, shard.correct.contains(key)});
+      live.emplace_back(key, shard.correct.contains(key));
     });
   }
-  std::sort(live.begin(), live.end(),
-            [](const LiveRecord& a, const LiveRecord& b) {
-              return a.key < b.key;
-            });
+  std::sort(live.begin(), live.end());
 
-  // Checkpoints are stable here (mutations run under commit_mu_): collect
-  // the latest per audit, id-sorted.
-  std::vector<const CheckpointEntry*> live_checkpoints;
-  live_checkpoints.reserve(checkpoints_.size());
-  for (const CheckpointEntry& entry : checkpoints_) {
-    live_checkpoints.push_back(&entry);
+  // The latest checkpoint per audit and the cumulative ledger per tenant
+  // are stable here (mutations run under commit_mu_); sorting the
+  // registries by id makes the rewrite deterministic too.
+  {
+    std::lock_guard<std::mutex> checkpoint_lock(checkpoints_mu_);
+    std::sort(checkpoints_.begin(), checkpoints_.end(),
+              [](const CheckpointEntry& a, const CheckpointEntry& b) {
+                return a.audit_id < b.audit_id;
+              });
   }
-  std::sort(live_checkpoints.begin(), live_checkpoints.end(),
-            [](const CheckpointEntry* a, const CheckpointEntry* b) {
-              return a->audit_id < b->audit_id;
-            });
-
-  // Tenant ledgers likewise: one live cumulative frame per tenant,
-  // id-sorted for a deterministic rewrite. Stable under commit_mu_ for the
-  // same reason checkpoints are (AppendTenantSpend applies under it).
-  std::vector<const LedgerEntry*> live_ledgers;
   {
     std::lock_guard<std::mutex> ledger_lock(ledgers_mu_);
-    live_ledgers.reserve(ledgers_.size());
-    for (const LedgerEntry& entry : ledgers_) live_ledgers.push_back(&entry);
+    std::sort(ledgers_.begin(), ledgers_.end(),
+              [](const LedgerEntry& a, const LedgerEntry& b) {
+                return a.balance.tenant < b.balance.tenant;
+              });
   }
-  std::sort(live_ledgers.begin(), live_ledgers.end(),
-            [](const LedgerEntry* a, const LedgerEntry* b) {
-              return a->balance.tenant < b->balance.tenant;
-            });
 
   // Phase 2: build the rewrite. Records carry audit id 0 (the rewrite owns
   // them) and fresh dense seqs; the pre-compaction next_seq travels in the
@@ -132,44 +111,33 @@ Status AnnotationStore::Compact() {
   const uint64_t bytes_before = file_bytes_;
   const uint64_t carried_next_seq = next_seq_.load(std::memory_order_relaxed);
   ByteWriter out;
-  out.PutBytes(walfmt::kMagic, walfmt::kMagicSize);
+  out.Rest(walfmt::kMagic);
+  // Every live payload extends the chained CRC the trailer seals.
   Crc32cChain chain;
   ByteWriter payload;
+  const auto emit = [&](const auto& record) {
+    payload.Clear();
+    EncodeFields(record, &payload);
+    chain.Extend(payload.span());
+    out.PutFrame(record.kType, payload.span());
+  };
   uint64_t seq = 0;
-  for (const LiveRecord& record : live) {
-    payload.Clear();
-    payload.PutVarint(0);
-    payload.PutVarint(seq++);
-    payload.PutVarint(KeyCluster(record.key));
-    payload.PutVarint(KeyOffset(record.key));
-    payload.PutBool(record.label);
-    chain.Extend(payload.span());
-    out.PutFrame(walfmt::kAnnotationFrame, payload.span());
+  for (const auto& [key, label] : live) {
+    // (cluster, offset) unpacked from `Key`.
+    emit(walfmt::LabelRecord{.seq = seq++,
+                             .cluster = key >> 24,
+                             .offset = key & ((uint64_t{1} << 24) - 1),
+                             .label = label});
   }
-  for (const CheckpointEntry* entry : live_checkpoints) {
-    payload.Clear();
-    payload.PutVarint(entry->audit_id);
-    payload.PutLengthPrefixed(
-        {entry->snapshot.data(), entry->snapshot.size()});
-    chain.Extend(payload.span());
-    out.PutFrame(walfmt::kCheckpointFrame, payload.span());
+  for (const CheckpointEntry& entry : checkpoints_) {
+    emit(walfmt::CheckpointRecord{entry.audit_id, entry.snapshot});
   }
-  for (const LedgerEntry* entry : live_ledgers) {
-    payload.Clear();
-    payload.PutString(entry->balance.tenant);
-    payload.PutVarint(entry->balance.oracle_spent);
-    payload.PutVarint(entry->balance.store_bytes);
-    chain.Extend(payload.span());
-    out.PutFrame(walfmt::kTenantLedgerFrame, payload.span());
-  }
-  payload.Clear();
-  payload.PutVarint(2);  // Trailer version (2 = tenant-ledger count added).
-  payload.PutVarint(live.size());
-  payload.PutVarint(live_checkpoints.size());
-  payload.PutVarint(live_ledgers.size());
-  payload.PutVarint(carried_next_seq);
-  payload.PutFixed32(chain.value());
-  out.PutFrame(walfmt::kCompactionTrailerFrame, payload.span());
+  for (const LedgerEntry& entry : ledgers_) emit(entry.balance);
+  emit(walfmt::TrailerRecord{.records = live.size(),
+                             .checkpoints = checkpoints_.size(),
+                             .ledgers = ledgers_.size(),
+                             .next_seq = carried_next_seq,
+                             .live_crc = chain.value()});
 
   // Phases 2b-3: write and fsync the temp file. Any failure here deletes
   // the temp and leaves the old log the undisturbed source of truth.
@@ -252,8 +220,8 @@ Status AnnotationStore::Compact() {
   compaction_stats_.last_bytes_before = bytes_before;
   compaction_stats_.last_bytes_after = file_bytes_;
   compaction_stats_.last_records = live.size();
-  compaction_stats_.last_checkpoints = live_checkpoints.size();
-  compaction_stats_.last_ledgers = live_ledgers.size();
+  compaction_stats_.last_checkpoints = checkpoints_.size();
+  compaction_stats_.last_ledgers = ledgers_.size();
   return dirsync;
 }
 

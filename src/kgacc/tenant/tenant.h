@@ -21,7 +21,7 @@
 /// single-tenant compatibility mode a daemon without `--tenants` runs in).
 ///
 /// **`QuotaLedger`** — the dynamic side: durable per-tenant spend,
-/// metered as typed `kTenantLedgerFrame` frames in a CRC-framed store log
+/// metered as typed `walfmt::LedgerRecord` frames in a CRC-framed store log
 /// (the same format annotation records use, byte-accounted the same way).
 /// Every frame carries the tenant's *cumulative* totals, so replay is
 /// latest-wins and compaction folds a tenant's history into one live

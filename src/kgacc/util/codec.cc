@@ -38,10 +38,10 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
 
 void ByteWriter::PutFrame(uint8_t type, std::span<const uint8_t> payload) {
   const size_t frame_start = buf_.size();
-  PutU8(type);
-  PutVarint(payload.size());
-  PutBytes(payload.data(), payload.size());
-  PutFixed32(Crc32c(buf_.data() + frame_start, buf_.size() - frame_start));
+  U8(type);
+  Varint(payload.size());
+  Rest(payload);
+  Fixed32(Crc32c(buf_.data() + frame_start, buf_.size() - frame_start));
 }
 
 Result<std::optional<DecodedFrame>> DecodeFrame(std::span<const uint8_t> data,
@@ -49,26 +49,28 @@ Result<std::optional<DecodedFrame>> DecodeFrame(std::span<const uint8_t> data,
   constexpr std::optional<DecodedFrame> kNeedMore;
   if (data.empty()) return kNeedMore;
   ByteReader reader(data.subspan(1));
-  const Result<uint64_t> len = reader.Varint();
-  if (!len.ok()) {
+  uint64_t len = 0;
+  reader.Varint(len);
+  if (!reader.ok()) {
     // A varint is at most 10 bytes: a failed read over fewer than that ran
     // out of input (the prefix is still in flight); over 10 or more it is
     // structurally impossible.
     if (data.size() - 1 < 10) return kNeedMore;
     return Status::OutOfRange("frame: bad length prefix (" +
-                              len.status().message() + ")");
+                              reader.status().message() + ")");
   }
-  if (*len > max_payload_bytes) {
+  if (len > max_payload_bytes) {
     return Status::OutOfRange(
-        "frame: payload of " + std::to_string(*len) + " bytes exceeds the " +
+        "frame: payload of " + std::to_string(len) + " bytes exceeds the " +
         std::to_string(max_payload_bytes) + "-byte limit");
   }
-  if (reader.remaining() < *len || reader.remaining() - *len < 4) {
+  if (reader.remaining() < len || reader.remaining() - len < 4) {
     return kNeedMore;  // Payload or CRC still in flight.
   }
   const size_t header = data.size() - reader.remaining();
-  const std::span<const uint8_t> payload = *reader.Bytes(*len);
-  const uint32_t stored_crc = *reader.Fixed32();
+  const std::span<const uint8_t> payload = data.subspan(header, len);
+  uint32_t stored_crc = 0;
+  ByteReader(data.subspan(header + len, 4)).Fixed32(stored_crc);
   if (Crc32c(data.data(), header + payload.size()) != stored_crc) {
     return Status::IoError("frame: checksum mismatch (torn or bit-flipped)");
   }

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "kgacc/eval/session.h"
 #include "kgacc/kg/knowledge_graph.h"
 #include "kgacc/net/client.h"
+#include "kgacc/net/socket.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/util/failpoint.h"
 
@@ -100,8 +102,7 @@ class TestPeer {
     fd_ = std::move(*fd);
     KGACC_RETURN_IF_ERROR(SetRecvTimeoutMs(fd_.get(), 1500));
     if (hello) {
-      KGACC_RETURN_IF_ERROR(
-          Send(FrameOf(MessageType::kHello, EncodeHello, HelloMsg{})));
+      KGACC_RETURN_IF_ERROR(Send(FrameOf(HelloMsg{})));
       auto ack = Read();
       if (!ack.ok()) return ack.status();
       if (ack->type != static_cast<uint8_t>(MessageType::kHelloAck)) {
@@ -316,22 +317,18 @@ TEST(AuditDaemonTest, SessionLimitAnswersBusyNeverHangs) {
   OpenAuditMsg first;
   first.audit_id = 1;
   first.kg_name = "kg";
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, first))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(first)).ok());
   auto opened = peer.Read();
   ASSERT_TRUE(opened.ok());
   ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
 
   OpenAuditMsg second = first;
   second.audit_id = 2;  // a *different* session: over the limit
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, second))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(second)).ok());
   auto busy = peer.Read();
   ASSERT_TRUE(busy.ok());
   ASSERT_EQ(busy->type, static_cast<uint8_t>(MessageType::kBusy));
-  auto msg = DecodeBusy({busy->payload.data(), busy->payload.size()});
+  auto msg = Decode<BusyMsg>(busy->payload);
   ASSERT_TRUE(msg.ok());
   EXPECT_GT(msg->retry_after_ms, 0u);
   EXPECT_FALSE(msg->reason.empty());
@@ -367,17 +364,96 @@ TEST(AuditDaemonTest, FramesBeforeHelloFailTheConnection) {
   ASSERT_TRUE(peer.Connect(daemon.port(), /*hello=*/false).ok());
   HeartbeatMsg probe;
   probe.nonce = 1;
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(probe)).ok());
   auto reply = peer.Read();
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, static_cast<uint8_t>(MessageType::kError));
-  auto err = DecodeError({reply->payload.data(), reply->payload.size()});
+  auto err = Decode<ErrorMsg>(reply->payload);
   ASSERT_TRUE(err.ok());
   EXPECT_TRUE(err->fatal_to_connection);
   EXPECT_TRUE(peer.ReadUntilClosed());
   daemon.Stop();
+}
+
+TEST(AuditDaemonTest, VersionOneHelloIsConnectionFatal) {
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("v1_hello");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port(), /*hello=*/false).ok());
+  // A v1 Hello: magic and version, no tenant string.
+  ByteWriter v1;
+  v1.Fixed32(kNetMagic);
+  v1.Varint(1);
+  ByteWriter frame;
+  frame.PutFrame(static_cast<uint8_t>(MessageType::kHello), v1.span());
+  ASSERT_TRUE(peer.Send(frame.bytes()).ok());
+  auto reply = peer.Read();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->type, static_cast<uint8_t>(MessageType::kError));
+  auto err = Decode<ErrorMsg>(reply->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_TRUE(err->fatal_to_connection);
+  EXPECT_TRUE(peer.ReadUntilClosed());
+  daemon.Stop();
+}
+
+TEST(AuditClientTest, ErrorFrameCarryingOkFailsTheAuditInsteadOfAborting) {
+  // A scripted daemon: it answers the handshake and the open, then pushes
+  // an Error whose code byte is 0 (OK) and which claims to end the session.
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok());
+  const auto port = LocalPort(listener->get());
+  ASSERT_TRUE(port.ok());
+  ByteWriter not_an_error;
+  not_an_error.U8(0);
+  not_an_error.Varint(5);
+  not_an_error.Bool(true);
+  not_an_error.Bool(false);
+  not_an_error.String("all is well");
+  ByteWriter script;
+  const std::vector<uint8_t> ack = FrameOf(HelloAckMsg{});
+  script.Rest(ack);
+  AuditOpenedMsg opened;
+  opened.audit_id = 5;
+  const std::vector<uint8_t> opened_frame = FrameOf(opened);
+  script.Rest(opened_frame);
+  script.PutFrame(static_cast<uint8_t>(MessageType::kError),
+                  not_an_error.span());
+
+  std::atomic<bool> client_done{false};
+  std::thread fake([&] {
+    OwnedFd conn;
+    while (!conn.valid() && !client_done.load()) {
+      auto accepted = AcceptTcp(listener->get());
+      if (!accepted.ok()) return;
+      if (accepted->valid()) {
+        conn = std::move(*accepted);
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    if (!conn.valid()) return;
+    (void)SendAll(conn.get(), script.span());
+    // Hold the connection open until the client has read the script.
+    while (!client_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  AuditClientOptions options = ClientOptions(*port);
+  options.max_reconnects = 0;
+  AuditClient client(options);
+  OpenAuditMsg open;
+  open.audit_id = 5;
+  open.kg_name = "kg";
+  const auto report = client.RunAudit(open);
+  client_done = true;
+  fake.join();
+  EXPECT_FALSE(report.ok());
 }
 
 TEST(AuditDaemonTest, GarbageBytesFailTheConnectionNotTheDaemon) {
@@ -418,14 +494,11 @@ TEST(AuditDaemonTest, HeartbeatsAckedAndDropFailpointIsCountedNotFatal) {
   ASSERT_TRUE(peer.Connect(daemon.port()).ok());
   HeartbeatMsg probe;
   probe.nonce = 7;
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(probe)).ok());
   auto ack = peer.Read();
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   ASSERT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
-  auto decoded =
-      DecodeHeartbeat({ack->payload.data(), ack->payload.size()});
+  auto decoded = Decode<HeartbeatAckMsg>(ack->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->nonce, 7u);
   EXPECT_EQ(daemon.stats().heartbeats_acked.load(), 1u);
@@ -434,9 +507,7 @@ TEST(AuditDaemonTest, HeartbeatsAckedAndDropFailpointIsCountedNotFatal) {
     ScopedFailpoints fp("net.heartbeat.drop=once");
     ASSERT_TRUE(fp.status().ok());
     probe.nonce = 8;
-    ASSERT_TRUE(
-        peer.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
-            .ok());
+    ASSERT_TRUE(peer.Send(FrameOf(probe)).ok());
     auto dropped = peer.Read();  // nothing comes back
     ASSERT_FALSE(dropped.ok());
     EXPECT_EQ(dropped.status().code(), StatusCode::kDeadlineExceeded);
@@ -446,9 +517,7 @@ TEST(AuditDaemonTest, HeartbeatsAckedAndDropFailpointIsCountedNotFatal) {
 
   // Disarmed: liveness is back, same connection.
   probe.nonce = 9;
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(probe)).ok());
   ack = peer.Read();
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
@@ -496,18 +565,14 @@ TEST(AuditDaemonTest, GracefulDrainCheckpointsAndResumesElsewhere) {
     OpenAuditMsg open;
     open.audit_id = 8;
     open.kg_name = "kg";
-    ASSERT_TRUE(
-        peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open))
-            .ok());
+    ASSERT_TRUE(peer.Send(FrameOf(open)).ok());
     auto opened = peer.Read();
     ASSERT_TRUE(opened.ok());
     ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
     StepBatchMsg batch;
     batch.audit_id = 8;
     batch.steps = 2;
-    ASSERT_TRUE(
-        peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
-            .ok());
+    ASSERT_TRUE(peer.Send(FrameOf(batch)).ok());
     for (int i = 0; i < 2; ++i) {
       auto update = peer.Read();
       ASSERT_TRUE(update.ok()) << update.status().ToString();
@@ -564,8 +629,7 @@ OpenAuditMsg OpenFor(uint64_t audit_id) {
 }
 
 Status SendOpen(TestPeer& peer, uint64_t audit_id) {
-  return peer.Send(
-      FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, OpenFor(audit_id)));
+  return peer.Send(FrameOf(OpenFor(audit_id)));
 }
 
 /// Lets a just-sent open reach its worker (and its injected sleep).
@@ -594,9 +658,7 @@ TEST(AuditDaemonOpenTest, SlowOpenNeverStallsOtherConnections) {
   ASSERT_TRUE(other.Connect(daemon.port()).ok());  // Hello -> HelloAck
   HeartbeatMsg probe;
   probe.nonce = 5;
-  ASSERT_TRUE(
-      other.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe))
-          .ok());
+  ASSERT_TRUE(other.Send(FrameOf(probe)).ok());
   auto ack = other.Read();
   const double elapsed_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - start)
@@ -695,9 +757,7 @@ TEST(AuditDaemonOpenTest, StepBatchSentBeforeAuditOpenedRunsAfterTheOpen) {
   StepBatchMsg batch;
   batch.audit_id = 3;
   batch.steps = 2;
-  ASSERT_TRUE(
-      peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
-          .ok());
+  ASSERT_TRUE(peer.Send(FrameOf(batch)).ok());
 
   auto opened = peer.Read();
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -706,8 +766,7 @@ TEST(AuditDaemonOpenTest, StepBatchSentBeforeAuditOpenedRunsAfterTheOpen) {
     auto frame = peer.Read();
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kIntervalUpdate));
-    auto update =
-        DecodeIntervalUpdate({frame->payload.data(), frame->payload.size()});
+    auto update = Decode<IntervalUpdateMsg>(frame->payload);
     ASSERT_TRUE(update.ok());
     EXPECT_EQ(update->step, step);
   }
@@ -776,9 +835,7 @@ TEST(AuditDaemonOpenTest, DrainWithQueuedOpensExitsAndRestartResumes) {
     StepBatchMsg batch;
     batch.audit_id = 2;
     batch.steps = 2;
-    ASSERT_TRUE(
-        queued.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
-            .ok());
+    ASSERT_TRUE(queued.Send(FrameOf(batch)).ok());
     {
       TestPeer abandoned;
       ASSERT_TRUE(abandoned.Connect(daemon.port()).ok());

@@ -105,8 +105,7 @@ class TenantPeer {
     KGACC_RETURN_IF_ERROR(SetRecvTimeoutMs(fd_.get(), 1500));
     HelloMsg hello;
     hello.tenant = tenant;
-    KGACC_RETURN_IF_ERROR(
-        Send(FrameOf(MessageType::kHello, EncodeHello, hello)));
+    KGACC_RETURN_IF_ERROR(Send(FrameOf(hello)));
     auto ack = Read();
     if (!ack.ok()) return ack.status();
     if (ack->type != static_cast<uint8_t>(MessageType::kHelloAck)) {
@@ -328,9 +327,7 @@ TEST(TenantDaemonTest, TenantSessionCapIsQuotaExceededNotBusy) {
   OpenAuditMsg first;
   first.audit_id = 1;
   first.kg_name = "kg";
-  ASSERT_TRUE(
-      holder.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, first))
-          .ok());
+  ASSERT_TRUE(holder.Send(FrameOf(first)).ok());
   auto opened = holder.Read();
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
@@ -339,15 +336,12 @@ TEST(TenantDaemonTest, TenantSessionCapIsQuotaExceededNotBusy) {
   // frame is QuotaExceeded naming the quota, not a generic Busy.
   OpenAuditMsg second = first;
   second.audit_id = 2;
-  ASSERT_TRUE(
-      holder.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, second))
-          .ok());
+  ASSERT_TRUE(holder.Send(FrameOf(second)).ok());
   auto rejected = holder.Read();
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   ASSERT_EQ(rejected->type,
             static_cast<uint8_t>(MessageType::kQuotaExceeded));
-  auto msg = DecodeQuotaExceeded(
-      {rejected->payload.data(), rejected->payload.size()});
+  auto msg = Decode<QuotaExceededMsg>(rejected->payload);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->quota, "max_sessions");
   EXPECT_TRUE(msg->fatal_to_session);

@@ -68,7 +68,11 @@ class CheckpointFuzzTest : public testing::Test {
   /// Offset of the fingerprint (after the version byte and the count).
   static size_t FingerprintAt(const std::vector<uint8_t>& record) {
     ByteReader reader({record.data(), record.size()});
-    if (!reader.U8().ok() || !reader.Varint().ok()) return record.size() + 1;
+    uint8_t version = 0;
+    uint64_t steps = 0;
+    reader.U8(version);
+    reader.Varint(steps);
+    if (!reader.ok()) return record.size() + 1;
     return record.size() - reader.remaining();
   }
 
@@ -94,10 +98,9 @@ class CheckpointFuzzTest : public testing::Test {
   /// The valid record with its step count replaced by `steps`.
   std::vector<uint8_t> WithSteps(uint64_t steps) const {
     ByteWriter w;
-    w.PutU8(record_[0]);
-    w.PutVarint(steps);
-    w.PutBytes(record_.data() + fingerprint_at_,
-               record_.size() - fingerprint_at_);
+    w.U8(record_[0]);
+    w.Varint(steps);
+    w.Rest(std::span<const uint8_t>(record_).subspan(fingerprint_at_));
     return w.bytes();
   }
 

@@ -193,21 +193,21 @@ void WriteLogWithTrailer(const std::string& path, uint64_t claimed_records,
   ByteWriter out;  // Frames only; the magic is written ahead of them.
   Crc32cChain chain;
   ByteWriter payload;
-  payload.PutVarint(0);  // Rewrite-owned audit id.
-  payload.PutVarint(0);  // seq
-  payload.PutVarint(3);  // cluster
-  payload.PutVarint(1);  // offset
-  payload.PutBool(true);
+  payload.Varint(0);  // Rewrite-owned audit id.
+  payload.Varint(0);  // seq
+  payload.Varint(3);  // cluster
+  payload.Varint(1);  // offset
+  payload.Bool(true);
   chain.Extend(payload.span());
-  out.PutFrame(walfmt::kAnnotationFrame, payload.span());
+  out.PutFrame(walfmt::LabelRecord::kType, payload.span());
   payload.Clear();
-  payload.PutVarint(1);  // Trailer version.
-  payload.PutVarint(claimed_records);
-  payload.PutVarint(0);  // checkpoints
-  payload.PutVarint(1);  // carried next_seq
-  payload.PutFixed32(corrupt_live_crc ? chain.value() ^ 0xdeadbeef
+  payload.Varint(1);  // Trailer version.
+  payload.Varint(claimed_records);
+  payload.Varint(0);  // checkpoints
+  payload.Varint(1);  // carried next_seq
+  payload.Fixed32(corrupt_live_crc ? chain.value() ^ 0xdeadbeef
                                       : chain.value());
-  out.PutFrame(walfmt::kCompactionTrailerFrame, payload.span());
+  out.PutFrame(walfmt::TrailerRecord::kType, payload.span());
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(walfmt::kMagic, 1, walfmt::kMagicSize, f),

@@ -140,7 +140,7 @@ void RewriteLength(std::vector<uint8_t>* log, size_t start, uint64_t len) {
   const size_t old_prefix =
       (*frame)->size - 1 - (*frame)->payload.size() - 4;
   ByteWriter prefix;
-  prefix.PutVarint(len);
+  prefix.Varint(len);
   log->erase(log->begin() + start + 1,
              log->begin() + start + 1 + old_prefix);
   log->insert(log->begin() + start + 1, prefix.bytes().begin(),
@@ -162,12 +162,12 @@ void RewritePayload(std::vector<uint8_t>* log, size_t start, bool varints,
   if (varints) {
     const int fields = 1 + static_cast<int>((*rng)() % 6);
     for (int k = 0; k < fields; ++k) {
-      payload.PutVarint((*rng)() >> ((*rng)() % 64));
+      payload.Varint((*rng)() >> ((*rng)() % 64));
     }
   } else if ((*frame)->payload.empty() || (*rng)() % 4 == 0) {
     const size_t n = (*rng)() % 24;
     for (size_t k = 0; k < n; ++k) {
-      payload.PutU8(static_cast<uint8_t>((*rng)()));
+      payload.U8(static_cast<uint8_t>((*rng)()));
     }
   } else {
     std::vector<uint8_t> bytes((*frame)->payload.begin(),
@@ -175,7 +175,7 @@ void RewritePayload(std::vector<uint8_t>* log, size_t start, bool varints,
     for (int k = 0; k < 3; ++k) {
       bytes[(*rng)() % bytes.size()] = static_cast<uint8_t>((*rng)());
     }
-    payload.PutBytes(bytes.data(), bytes.size());
+    payload.Rest(bytes);
   }
   ByteWriter sealed;
   sealed.PutFrame(type, payload.span());

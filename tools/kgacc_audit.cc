@@ -47,6 +47,7 @@
 
 #include "kgacc/eval/report.h"
 #include "kgacc/kgacc.h"
+#include "kgacc/net/server.h"
 #include "kgacc/util/arg_parser.h"
 
 namespace {
@@ -109,16 +110,6 @@ ArgParser BuildParser() {
   return parser;
 }
 
-Result<IntervalMethod> ParseMethod(const std::string& name) {
-  if (name == "ahpd") return IntervalMethod::kAhpd;
-  if (name == "hpd") return IntervalMethod::kHpd;
-  if (name == "et") return IntervalMethod::kEqualTailed;
-  if (name == "wilson") return IntervalMethod::kWilson;
-  if (name == "wald") return IntervalMethod::kWald;
-  if (name == "cp") return IntervalMethod::kClopperPearson;
-  return Status::InvalidArgument("unknown method: " + name);
-}
-
 std::vector<std::string> SplitCsv(const std::string& spec) {
   std::vector<std::string> items;
   size_t start = 0;
@@ -151,7 +142,8 @@ Result<std::vector<BetaPrior>> ParseExtraPriors(const std::string& spec) {
 Result<std::vector<IntervalMethod>> ParseMethodList(const std::string& spec) {
   std::vector<IntervalMethod> methods;
   for (const std::string& item : SplitCsv(spec)) {
-    KGACC_ASSIGN_OR_RETURN(const IntervalMethod method, ParseMethod(item));
+    KGACC_ASSIGN_OR_RETURN(const IntervalMethod method,
+                           ParseIntervalMethod(item));
     methods.push_back(method);
   }
   if (methods.empty()) {
@@ -205,7 +197,7 @@ int RunMain(int argc, char** argv) {
   }
 
   EvaluationConfig config;
-  const auto method = ParseMethod(parsed->GetString("method", "ahpd"));
+  const auto method = ParseIntervalMethod(parsed->GetString("method", "ahpd"));
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
     return 2;
@@ -281,25 +273,13 @@ int RunMain(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<Sampler> sampler;
-  if (design == "srs") {
-    sampler = std::make_unique<SrsSampler>(
-        *kg, SrsConfig{.without_replacement = *fpc});
-  } else if (design == "twcs") {
-    sampler = std::make_unique<TwcsSampler>(
-        *kg, TwcsConfig{.second_stage_size = static_cast<int>(*m)});
-  } else if (design == "wcs") {
-    sampler = std::make_unique<WcsSampler>(*kg, ClusterConfig{});
-  } else if (design == "rcs") {
-    sampler = std::make_unique<RcsSampler>(*kg, ClusterConfig{});
-  } else if (design == "ssrs") {
-    sampler = std::make_unique<StratifiedSampler>(*kg, StratifiedConfig{});
-  } else if (design == "sys") {
-    sampler = std::make_unique<SystematicSampler>(*kg, SystematicConfig{});
-  } else {
-    std::fprintf(stderr, "unknown design: %s\n", design.c_str());
+  auto built = MakeSamplerForDesign(*kg, design, static_cast<int>(*m),
+                                    /*srs_without_replacement=*/*fpc);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 2;
   }
+  const std::unique_ptr<Sampler> sampler = std::move(built).value();
 
   std::unique_ptr<Annotator> annotator;
   const std::string annotator_name = parsed->GetString("annotator", "oracle");

@@ -78,16 +78,6 @@ ArgParser BuildParser() {
   return parser;
 }
 
-Result<IntervalMethod> ParseMethod(const std::string& name) {
-  if (name == "ahpd") return IntervalMethod::kAhpd;
-  if (name == "hpd") return IntervalMethod::kHpd;
-  if (name == "et") return IntervalMethod::kEqualTailed;
-  if (name == "wilson") return IntervalMethod::kWilson;
-  if (name == "wald") return IntervalMethod::kWald;
-  if (name == "cp") return IntervalMethod::kClopperPearson;
-  return Status::InvalidArgument("unknown method: " + name);
-}
-
 Result<uint16_t> ReadPortFile(const std::string& port_file,
                               int64_t wait_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -151,7 +141,7 @@ int RunMain(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", port.status().ToString().c_str());
     return 2;
   }
-  const auto method = ParseMethod(parsed->GetString("method", "ahpd"));
+  const auto method = ParseIntervalMethod(parsed->GetString("method", "ahpd"));
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
     return 2;
