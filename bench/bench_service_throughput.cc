@@ -148,7 +148,6 @@ int main() {
       // regression record that plain batches never degrade or retry.
       size_t degraded_jobs = 0;
       uint64_t total_retries = 0;
-      size_t deadline_hits = 0;
       uint64_t annotated_triples = 0;
       HpdSolveStats cell_hpd;
       const uint64_t allocs_before = alloc_counter::Current();
@@ -172,7 +171,6 @@ int main() {
         stolen_groups += stats.stolen_groups;
         degraded_jobs += stats.degraded_jobs;
         total_retries += stats.total_retries;
-        deadline_hits += stats.deadline_hits;
         cell_hpd += stats.hpd;
         if (run_wall_seconds.size() >= 512) break;  // Pathology guard.
       }
@@ -222,7 +220,6 @@ int main() {
             "\"spawn_seconds\": %.6f, \"submit_seconds\": %.6f, "
             "\"run_seconds\": %.6f, \"barrier_seconds\": %.6f, "
             "\"degraded_jobs\": %zu, \"total_retries\": %llu, "
-            "\"deadline_hits\": %zu, "
             "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
             "\"hpd_beta_evals_per_solve\": %.2f}",
             first_record ? "" : ",\n", jobs_n, service.num_threads(), runs,
@@ -231,7 +228,7 @@ int main() {
             allocs_per_audit, failed, groups,
             static_cast<unsigned long long>(stolen_groups), spawn_seconds,
             mean_submit, mean_run, mean_barrier, degraded_jobs,
-            static_cast<unsigned long long>(total_retries), deadline_hits,
+            static_cast<unsigned long long>(total_retries),
             static_cast<unsigned long long>(cell_hpd.total_solves()),
             static_cast<unsigned long long>(cell_hpd.newton.solves),
             evals_per_solve);

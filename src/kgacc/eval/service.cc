@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "kgacc/util/failpoint.h"
 #include "kgacc/util/random.h"
 
 namespace kgacc {
@@ -153,42 +152,16 @@ void EvaluationService::RunJob(const EvaluationJob& job,
     try {
       EvaluationSession session(*sampler, *annotator, job.config, job.seed,
                                 &context.scratch);
-      const bool budgeted = job.max_steps > 0 || job.deadline_seconds > 0.0;
-      if (!job.on_step && !budgeted) return session.Run();
-      // Hooked or budgeted jobs step explicitly so every iteration is
-      // observed (checkpointing, progress, budget checks). A hook failure
-      // aborts this job only.
-      const auto job_start = std::chrono::steady_clock::now();
-      uint64_t steps = 0;
+      if (!job.on_step) return session.Run();
+      // Hooked jobs step explicitly so every iteration is observed. A hook
+      // failure aborts this job only.
       while (!session.done()) {
-        if (FailpointHit("service.step")) {
-          return Status::Internal(
-              "injected step failure (failpoint service.step)");
-        }
-        KGACC_ASSIGN_OR_RETURN(const StepOutcome outcome, session.Step());
-        (void)outcome;
-        ++steps;
+        KGACC_RETURN_IF_ERROR(session.Step().status());
         // Fail before the hook checkpoints a step whose labels never
         // reached the log: a snapshot must not certify state the WAL
         // cannot replay.
         if (stored) KGACC_RETURN_IF_ERROR(stored->status());
-        if (job.on_step) KGACC_RETURN_IF_ERROR(job.on_step(session));
-        if (job.max_steps > 0 && steps >= job.max_steps && !session.done()) {
-          out->deadline_exceeded = true;
-          return Status::DeadlineExceeded(
-              "job cancelled: step budget of " +
-              std::to_string(job.max_steps) + " exhausted");
-        }
-        if (job.deadline_seconds > 0.0 && !session.done()) {
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - job_start;
-          if (elapsed.count() > job.deadline_seconds) {
-            out->deadline_exceeded = true;
-            return Status::DeadlineExceeded(
-                "job cancelled: wall-clock deadline of " +
-                std::to_string(job.deadline_seconds) + "s exceeded");
-          }
-        }
+        KGACC_RETURN_IF_ERROR(job.on_step(session));
       }
       return session.Finish();
     } catch (const std::exception& e) {
@@ -213,7 +186,7 @@ void EvaluationService::RunJob(const EvaluationJob& job,
     if (stored->degraded()) out->degraded = true;
     out->retries += stored->retries();
     if (out->status.ok() && !stored->status().ok()) {
-      // kFailFast sticky append failure: the report would outrun its log —
+      // kFail sticky append failure: the report would outrun its log —
       // fail the job rather than return labels the store never saw.
       out->status = stored->status();
     }
@@ -328,7 +301,6 @@ EvaluationBatchResult EvaluationService::RunBatch(
   for (const EvaluationJobOutcome& out : batch.outcomes) {
     if (out.degraded) ++stats.degraded_jobs;
     stats.total_retries += out.retries;
-    if (out.deadline_exceeded) ++stats.deadline_hits;
     stats.store_hits += out.store_hits;
     stats.store_oracle_calls += out.store_oracle_calls;
     if (!out.status.ok()) {

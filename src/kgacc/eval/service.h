@@ -73,7 +73,7 @@ struct EvaluationJob {
   /// of jobs in one batch may point at the *same* store and share one
   /// label pool (concurrent appends coalesce under shared fsyncs). The
   /// store must outlive RunBatch. A sticky store-write failure fails the
-  /// job (kFailFast) or degrades it (kDegrade, surfaced in the outcome).
+  /// job (kFail) or degrades it (kDegrade, surfaced in the outcome).
   AnnotationStore* store = nullptr;
   /// Audit id for the job's store writes and checkpoints. Concurrent jobs
   /// sharing a store must use distinct ids.
@@ -99,16 +99,6 @@ struct EvaluationJob {
   /// certifies labels the log lacks. Runs on the worker thread; per-job
   /// state only, unless externally synchronized.
   std::function<Status(const EvaluationSession&)> on_step;
-  /// Hard step budget (0 = unlimited): the job is cancelled with
-  /// DeadlineExceeded once its session has run this many steps without
-  /// converging — the backstop against a mis-specified design spinning a
-  /// worker forever.
-  uint64_t max_steps = 0;
-  /// Wall-clock budget in seconds (0 = none), measured from the job's
-  /// start and checked on every step boundary; a job past its deadline is
-  /// cancelled with DeadlineExceeded. Step-granular by design: the check
-  /// costs one clock read and never interrupts a step mid-flight.
-  double deadline_seconds = 0.0;
   /// Optional robustness collector, called once on the worker thread after
   /// the job's session finished (success or failure). Bind it to the job's
   /// `StoredAnnotator`/`CheckpointManager` so degradation and retry counts
@@ -129,9 +119,6 @@ struct EvaluationJobOutcome {
   bool degraded = false;
   /// Store-write retries performed by the job (see `JobRobustness`).
   uint64_t retries = 0;
-  /// The job was cancelled at its step or wall-clock budget (`status` is
-  /// then DeadlineExceeded).
-  bool deadline_exceeded = false;
   /// Store-backed jobs only: triples answered from the shared store's
   /// index (no oracle call) and triples delegated to the inner annotator.
   uint64_t store_hits = 0;
@@ -179,13 +166,12 @@ struct ServiceBatchStats {
   /// (beta evals per solve, Newton share) is observable — and gateable —
   /// under parallel load, not just in the single-threaded step bench.
   HpdSolveStats hpd;
-  /// Robustness aggregates across the batch — all three are zero in the
+  /// Robustness aggregates across the batch — both are zero in the
   /// healthy, unarmed default (the invariant the throughput bench records):
-  /// jobs that finished degraded, store-write retries summed over all jobs,
-  /// and jobs cancelled at a step/wall-clock budget.
+  /// jobs that finished degraded, and store-write retries summed over all
+  /// jobs.
   size_t degraded_jobs = 0;
   uint64_t total_retries = 0;
-  size_t deadline_hits = 0;
   /// Store-backed batch aggregates. Hits/oracle-calls are summed over the
   /// jobs; the commit counters are deltas of `group_commit_stats()` across
   /// the batch for every distinct store the jobs referenced — so

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
@@ -113,7 +112,7 @@ struct AuditDaemon::Connection {
 
 /// One audit session: the durable unit that outlives connections. The poll
 /// thread owns the registry and all metadata; while `busy` is set, the
-/// evaluation members (sampler/annotator/session/ckpt, design_name) belong
+/// evaluation members (sampler, audit, design_name) belong
 /// to the worker running the open or batch and the poll thread must not
 /// touch them. While `opening` is set they are not built yet.
 struct AuditDaemon::Session {
@@ -140,9 +139,9 @@ struct AuditDaemon::Session {
   std::shared_ptr<AnnotationStore> store;
   std::unique_ptr<Sampler> sampler;
   OracleAnnotator inner;
-  std::unique_ptr<StoredAnnotator> annotator;
-  std::unique_ptr<EvaluationSession> session;
-  std::unique_ptr<CheckpointManager> ckpt;
+  /// The store-backed annotator, session and checkpoints, built by the
+  /// open.
+  std::unique_ptr<DurableAudit> audit;
   EvaluationConfig config;
   /// Step budget (0 = unlimited) and wall-clock deadline from open/adopt.
   uint64_t max_steps = 0;
@@ -173,9 +172,6 @@ struct AuditDaemon::Session {
   /// step (never lost, never double-counted).
   uint64_t metered_oracle_calls = 0;
   uint64_t metered_store_bytes = 0;
-  /// Store hits of the open's checkpoint replay, left out of the report:
-  /// its store accounting covers the steps this session's batches ran.
-  uint64_t replayed_hits = 0;
   /// Steps completed, atomically mirrored for the poll thread (AuditOpened
   /// on re-adoption reads it while a batch may be running).
   std::atomic<uint64_t> steps_done{0};
@@ -365,7 +361,7 @@ void AuditDaemon::DetachSession(Session& session) {
     // Bound the reconnect replay: a detached session re-adopts from its
     // freshest possible snapshot. Best effort — every label is already in
     // the WAL regardless.
-    (void)session.ckpt->Checkpoint(*session.session);
+    (void)session.audit->Checkpoint();
   }
 }
 
@@ -766,20 +762,14 @@ Result<bool> AuditDaemon::OpenSession(Session& session) {
   session.sampler = BuildSampler(*p.kg, p.design, p.twcs_m,
                                  /*srs_without_replacement=*/false);
   session.design_name = session.sampler->name();
-  session.annotator = std::make_unique<StoredAnnotator>(
-      &session.inner, session.store.get(), session.audit_id,
-      StoredAnnotator::Options{});
-  session.session = std::make_unique<EvaluationSession>(
-      *session.sampler, *session.annotator, session.config, p.seed);
-  CheckpointOptions ckpt_options;
-  ckpt_options.every_steps = p.checkpoint_every;
-  session.ckpt = std::make_unique<CheckpointManager>(
-      session.store.get(), session.audit_id, ckpt_options);
-  if (!p.resume || !session.ckpt->CanResume()) return false;
-  KGACC_RETURN_IF_ERROR(session.ckpt->Resume(session.session.get()));
-  session.replayed_hits = session.annotator->store_hits();
+  session.audit = std::make_unique<DurableAudit>(
+      *session.sampler, &session.inner, session.store.get(),
+      session.audit_id, session.config, p.seed,
+      DurableAudit::Options{.checkpoint_every = p.checkpoint_every});
+  if (!p.resume || !session.audit->checkpoints().CanResume()) return false;
+  KGACC_RETURN_IF_ERROR(session.audit->Resume());
   session.steps_done.store(
-      static_cast<uint64_t>(session.session->iterations()),
+      static_cast<uint64_t>(session.audit->session().iterations()),
       std::memory_order_relaxed);
   stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -909,18 +899,15 @@ std::vector<uint8_t> AuditDaemon::BuildReportFrame(
   report.design_name = session.design_name;
   report.dataset_name = session.kg_name;
   report.result = result;
-  report.store_hits = session.annotator->store_hits() - session.replayed_hits;
-  report.oracle_calls = session.annotator->oracle_calls();
-  report.checkpoints_written = session.ckpt->checkpoints_written();
-  report.store_retries = session.annotator->retries() +
-                         session.ckpt->retries();
-  report.degraded =
-      session.annotator->degraded() || session.ckpt->degraded();
-  if (session.annotator->degraded()) {
-    report.degradation_note = session.annotator->degradation_note();
-  } else if (session.ckpt->degraded()) {
-    report.degradation_note = session.ckpt->degraded_cause().ToString();
-  }
+  DurableAudit& audit = *session.audit;
+  // The store accounting covers the steps this session's batches ran, not
+  // the open's checkpoint replay.
+  report.store_hits = audit.annotator().store_hits() - audit.replayed_hits();
+  report.oracle_calls = audit.annotator().oracle_calls();
+  report.checkpoints_written = audit.checkpoints().checkpoints_written();
+  report.store_retries = audit.retries();
+  report.degraded = audit.degraded();
+  report.degradation_note = audit.degradation_note();
   return FrameOf(report);
 }
 
@@ -960,6 +947,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
   };
   const TenantConfig& tenant_config = *session->tenant_config;
+  DurableAudit& audit = *session->audit;
 
   for (uint64_t i = 0; i < steps; ++i) {
     if (session->failed || session->finished) break;
@@ -991,8 +979,8 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
       // the budget. The session checkpoints and idles — a non-fatal
       // QuotaExceeded per batch, never a kill — so the audit resumes the
       // moment the budget grows. Overshoot is bounded by one step's calls.
-      const uint64_t unmetered = session->annotator->oracle_calls() -
-                                 session->metered_oracle_calls;
+      const uint64_t unmetered =
+          audit.annotator().oracle_calls() - session->metered_oracle_calls;
       const uint64_t durable =
           ledger_->Balance(session->tenant).oracle_spent;
       if (durable + unmetered >= tenant_config.oracle_budget) {
@@ -1000,7 +988,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
           session->quota_exhausted = true;
           stats_.quota_exhaustions.fetch_add(1, std::memory_order_relaxed);
         }
-        (void)session->ckpt->Checkpoint(*session->session);
+        (void)audit.Checkpoint();
         push_quota_exceeded(
             "oracle_budget",
             RemainingAllowance(tenant_config.oracle_budget,
@@ -1015,54 +1003,22 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
       }
     }
 
-    const auto outcome = session->session->Step();
+    const auto outcome = audit.Step();
     if (!outcome.ok()) {
-      std::string message = "evaluation step failed: " +
-                            outcome.status().ToString();
-      if (!session->store->wal_error().ok()) {
-        message += " (annotation WAL sticky-failed: " +
-                   session->store->wal_error().ToString() + ")";
-      }
-      fail_session(outcome.status().code(), message, /*count_failed=*/true);
-      break;
-    }
-    session->steps_done.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t total =
-        stats_.steps_executed.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Chaos hook: die between the step and its checkpoint — the hard
-    // recovery case, where the tail step's labels are durable but its
-    // snapshot is not. Recovery replays them from the store for free.
-    if (options_.crash_after_steps != 0 &&
-        total >= options_.crash_after_steps) {
-      std::raise(SIGKILL);
-    }
-    if (!session->annotator->status().ok()) {
-      fail_session(session->annotator->status().code(),
-                   "annotation store append failed: " +
-                       session->annotator->status().ToString(),
+      fail_session(outcome.status().code(), outcome.status().message(),
                    /*count_failed=*/true);
       break;
     }
-    const Status checkpointed = session->ckpt->OnStep(*session->session);
-    if (!checkpointed.ok()) {
-      std::string message =
-          "checkpoint failed: " + checkpointed.ToString();
-      if (!session->store->wal_error().ok()) {
-        message += " (annotation WAL sticky-failed: " +
-                   session->store->wal_error().ToString() + ")";
-      }
-      fail_session(checkpointed.code(), message, /*count_failed=*/true);
-      break;
-    }
+    session->steps_done.fetch_add(1, std::memory_order_relaxed);
+    stats_.steps_executed.fetch_add(1, std::memory_order_relaxed);
 
     // Meter the step's spend durably. Deltas are computed against the
     // last *successfully charged* totals, so a failed append simply rolls
     // the delta into the next step's charge — acknowledged spend is never
     // lost and never double-counted (Charge acks only after the durable
     // cumulative frame settles).
-    const uint64_t oracle_now = session->annotator->oracle_calls();
-    const uint64_t bytes_now = session->annotator->bytes_appended() +
-                               session->ckpt->bytes_appended();
+    const uint64_t oracle_now = audit.annotator().oracle_calls();
+    const uint64_t bytes_now = audit.bytes_appended();
     const uint64_t oracle_delta = oracle_now - session->metered_oracle_calls;
     const uint64_t bytes_delta = bytes_now - session->metered_store_bytes;
     if (oracle_delta != 0 || bytes_delta != 0) {
@@ -1074,7 +1030,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
       }
     }
     if (tenant_config.store_byte_quota != 0 &&
-        !session->annotator->degraded()) {
+        !audit.annotator().degraded()) {
       const uint64_t durable_bytes =
           ledger_->Balance(session->tenant).store_bytes;
       const uint64_t unmetered_bytes =
@@ -1085,7 +1041,7 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
         // being persisted (store hits keep serving) — the same degraded
         // read-only mode a sticky WAL failure drops into. Checkpoints
         // still append so the session stays resumable.
-        session->annotator->ForceDegrade(Status::QuotaExceeded(
+        audit.annotator().ForceDegrade(Status::QuotaExceeded(
             "tenant '" + session->tenant + "' store-byte quota (" +
             std::to_string(tenant_config.store_byte_quota) + ") exhausted"));
         stats_.quota_degraded.fetch_add(1, std::memory_order_relaxed);
@@ -1097,16 +1053,16 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
       }
     }
 
-    const bool degraded =
-        session->annotator->degraded() || session->ckpt->degraded();
+    const bool degraded = audit.degraded();
     if (degraded && !session->degraded_notified) {
       session->degraded_notified = true;
       stats_.sessions_degraded.fetch_add(1, std::memory_order_relaxed);
     }
 
     // The per-step interval push. Finish() mid-run snapshots the partial
-    // result — the only place the asymmetric HPD bounds live.
-    const auto partial = session->session->Finish();
+    // result — the only place the asymmetric HPD bounds live. Once done,
+    // it is the final result the report carries.
+    const auto partial = audit.session().Finish();
     IntervalUpdateMsg update;
     update.audit_id = session->audit_id;
     update.step = session->steps_done.load(std::memory_order_relaxed);
@@ -1126,19 +1082,18 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
 
     if (outcome->done) {
-      const auto result = session->session->Finish();
-      if (!result.ok()) {
-        fail_session(result.status().code(),
-                     "finalization failed: " + result.status().ToString(),
+      if (!partial.ok()) {
+        fail_session(partial.status().code(),
+                     "finalization failed: " + partial.status().ToString(),
                      /*count_failed=*/true);
         break;
       }
       // Final snapshot: a reopened finished audit restores directly to
       // done and regenerates this identical report.
-      (void)session->ckpt->Checkpoint(*session->session);
+      (void)audit.Checkpoint();
       (void)session->store->Flush();
       const std::vector<uint8_t> report_frame =
-          BuildReportFrame(*session, *result);
+          BuildReportFrame(*session, *partial);
       ev.frames.insert(ev.frames.end(), report_frame.begin(),
                        report_frame.end());
       ev.session_finished = true;
@@ -1190,7 +1145,7 @@ void AuditDaemon::DrainEvents() {
           stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
           if (session.conn_fd < 0) {
             // Detached while opening: checkpoint now, as after a batch.
-            (void)session.ckpt->Checkpoint(*session.session);
+            (void)session.audit->Checkpoint();
           }
         }
       }
@@ -1214,14 +1169,14 @@ void AuditDaemon::DrainEvents() {
         // The session leaves the registry; its store (flushed WAL +
         // checkpoints) remains the durable artifact a reopen resumes from.
         if (ev.session_failed && !session.finished) {
-          (void)session.ckpt->Checkpoint(*session.session);
+          (void)session.audit->Checkpoint();
         }
         if (conn != nullptr) std::erase(conn->audits, ev.audit_id);
         DropQueuedBatches(session);
         sessions_.erase(sit);
       } else if (session.conn_fd < 0) {
         // Detached mid-batch: checkpoint now that the worker is done.
-        (void)session.ckpt->Checkpoint(*session.session);
+        (void)session.audit->Checkpoint();
       }
     }
     // The freed worker serves its next queued batch (DRR order).
@@ -1344,7 +1299,7 @@ void AuditDaemon::PollLoop() {
   // whichever log it left installed is complete and durable.
   for (auto& [id, session] : sessions_) {
     if (!session->finished && !session->failed) {
-      (void)session->ckpt->Checkpoint(*session->session);
+      (void)session->audit->Checkpoint();
     }
   }
   for (auto& [name, store] : stores_) {

@@ -32,8 +32,9 @@
 /// runs on the audit's *home worker* (`audit_id % workers` on a
 /// `ThreadPool`, the shard-per-core discipline of `EvaluationService`), in
 /// per-worker weighted DRR order: first the audit's open — sampler build
-/// (a TWCS PPS alias table is O(#clusters)), evaluation session,
-/// checkpoint manager, resume — then its step batches. Workers hand
+/// (a TWCS PPS alias table is O(#clusters)), then the session's
+/// `DurableAudit` (store/checkpoint.h) and its resume — then its step
+/// batches, each step a `DurableAudit::Step`. Workers hand
 /// encoded reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
 /// back to the poll thread through an event queue + self-pipe, so sockets
 /// are never touched off-thread and one client's open never stalls another
@@ -66,6 +67,8 @@
 /// flush, `net.heartbeat.drop` suppresses one HeartbeatAck, `net.open`
 /// fails (or, armed `sleep:MS`, delays) the worker-side open. All five map
 /// injected faults to client-visible statuses and robustness counters.
+/// `audit.kill` SIGKILLs the daemon between a step and its checkpoint (see
+/// `DurableAudit`); the store failpoints apply as in `kgacc_audit`.
 
 namespace kgacc {
 
@@ -104,9 +107,6 @@ class AuditDaemon {
     bool sync_checkpoints = true;
     /// Session snapshot cadence floor; OpenAudit may ask for coarser.
     uint64_t checkpoint_every = 1;
-    /// Chaos: SIGKILL the process after this many total steps, *between* a
-    /// step and its checkpoint — the hard recovery case (0 = never).
-    uint64_t crash_after_steps = 0;
     /// Auto-compaction threshold handed to every per-KG store (0 = manual
     /// only; drain always compacts). See
     /// `AnnotationStore::Options::auto_compact_garbage_ratio`.
@@ -239,9 +239,9 @@ class AuditDaemon {
   /// queues its open on the home worker.
   void HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg);
   void HandleStepBatch(Connection& conn, const StepBatchMsg& msg);
-  /// Opens a session on a pool worker — builds its sampler, annotator,
-  /// evaluation session and checkpoint manager, resumes it — and posts
-  /// AuditOpened or the fatal Error back. Like RunBatch, it owns the
+  /// Opens a session on a pool worker — builds its sampler and
+  /// `DurableAudit`, resumes it — and posts AuditOpened or the fatal Error
+  /// back. Like RunBatch, it owns the
   /// session's evaluation members until its event is drained.
   void RunOpen(Session* session, int conn_fd, uint64_t conn_gen, int worker);
   /// The worker-side body of RunOpen. True when it resumed a checkpoint.

@@ -497,7 +497,7 @@ void StoredAnnotator::PersistLabel(const TripleRef& ref, bool label) {
     ++labels_dropped_;
     return;
   }
-  if (!status_.ok()) return;  // Fail-fast already tripped; stop appending.
+  if (!status_.ok()) return;  // kFail already tripped; stop appending.
   uint64_t appended = 0;
   const Status append = RetryWithBackoff(
       options_.backoff,
@@ -511,13 +511,13 @@ void StoredAnnotator::PersistLabel(const TripleRef& ref, bool label) {
     return;
   }
   if (IsTransientError(append) &&
-      options_.write_error_mode == WriteErrorMode::kDegrade) {
+      options_.on_store_error == StoreErrorPolicy::kDegrade) {
     degraded_ = true;
     degraded_cause_ = append;
     ++labels_dropped_;
     return;
   }
-  // Fail-fast mode, or a permanent error (conflicting label) in any mode.
+  // kFail, or a permanent error (conflicting label) under either policy.
   status_ = append;
 }
 

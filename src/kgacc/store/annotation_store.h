@@ -92,6 +92,19 @@ namespace kgacc {
 
 struct StoreVerifyInfo;
 
+/// What a store write does once its retry budget is exhausted, for label
+/// appends (`StoredAnnotator`) and checkpoint appends (`CheckpointManager`)
+/// alike.
+enum class StoreErrorPolicy {
+  /// Stop persisting and keep auditing; `degraded()` reports it. Every
+  /// judgment already in the WAL stays there, so a resume loses nothing
+  /// but the dropped labels (re-judged) and resume granularity.
+  kDegrade,
+  /// Stick the error (`StoredAnnotator::status()`, the `CheckpointManager`
+  /// return); `DurableAudit::Step` fails the audit with it.
+  kFail,
+};
+
 /// Replayed-store accounting from `AnnotationStore::Open`.
 struct AnnotationStoreStats {
   /// Annotation records replayed from the log.
@@ -414,33 +427,20 @@ class AnnotationStore {
 /// the burn is a no-op.
 ///
 /// Failure semantics: a transient append failure (I/O error) is retried
-/// with bounded seeded backoff. When the budget is exhausted the behavior
-/// is governed by `Options::write_error_mode`:
-///
-/// * `kDegrade` (default): the annotator enters *degraded read-only mode* —
-///   stored labels keep serving from the index, new judgments still
-///   delegate to the inner annotator but are no longer appended
-///   (`labels_dropped` counts them), and the audit continues. `status()`
-///   stays OK; `degraded()` / `degraded_cause()` report the downgrade so
-///   drivers can surface it in the outcome.
-/// * `kFailFast`: the first exhausted failure sticks in `status()` and the
-///   durable driver aborts the audit.
-///
-/// Permanent errors (a conflicting label → FailedPrecondition) are caller
-/// bugs: never retried, always sticky in `status()` regardless of mode.
+/// with bounded seeded backoff; an exhausted budget is governed by
+/// `Options::on_store_error`. Under `StoreErrorPolicy::kDegrade` (default)
+/// the annotator enters *degraded read-only mode*: stored labels keep
+/// serving from the index, new judgments still delegate to the inner
+/// annotator but are no longer appended (`labels_dropped` counts them),
+/// `status()` stays OK and `degraded()` / `degraded_cause()` report the
+/// downgrade. Permanent errors (a conflicting label → FailedPrecondition)
+/// are caller bugs: never retried, always sticky in `status()` regardless
+/// of policy.
 class StoredAnnotator final : public Annotator {
  public:
-  /// What to do when an append's retry budget is exhausted.
-  enum class WriteErrorMode {
-    /// Continue in degraded read-only mode (see the class comment).
-    kDegrade,
-    /// Sticky-fail `status()`; durable drivers abort.
-    kFailFast,
-  };
-
   struct Options {
-    /// Exhausted-retry policy for store writes.
-    WriteErrorMode write_error_mode = WriteErrorMode::kDegrade;
+    /// Exhausted-retry policy for store writes (see the class comment).
+    StoreErrorPolicy on_store_error = StoreErrorPolicy::kDegrade;
     /// Retry schedule for transient append failures.
     BackoffPolicy backoff;
   };

@@ -1,10 +1,13 @@
 #include "kgacc/store/checkpoint.h"
 
 #include <algorithm>
+#include <csignal>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "kgacc/util/codec.h"
+#include "kgacc/util/failpoint.h"
 
 namespace kgacc {
 
@@ -58,13 +61,16 @@ Status CheckpointManager::OnStep(const EvaluationSession& session) {
 
 Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
   if (degraded_) return Status::OK();  // Snapshotting was abandoned.
+  const uint64_t steps = static_cast<uint64_t>(session.iterations());
+  // The store already resumes to this step count; another record would only
+  // cost a frame (and an fsync under sync_checkpoints).
+  if (last_steps_ == steps) return Status::OK();
   ByteWriter fingerprint;
   session.EncodeFingerprint(&fingerprint);
   ByteWriter snapshot;
-  EncodeFields(
-      SnapshotRecord{.steps = static_cast<uint64_t>(session.iterations()),
-                     .fingerprint = fingerprint.span()},
-      &snapshot);
+  EncodeFields(SnapshotRecord{.steps = steps,
+                              .fingerprint = fingerprint.span()},
+               &snapshot);
   uint64_t frame_bytes = 0;
   const Status appended = RetryWithBackoff(
       options_.backoff,
@@ -75,11 +81,12 @@ Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
       &retries_);
   if (appended.ok()) {
     ++checkpoints_written_;
+    last_steps_ = steps;
     bytes_appended_ += frame_bytes;
     return Status::OK();
   }
   if (IsTransientError(appended) &&
-      options_.on_error == CheckpointOptions::OnError::kDegrade) {
+      options_.on_store_error == StoreErrorPolicy::kDegrade) {
     degraded_ = true;
     degraded_cause_ = appended;
     return Status::OK();
@@ -91,7 +98,7 @@ bool CheckpointManager::CanResume() const {
   return store_->LatestCheckpoint(audit_id_).has_value();
 }
 
-Status CheckpointManager::Resume(EvaluationSession* session) const {
+Status CheckpointManager::Resume(EvaluationSession* session) {
   // The record arrives by value: other audits on a shared store (daemon
   // worker threads) may append their own checkpoints while this one loads.
   const std::optional<std::vector<uint8_t>> snapshot =
@@ -125,29 +132,71 @@ Status CheckpointManager::Resume(EvaluationSession* session) const {
     }
     KGACC_RETURN_IF_ERROR(session->Step().status());
   }
+  last_steps_ = record.steps;
   return Status::OK();
 }
 
-Result<EvaluationResult> RunDurableAudit(EvaluationSession& session,
-                                         CheckpointManager& manager,
-                                         const StoredAnnotator* annotator) {
-  if (manager.CanResume() && session.iterations() == 0 && !session.done()) {
-    KGACC_RETURN_IF_ERROR(manager.Resume(&session));
+DurableAudit::DurableAudit(Sampler& sampler, Annotator* inner,
+                           AnnotationStore* store, uint64_t audit_id,
+                           const EvaluationConfig& config, uint64_t seed,
+                           const Options& options)
+    : store_(store),
+      annotator_(inner, store, audit_id,
+                 StoredAnnotator::Options{
+                     .on_store_error = options.on_store_error}),
+      session_(sampler, annotator_, config, seed),
+      checkpoints_(store, audit_id,
+                   CheckpointOptions{
+                       .every_steps = options.checkpoint_every,
+                       .on_store_error = options.on_store_error}) {}
+
+Status DurableAudit::Resume() {
+  KGACC_RETURN_IF_ERROR(checkpoints_.Resume(&session_));
+  replayed_hits_ = annotator_.store_hits();
+  if (!annotator_.status().ok()) {
+    return Failed("annotation store append failed", annotator_.status());
   }
-  while (!session.done()) {
-    KGACC_ASSIGN_OR_RETURN(const StepOutcome outcome, session.Step());
-    (void)outcome;
-    // Fail before checkpointing a step whose labels never reached the log:
-    // a snapshot must not certify state the WAL cannot replay.
-    if (annotator != nullptr) {
-      KGACC_RETURN_IF_ERROR(annotator->status());
-    }
-    KGACC_RETURN_IF_ERROR(manager.OnStep(session));
+  return Status::OK();
+}
+
+Result<StepOutcome> DurableAudit::Step() {
+  const Result<StepOutcome> outcome = session_.Step();
+  if (!outcome.ok()) return Failed("evaluation step failed", outcome.status());
+  // Fail before checkpointing a step whose labels never reached the log:
+  // a checkpoint must not certify state the WAL cannot replay.
+  if (!annotator_.status().ok()) {
+    return Failed("annotation store append failed", annotator_.status());
   }
-  if (annotator != nullptr) {
-    KGACC_RETURN_IF_ERROR(annotator->status());
+  if (FailpointHit("audit.kill")) std::raise(SIGKILL);
+  const Status checkpointed = checkpoints_.OnStep(session_);
+  if (!checkpointed.ok()) return Failed("checkpoint failed", checkpointed);
+  return outcome;
+}
+
+Result<EvaluationResult> DurableAudit::Run() {
+  if (checkpoints_.CanResume() && session_.iterations() == 0 &&
+      !session_.done()) {
+    KGACC_RETURN_IF_ERROR(Resume());
   }
-  return session.Finish();
+  while (!session_.done()) KGACC_RETURN_IF_ERROR(Step().status());
+  return session_.Finish();
+}
+
+Status DurableAudit::Checkpoint() { return checkpoints_.Checkpoint(session_); }
+
+std::string DurableAudit::degradation_note() const {
+  if (annotator_.degraded()) return annotator_.degradation_note();
+  if (checkpoints_.degraded()) return checkpoints_.degraded_cause().ToString();
+  return std::string();
+}
+
+Status DurableAudit::Failed(const char* what, const Status& cause) const {
+  std::string message = std::string(what) + ": " + cause.ToString();
+  const Status wal = store_->wal_error();
+  if (!wal.ok()) {
+    message += " (annotation WAL sticky-failed: " + wal.ToString() + ")";
+  }
+  return Status(cause.code(), std::move(message));
 }
 
 }  // namespace kgacc

@@ -2,13 +2,17 @@
 #define KGACC_STORE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "kgacc/eval/session.h"
 #include "kgacc/store/annotation_store.h"
 #include "kgacc/util/status.h"
 
 /// \file checkpoint.h
-/// Durable audits: `CheckpointManager` interleaves periodic checkpoint
+/// Durable audits. `DurableAudit` is the one durable driver: the only code
+/// that steps a store-backed session, in `kgacc_audit --store` and in
+/// `kgaccd`. Its `CheckpointManager` interleaves periodic checkpoint
 /// records with the annotation WAL, and resumes from the latest one on
 /// recovery. A session is a deterministic function of its seed, its
 /// configuration and its labels, and the labels are the only costly part,
@@ -31,21 +35,11 @@ namespace kgacc {
 
 /// Snapshot cadence and durability for one audit's checkpoints.
 struct CheckpointOptions {
-  /// What to do when a snapshot append exhausts its retry budget.
-  enum class OnError {
-    /// Stop checkpointing, keep auditing: every judgment is still in the
-    /// WAL, so the only loss is resume granularity — recovery recomputes
-    /// from the last good snapshot at zero oracle cost. `degraded()`
-    /// reports the downgrade.
-    kDegrade,
-    /// Surface the error from `OnStep`/`Checkpoint`; durable drivers abort.
-    kFail,
-  };
-
   /// Snapshot after every N-th completed step (>= 1).
   uint64_t every_steps = 1;
-  /// Exhausted-retry policy for snapshot appends.
-  OnError on_error = OnError::kDegrade;
+  /// Exhausted-retry policy for snapshot appends; degrading stops
+  /// checkpointing, and recovery recomputes from the last good snapshot.
+  StoreErrorPolicy on_store_error = StoreErrorPolicy::kDegrade;
   /// Retry schedule for transient snapshot-append failures.
   BackoffPolicy backoff;
 };
@@ -63,7 +57,8 @@ class CheckpointManager {
   /// `EvaluationJob::on_step`).
   Status OnStep(const EvaluationSession& session);
 
-  /// Unconditionally checkpoints the session now.
+  /// Checkpoints the session now, unless the last record this manager
+  /// wrote or resumed from already holds its step count.
   Status Checkpoint(const EvaluationSession& session);
 
   /// True when the store holds a checkpoint for this audit id.
@@ -77,16 +72,16 @@ class CheckpointManager {
   /// FailedPrecondition when there is nothing to resume from or the
   /// session already stepped; InvalidArgument for another record version,
   /// a fingerprint mismatch, or an audit that ends before the count.
-  Status Resume(EvaluationSession* session) const;
+  Status Resume(EvaluationSession* session);
 
-  uint64_t audit_id() const { return audit_id_; }
   uint64_t checkpoints_written() const { return checkpoints_written_; }
   /// Exact on-disk bytes this manager's snapshot appends added to the
   /// store — the checkpoint half of a tenant's store-byte metering.
   uint64_t bytes_appended() const { return bytes_appended_; }
 
   /// True once snapshotting was abandoned after an exhausted retry budget
-  /// (OnError::kDegrade only). The audit keeps running without it.
+  /// (`StoreErrorPolicy::kDegrade` only). The audit keeps running without
+  /// it.
   bool degraded() const { return degraded_; }
   /// The exhausted error that stopped checkpointing (OK while healthy).
   const Status& degraded_cause() const { return degraded_cause_; }
@@ -98,24 +93,94 @@ class CheckpointManager {
   uint64_t audit_id_;
   CheckpointOptions options_;
   uint64_t checkpoints_written_ = 0;
+  /// Step count of the last record written or resumed from.
+  std::optional<uint64_t> last_steps_;
   uint64_t bytes_appended_ = 0;
   bool degraded_ = false;
   Status degraded_cause_;
   uint64_t retries_ = 0;
 };
 
-/// Drives a session to completion under checkpoint protection: resumes from
-/// the store when a checkpoint exists (unless the session already stepped),
-/// then steps with `manager.OnStep` after every batch and finalizes. The
-/// one-call durable equivalent of `EvaluationSession::Run`.
-///
-/// Pass the session's `StoredAnnotator` so its sticky append status is
-/// checked every step: a judgment the WAL refused (I/O failure, label
-/// conflict) fails the audit instead of letting the report silently outrun
-/// its log. Omit it only when the annotator is not store-backed.
-Result<EvaluationResult> RunDurableAudit(
-    EvaluationSession& session, CheckpointManager& manager,
-    const StoredAnnotator* annotator = nullptr);
+/// One store-backed audit: a `StoredAnnotator` over the inner annotator,
+/// an `EvaluationSession` on it, and a `CheckpointManager`, all on one
+/// (store, audit id). The sampler, inner annotator and store must outlive
+/// it.
+class DurableAudit {
+ public:
+  struct Options {
+    /// Checkpoint after every N-th completed step (>= 1).
+    uint64_t checkpoint_every = 1;
+    /// Exhausted-retry policy for both label and checkpoint appends.
+    StoreErrorPolicy on_store_error = StoreErrorPolicy::kDegrade;
+  };
+
+  DurableAudit(Sampler& sampler, Annotator* inner, AnnotationStore* store,
+               uint64_t audit_id, const EvaluationConfig& config,
+               uint64_t seed, const Options& options);
+  DurableAudit(Sampler& sampler, Annotator* inner, AnnotationStore* store,
+               uint64_t audit_id, const EvaluationConfig& config,
+               uint64_t seed)
+      : DurableAudit(sampler, inner, store, audit_id, config, seed,
+                     Options{}) {}
+
+  DurableAudit(const DurableAudit&) = delete;
+  DurableAudit& operator=(const DurableAudit&) = delete;
+
+  /// Replays the stored checkpoint into the fresh session
+  /// (`CheckpointManager::Resume`), then fails with the append error if
+  /// the store refused a label the replay had to buy.
+  Status Resume();
+
+  /// One durable step, in the order that keeps a checkpoint from
+  /// certifying labels the log lacks: step the session; fail with the
+  /// append error if the store refused the step's labels; evaluate the
+  /// `audit.kill` failpoint, which SIGKILLs the process here (the hard
+  /// recovery case: labels on file, checkpoint not); checkpoint at the
+  /// cadence. Errors name what failed and carry a sticky WAL error as a
+  /// suffix.
+  Result<StepOutcome> Step();
+
+  /// Resumes when the store holds a checkpoint for a fresh session, steps
+  /// until done, and finalizes: the durable equivalent of
+  /// `EvaluationSession::Run`.
+  Result<EvaluationResult> Run();
+
+  /// Checkpoints now (`CheckpointManager::Checkpoint`).
+  Status Checkpoint();
+
+  EvaluationSession& session() { return session_; }
+  StoredAnnotator& annotator() { return annotator_; }
+  const CheckpointManager& checkpoints() const { return checkpoints_; }
+
+  /// Labels or checkpoints stopped persisting after exhausted retries.
+  bool degraded() const {
+    return annotator_.degraded() || checkpoints_.degraded();
+  }
+  /// The cause of the first degradation (labels before checkpoints);
+  /// empty while healthy.
+  std::string degradation_note() const;
+  /// Label- and checkpoint-append retries.
+  uint64_t retries() const {
+    return annotator_.retries() + checkpoints_.retries();
+  }
+  /// Exact on-disk bytes the audit's label and checkpoint appends added.
+  uint64_t bytes_appended() const {
+    return annotator_.bytes_appended() + checkpoints_.bytes_appended();
+  }
+  /// Store hits served by `Resume`'s replay, so a report can count only
+  /// the steps this process ran.
+  uint64_t replayed_hits() const { return replayed_hits_; }
+
+ private:
+  /// `cause` prefixed with what failed, plus the WAL's sticky error.
+  Status Failed(const char* what, const Status& cause) const;
+
+  AnnotationStore* store_;
+  StoredAnnotator annotator_;
+  EvaluationSession session_;
+  CheckpointManager checkpoints_;
+  uint64_t replayed_hits_ = 0;
+};
 
 }  // namespace kgacc
 

@@ -25,7 +25,7 @@
 ///            | 'sleep:MS'            inject MS milliseconds of latency,
 ///                                    never fire
 ///
-/// e.g. `wal.sync=once;store.append=prob:0.25:seed:7;service.step=sleep:2`.
+/// e.g. `wal.sync=once;store.append=prob:0.25:seed:7;audit.kill=every:5`.
 /// Policies are deterministic given the spec (the `prob` RNG is private and
 /// seeded), so a chaos schedule replays exactly — the property the chaos
 /// tests' byte-identical-resume assertions rest on.

@@ -181,8 +181,7 @@ TEST(ServiceStoreTest, RefusedLabelFailsTheJobBeforeItsCheckpoint) {
   job.seed = 3;
   job.store = store->get();
   job.audit_id = 1;
-  job.store_options.write_error_mode =
-      StoredAnnotator::WriteErrorMode::kFailFast;
+  job.store_options.on_store_error = StoreErrorPolicy::kFail;
   job.on_step = [&manager](const EvaluationSession& session) {
     return manager.OnStep(session);
   };

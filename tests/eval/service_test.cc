@@ -546,67 +546,6 @@ TEST(EvaluationServiceTest, ThrowingAnnotatorFailsItsJobNotTheProcess) {
   EXPECT_TRUE(again.outcomes[0].status.ok());
 }
 
-TEST(EvaluationServiceTest, StepBudgetCancelsWithDeadlineExceeded) {
-  const auto kg = MakeKg(0.85, 500);
-  OracleAnnotator annotator;
-  SrsSampler srs(kg, SrsConfig{});
-  EvaluationService service(EvaluationService::Options{.num_threads = 2});
-
-  EvaluationJob job;
-  job.sampler = &srs;
-  job.annotator = &annotator;
-  job.seed = 5;
-  job.config.moe_threshold = 0.001;  // Far more steps than the budget.
-  job.max_steps = 2;
-  const auto batch = service.RunBatch({job});
-  ASSERT_EQ(batch.outcomes.size(), 1u);
-  EXPECT_EQ(batch.outcomes[0].status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(batch.outcomes[0].deadline_exceeded);
-  EXPECT_EQ(batch.stats.deadline_hits, 1u);
-  EXPECT_EQ(batch.stats.failed, 1u);
-}
-
-TEST(EvaluationServiceTest, WallClockDeadlineCancelsWithDeadlineExceeded) {
-  const auto kg = MakeKg(0.85, 500);
-  OracleAnnotator annotator;
-  SrsSampler srs(kg, SrsConfig{});
-  EvaluationService service(EvaluationService::Options{.num_threads = 1});
-
-  EvaluationJob job;
-  job.sampler = &srs;
-  job.annotator = &annotator;
-  job.seed = 6;
-  job.config.moe_threshold = 0.001;
-  job.deadline_seconds = 1e-9;  // Any real step overruns this.
-  const auto batch = service.RunBatch({job});
-  ASSERT_EQ(batch.outcomes.size(), 1u);
-  EXPECT_EQ(batch.outcomes[0].status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(batch.outcomes[0].deadline_exceeded);
-  EXPECT_EQ(batch.stats.deadline_hits, 1u);
-}
-
-TEST(EvaluationServiceTest, BudgetsGenerousEnoughDoNotPerturbResults) {
-  // A budgeted job that never hits its budget must land on the exact bytes
-  // of the unbudgeted run (the budgeted path steps explicitly).
-  const auto kg = MakeKg(0.85, 500);
-  OracleAnnotator annotator;
-  SrsSampler srs(kg, SrsConfig{});
-  EvaluationService service(EvaluationService::Options{.num_threads = 2});
-
-  EvaluationJob plain;
-  plain.sampler = &srs;
-  plain.annotator = &annotator;
-  plain.seed = 7;
-  EvaluationJob budgeted = plain;
-  budgeted.max_steps = 1u << 20;
-  budgeted.deadline_seconds = 3600.0;
-  const auto batch = service.RunBatch({plain, budgeted});
-  ASSERT_TRUE(batch.outcomes[0].status.ok());
-  ASSERT_TRUE(batch.outcomes[1].status.ok());
-  ExpectSameResult(batch.outcomes[0].result, batch.outcomes[1].result);
-  EXPECT_FALSE(batch.outcomes[1].deadline_exceeded);
-}
-
 TEST(EvaluationServiceTest, RobustnessCollectorFlowsIntoOutcomeAndStats) {
   const auto kg = MakeKg(0.85, 500);
   OracleAnnotator annotator;
@@ -627,7 +566,6 @@ TEST(EvaluationServiceTest, RobustnessCollectorFlowsIntoOutcomeAndStats) {
   EXPECT_EQ(batch.outcomes[1].retries, 7u);
   EXPECT_EQ(batch.stats.degraded_jobs, 1u);
   EXPECT_EQ(batch.stats.total_retries, 7u);
-  EXPECT_EQ(batch.stats.deadline_hits, 0u);
 }
 
 TEST(EvaluationServiceTest, UnarmedDefaultReportsZeroRobustnessCounters) {
@@ -638,11 +576,9 @@ TEST(EvaluationServiceTest, UnarmedDefaultReportsZeroRobustnessCounters) {
   const auto batch = service.RunBatch(MixedJobs(srs, srs, annotator));
   EXPECT_EQ(batch.stats.degraded_jobs, 0u);
   EXPECT_EQ(batch.stats.total_retries, 0u);
-  EXPECT_EQ(batch.stats.deadline_hits, 0u);
   for (const EvaluationJobOutcome& out : batch.outcomes) {
     EXPECT_FALSE(out.degraded);
     EXPECT_EQ(out.retries, 0u);
-    EXPECT_FALSE(out.deadline_exceeded);
   }
 }
 

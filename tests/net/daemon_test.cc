@@ -253,6 +253,34 @@ TEST(AuditDaemonTest, ReopeningAFinishedAuditRepaysNothing) {
   daemon.Stop();
 }
 
+TEST(AuditDaemonTest, FinishedAuditWritesEachCheckpointOnce) {
+  // At a cadence of one step, every step writes its checkpoint as it runs.
+  // The final checkpoint of a finished audit, and a reopen of it, would
+  // only repeat the last record (and its fsync), so neither writes one.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("ckpt_once");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  OpenAuditMsg open;
+  open.audit_id = 11;
+  open.kg_name = "kg";
+  open.checkpoint_every = 1;
+  AuditClient first(ClientOptions(daemon.port()));
+  auto report1 = first.RunAudit(open);
+  ASSERT_TRUE(report1.ok()) << report1.status().ToString();
+  EXPECT_EQ(report1->checkpoints_written,
+            static_cast<uint64_t>(report1->result.iterations));
+
+  AuditClient second(ClientOptions(daemon.port()));
+  auto report2 = second.RunAudit(open);
+  ASSERT_TRUE(report2.ok()) << report2.status().ToString();
+  EXPECT_TRUE(second.stats().opened.resumed);
+  EXPECT_EQ(report2->checkpoints_written, 0u);
+  daemon.Stop();
+}
+
 TEST(AuditDaemonTest, DaemonRestartMidAuditResumesByteIdentical) {
   const KnowledgeGraph kg = TestKg();
   const EvaluationResult reference = ReferenceRun(kg, 42);

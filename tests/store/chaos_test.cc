@@ -205,15 +205,13 @@ TEST(ChaosTest, RandomFailpointSchedulesNeverBreakResumeExactness) {
       ASSERT_TRUE(store.ok())
           << "round " << round << " left a torn store: " << schedule;
       OracleAnnotator oracle;
-      StoredAnnotator annotator(&oracle, store->get(), seed, stored_options);
       SrsSampler sampler(kg, SrsConfig{});
-      EvaluationSession session(sampler, annotator, config, seed);
-      CheckpointManager manager(store->get(), seed, manager_options);
-      const auto result = RunDurableAudit(session, manager, &annotator);
+      DurableAudit audit(sampler, &oracle, store->get(), seed, config, seed);
+      const auto result = audit.Run();
       ASSERT_TRUE(result.ok()) << "round " << round << ": " << schedule;
-      ASSERT_TRUE(annotator.status().ok());
-      EXPECT_FALSE(annotator.degraded());
-      EXPECT_EQ(annotator.retries(), 0u);
+      ASSERT_TRUE(audit.annotator().status().ok());
+      EXPECT_FALSE(audit.degraded());
+      EXPECT_EQ(audit.retries(), 0u);
       ExpectIdenticalResults(reference, *result, config, round);
     }
     std::remove(path.c_str());
@@ -248,11 +246,9 @@ TEST(ChaosTest, CompactionCrashMatrixLeavesStoreRecoverable) {
       ASSERT_TRUE(store.ok());
       for (int round = 0; round < 2; ++round) {
         OracleAnnotator oracle;
-        StoredAnnotator annotator(&oracle, store->get(), 1);
         SrsSampler sampler(kg, SrsConfig{});
-        EvaluationSession session(sampler, annotator, config, 61);
-        CheckpointManager manager(store->get(), 1, CheckpointOptions{});
-        ASSERT_TRUE(RunDurableAudit(session, manager, &annotator).ok());
+        DurableAudit audit(sampler, &oracle, store->get(), 1, config, 61);
+        ASSERT_TRUE(audit.Run().ok());
       }
       labels_before = (*store)->num_labeled();
       ASSERT_GT(labels_before, 0u);
@@ -376,11 +372,9 @@ TEST(ChaosTest, RandomSchedulesWithAutoCompactionKeepResumeExactness) {
       ASSERT_TRUE(store.ok())
           << "round " << round << " left a torn store: " << schedule;
       OracleAnnotator oracle;
-      StoredAnnotator annotator(&oracle, store->get(), seed, stored_options);
       SrsSampler sampler(kg, SrsConfig{});
-      EvaluationSession session(sampler, annotator, config, seed);
-      CheckpointManager manager(store->get(), seed, manager_options);
-      const auto result = RunDurableAudit(session, manager, &annotator);
+      DurableAudit audit(sampler, &oracle, store->get(), seed, config, seed);
+      const auto result = audit.Run();
       ASSERT_TRUE(result.ok()) << "round " << round << ": " << schedule;
       ExpectIdenticalResults(reference, *result, config, round);
     }
@@ -393,33 +387,42 @@ TEST(ChaosTest, RandomSchedulesWithAutoCompactionKeepResumeExactness) {
 
 TEST(ChaosTest, FailFastModeSurfacesExhaustedWriteErrors) {
   // The configurable alternative to degradation: a store whose appends
-  // keep failing must stick the error in status() and stop the audit.
+  // keep failing must stick the error in status() and stop the audit
+  // before its first checkpoint — `prob:1` and `every:1` both refuse every
+  // append.
   const auto kg = TestKg();
   const EvaluationConfig config = TestConfig();
-  const std::string path = TempPath("failfast", 0);
-  std::remove(path.c_str());
-
-  ScopedFailpoints armed("store.append=prob:1");
-  ASSERT_TRUE(armed.status().ok());
-  auto store = AnnotationStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  OracleAnnotator oracle;
-  StoredAnnotator::Options options;
-  options.write_error_mode = StoredAnnotator::WriteErrorMode::kFailFast;
-  options.backoff = FastBackoff();
-  StoredAnnotator annotator(&oracle, store->get(), 1, options);
-  SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, 9);
-  ASSERT_TRUE(session.Step().ok());
-  EXPECT_EQ(annotator.status().code(), StatusCode::kIoError);
-  EXPECT_FALSE(annotator.degraded());
-  EXPECT_GT(annotator.retries(), 0u);
-  // RunDurableAudit's per-step status check is what aborts the audit.
-  CheckpointManager manager(store->get(), 1, CheckpointOptions{});
-  const auto result = RunDurableAudit(session, manager, &annotator);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-  std::remove(path.c_str());
+  int round = 0;
+  for (const char* spec : {"store.append=prob:1", "store.append=every:1"}) {
+    SCOPED_TRACE(spec);
+    const std::string path = TempPath("failfast", round++);
+    std::remove(path.c_str());
+    ScopedFailpoints armed(spec);
+    ASSERT_TRUE(armed.status().ok());
+    auto store = AnnotationStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    OracleAnnotator oracle;
+    SrsSampler sampler(kg, SrsConfig{});
+    DurableAudit audit(
+        sampler, &oracle, store->get(), 1, config, 9,
+        DurableAudit::Options{.on_store_error = StoreErrorPolicy::kFail});
+    // The step itself fails with the append error, ahead of its checkpoint.
+    const auto step = audit.Step();
+    ASSERT_FALSE(step.ok());
+    EXPECT_EQ(step.status().code(), StatusCode::kIoError);
+    EXPECT_NE(step.status().message().find("annotation store append failed"),
+              std::string::npos);
+    EXPECT_EQ(audit.annotator().status().code(), StatusCode::kIoError);
+    EXPECT_FALSE(audit.degraded());
+    EXPECT_GT(audit.retries(), 0u);
+    EXPECT_EQ(audit.checkpoints().checkpoints_written(), 0u);
+    EXPECT_FALSE((*store)->LatestCheckpoint(1).has_value());
+    // Run stops at the same sticky error.
+    const auto result = audit.Run();
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+    EXPECT_FALSE((*store)->LatestCheckpoint(1).has_value());
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ChaosTest, DegradedStoreKeepsServingCachedLabels) {

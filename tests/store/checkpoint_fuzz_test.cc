@@ -50,13 +50,12 @@ class CheckpointFuzzTest : public testing::Test {
     ASSERT_TRUE(store.ok());
     store_ = std::move(store).value();
 
-    StoredAnnotator annotator(&oracle_, store_.get(), kAuditId);
     TwcsSampler sampler(*kg_, TwcsConfig{});
-    EvaluationSession session(sampler, annotator, config_, kSeed);
-    CheckpointManager manager(store_.get(), kAuditId);
-    const auto result = RunDurableAudit(session, manager, &annotator);
+    DurableAudit audit(sampler, &oracle_, store_.get(), kAuditId, config_,
+                       kSeed);
+    const auto result = audit.Run();
     ASSERT_TRUE(result.ok());
-    steps_ = static_cast<uint64_t>(session.iterations());
+    steps_ = static_cast<uint64_t>(audit.session().iterations());
     ASSERT_GE(steps_, 3u);
     record_ = *store_->LatestCheckpoint(kAuditId);
     ASSERT_GT(record_.size(), 2u);

@@ -130,15 +130,13 @@ void CheckDesignResumesByteIdentical(const char* design,
     auto store = AnnotationStore::Open(path);
     ASSERT_TRUE(store.ok()) << design;
     OracleAnnotator oracle;
-    StoredAnnotator annotator(&oracle, store->get(), seed);
     auto sampler = make_sampler(kg);
-    EvaluationSession session(*sampler, annotator, config, seed);
-    CheckpointManager manager(store->get(), seed, CheckpointOptions{});
-    ASSERT_TRUE(manager.CanResume()) << design;
-    const auto result = RunDurableAudit(session, manager, &annotator);
+    DurableAudit audit(*sampler, &oracle, store->get(), seed, config, seed);
+    ASSERT_TRUE(audit.checkpoints().CanResume()) << design;
+    const auto result = audit.Run();
     ASSERT_TRUE(result.ok()) << design;
-    ASSERT_TRUE(annotator.status().ok()) << design;
-    EXPECT_EQ(session.iterations(), reference.iterations) << design;
+    ASSERT_TRUE(audit.annotator().status().ok()) << design;
+    EXPECT_EQ(audit.session().iterations(), reference.iterations) << design;
     ExpectIdenticalResults(reference, *result, config, design);
   }
   std::remove(path.c_str());

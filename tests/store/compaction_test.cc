@@ -54,15 +54,13 @@ SyntheticKg TestKg() {
 /// pure garbage accumulation.
 void RunAudit(AnnotationStore* store, const SyntheticKg& kg,
               uint64_t audit_id, uint64_t seed) {
-  EvaluationConfig config;
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store, audit_id);
   SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, seed);
-  CheckpointManager manager(store, audit_id, CheckpointOptions{});
-  const auto result = RunDurableAudit(session, manager, &annotator);
+  DurableAudit audit(sampler, &oracle, store, audit_id, EvaluationConfig{},
+                     seed);
+  const auto result = audit.Run();
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(annotator.status().ok());
+  ASSERT_TRUE(audit.annotator().status().ok());
 }
 
 /// Every stored label, keyed by (cluster, offset) — the byte-identical
@@ -167,12 +165,10 @@ TEST(CompactionTest, PostCompactionResumeIsByteIdentical) {
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->stats().trailers_replayed, 1u);
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), seed);
   SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, seed);
-  CheckpointManager manager(store->get(), seed, CheckpointOptions{});
-  ASSERT_TRUE(manager.CanResume());
-  const auto result = RunDurableAudit(session, manager, &annotator);
+  DurableAudit audit(sampler, &oracle, store->get(), seed, config, seed);
+  ASSERT_TRUE(audit.checkpoints().CanResume());
+  const auto result = audit.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->mu, reference.mu);
   EXPECT_EQ(result->interval.lower, reference.interval.lower);
@@ -181,7 +177,7 @@ TEST(CompactionTest, PostCompactionResumeIsByteIdentical) {
   EXPECT_EQ(result->iterations, reference.iterations);
   EXPECT_EQ(result->stop_reason, reference.stop_reason);
   // The resumed half replayed labels from the store instead of the oracle.
-  EXPECT_GT(annotator.store_hits(), 0u);
+  EXPECT_GT(audit.replayed_hits(), 0u);
   std::remove(path.c_str());
 }
 

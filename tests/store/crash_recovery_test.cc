@@ -16,7 +16,7 @@
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/store/checkpoint.h"
-#include "kgacc/util/codec.h"
+#include "kgacc/util/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -40,26 +40,26 @@ EvaluationConfig TestConfig() {
   return config;
 }
 
-/// Child body: run the durable audit and SIGKILL ourselves after
-/// `crash_after` steps, *between* a step and its checkpoint — the worst
-/// crash point, where the tail step's labels are on file but its snapshot
-/// is not. Plain exits only: the child must never unwind into gtest.
+/// Child body: run the durable audit with `audit.kill` armed to fire on
+/// step `crash_after`, *between* the step and its checkpoint — the worst
+/// crash point, where the tail step's labels are on file but its
+/// checkpoint is not. Plain exits only: the child must never unwind into
+/// gtest.
 [[noreturn]] void RunChildAndCrash(const std::string& store_path,
                                    int crash_after) {
   const auto kg = TestKg();
   auto store = AnnotationStore::Open(store_path);
   if (!store.ok()) _exit(10);
-  OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), kSeed);
-  TwcsSampler sampler(kg, TwcsConfig{});
-  EvaluationSession session(sampler, annotator, TestConfig(), kSeed);
-  CheckpointManager manager(store->get(), kSeed, CheckpointOptions{});
-  int steps = 0;
-  while (!session.done()) {
-    if (!session.Step().ok()) _exit(11);
-    if (++steps >= crash_after) std::raise(SIGKILL);
-    if (!manager.OnStep(session).ok()) _exit(12);
+  if (!FailpointRegistry::Instance()
+           .ArmOne("audit.kill", "every:" + std::to_string(crash_after))
+           .ok()) {
+    _exit(11);
   }
+  OracleAnnotator oracle;
+  TwcsSampler sampler(kg, TwcsConfig{});
+  DurableAudit audit(sampler, &oracle, store->get(), kSeed, TestConfig(),
+                     kSeed);
+  if (!audit.Run().ok()) _exit(12);
   _exit(13);  // Finished before the crash point: test misconfigured.
 }
 
@@ -102,14 +102,12 @@ TEST(CrashRecoveryTest, SigkilledAuditResumesToByteIdenticalReport) {
   EXPECT_FALSE((*store)->stats().recovery.truncated_tail)
       << "per-frame flushing should leave no torn tail on SIGKILL";
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), kSeed);
   TwcsSampler sampler(kg, TwcsConfig{});
-  EvaluationSession session(sampler, annotator, config, kSeed);
-  CheckpointManager manager(store->get(), kSeed, CheckpointOptions{});
-  ASSERT_TRUE(manager.CanResume());
-  const auto result = RunDurableAudit(session, manager, &annotator);
+  DurableAudit audit(sampler, &oracle, store->get(), kSeed, config, kSeed);
+  ASSERT_TRUE(audit.checkpoints().CanResume());
+  const auto result = audit.Run();
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(annotator.status().ok());
+  ASSERT_TRUE(audit.annotator().status().ok());
 
   EXPECT_EQ(result->mu, reference.mu);
   EXPECT_EQ(result->interval.lower, reference.interval.lower);

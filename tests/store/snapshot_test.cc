@@ -160,21 +160,19 @@ void CheckReplayResume(const Design& design, IntervalMethod method,
 
   auto store = AnnotationStore::Open(path);
   ASSERT_TRUE(store.ok());
-  StoredAnnotator annotator(&inner, store->get(), seed);
   auto sampler = design.make(kg);
-  EvaluationSession session(*sampler, annotator, config, seed);
-  CheckpointManager manager(store->get(), seed,
-                            CheckpointOptions{.every_steps = every});
-  ASSERT_TRUE(manager.Resume(&session).ok());
-  EXPECT_EQ(session.iterations(), resumed_at);
-  EXPECT_EQ(annotator.oracle_calls(), 0u);
-  EXPECT_GT(annotator.store_hits(), 0u);
+  DurableAudit audit(*sampler, &inner, store->get(), seed, config, seed,
+                     DurableAudit::Options{.checkpoint_every = every});
+  ASSERT_TRUE(audit.Resume().ok());
+  EXPECT_EQ(audit.session().iterations(), resumed_at);
+  EXPECT_EQ(audit.annotator().oracle_calls(), 0u);
+  EXPECT_GT(audit.replayed_hits(), 0u);
   // The steps lost between the checkpoint and the crash also read back.
-  while (session.iterations() < crash_after) {
-    ASSERT_TRUE(session.Step().ok());
+  while (audit.session().iterations() < crash_after) {
+    ASSERT_TRUE(audit.Step().ok());
   }
-  EXPECT_EQ(annotator.oracle_calls(), 0u);
-  auto result = RunDurableAudit(session, manager, &annotator);
+  EXPECT_EQ(audit.annotator().oracle_calls(), 0u);
+  auto result = audit.Run();
   ASSERT_TRUE(result.ok());
   ExpectBitIdentical(reference, *result, config);
   std::remove(path.c_str());

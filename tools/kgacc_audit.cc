@@ -27,7 +27,9 @@
 // grammar (`wal.sync=once;store.append=prob:0.25:seed:7`). Transient store
 // failures are retried with bounded backoff; an exhausted budget degrades
 // the audit to read-only persistence (`--store-errors=degrade`, the
-// default) or aborts it (`--store-errors=fail`).
+// default) or aborts it (`--store-errors=fail`). `audit.kill=every:N`
+// SIGKILLs a `--store` audit between its N-th step and that step's
+// checkpoint, the crash a `--resume` run recovers from.
 //
 // Examples:
 //   kgacc_audit --kg=facts.tsv
@@ -38,8 +40,9 @@
 //   kgacc_audit --kg=facts.tsv --store=audit.wal --resume   # after a crash
 //   kgacc_audit --kg=facts.tsv --store=audit.wal \
 //       --failpoints=store.append=every:5                   # chaos
+//   kgacc_audit --kg=facts.tsv --store=audit.wal \
+//       --failpoints=audit.kill=every:5                     # crash test
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -89,9 +92,6 @@ ArgParser BuildParser() {
                "audit identity inside the store (default: the seed)")
       .AddFlag("checkpoint-every",
                "checkpoint cadence in steps (default 1)")
-      .AddFlag("crash-after-steps",
-               "SIGKILL the process after N steps of this run (crash-"
-               "recovery testing)")
       .AddFlag("failpoints",
                "fault-injection spec, name=policy;... with policy off|once|"
                "times:N|every:N|prob:P[:seed:S]|sleep:MS (also read from "
@@ -376,13 +376,11 @@ int RunMain(int argc, char** argv) {
     // and the session checkpoints itself into the same log.
     const auto audit_id = parsed->GetInt("audit-id", *seed);
     const auto every = parsed->GetInt("checkpoint-every", 1);
-    const auto crash_after = parsed->GetInt("crash-after-steps", 0);
     const auto resume = parsed->GetBool("resume", false);
     const auto compact_threshold =
         parsed->GetDouble("compact-threshold", 0.0);
     for (const Status& s : {audit_id.status(), every.status(),
-                            crash_after.status(), resume.status(),
-                            compact_threshold.status()}) {
+                            resume.status(), compact_threshold.status()}) {
       if (!s.ok()) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
         return 2;
@@ -419,68 +417,40 @@ int RunMain(int argc, char** argv) {
                    "'%s'\n", store_errors.c_str());
       return 2;
     }
-    StoredAnnotator::Options stored_options;
-    stored_options.write_error_mode =
-        store_errors == "fail" ? StoredAnnotator::WriteErrorMode::kFailFast
-                               : StoredAnnotator::WriteErrorMode::kDegrade;
-    StoredAnnotator stored(annotator.get(), store->get(),
-                           static_cast<uint64_t>(*audit_id), stored_options);
-    EvaluationSession session(*sampler, stored, config,
-                              static_cast<uint64_t>(*seed));
-    CheckpointOptions manager_options;
-    manager_options.every_steps = static_cast<uint64_t>(*every);
-    manager_options.on_error = store_errors == "fail"
-                                   ? CheckpointOptions::OnError::kFail
-                                   : CheckpointOptions::OnError::kDegrade;
-    CheckpointManager manager(store->get(), static_cast<uint64_t>(*audit_id),
-                              manager_options);
-    if (*resume && manager.CanResume()) {
-      const Status restored = manager.Resume(&session);
+    DurableAudit audit(
+        *sampler, annotator.get(), store->get(),
+        static_cast<uint64_t>(*audit_id), config,
+        static_cast<uint64_t>(*seed),
+        DurableAudit::Options{
+            .checkpoint_every = static_cast<uint64_t>(*every),
+            .on_store_error = store_errors == "fail"
+                                  ? StoreErrorPolicy::kFail
+                                  : StoreErrorPolicy::kDegrade});
+    if (*resume && audit.checkpoints().CanResume()) {
+      const Status restored = audit.Resume();
       if (!restored.ok()) {
         std::fprintf(stderr, "cannot resume: %s\n",
                      restored.ToString().c_str());
         return 1;
       }
       std::fprintf(stderr, "[store] resumed at step %d (%llu labels on "
-                   "file)\n", session.iterations(),
+                   "file)\n", audit.session().iterations(),
                    static_cast<unsigned long long>((*store)->num_labeled()));
     }
-    uint64_t steps_this_run = 0;
-    while (!session.done()) {
-      const auto outcome = session.Step();
+    while (!audit.session().done()) {
+      const auto outcome = audit.Step();
       if (!outcome.ok()) {
-        std::fprintf(stderr, "evaluation failed: %s\n",
-                     outcome.status().ToString().c_str());
-        return 1;
-      }
-      ++steps_this_run;
-      // Fail before checkpointing a step whose labels the store refused: a
-      // snapshot must not certify state the WAL cannot replay.
-      if (!stored.status().ok()) {
-        std::fprintf(stderr, "annotation store append failed: %s\n",
-                     stored.status().ToString().c_str());
-        return 1;
-      }
-      // Crash injection for recovery testing: die *between* the step and
-      // its checkpoint — the hard case, where the tail step's labels are
-      // already on file but its snapshot is not.
-      if (*crash_after > 0 &&
-          steps_this_run >= static_cast<uint64_t>(*crash_after)) {
-        std::raise(SIGKILL);
-      }
-      const Status checkpointed = manager.OnStep(session);
-      if (!checkpointed.ok()) {
-        std::fprintf(stderr, "checkpoint failed: %s\n",
-                     checkpointed.ToString().c_str());
+        std::fprintf(stderr, "%s\n", outcome.status().message().c_str());
         return 1;
       }
     }
-    const auto result = session.Finish();
+    const auto result = audit.session().Finish();
     if (!result.ok()) {
       std::fprintf(stderr, "evaluation failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
+    const StoredAnnotator& stored = audit.annotator();
     if (stored.degraded()) {
       std::fprintf(stderr,
                    "[store] DEGRADED: persistence stopped after retries "
@@ -489,11 +459,11 @@ int RunMain(int argc, char** argv) {
                    stored.degraded_cause().ToString().c_str(),
                    static_cast<unsigned long long>(stored.labels_dropped()));
     }
-    if (manager.degraded()) {
+    if (audit.checkpoints().degraded()) {
       std::fprintf(stderr,
                    "[store] DEGRADED: checkpointing stopped after retries "
                    "(%s); recovery recomputes from the last good snapshot\n",
-                   manager.degraded_cause().ToString().c_str());
+                   audit.checkpoints().degraded_cause().ToString().c_str());
     }
     if (*json) {
       std::printf("%s\n", RenderJsonReport(context, config, *result).c_str());
@@ -507,11 +477,9 @@ int RunMain(int argc, char** argv) {
                   static_cast<unsigned long long>(stored.store_hits()),
                   static_cast<unsigned long long>(stored.oracle_calls()),
                   static_cast<unsigned long long>(
-                      manager.checkpoints_written()),
-                  static_cast<unsigned long long>(stored.retries() +
-                                                  manager.retries()),
-                  stored.degraded() || manager.degraded() ? ", DEGRADED"
-                                                          : "");
+                      audit.checkpoints().checkpoints_written()),
+                  static_cast<unsigned long long>(audit.retries()),
+                  audit.degraded() ? ", DEGRADED" : "");
     }
     if (parsed->Has("compact")) {
       const unsigned long long before = (*store)->file_bytes();

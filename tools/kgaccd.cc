@@ -15,14 +15,15 @@
 // Busy push-back, degrade-vs-fail store taxonomy, and graceful drain on
 // SIGTERM/SIGINT (stop admitting, checkpoint every live session, flush,
 // exit 0). Chaos hooks: `--failpoints` (or KGACC_FAILPOINTS) arms the
-// `net.*` and store failpoints; `--crash-after-steps` SIGKILLs the daemon
-// between a step and its checkpoint.
+// `net.*` and store failpoints, and `audit.kill=every:N` SIGKILLs the
+// daemon between its N-th step and that step's checkpoint.
 //
 // Examples:
 //   kgaccd --kg demo=facts.tsv --store-dir /var/lib/kgacc
 //   kgaccd --kg a=a.tsv,b=b.tsv --port 7471 --workers 4
 //   kgaccd --kg demo=facts.tsv --store-dir s --port 0 --port-file port.txt
 //   kgaccd --kg demo=facts.tsv --store-dir s --failpoints net.accept=once
+//   kgaccd --kg demo=facts.tsv --store-dir s --failpoints audit.kill=every:7
 
 #include <csignal>
 #include <cstdio>
@@ -82,9 +83,6 @@ ArgParser BuildParser() {
                "(oracle_budget, store_quota, weight, max_sessions, "
                "max_inflight_steps; '*' = fallback). Omitted = open "
                "single-tenant mode with unlimited budgets")
-      .AddFlag("crash-after-steps",
-               "SIGKILL the daemon after N total steps, between a step and "
-               "its checkpoint (crash-recovery testing)")
       .AddFlag("failpoints",
                "fault-injection spec, name=policy;... (also read from "
                "KGACC_FAILPOINTS); see failpoint.h for the grammar")
@@ -164,14 +162,12 @@ int RunMain(int argc, char** argv) {
   const auto idle_ms = parsed->GetInt("idle-timeout-ms", 30000);
   const auto default_max_steps = parsed->GetInt("default-max-steps", 0);
   const auto checkpoint_every = parsed->GetInt("checkpoint-every", 1);
-  const auto crash_after = parsed->GetInt("crash-after-steps", 0);
   const auto compact_threshold = parsed->GetDouble("compact-threshold", 0.0);
   for (const Status& s :
        {port.status(), workers.status(), max_sessions.status(),
         max_inflight.status(), max_connections.status(),
         heartbeat_ms.status(), idle_ms.status(), default_max_steps.status(),
-        checkpoint_every.status(), crash_after.status(),
-        compact_threshold.status()}) {
+        checkpoint_every.status(), compact_threshold.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 2;
@@ -189,7 +185,6 @@ int RunMain(int argc, char** argv) {
   options.idle_timeout_ms = static_cast<uint64_t>(*idle_ms);
   options.default_max_steps = static_cast<uint64_t>(*default_max_steps);
   options.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
-  options.crash_after_steps = static_cast<uint64_t>(*crash_after);
   options.auto_compact_garbage_ratio = *compact_threshold;
 
   const std::string tenants_file = parsed->GetString("tenants");
