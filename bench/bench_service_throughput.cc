@@ -102,11 +102,12 @@ int main() {
   if (json != nullptr) std::fprintf(json, "[\n");
   bool first_record = true;
   bool deterministic = true;
-  // Cross-worker HPD solver counters summed over every sweep cell: the
-  // service-level evals-per-solve record the perf gate checks, so solver
-  // efficiency is guarded under parallel load too, not just in the
-  // single-threaded step bench.
+  // Cross-worker HPD solver and kernel counters summed over every sweep
+  // cell: the service-level evals- and kernel-calls-per-solve records the
+  // perf gate checks, so solver efficiency is guarded under parallel load
+  // too, not just in the single-threaded step bench.
   HpdSolveStats sweep_hpd;
+  BetaKernelStats sweep_kernel;
   // Median audits/s per (jobs, threads) cell, feeding the closing
   // thread-scaling record.
   std::map<int, std::map<int, double>> cell_audits_per_second;
@@ -172,6 +173,7 @@ int main() {
         degraded_jobs += stats.degraded_jobs;
         total_retries += stats.total_retries;
         cell_hpd += stats.hpd;
+        sweep_kernel += stats.kernel;
         if (run_wall_seconds.size() >= 512) break;  // Pathology guard.
       }
       const uint64_t allocs = alloc_counter::Current() - allocs_before;
@@ -391,8 +393,11 @@ int main() {
   if (json != nullptr) {
     // The machine-independent summary record the perf gate compares: beta
     // evaluations per HPD solve aggregated over the whole sweep (every
-    // thread count and batch size), the Newton share, and the solves that
-    // left Newton's basin for the 1-D root fallback.
+    // thread count and batch size), the Newton share, the solves that left
+    // Newton's basin for the 1-D root fallback, and the incomplete-beta
+    // kernel calls per HPD solve. The kernel count covers every method of
+    // the mix (Clopper-Pearson's quantile inversions included), so it also
+    // moves when a non-HPD interval changes its kernel bill.
     const double sweep_evals_per_solve =
         sweep_hpd.total_solves() > 0
             ? static_cast<double>(sweep_hpd.total_beta_evals()) /
@@ -403,13 +408,20 @@ int main() {
             ? static_cast<double>(sweep_hpd.newton.solves) /
                   static_cast<double>(sweep_hpd.total_solves())
             : 0.0;
+    const double kernel_calls_per_solve =
+        sweep_hpd.total_solves() > 0
+            ? static_cast<double>(sweep_kernel.calls) /
+                  static_cast<double>(sweep_hpd.total_solves())
+            : 0.0;
     std::fprintf(json,
                  ",\n  {\"bench\": \"service_hpd_summary\", "
                  "\"hpd_solves\": %llu, \"hpd_beta_evals_per_solve\": %.2f, "
-                 "\"hpd_newton_share\": %.3f, \"hpd_fallback_solves\": %llu}",
+                 "\"hpd_newton_share\": %.3f, \"hpd_fallback_solves\": %llu, "
+                 "\"kernel_calls_per_solve\": %.2f}",
                  static_cast<unsigned long long>(sweep_hpd.total_solves()),
                  sweep_evals_per_solve, newton_share,
-                 static_cast<unsigned long long>(sweep_hpd.onedim.solves));
+                 static_cast<unsigned long long>(sweep_hpd.onedim.solves),
+                 kernel_calls_per_solve);
     std::fprintf(json,
                  ",\n  {\"bench\": \"service_thread_scaling\", "
                  "\"jobs\": %d, \"threads_scaling_ratio\": %.3f, "

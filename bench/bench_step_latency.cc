@@ -21,8 +21,10 @@
 // its 1-D root fallback, limiting closed forms) and how many incomplete-beta
 // evaluations (CDF + PDF + quantile) they spent per solve — so the Newton
 // path's eval reduction is *measured* in the checked-in record, not
-// asserted. The summary row carries the aggregate evals-per-solve, which
-// tools/check_perf_regression.py gates alongside the latency ratios.
+// asserted. The summary row carries the aggregate evals-per-solve and the
+// incomplete-beta kernel calls per solve (math/special.h counters, which
+// also count the calls inside each quantile inversion); both are gated by
+// tools/check_perf_regression.py alongside the latency ratios.
 //
 // Knobs: KGACC_SEED, KGACC_REPS = steps per measurement window (default 60).
 
@@ -57,8 +59,10 @@ struct Checkpoint {
   double p99_us = 0.0;
   uint64_t measured_at_n = 0;
   int steps_timed = 0;
-  /// HPD solver counters accumulated over this window's steps.
+  /// HPD solver and incomplete-beta kernel counters accumulated over this
+  /// window's steps.
   HpdSolveStats hpd;
+  BetaKernelStats kernel;
 };
 
 double EvalsPerSolve(const HpdSolveStats& stats) {
@@ -77,10 +81,12 @@ double NewtonShare(const HpdSolveStats& stats) {
                             static_cast<double>(numeric);
 }
 
-HpdSolveStats CombineStats(const std::vector<Checkpoint>& checkpoints) {
-  HpdSolveStats total;
-  for (const Checkpoint& cp : checkpoints) total += cp.hpd;
-  return total;
+double KernelCallsPerSolve(const BetaKernelStats& kernel,
+                           const HpdSolveStats& stats) {
+  return stats.total_solves() == 0
+             ? 0.0
+             : static_cast<double>(kernel.calls) /
+                   static_cast<double>(stats.total_solves());
 }
 
 }  // namespace
@@ -127,11 +133,11 @@ int main() {
 
   std::printf("EvaluationSession::Step() latency vs accumulated sample size "
               "(aHPD, %d-step windows)\n", window);
-  bench::Rule(106);
-  std::printf("%6s %9s | %26s | %26s | %9s | %6s %5s\n", "design", "n=1k p50",
-              "n=10k p50/p90/p99 (us)", "n=50k p50/p90/p99 (us)",
-              "50k/1k", "ev/slv", "newt");
-  bench::Rule(106);
+  bench::Rule(113);
+  std::printf("%6s %9s | %26s | %26s | %9s | %6s %6s %5s\n", "design",
+              "n=1k p50", "n=10k p50/p90/p99 (us)", "n=50k p50/p90/p99 (us)",
+              "50k/1k", "ev/slv", "kc/slv", "newt");
+  bench::Rule(113);
 
   std::FILE* json = std::fopen("BENCH_step.json", "w");
   if (json != nullptr) std::fprintf(json, "[\n");
@@ -163,6 +169,7 @@ int main() {
       std::vector<double> step_us;
       step_us.reserve(window);
       ResetThreadHpdStats();
+      ResetThreadBetaKernelStats();
       for (int s = 0; s < window && !session.done(); ++s) {
         const auto start = std::chrono::steady_clock::now();
         const auto outcome = session.Step();
@@ -181,6 +188,7 @@ int main() {
       cp.p90_us = QuantileUs(step_us, 0.90);
       cp.p99_us = QuantileUs(step_us, 0.99);
       cp.hpd = ThreadHpdStatsSnapshot();
+      cp.kernel = ThreadBetaKernelStatsSnapshot();
       measured.push_back(cp);
     }
 
@@ -188,13 +196,20 @@ int main() {
                              ? measured.back().p50_us / measured.front().p50_us
                              : 0.0;
     all_flat = all_flat && ratio <= 2.0;
-    const HpdSolveStats design_hpd = CombineStats(measured);
+    HpdSolveStats design_hpd;
+    BetaKernelStats design_kernel;
+    for (const Checkpoint& cp : measured) {
+      design_hpd += cp.hpd;
+      design_kernel += cp.kernel;
+    }
     std::printf("%6s %9.1f | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f | %8.2fx"
-                " | %6.1f %5.0f%%\n",
+                " | %6.1f %6.1f %5.0f%%\n",
                 design.name, measured[0].p50_us, measured[1].p50_us,
                 measured[1].p90_us, measured[1].p99_us, measured[2].p50_us,
                 measured[2].p90_us, measured[2].p99_us, ratio,
-                EvalsPerSolve(design_hpd), 100.0 * NewtonShare(design_hpd));
+                EvalsPerSolve(design_hpd),
+                KernelCallsPerSolve(design_kernel, design_hpd),
+                100.0 * NewtonShare(design_hpd));
 
     if (json != nullptr) {
       for (const Checkpoint& cp : measured) {
@@ -206,7 +221,8 @@ int main() {
                      "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
                      "\"hpd_sqp_solves\": %llu, \"hpd_onedim_solves\": %llu, "
                      "\"hpd_limiting_solves\": %llu, "
-                     "\"hpd_beta_evals_per_solve\": %.2f}",
+                     "\"hpd_beta_evals_per_solve\": %.2f, "
+                     "\"kernel_calls_per_solve\": %.2f}",
                      first_record ? "" : ",\n", design.name,
                      static_cast<unsigned long long>(cp.target_n),
                      static_cast<unsigned long long>(cp.measured_at_n),
@@ -216,23 +232,26 @@ int main() {
                      static_cast<unsigned long long>(cp.hpd.slsqp.solves),
                      static_cast<unsigned long long>(cp.hpd.onedim.solves),
                      static_cast<unsigned long long>(cp.hpd.limiting.solves),
-                     EvalsPerSolve(cp.hpd));
+                     EvalsPerSolve(cp.hpd),
+                     KernelCallsPerSolve(cp.kernel, cp.hpd));
         first_record = false;
       }
       std::fprintf(json,
                    ",\n  {\"bench\": \"step_latency_summary\", "
                    "\"design\": \"%s\", \"latency_ratio_50k_over_1k\": %.3f, "
                    "\"flat\": %s, \"hpd_beta_evals_per_solve\": %.2f, "
-                   "\"hpd_newton_share\": %.3f}",
+                   "\"hpd_newton_share\": %.3f, "
+                   "\"kernel_calls_per_solve\": %.2f}",
                    design.name, ratio, ratio <= 2.0 ? "true" : "false",
-                   EvalsPerSolve(design_hpd), NewtonShare(design_hpd));
+                   EvalsPerSolve(design_hpd), NewtonShare(design_hpd),
+                   KernelCallsPerSolve(design_kernel, design_hpd));
     }
   }
   if (json != nullptr) {
     std::fprintf(json, "\n]\n");
     std::fclose(json);
   }
-  bench::Rule(106);
+  bench::Rule(113);
   std::printf("per-step cost flat (50k p50 within 2x of 1k) for every "
               "design: %s\n", all_flat ? "yes" : "NO");
   std::printf("wrote BENCH_step.json\n");

@@ -119,7 +119,7 @@ Result<Interval> BuildInterval(const EvaluationConfig& config,
       }
       KGACC_ASSIGN_OR_RETURN(const BetaDistribution posterior,
                              config.priors[0].Posterior(tau_eff, n_eff));
-      std::optional<Interval>* carry = nullptr;
+      std::optional<HpdCarry>* carry = nullptr;
       if (warm != nullptr) {
         warm->Sync(1);
         carry = &warm->priors[0];

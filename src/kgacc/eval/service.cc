@@ -203,6 +203,7 @@ namespace {
 /// padding).
 struct alignas(64) GroupSlot {
   HpdSolveStats hpd;
+  BetaKernelStats kernel;
   double run_seconds = 0.0;
 };
 
@@ -259,15 +260,16 @@ EvaluationBatchResult EvaluationService::RunBatch(
     members[i % groups].push_back(i);
   }
   // One slot per pool task: a task runs start-to-finish on one thread, so
-  // resetting the thread-local HPD counters at task start and snapshotting
-  // at task end yields exact per-task deltas, summed into the batch stats
-  // below regardless of which worker the task landed on.
+  // resetting the thread-local HPD and kernel counters at task start and
+  // snapshotting them at task end yields exact per-task deltas, summed into
+  // the batch stats below regardless of which worker the task landed on.
   std::vector<GroupSlot> slots(groups);
   const int num_threads = pool_.num_threads();
   for (size_t g = 0; g < groups; ++g) {
     pool_.SubmitTo(static_cast<int>(g % num_threads), [&, g] {
       const auto task_start = std::chrono::steady_clock::now();
       ResetThreadHpdStats();
+      ResetThreadBetaKernelStats();
       WorkerContext& context = *contexts_[g];
       for (size_t i : members[g]) {
         RunJob(jobs[i], context, &batch.outcomes[i]);
@@ -275,6 +277,7 @@ EvaluationBatchResult EvaluationService::RunBatch(
       context.ReleaseSamplers(registered_prototypes_);
       GroupSlot& slot = slots[g];
       slot.hpd = ThreadHpdStatsSnapshot();
+      slot.kernel = ThreadBetaKernelStatsSnapshot();
       slot.run_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - task_start)
                              .count();
@@ -296,6 +299,7 @@ EvaluationBatchResult EvaluationService::RunBatch(
   stats.wall_seconds = std::chrono::duration<double>(finished - start).count();
   for (const GroupSlot& slot : slots) {
     stats.hpd += slot.hpd;
+    stats.kernel += slot.kernel;
     stats.run_seconds += slot.run_seconds;
   }
   for (const EvaluationJobOutcome& out : batch.outcomes) {

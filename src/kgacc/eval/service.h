@@ -10,6 +10,7 @@
 #include "kgacc/eval/evaluator.h"
 #include "kgacc/eval/session.h"
 #include "kgacc/intervals/credible.h"
+#include "kgacc/math/special.h"
 #include "kgacc/sampling/sampler.h"
 #include "kgacc/store/annotation_store.h"
 #include "kgacc/util/status.h"
@@ -166,6 +167,10 @@ struct ServiceBatchStats {
   /// (beta evals per solve, Newton share) is observable — and gateable —
   /// under parallel load, not just in the single-threaded step bench.
   HpdSolveStats hpd;
+  /// Incomplete-beta kernel counters (`math/special.h`), captured the same
+  /// way: every method's kernel work, HPD solves and quantile-based
+  /// intervals alike.
+  BetaKernelStats kernel;
   /// Robustness aggregates across the batch — both are zero in the
   /// healthy, unarmed default (the invariant the throughput bench records):
   /// jobs that finished degraded, and store-write retries summed over all

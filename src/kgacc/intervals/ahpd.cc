@@ -1,19 +1,46 @@
 #include "kgacc/intervals/ahpd.h"
 
+#include <cmath>
+
 namespace kgacc {
+
+namespace {
+
+/// The carried interval moved onto `posterior`: each endpoint keeps its
+/// offset from the mode in units of the posterior standard deviation,
+/// l' = m1 - (m0 - l) s1/s0 and u' = m1 + (u - m0) s1/s0. One batch moves
+/// the posterior mostly by that shift and scale, so Newton starts near the
+/// new solution rather than at the old one.
+Interval PredictStart(const HpdCarry& carry,
+                      const BetaDistribution& posterior) {
+  const double m0 = carry.posterior.Mode();
+  const double m1 = posterior.Mode();
+  const double scale =
+      std::sqrt(posterior.Variance() / carry.posterior.Variance());
+  return Interval{m1 - (m0 - carry.interval.lower) * scale,
+                  m1 + (carry.interval.upper - m0) * scale};
+}
+
+}  // namespace
 
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
                                   double alpha, const HpdOptions& options,
-                                  std::optional<Interval>* carry) {
+                                  std::optional<HpdCarry>* carry) {
   if (carry == nullptr) return HpdInterval(posterior, alpha, options);
-  // A carried interval seeds the solve whenever the previous solve was the
-  // standard unimodal case; Newton reports a basin exit instead of
-  // stalling on a far-off start, so the carry is usable unconditionally.
+  // A carry seeds the solve whenever both the previous and the new
+  // posterior are unimodal (limiting cases ignore the start). Newton
+  // reports a basin exit instead of stalling on a far-off start, so the
+  // prediction is usable unconditionally; `HpdInterval` clips it into the
+  // domain.
   HpdOptions local = options;
-  if (carry->has_value()) local.warm_start = &**carry;
+  Interval start;
+  if (carry->has_value() && posterior.Shape() == BetaShape::kUnimodal) {
+    start = PredictStart(**carry, posterior);
+    local.warm_start = &start;
+  }
   Result<HpdResult> result = HpdInterval(posterior, alpha, local);
   if (result.ok() && result->shape == BetaShape::kUnimodal) {
-    *carry = result->interval;
+    *carry = HpdCarry{result->interval, posterior};
   } else {
     carry->reset();
   }

@@ -29,18 +29,27 @@ struct AhpdChoice {
   std::vector<Interval> candidates;
 };
 
+/// One prior's warm-start carry: the last unimodal HPD interval and the
+/// posterior it solved.
+struct HpdCarry {
+  Interval interval;
+  BetaDistribution posterior;
+};
+
 /// Cross-step warm-start carry for iterative interval construction: per
-/// prior, the last unimodal HPD interval, if any. Thread one instance
-/// through the successive `AhpdSelect` (or `BuildInterval`) calls of one
-/// evaluation run; each step then seeds the Newton solve from the last
-/// interval instead of paying two ET quantile solves per prior. Do not
-/// share one state across interleaved runs.
+/// prior, the last unimodal HPD solve, if any. Thread one instance through
+/// the successive `AhpdSelect` (or `BuildInterval`) calls of one evaluation
+/// run; each step then seeds the Newton solve from the carried interval,
+/// shifted from the carried posterior's mode to the new one and scaled by
+/// the ratio of their standard deviations, instead of paying two ET
+/// quantile solves per prior. Do not share one state across interleaved
+/// runs.
 struct AhpdWarmState {
   /// Parallel to the prior set; resized (and cleared) on size change.
-  std::vector<std::optional<Interval>> priors;
+  std::vector<std::optional<HpdCarry>> priors;
 
   /// Aligns the carry with a prior set of `num_priors` entries, dropping
-  /// every stale interval when the set changed shape.
+  /// every stale carry when the set changed shape.
   void Sync(size_t num_priors) {
     if (priors.size() != num_priors) {
       priors.assign(num_priors, std::nullopt);
@@ -48,13 +57,14 @@ struct AhpdWarmState {
   }
 };
 
-/// One prior's HPD with warm-start carry: seeds the solve from `*carry`
-/// when it holds an interval, then stores the new interval when the
-/// posterior was unimodal (and clears the carry otherwise). A null `carry`
-/// degrades to a plain `HpdInterval` call.
+/// One prior's HPD with warm-start carry: when `*carry` holds a solve and
+/// `posterior` is unimodal, seeds Newton at the carried interval moved
+/// onto `posterior` (mode shift, standard-deviation scale), then stores the
+/// new interval and posterior when it was unimodal (and clears the carry
+/// otherwise). A null `carry` degrades to a plain `HpdInterval` call.
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
                                   double alpha, const HpdOptions& options,
-                                  std::optional<Interval>* carry);
+                                  std::optional<HpdCarry>* carry);
 
 /// Computes the per-prior posteriors Beta(a_i + tau, b_i + n - tau), their
 /// 1-alpha HPD intervals, and returns the shortest (Alg. 1 line 23).

@@ -38,12 +38,15 @@ struct HpdOptions {
   /// Warm-start the solver at the ET interval (Alg. 1 line 20). Disabling
   /// this (cold start at a central interval) is Ablation B.
   bool warm_start_at_et = true;
-  /// Externally supplied start — typically the previous step's HPD
-  /// interval in an iterative audit, where the posterior moves only a
-  /// little per batch. Takes precedence over `warm_start_at_et` when it
-  /// describes a usable interval (positive width inside [0, 1]); the ET
-  /// quantile solves it replaces are the bulk of the standard-case cost.
-  /// Not owned; must outlive the call.
+  /// Externally supplied start. In an iterative audit it is the warm
+  /// carry's prediction (`HpdIntervalWarm`, `intervals/ahpd.h`): the
+  /// previous step's interval shifted to the new posterior's mode and
+  /// scaled by the ratio of posterior standard deviations, since the
+  /// posterior moves only a little per batch. Takes precedence over
+  /// `warm_start_at_et` when, clipped into the domain, it describes a
+  /// usable interval (positive width inside [0, 1]); the ET quantile solves
+  /// it replaces are the bulk of the standard-case cost. Not owned; must
+  /// outlive the call.
   const Interval* warm_start = nullptr;
 };
 
@@ -73,6 +76,8 @@ struct HpdResult {
   /// A quantile counts as one evaluation even though the inverse-CDF solve
   /// internally iterates the incomplete beta several times, so these are
   /// lower bounds on incomplete-beta work — comparable across solvers.
+  /// The kernel counters (`ThreadBetaKernelStatsSnapshot`, `math/special.h`)
+  /// count every incomplete-beta call instead.
   int cdf_evals = 0;
   int pdf_evals = 0;
   int quantile_evals = 0;

@@ -1,5 +1,6 @@
 #include "kgacc/math/special.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace kgacc {
@@ -10,7 +11,13 @@ constexpr int kMaxCfIterations = 400;
 constexpr double kCfEpsilon = 1e-15;
 constexpr double kTiny = 1e-300;
 
+thread_local BetaKernelStats t_kernel_stats;
+
 }  // namespace
+
+BetaKernelStats ThreadBetaKernelStatsSnapshot() { return t_kernel_stats; }
+
+void ResetThreadBetaKernelStats() { t_kernel_stats = BetaKernelStats{}; }
 
 double LogGamma(double x) {
   int sign;
@@ -37,7 +44,8 @@ double BetaContinuedFraction(double x, double a, double b) {
   d = 1.0 / d;
   double h = d;
 
-  for (int m = 1; m <= kMaxCfIterations; ++m) {
+  int m = 1;
+  for (; m <= kMaxCfIterations; ++m) {
     const double m2 = 2.0 * m;
     // Even step.
     double aa = m * (b - m) * x / ((qam + m2) * (a + m2));
@@ -58,6 +66,9 @@ double BetaContinuedFraction(double x, double a, double b) {
     h *= del;
     if (std::fabs(del - 1.0) < kCfEpsilon) break;
   }
+  // One add per call, not per iteration: the loop stays counter-free.
+  t_kernel_stats.cf_iterations +=
+      static_cast<uint64_t>(std::min(m, kMaxCfIterations));
   return h;
 }
 
@@ -78,6 +89,7 @@ Result<double> RegularizedIncompleteBeta(double x, double a, double b,
   if (!(x >= 0.0) || !(x <= 1.0)) {
     return Status::OutOfRange("incomplete beta argument x must be in [0,1]");
   }
+  ++t_kernel_stats.calls;
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
 

@@ -1,6 +1,8 @@
 #ifndef KGACC_MATH_SPECIAL_H_
 #define KGACC_MATH_SPECIAL_H_
 
+#include <cstdint>
+
 #include "kgacc/util/status.h"
 
 /// \file special.h
@@ -46,6 +48,29 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b);
 /// iteration evaluates the CDF and the log-PDF, both of which reuse it.
 Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
                                                 double log_beta);
+
+/// Incomplete-beta kernel counters for the calling thread: the work behind
+/// every CDF and quantile. `HpdResult`'s evaluation counts are lower bounds
+/// on it: a quantile counts there as one evaluation, here as every kernel
+/// call its inversion made.
+struct BetaKernelStats {
+  /// `RegularizedIncompleteBeta` calls with a valid argument.
+  uint64_t calls = 0;
+  /// Continued-fraction iterations those calls ran.
+  uint64_t cf_iterations = 0;
+
+  BetaKernelStats& operator+=(const BetaKernelStats& other) {
+    calls += other.calls;
+    cf_iterations += other.cf_iterations;
+    return *this;
+  }
+};
+
+/// Snapshot of this thread's kernel counters since the last reset.
+BetaKernelStats ThreadBetaKernelStatsSnapshot();
+
+/// Zeroes this thread's kernel counters.
+void ResetThreadBetaKernelStats();
 
 namespace internal {
 

@@ -31,7 +31,8 @@
 /// It is a *basin* method, not a globalized one: when the iteration leaves
 /// the basin (non-finite step, repeated residual growth, an endpoint
 /// pinned at the box) it reports the reason instead of grinding, and the
-/// caller falls back to a globalized solver (SLSQP for HPD).
+/// caller falls back to a globalized solver (for HPD, the bracketed 1-D
+/// root of `HpdSolver::kOneDim`).
 
 namespace kgacc {
 

@@ -239,8 +239,10 @@ TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
     for (size_t p = 0; p < want_warm.size(); ++p) {
       ASSERT_EQ(got_warm[p].has_value(), want_warm[p].has_value());
       if (!want_warm[p]) continue;
-      EXPECT_EQ(got_warm[p]->lower, want_warm[p]->lower);
-      EXPECT_EQ(got_warm[p]->upper, want_warm[p]->upper);
+      EXPECT_EQ(got_warm[p]->interval.lower, want_warm[p]->interval.lower);
+      EXPECT_EQ(got_warm[p]->interval.upper, want_warm[p]->interval.upper);
+      EXPECT_EQ(got_warm[p]->posterior.a(), want_warm[p]->posterior.a());
+      EXPECT_EQ(got_warm[p]->posterior.b(), want_warm[p]->posterior.b());
     }
     store->reset();
     std::remove(path.c_str());
@@ -288,12 +290,12 @@ TEST(EvaluationSessionTest, WarmStatePlumbsAcrossSteps) {
   // unimodal and every prior carries an interval.
   for (const auto& carried : warm.priors) {
     ASSERT_TRUE(carried.has_value());
-    EXPECT_GT(carried->Width(), 0.0);
+    EXPECT_GT(carried->interval.Width(), 0.0);
   }
   const auto result = *session.Finish();
   const auto& winner = warm.priors[result.winning_prior];
-  EXPECT_EQ(winner->lower, result.interval.lower);
-  EXPECT_EQ(winner->upper, result.interval.upper);
+  EXPECT_EQ(winner->interval.lower, result.interval.lower);
+  EXPECT_EQ(winner->interval.upper, result.interval.upper);
 }
 
 TEST(EvaluationSessionTest, NewtonAndSqpPathsAgreeOnTheSameAudit) {

@@ -1,9 +1,89 @@
 #include "kgacc/intervals/ahpd.h"
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "kgacc/util/random.h"
 
 namespace kgacc {
 namespace {
+
+/// An audit-like posterior path: the (tau, n) of each successive step.
+using Path = std::vector<std::pair<double, double>>;
+
+/// Walks `path` through `AhpdSelect` with one warm state and checks every
+/// prior's interval at every step against a cold `AhpdSelect` on the same
+/// (tau, n). Returns the 1-D fallbacks the warm walk took.
+uint64_t ExpectWarmWalkMatchesCold(const std::vector<BetaPrior>& priors,
+                                   const Path& path) {
+  AhpdWarmState warm;
+  std::vector<AhpdChoice> warmed;
+  ResetThreadHpdStats();
+  for (const auto& [tau, n] : path) {
+    warmed.push_back(*AhpdSelect(priors, tau, n, 0.05, {}, &warm));
+  }
+  const uint64_t fallbacks = ThreadHpdStatsSnapshot().onedim.solves;
+  for (size_t s = 0; s < path.size(); ++s) {
+    const auto [tau, n] = path[s];
+    const auto cold = *AhpdSelect(priors, tau, n, 0.05);
+    for (size_t i = 0; i < priors.size(); ++i) {
+      EXPECT_NEAR(warmed[s].candidates[i].lower, cold.candidates[i].lower,
+                  1e-9)
+          << "step " << s << " prior " << i << " tau " << tau << " n " << n;
+      EXPECT_NEAR(warmed[s].candidates[i].upper, cold.candidates[i].upper,
+                  1e-9)
+          << "step " << s << " prior " << i << " tau " << tau << " n " << n;
+    }
+    EXPECT_EQ(warmed[s].prior_index, cold.prior_index) << "step " << s;
+  }
+  ResetThreadHpdStats();
+  return fallbacks;
+}
+
+/// The same walk with each prior's last unimodal interval handed to Newton
+/// as it stands, not moved onto the new posterior: the reference the
+/// predicted carry may not fall back more often than. Returns its 1-D
+/// fallbacks.
+uint64_t UnmovedCarryFallbacks(const std::vector<BetaPrior>& priors,
+                               const Path& path) {
+  std::vector<std::optional<Interval>> carry(priors.size());
+  ResetThreadHpdStats();
+  for (const auto& [tau, n] : path) {
+    for (size_t i = 0; i < priors.size(); ++i) {
+      HpdOptions options;
+      if (carry[i].has_value()) options.warm_start = &*carry[i];
+      const HpdResult hpd =
+          *HpdInterval(*priors[i].Posterior(tau, n), 0.05, options);
+      carry[i] = hpd.shape == BetaShape::kUnimodal
+                     ? std::optional<Interval>(hpd.interval)
+                     : std::nullopt;
+    }
+  }
+  const uint64_t fallbacks = ThreadHpdStatsSnapshot().onedim.solves;
+  ResetThreadHpdStats();
+  return fallbacks;
+}
+
+void ExpectPredictedWalkMatchesCold(const std::vector<BetaPrior>& priors,
+                                    const Path& path) {
+  const uint64_t predicted = ExpectWarmWalkMatchesCold(priors, path);
+  EXPECT_LE(predicted, UnmovedCarryFallbacks(priors, path));
+}
+
+/// Ten labels per step, each correct with probability `accuracy`.
+Path AuditPath(double accuracy, uint64_t seed, int steps) {
+  Rng rng(seed);
+  Path path;
+  double tau = 0.0;
+  for (int step = 1; step <= steps; ++step) {
+    for (int label = 0; label < 10; ++label) tau += rng.Bernoulli(accuracy);
+    path.emplace_back(tau, 10.0 * step);
+  }
+  return path;
+}
 
 TEST(AhpdTest, RequiresAtLeastOnePrior) {
   EXPECT_FALSE(AhpdSelect({}, 10, 20, 0.05).ok());
@@ -173,6 +253,91 @@ TEST(AhpdWarmTest, CarryIsUsedUnconditionallyAcrossPosteriorJumps) {
   EXPECT_NEAR(warmed.interval.lower, cold.interval.lower, 5e-7);
   EXPECT_NEAR(warmed.interval.upper, cold.interval.upper, 5e-7);
   EXPECT_EQ(warmed.prior_index, cold.prior_index);
+}
+
+TEST(AhpdPredictorTest, AuditPathsMatchColdSelection) {
+  // n += 10 per step with tau drawn at four accuracies; at 0.99 the first
+  // steps are all correct, so the walk starts in the increasing limiting
+  // case and enters the unimodal branch with an empty carry.
+  for (const double accuracy : {0.54, 0.85, 0.91, 0.99}) {
+    SCOPED_TRACE(accuracy);
+    ExpectPredictedWalkMatchesCold(DefaultUninformativePriors(),
+                                   AuditPath(accuracy, 2024, 60));
+  }
+}
+
+TEST(AhpdPredictorTest, FractionalEffectiveSamplesMatchColdSelection) {
+  // Cluster designs feed the design-effect-adjusted (tau_eff, n_eff):
+  // fractional, and n_eff can shrink between steps when the design effect
+  // grows.
+  Rng rng(7);
+  Path path;
+  double deff = 1.5;
+  for (const auto& [tau, n] : AuditPath(0.85, 11, 60)) {
+    deff = 0.7 * deff + 0.3 * rng.Uniform(1.0, 3.0);
+    path.emplace_back(tau / deff, n / deff);
+  }
+  ExpectPredictedWalkMatchesCold(DefaultUninformativePriors(), path);
+}
+
+TEST(AhpdPredictorTest, PathsAcrossLimitingCasesMatchColdSelection) {
+  // tau = n (increasing), then interior, then a fractional tau_eff = n_eff
+  // that drops the carry, then interior again; and the mirror path from
+  // tau = 0 (decreasing).
+  ExpectPredictedWalkMatchesCold(
+      DefaultUninformativePriors(),
+      {{10, 10}, {20, 20}, {29, 30}, {38, 40}, {48.6, 48.6}, {55, 60},
+       {64, 70}});
+  ExpectPredictedWalkMatchesCold(
+      DefaultUninformativePriors(),
+      {{0, 10}, {0, 20}, {1, 30}, {2, 40}, {2.5, 50}, {0, 55}, {4, 70}});
+}
+
+TEST(AhpdPredictorTest, GridSeededFromNeighbourMatchesColdSolve) {
+  // Every (a, b) of the cross-check grid, each seeded from the carry of
+  // its left neighbour in the row (the first point of a row starts cold).
+  const std::vector<double> grid = {0.5, 0.8, 1.05, 1.3, 2.0,  3.5,   7.0,
+                                    15,  40,  120,  400, 1500, 5000};
+  uint64_t predicted_fallbacks = 0;
+  uint64_t unmoved_fallbacks = 0;
+  for (const double b : grid) {
+    std::optional<HpdCarry> carry;
+    std::optional<Interval> unmoved;
+    for (const double a : grid) {
+      SCOPED_TRACE(testing::Message() << "a " << a << " b " << b);
+      const BetaDistribution posterior = *BetaDistribution::Create(a, b);
+      const HpdResult cold = *HpdInterval(posterior, 0.05);
+      ResetThreadHpdStats();
+      const HpdResult warm = *HpdIntervalWarm(posterior, 0.05, {}, &carry);
+      predicted_fallbacks += ThreadHpdStatsSnapshot().onedim.solves;
+      EXPECT_NEAR(warm.interval.lower, cold.interval.lower, 1e-9);
+      EXPECT_NEAR(warm.interval.upper, cold.interval.upper, 1e-9);
+      ASSERT_EQ(carry.has_value(), warm.shape == BetaShape::kUnimodal);
+
+      HpdOptions options;
+      if (unmoved.has_value()) options.warm_start = &*unmoved;
+      ResetThreadHpdStats();
+      const HpdResult old = *HpdInterval(posterior, 0.05, options);
+      unmoved_fallbacks += ThreadHpdStatsSnapshot().onedim.solves;
+      unmoved = old.shape == BetaShape::kUnimodal
+                    ? std::optional<Interval>(old.interval)
+                    : std::nullopt;
+    }
+  }
+  ResetThreadHpdStats();
+  EXPECT_LE(predicted_fallbacks, unmoved_fallbacks);
+}
+
+TEST(AhpdPredictorTest, CarryRecordsThePosteriorItSolved) {
+  const auto priors = DefaultUninformativePriors();
+  AhpdWarmState warm;
+  ASSERT_TRUE(AhpdSelect(priors, 26, 30, 0.05, {}, &warm).ok());
+  for (size_t i = 0; i < priors.size(); ++i) {
+    const BetaDistribution posterior = *priors[i].Posterior(26, 30);
+    ASSERT_TRUE(warm.priors[i].has_value());
+    EXPECT_EQ(warm.priors[i]->posterior.a(), posterior.a());
+    EXPECT_EQ(warm.priors[i]->posterior.b(), posterior.b());
+  }
 }
 
 TEST(AhpdTest, WidthShrinksMonotonicallyWithData) {

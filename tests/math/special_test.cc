@@ -142,6 +142,27 @@ TEST(IncompleteBetaTest, RejectsInvalidArguments) {
   EXPECT_FALSE(RegularizedIncompleteBeta(1.1, 1.0, 1.0).ok());
 }
 
+TEST(BetaKernelStatsTest, CountsCallsAndIterationsPerThread) {
+  ResetThreadBetaKernelStats();
+  ASSERT_TRUE(RegularizedIncompleteBeta(0.3, 2.0, 5.0).ok());
+  const BetaKernelStats one = ThreadBetaKernelStatsSnapshot();
+  EXPECT_EQ(one.calls, 1u);
+  EXPECT_GE(one.cf_iterations, 1u);
+  // An endpoint is a call without a continued fraction; a rejected
+  // argument is no call at all.
+  ASSERT_TRUE(RegularizedIncompleteBeta(0.0, 2.0, 5.0).ok());
+  EXPECT_FALSE(RegularizedIncompleteBeta(1.5, 2.0, 5.0).ok());
+  const BetaKernelStats two = ThreadBetaKernelStatsSnapshot();
+  EXPECT_EQ(two.calls, 2u);
+  EXPECT_EQ(two.cf_iterations, one.cf_iterations);
+  // A quantile inversion spends several kernel calls.
+  ASSERT_TRUE(InverseRegularizedIncompleteBeta(0.3, 2.0, 5.0).ok());
+  EXPECT_GT(ThreadBetaKernelStatsSnapshot().calls, 3u);
+  ResetThreadBetaKernelStats();
+  EXPECT_EQ(ThreadBetaKernelStatsSnapshot().calls, 0u);
+  EXPECT_EQ(ThreadBetaKernelStatsSnapshot().cf_iterations, 0u);
+}
+
 TEST(InverseIncompleteBetaTest, EndpointValues) {
   EXPECT_DOUBLE_EQ(*InverseRegularizedIncompleteBeta(0.0, 2.0, 3.0), 0.0);
   EXPECT_DOUBLE_EQ(*InverseRegularizedIncompleteBeta(1.0, 2.0, 3.0), 1.0);

@@ -13,11 +13,16 @@ the allowed factor (default 2x):
   efficiency of the interval layer (2x2 Newton KKT primary path, warm
   starts). A jump means solves fell back off the Newton path or the warm
   carry broke.
+* the incomplete-beta *kernel calls per solve* per design — the same
+  efficiency counted where the CPU goes: every call into the kernel,
+  including the ~12 each quantile inversion makes, which evals-per-solve
+  counts as one. A jump means the Newton start or a quantile seed got
+  worse even where the evaluation count looks unchanged.
 
 With --service-fresh/--service-record it additionally gates the
 `service_hpd_summary` record of BENCH_service.json — the same
-evals-per-solve property, but aggregated across every worker thread of the
-parallel EvaluationService sweep. The step bench is single-threaded; a
+evals-per-solve and kernel-calls-per-solve properties, but aggregated
+across every worker thread of the parallel EvaluationService sweep. The step bench is single-threaded; a
 warm-carry or solver-path regression that only manifests under worker
 pinning (e.g. shared state resets between jobs) is only visible here.
 
@@ -268,28 +273,33 @@ def check_net_fairness(fresh_path, tolerance):
 
 
 def check_service(fresh_path, record_path, max_regression):
-    """Gates the service-level evals/solve; returns True on regression."""
+    """Gates the service-level evals/solve and kernel calls/solve; returns
+    True on regression."""
     fresh = load_service_summary(fresh_path)
-    if fresh is None or not isinstance(
-            fresh.get("hpd_beta_evals_per_solve"), (int, float)):
-        # The fresh record comes from the current bench binary: a missing
-        # summary means the aggregation broke, and a blocking gate must not
-        # pass vacuously.
-        print(f"error: no usable service_hpd_summary in {fresh_path} "
-              "(BatchResult HPD aggregation missing?)", file=sys.stderr)
-        sys.exit(2)
-    value = fresh["hpd_beta_evals_per_solve"]
-    recorded_rec = load_service_summary(record_path)
-    recorded = (recorded_rec or {}).get("hpd_beta_evals_per_solve")
-    if not isinstance(recorded, (int, float)):
-        print(f"  service beta evals/solve: fresh {value:.3f} "
-              "(no checked-in record, skipped)")
-        return False
-    budget = max(recorded, 4.0) * max_regression
-    verdict = "OK" if value <= budget else "REGRESSION"
-    print(f"  service beta evals/solve: fresh {value:.3f} vs recorded "
-          f"{recorded:.3f} (budget {budget:.3f}) {verdict}")
-    return value > budget
+    recorded_rec = load_service_summary(record_path) or {}
+    failed = False
+    for key, label in (("hpd_beta_evals_per_solve", "beta evals/solve"),
+                       ("kernel_calls_per_solve", "kernel calls/solve")):
+        if fresh is None or not isinstance(fresh.get(key), (int, float)):
+            # The fresh record comes from the current bench binary: a
+            # missing summary means the aggregation broke, and a blocking
+            # gate must not pass vacuously.
+            print(f"error: no usable '{key}' in the service_hpd_summary of "
+                  f"{fresh_path} (BatchResult aggregation missing?)",
+                  file=sys.stderr)
+            sys.exit(2)
+        value = fresh[key]
+        recorded = recorded_rec.get(key)
+        if not isinstance(recorded, (int, float)):
+            print(f"  service {label}: fresh {value:.3f} "
+                  "(no checked-in record, skipped)")
+            continue
+        budget = max(recorded, 4.0) * max_regression
+        verdict = "OK" if value <= budget else "REGRESSION"
+        print(f"  service {label}: fresh {value:.3f} vs recorded "
+              f"{recorded:.3f} (budget {budget:.3f}) {verdict}")
+        failed |= value > budget
+    return failed
 
 
 def main():
@@ -337,6 +347,9 @@ def main():
     failed |= check_metric(fresh, record, "hpd_beta_evals_per_solve",
                            "beta evals/solve", args.max_regression,
                            floor=4.0)
+    failed |= check_metric(fresh, record, "kernel_calls_per_solve",
+                           "kernel calls/solve", args.max_regression,
+                           floor=4.0)
     if args.service_fresh and args.service_record:
         failed |= check_service(args.service_fresh, args.service_record,
                                 args.max_regression)
@@ -349,13 +362,14 @@ def main():
         failed |= check_net_fairness(args.net_fresh, args.fairness_tolerance)
 
     if failed:
-        print("\nstep-latency ratio, HPD evals-per-solve, HPD fallback "
-              "share, thread-scaling ratio, store compaction, or tenant "
-              "fairness out of bounds (see lines above)", file=sys.stderr)
+        print("\nstep-latency ratio, HPD evals-per-solve, kernel "
+              "calls-per-solve, HPD fallback share, thread-scaling ratio, "
+              "store compaction, or tenant fairness out of bounds (see lines "
+              "above)", file=sys.stderr)
         return 1
-    print("\nstep-latency ratios, HPD evals-per-solve, HPD fallback share, "
-          "thread scaling, store compaction, and tenant fairness within "
-          "budget")
+    print("\nstep-latency ratios, HPD evals-per-solve, kernel "
+          "calls-per-solve, HPD fallback share, thread scaling, store "
+          "compaction, and tenant fairness within budget")
     return 0
 
 
