@@ -1,10 +1,12 @@
 // EvaluationService throughput: sweeps worker threads x batch sizes over
 // the same mixed audit workload, reports audits/sec, triples/sec, heap
-// allocations per audit, and the batch timing split
-// (spawn/submit/run/barrier + stolen groups), and verifies along the way
-// that the numbers coming back are identical at every thread count and
-// every repeat. Emits BENCH_service.json (one machine-readable record per
-// sweep cell) to seed the performance trajectory across PRs.
+// allocations per audit, the batch timing split (spawn/submit/run/barrier),
+// worker utilization (summed task busy time over wall time x threads) and
+// tasks run off their home worker, and verifies along the way that the
+// numbers coming back are identical at every thread count and every
+// repeat. Emits BENCH_service.json: a `host` record naming the machine
+// (hardware threads, CPU model, compiler, build type), then one
+// machine-readable record per sweep cell.
 //
 // Every cell repeats RunBatch on one persistent service until it has
 // accumulated at least KGACC_MIN_CELL_MS (default 100 ms) of wall time and
@@ -15,11 +17,11 @@
 //
 // The 32-job cells exist for continuity with the earlier single-cell
 // record; the 256- and 2048-job cells are the ones that say anything about
-// steady-state throughput (warm worker contexts need same-design jobs to
-// amortize over). The closing service_thread_scaling record is the
-// 4-thread / 1-thread audits/s ratio on the largest cell —
-// check_perf_regression.py gates it as a blocking CI check on hosts with
-// at least 4 hardware threads.
+// steady-state throughput (many jobs per worker, so the one-job tail and
+// each context's first sampler clone amortize away). The closing
+// service_thread_scaling record is the 4-thread / 1-thread audits/s ratio
+// on the largest cell — check_perf_regression.py gates it as a blocking CI
+// check on hosts with at least 4 hardware threads.
 //
 // Knobs: KGACC_SEED, KGACC_THREADS = max thread count to sweep to
 // (default: hardware), KGACC_MIN_CELL_MS = minimum measured wall time per
@@ -89,18 +91,19 @@ int main() {
   const std::vector<int> job_sweep = {32, 256, 2048};
 
   std::printf("EvaluationService throughput (NELL-like KG, "
-              "Wald/Wilson/CP/aHPD x SRS/TWCS, shard-per-core)\n");
+              "Wald/Wilson/CP/aHPD x SRS/TWCS, shared job cursor)\n");
   std::printf("cells run until >= %.0f ms of wall time; audits/s is the "
               "median run\n", min_cell_seconds * 1000.0);
-  bench::Rule(104);
-  std::printf("%6s %8s %5s %10s %12s %14s %12s %10s %10s %7s\n", "jobs",
+  bench::Rule(110);
+  std::printf("%6s %8s %5s %10s %12s %14s %12s %10s %10s %5s %7s\n", "jobs",
               "threads", "runs", "wall(s)", "audits/s", "triples/s",
-              "allocs/audit", "run(s)", "barrier(s)", "stolen");
-  bench::Rule(104);
+              "allocs/audit", "run(s)", "barrier(s)", "util", "stolen");
+  bench::Rule(110);
 
   std::FILE* json = std::fopen("BENCH_service.json", "w");
-  if (json != nullptr) std::fprintf(json, "[\n");
-  bool first_record = true;
+  if (json != nullptr) {
+    std::fprintf(json, "[\n  %s", bench::HostRecordJson().c_str());
+  }
   bool deterministic = true;
   // Cross-worker HPD solver and kernel counters summed over every sweep
   // cell: the service-level evals- and kernel-calls-per-solve records the
@@ -203,16 +206,21 @@ int main() {
       const double mean_run = run_seconds / static_cast<double>(runs);
       const double mean_barrier =
           barrier_seconds / static_cast<double>(runs);
+      const double utilization =
+          total_wall > 0.0
+              ? run_seconds / (total_wall * service.num_threads())
+              : 0.0;
       cell_audits_per_second[jobs_n][thread_sweep[s]] = median_audits;
       std::printf(
-          "%6d %8d %5zu %10.3f %12.1f %14.0f %12.1f %10.4f %10.4f %7llu\n",
+          "%6d %8d %5zu %10.3f %12.1f %14.0f %12.1f %10.4f %10.4f %5.3f "
+          "%7llu\n",
           jobs_n, service.num_threads(), runs, median_wall, median_audits,
           median_triples, allocs_per_audit, mean_run, mean_barrier,
-          static_cast<unsigned long long>(stolen_groups));
+          utilization, static_cast<unsigned long long>(stolen_groups));
       if (json != nullptr) {
         std::fprintf(
             json,
-            "%s  {\"bench\": \"service_throughput\", \"jobs\": %d, "
+            ",\n  {\"bench\": \"service_throughput\", \"jobs\": %d, "
             "\"threads\": %d, \"runs\": %zu, \"wall_seconds\": %.6f, "
             "\"audits_per_second\": %.2f, "
             "\"triples_per_second\": %.2f, "
@@ -221,20 +229,20 @@ int main() {
             "\"groups\": %zu, \"stolen_groups\": %llu, "
             "\"spawn_seconds\": %.6f, \"submit_seconds\": %.6f, "
             "\"run_seconds\": %.6f, \"barrier_seconds\": %.6f, "
-            "\"degraded_jobs\": %zu, \"total_retries\": %llu, "
+            "\"utilization\": %.4f, \"degraded_jobs\": %zu, "
+            "\"total_retries\": %llu, "
             "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
             "\"hpd_beta_evals_per_solve\": %.2f}",
-            first_record ? "" : ",\n", jobs_n, service.num_threads(), runs,
-            median_wall, median_audits, median_triples,
+            jobs_n, service.num_threads(), runs, median_wall, median_audits,
+            median_triples,
             static_cast<unsigned long long>(annotated_triples),
             allocs_per_audit, failed, groups,
             static_cast<unsigned long long>(stolen_groups), spawn_seconds,
-            mean_submit, mean_run, mean_barrier, degraded_jobs,
+            mean_submit, mean_run, mean_barrier, utilization, degraded_jobs,
             static_cast<unsigned long long>(total_retries),
             static_cast<unsigned long long>(cell_hpd.total_solves()),
             static_cast<unsigned long long>(cell_hpd.newton.solves),
             evals_per_solve);
-        first_record = false;
       }
     }
   }
@@ -433,7 +441,7 @@ int main() {
     std::fprintf(json, "\n]\n");
     std::fclose(json);
   }
-  bench::Rule(104);
+  bench::Rule(110);
   std::printf("threads scaling ratio (4t/1t, %d jobs): %.2f "
               "(%d hardware threads)\n",
               scaling_jobs, scaling_ratio, hardware_threads);

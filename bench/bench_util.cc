@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 namespace kgacc::bench {
 
@@ -68,6 +70,41 @@ std::string SignificanceMarks(const ReplicationSummary& ahpd,
   const auto vs_wilson = PooledTTest(ahpd.cost_hours, wilson.cost_hours);
   if (vs_wilson.ok() && vs_wilson->SignificantAt(0.01)) marks += "‡";
   return marks.empty() ? "" : marks;
+}
+
+namespace {
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string HostRecordJson() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return "{\"bench\": \"host\", \"nproc\": " +
+         std::to_string(hw > 0 ? hw : 1) + ", \"cpu\": \"" +
+         JsonEscape(CpuModel()) + "\", \"compiler\": \"" +
+         JsonEscape(KGACC_BENCH_COMPILER) + "\", \"build_type\": \"" +
+         JsonEscape(KGACC_BENCH_BUILD_TYPE) + "\"}";
 }
 
 void Rule(int n) {

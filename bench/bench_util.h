@@ -54,6 +54,11 @@ std::string SignificanceMarks(const ReplicationSummary& ahpd,
                               const ReplicationSummary& wald,
                               const ReplicationSummary& wilson);
 
+/// The measuring host as one JSON record, `{"bench": "host", ...}`:
+/// hardware threads (`nproc`), CPU model, compiler and build type — the
+/// host fields kgbench prints, so a checked-in record names its machine.
+std::string HostRecordJson();
+
 /// Prints a horizontal rule of width `n`.
 void Rule(int n);
 

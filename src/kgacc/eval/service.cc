@@ -1,6 +1,7 @@
 #include "kgacc/eval/service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -15,20 +16,6 @@ namespace kgacc {
 
 namespace {
 
-/// Pinning groups per worker thread. More groups mean finer-grained
-/// stealing when job durations are uneven, at the price of colder
-/// per-context caches.
-constexpr size_t kGroupsPerThread = 4;
-
-/// Minimum jobs per pinning group. Small batches used to shred into
-/// `threads x kGroupsPerThread` near-empty groups — at 32 jobs on 4
-/// threads that is 16 two-job tasks, all cold contexts and queue traffic
-/// (the measured thread-degradation cliff). The floor caps the group count
-/// at `jobs / kMinJobsPerGroup`, so a small batch becomes a few substantial
-/// whole-group handoffs instead. Group membership never affects results,
-/// only locality.
-constexpr size_t kMinJobsPerGroup = 8;
-
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -37,8 +24,8 @@ int ResolveThreads(int requested) {
 
 }  // namespace
 
-/// Per-pinning-group execution state. Everything in here is touched by one
-/// pool task at a time (a group's jobs run sequentially), so no locking.
+/// Per-task execution state. Task t of every batch owns context t and runs
+/// its jobs one after another, so nothing in here needs locking.
 struct EvaluationService::WorkerContext {
   struct CachedSampler {
     const Sampler* prototype = nullptr;
@@ -195,13 +182,10 @@ void EvaluationService::RunJob(const EvaluationJob& job,
 
 namespace {
 
-/// Per-group output slot for everything one group task writes beyond the
-/// job outcomes, padded to a cache line so two workers finishing adjacent
-/// groups never ping-pong a line between their stores (the false-sharing
-/// fix for the batch-stats accumulators; the per-worker HPD counters are
-/// already thread_local and the pool's shard counters carry their own
-/// padding).
-struct alignas(64) GroupSlot {
+/// Per-task output slot for everything one task writes beyond the job
+/// outcomes, padded to a cache line so two workers finishing at once never
+/// ping-pong a line between their stores.
+struct alignas(64) TaskSlot {
   HpdSolveStats hpd;
   BetaKernelStats kernel;
   double run_seconds = 0.0;
@@ -238,44 +222,35 @@ EvaluationBatchResult EvaluationService::RunBatch(
 
   const auto start = std::chrono::steady_clock::now();
   const uint64_t stolen_before = pool_.stolen_tasks();
-  // Deterministic pinning: job i belongs to group i % G, where G caps at
-  // threads x kGroupsPerThread and floors at kMinJobsPerGroup jobs per
-  // group. Each group is one whole task handed to its home worker's
-  // ring (group g -> worker g % threads); a worker finishing its ring
-  // early steals a complete group from a neighbour — stealing never
-  // splits a group, so every group's jobs run sequentially on a single
-  // thread against one warm context.
-  const size_t max_groups =
-      static_cast<size_t>(pool_.num_threads()) * kGroupsPerThread;
-  const size_t floored_groups =
-      std::max<size_t>(jobs.size() / kMinJobsPerGroup, 1);
-  const size_t groups = std::min({jobs.size(), max_groups, floored_groups});
-  while (contexts_.size() < groups) {
+  // One task per worker, each pulling the next unclaimed job off a shared
+  // cursor until the batch runs dry: a slow job holds back only itself,
+  // and the tail is at most one job long. Task t always runs against
+  // context t. Which task runs which job never affects results — each
+  // job's path depends only on its seed and its Reset() sampler clone.
+  const int num_threads = pool_.num_threads();
+  const size_t tasks =
+      std::min(jobs.size(), static_cast<size_t>(num_threads));
+  while (contexts_.size() < tasks) {
     contexts_.push_back(std::make_unique<WorkerContext>());
   }
-  // Group membership: group g owns jobs g, g+G, ... — a pure function of
-  // the job list, and grouping affects locality only, never results.
-  std::vector<std::vector<size_t>> members(groups);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    members[i % groups].push_back(i);
-  }
-  // One slot per pool task: a task runs start-to-finish on one thread, so
-  // resetting the thread-local HPD and kernel counters at task start and
-  // snapshotting them at task end yields exact per-task deltas, summed into
-  // the batch stats below regardless of which worker the task landed on.
-  std::vector<GroupSlot> slots(groups);
-  const int num_threads = pool_.num_threads();
-  for (size_t g = 0; g < groups; ++g) {
-    pool_.SubmitTo(static_cast<int>(g % num_threads), [&, g] {
+  std::atomic<size_t> cursor{0};
+  // A task runs start-to-finish on one thread, so resetting the
+  // thread-local HPD and kernel counters at task start and snapshotting
+  // them at task end yields exact per-task deltas.
+  std::vector<TaskSlot> slots(tasks);
+  for (size_t t = 0; t < tasks; ++t) {
+    pool_.SubmitTo(static_cast<int>(t), [&, t] {
       const auto task_start = std::chrono::steady_clock::now();
       ResetThreadHpdStats();
       ResetThreadBetaKernelStats();
-      WorkerContext& context = *contexts_[g];
-      for (size_t i : members[g]) {
+      WorkerContext& context = *contexts_[t];
+      while (true) {
+        const size_t i = cursor.fetch_add(1);
+        if (i >= jobs.size()) break;
         RunJob(jobs[i], context, &batch.outcomes[i]);
       }
       context.ReleaseSamplers(registered_prototypes_);
-      GroupSlot& slot = slots[g];
+      TaskSlot& slot = slots[t];
       slot.hpd = ThreadHpdStatsSnapshot();
       slot.kernel = ThreadBetaKernelStatsSnapshot();
       slot.run_seconds = std::chrono::duration<double>(
@@ -291,13 +266,13 @@ EvaluationBatchResult EvaluationService::RunBatch(
   stats.barrier_seconds =
       std::chrono::duration<double>(finished - submitted).count();
 
-  stats.num_threads = pool_.num_threads();
+  stats.num_threads = num_threads;
   stats.jobs = jobs.size();
-  stats.groups = groups;
+  stats.groups = tasks;
   stats.stolen_groups =
       static_cast<size_t>(pool_.stolen_tasks() - stolen_before);
   stats.wall_seconds = std::chrono::duration<double>(finished - start).count();
-  for (const GroupSlot& slot : slots) {
+  for (const TaskSlot& slot : slots) {
     stats.hpd += slot.hpd;
     stats.kernel += slot.kernel;
     stats.run_seconds += slot.run_seconds;

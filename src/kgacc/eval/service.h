@@ -24,24 +24,22 @@
 /// scenario in the experiment harness is one such batch; the service turns
 /// it into a single parallel pass.
 ///
-/// Execution model: shard-per-core. Jobs are pinned deterministically to
-/// *execution contexts* (`job_index % groups`), each context owning a cache
-/// of cloned samplers keyed by job prototype plus reusable session scratch
-/// (batch buffers and annotated-sample storage). At submit time every group
-/// is handed — whole — to its home worker's private job ring
-/// (`group % num_threads` via `ThreadPool::SubmitTo`), so the steady state
-/// runs with no shared mutable state: each worker drains its own ring and
-/// writes job outcomes to disjoint slots. Work-stealing exists only at the
-/// group granularity — a worker that runs dry takes a complete group off a
-/// neighbour's ring, never individual jobs — which keeps per-context
-/// caches hot and a single-group batch on a single thread for its whole
-/// life.
+/// Execution model: one task per worker over a shared job cursor. A batch
+/// submits `min(jobs, threads)` tasks, task t to worker t, and each task
+/// claims the next unclaimed job index from one atomic cursor until the
+/// batch runs dry. Task t runs its jobs against persistent execution
+/// context t: a cache of cloned samplers keyed by job prototype plus
+/// reusable session scratch (batch buffers and annotated-sample storage).
+/// Balance comes from the cursor, not from a static assignment: a slow
+/// job delays only itself, so the batch's tail is at most one job long.
+/// Jobs write their outcomes to disjoint slots; the cursor is the only
+/// shared mutable state, touched once per job.
 ///
 /// Determinism: each job's stochastic path is fully determined by its own
 /// seed (jobs clone their sampler prototypes and own their RNGs; a context
 /// Reset()s its cached clone before every job), so batch results are
-/// byte-identical regardless of worker count, pinning, or scheduling
-/// order, and are returned in submission order.
+/// byte-identical regardless of worker count or of which task claimed
+/// which job, and are returned in submission order.
 
 namespace kgacc {
 
@@ -145,25 +143,28 @@ struct ServiceBatchStats {
   /// * `spawn_seconds` — worker spin-up attributed to this batch. Non-zero
   ///   only for the first batch after construction; the pool is persistent,
   ///   so every later batch reports 0 here.
-  /// * `submit_seconds` — main-thread time handing whole groups to their
-  ///   home workers' rings.
-  /// * `run_seconds` — group task execution time summed across workers
-  ///   (aggregate CPU, so > wall_seconds when scaling works).
+  /// * `submit_seconds` — main-thread time handing one task to each
+  ///   worker's ring.
+  /// * `run_seconds` — task execution time summed across tasks, from a
+  ///   task's start to its finding the cursor exhausted (aggregate busy
+  ///   time, so > wall_seconds when scaling works; over
+  ///   `wall_seconds * num_threads` it is the workers' utilization).
   /// * `barrier_seconds` — main-thread time blocked between the last
   ///   handoff and batch completion.
   double spawn_seconds = 0.0;
   double submit_seconds = 0.0;
   double run_seconds = 0.0;
   double barrier_seconds = 0.0;
-  /// Pinning groups the batch was split into (1 task per group), and how
-  /// many of them ran on a worker other than their home shard. Zero stolen
-  /// groups is the balanced steady state.
+  /// Tasks the batch submitted (`min(jobs, num_threads)`, one per worker),
+  /// and how many of them ran on a worker other than the one they were
+  /// submitted to. A task is only stolen when its home worker is slow to
+  /// wake; it then finds fewer jobs left, never different results.
   size_t groups = 0;
   size_t stolen_groups = 0;
   /// HPD solver counters aggregated across every worker thread of the
   /// batch (per-path solve/eval tallies). The
   /// thread-local `ThreadHpdStatsSnapshot` counters are captured around
-  /// each pinning-group task and summed, so solver efficiency
+  /// each task and summed, so solver efficiency
   /// (beta evals per solve, Newton share) is observable — and gateable —
   /// under parallel load, not just in the single-threaded step bench.
   HpdSolveStats hpd;
@@ -256,7 +257,7 @@ class EvaluationService {
   /// Whether a batch already reported the pool's one-time spawn cost in
   /// its stats (the pool itself is persistent across RunBatch calls).
   bool spawn_charged_ = false;
-  /// One context per pinning group, grown on demand and reused across
+  /// One context per task index, grown on demand and reused across
   /// batches (warm scratch capacity).
   std::vector<std::unique_ptr<WorkerContext>> contexts_;
   /// Prototypes whose clone caches survive across batches. Read-only while

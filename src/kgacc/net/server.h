@@ -30,12 +30,11 @@
 /// design-name lookup, and opening the KG's shared store on first use (that
 /// first store replay is the one heavy step left on it). Everything else
 /// runs on the audit's *home worker* (`audit_id % workers` on a
-/// `ThreadPool`, the shard-per-core discipline of `EvaluationService`), in
-/// per-worker weighted DRR order: first the audit's open — sampler build
-/// (a TWCS PPS alias table is O(#clusters)), then the session's
-/// `DurableAudit` (store/checkpoint.h) and its resume — then its step
-/// batches, each step a `DurableAudit::Step`. Workers hand
-/// encoded reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
+/// `ThreadPool`), in per-worker weighted DRR order: first the audit's
+/// open — sampler build (a TWCS PPS alias table is O(#clusters)), then the
+/// session's `DurableAudit` (store/checkpoint.h) and its resume — then its
+/// step batches, each step a `DurableAudit::Step`. Workers hand encoded
+/// reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
 /// back to the poll thread through an event queue + self-pipe, so sockets
 /// are never touched off-thread and one client's open never stalls another
 /// client's frames.

@@ -22,8 +22,9 @@
 /// between workers at all — the global counters below are touched once per
 /// task, not once per audit.
 ///
-/// `EvaluationService` routes whole pinning groups to their home workers
-/// via `SubmitTo`.
+/// `EvaluationService` submits one task per worker via `SubmitTo`; those
+/// tasks balance among themselves by claiming jobs off a shared cursor.
+/// The daemon routes each audit's work to its home worker.
 
 namespace kgacc {
 
@@ -39,7 +40,7 @@ class TaskRing {
   size_t capacity() const { return slots_.size(); }
 
   /// Appends a task, growing (doubling) when full. Growth is rare and
-  /// amortized; submissions are per pinning group, not per audit.
+  /// amortized; submissions are per task, not per audit.
   void PushBack(std::function<void()> task);
 
   /// Removes and returns the oldest task. Ring must be non-empty.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -345,8 +347,8 @@ TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsAndGrouping) {
   // The determinism contract, hammered: the same jobs through every
   // execution shape — thread counts {1, 2, 4, hardware}, two rounds per
   // service (contexts reused across batches), and batches of 4, 16 and all
-  // 64 jobs (one, two and several pinning groups) — must be byte-identical
-  // to the serial fresh-clone reference.
+  // 64 jobs (fewer jobs than tasks, and many jobs per task) — must be
+  // byte-identical to the serial fresh-clone reference.
   const auto kg = MakeKg(0.85);
   NoisyAnnotator annotator(0.1);  // Stochastic: Rng misuse would show here.
   SrsSampler srs(kg, SrsConfig{.without_replacement = true});
@@ -374,14 +376,15 @@ TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsAndGrouping) {
   for (const int threads : thread_counts) {
     EvaluationService service(
         EvaluationService::Options{.num_threads = threads});
-    std::set<size_t> group_counts;
     for (int round = 0; round < 2; ++round) {
       for (const size_t size : {size_t{4}, size_t{16}, jobs.size()}) {
         const std::vector<EvaluationJob> prefix(jobs.begin(),
                                                 jobs.begin() + size);
         const auto batch = service.RunBatch(prefix);
         ASSERT_EQ(batch.outcomes.size(), size);
-        group_counts.insert(batch.stats.groups);
+        // One task per worker, never more tasks than jobs.
+        EXPECT_EQ(batch.stats.groups,
+                  std::min(size, static_cast<size_t>(threads)));
         for (size_t i = 0; i < size; ++i) {
           SCOPED_TRACE("job " + std::to_string(i) + " of " +
                        std::to_string(size) + " @" + std::to_string(threads) +
@@ -391,54 +394,81 @@ TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsAndGrouping) {
         }
       }
     }
-    // The three batch sizes really ran as three different group counts.
-    EXPECT_EQ(group_counts.size(), 3u) << threads << " threads";
   }
 }
 
-/// Wraps the oracle and records which threads its Annotate ever ran on.
-class ThreadRecordingAnnotator final : public Annotator {
+/// Wraps the oracle; its first `Annotate` call blocks until `Release`
+/// has been called `needed` times, or until a 60 s bound expires (then
+/// `timed_out` is set, so a scheduler that queues work behind the blocked
+/// job fails the test instead of hanging it).
+class GateAnnotator final : public Annotator {
  public:
+  explicit GateAnnotator(int needed) : needed_(needed) {}
+
   bool Annotate(const KgView& kg, const TripleRef& ref, Rng* rng) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads_.insert(std::this_thread::get_id());
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!waited_) {
+      waited_ = true;
+      timed_out_ = !cv_.wait_for(lock, std::chrono::seconds(60),
+                                 [this] { return released_ >= needed_; });
     }
+    lock.unlock();
     return inner_.Annotate(kg, ref, rng);
   }
 
-  size_t distinct_threads() const {
+  void Release() {
     std::lock_guard<std::mutex> lock(mu_);
-    return threads_.size();
+    ++released_;
+    cv_.notify_all();
+  }
+
+  bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
   }
 
  private:
   OracleAnnotator inner_;
+  const int needed_;
   mutable std::mutex mu_;
-  std::set<std::thread::id> threads_;
+  std::condition_variable cv_;
+  int released_ = 0;
+  bool waited_ = false;
+  bool timed_out_ = false;
 };
 
-TEST(EvaluationServiceTest, SingleGroupBatchNeverMigratesMidBatch) {
-  // Whole-group handoff: with the eight-jobs-per-group floor collapsing a
-  // small batch into one group, that group is one pool task — every job in
-  // it must run on a single thread, no mid-batch migration, regardless of
-  // how many workers sit idle.
+TEST(EvaluationServiceTest, StalledJobDoesNotHoldBackTheBatch) {
+  // Job 0 stalls on its first judgment until every other job has finished.
+  // The idle workers must drain the other 15 jobs meanwhile; a scheduler
+  // that queues any job behind job 0 on its worker never releases it.
   const auto kg = MakeKg(0.85, 500);
-  ThreadRecordingAnnotator annotator;
+  OracleAnnotator oracle;
   SrsSampler srs(kg, SrsConfig{});
-  std::vector<EvaluationJob> jobs(4);  // 4 jobs < the floor of 8 per group.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].sampler = &srs;
-    jobs[i].annotator = &annotator;
-    jobs[i].seed = EvaluationService::DeriveJobSeed(11, i);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    constexpr int kJobs = 16;
+    GateAnnotator gate(kJobs - 1);
+    std::vector<EvaluationJob> jobs(kJobs);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].sampler = &srs;
+      jobs[i].annotator = i == 0 ? static_cast<Annotator*>(&gate) : &oracle;
+      jobs[i].seed = EvaluationService::DeriveJobSeed(13, i);
+      if (i > 0) {
+        jobs[i].robustness = [&gate] {
+          gate.Release();
+          return JobRobustness{};
+        };
+      }
+    }
+    EvaluationService service(
+        EvaluationService::Options{.num_threads = threads});
+    const auto batch = service.RunBatch(jobs);
+    EXPECT_FALSE(gate.timed_out()) << "job 0 blocked the rest of the batch";
+    for (const auto& outcome : batch.outcomes) {
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    }
+    EXPECT_EQ(batch.stats.groups, static_cast<size_t>(threads));
   }
-  EvaluationService service(EvaluationService::Options{.num_threads = 4});
-  const auto batch = service.RunBatch(jobs);
-  for (const auto& outcome : batch.outcomes) {
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
-  EXPECT_EQ(batch.stats.groups, 1u);
-  EXPECT_EQ(annotator.distinct_threads(), 1u);
 }
 
 TEST(EvaluationServiceTest, BatchStatsReportTheTimingSplit) {

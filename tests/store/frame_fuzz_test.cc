@@ -13,12 +13,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <map>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,32 +25,9 @@
 #include "kgacc/store/compaction.h"
 #include "kgacc/store/log_format.h"
 #include "kgacc/util/codec.h"
+#include "../largest_alloc.h"
 
 #include <gtest/gtest.h>
-
-// Largest single heap request since the last reset: a decoder trusting a
-// hostile length prefix would show up here as a huge allocation.
-namespace {
-std::atomic<size_t> largest_alloc{0};
-
-void* CountedAlloc(std::size_t size) {
-  size_t seen = largest_alloc.load(std::memory_order_relaxed);
-  while (size > seen &&
-         !largest_alloc.compare_exchange_weak(seen, size,
-                                              std::memory_order_relaxed)) {
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kgacc {
 namespace {
@@ -238,7 +212,7 @@ TEST(FrameFuzzTest, MutantsFailCleanlyAndAllReadersAgree) {
     SCOPED_TRACE("seed " + std::to_string(seed_index) + " kind " +
                  std::to_string(kind));
     WriteFile(path, mutant);
-    largest_alloc.store(0);
+    testing_alloc::largest_alloc.store(0);
 
     // The verifier is read-only: the file is byte-identical afterwards.
     const Result<StoreVerifyInfo> verify = VerifyStoreLog(path);
@@ -268,7 +242,8 @@ TEST(FrameFuzzTest, MutantsFailCleanlyAndAllReadersAgree) {
 
     const Result<std::unique_ptr<AnnotationStore>> store =
         AnnotationStore::Open(path);
-    EXPECT_LE(largest_alloc.load(), 2 * mutant.size() + kFixedBytes);
+    EXPECT_LE(testing_alloc::largest_alloc.load(),
+              2 * mutant.size() + kFixedBytes);
 
     // One decoder: recovery and the verifier accept and reject alike, and
     // agree on the intact prefix and its contents.

@@ -23,8 +23,10 @@ With --service-fresh/--service-record it additionally gates the
 `service_hpd_summary` record of BENCH_service.json — the same
 evals-per-solve and kernel-calls-per-solve properties, but aggregated
 across every worker thread of the parallel EvaluationService sweep. The step bench is single-threaded; a
-warm-carry or solver-path regression that only manifests under worker
-pinning (e.g. shared state resets between jobs) is only visible here.
+warm-carry or solver-path regression that only manifests on the parallel
+service's reused worker contexts (e.g. shared state resets between jobs)
+is only visible here. The record's leading `host` record names the
+measuring machine; no gate reads it.
 
 --service-fresh also arms the *fallback-share* gate: the same summary
 record counts the HPD solves that left the Newton basin for the 1-D root
