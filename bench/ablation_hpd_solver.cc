@@ -1,15 +1,19 @@
-// Ablation A: the three HPD solvers — the dedicated 2x2 Newton KKT path
-// (the default), the paper's SLSQP formulation, and the independent 1-D
-// reduction (u(l) = F^{-1}(F(l) + 1 - alpha), Brent root of the density
-// gap). Verifies they agree and compares their throughput with
-// google-benchmark across posterior shapes arising in real runs.
+// Ablation A: the three HPD solvers — the library's 2x2 Newton KKT path,
+// the paper's SLSQP formulation (the `kgacc_reference` target), and the
+// independent 1-D reduction (u(l) = F^{-1}(F(l) + 1 - alpha), Brent root of
+// the density gap). Verifies they agree, exiting 1 when Newton's worst
+// endpoint gap to either reference exceeds 1e-8, and compares their
+// throughput with google-benchmark across posterior shapes arising in real
+// runs. `--benchmark_filter='^$'` runs the agreement check alone.
 
 #include <cmath>
+#include <algorithm>
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
 
 #include "kgacc/kgacc.h"
+#include "reference/slsqp.h"
 
 namespace {
 
@@ -41,10 +45,8 @@ BENCHMARK(BM_HpdNewtonKkt)->DenseRange(0, 4);
 void BM_HpdSlsqp(benchmark::State& state) {
   const Shape shape = kShapes[state.range(0)];
   const auto d = *BetaDistribution::Create(shape.a, shape.b);
-  HpdOptions options;
-  options.solver = HpdSolver::kSlsqp;  // The pure SQP reference.
   for (auto _ : state) {
-    auto hpd = HpdInterval(d, 0.05, options);
+    auto hpd = HpdIntervalSqp(d, 0.05);  // The pure SQP reference.
     benchmark::DoNotOptimize(hpd);
   }
   state.SetLabel("Beta(" + std::to_string(shape.a) + "," +
@@ -55,10 +57,8 @@ BENCHMARK(BM_HpdSlsqp)->DenseRange(0, 4);
 void BM_HpdOneDim(benchmark::State& state) {
   const Shape shape = kShapes[state.range(0)];
   const auto d = *BetaDistribution::Create(shape.a, shape.b);
-  HpdOptions options;
-  options.solver = HpdSolver::kOneDim;
   for (auto _ : state) {
-    auto hpd = HpdInterval(d, 0.05, options);
+    auto hpd = HpdIntervalByRoot(d, 0.05);
     benchmark::DoNotOptimize(hpd);
   }
   state.SetLabel("Beta(" + std::to_string(shape.a) + "," +
@@ -80,7 +80,8 @@ BENCHMARK(BM_EqualTailed)->DenseRange(0, 4);
 
 int main(int argc, char** argv) {
   using namespace kgacc;
-  // Correctness cross-check before timing: the two solvers must agree.
+  // Correctness cross-check before timing: Newton must agree with both
+  // references.
   std::printf("Ablation A: Newton KKT vs SLSQP vs 1-D reduction agreement "
               "check\n");
   double worst = 0.0;
@@ -90,26 +91,28 @@ int main(int argc, char** argv) {
     const double a = 1.2 + rng.Uniform() * 300.0;
     const double b = 1.2 + rng.Uniform() * 100.0;
     const auto d = *BetaDistribution::Create(a, b);
-    HpdOptions sqp_opts;
-    sqp_opts.solver = HpdSolver::kSlsqp;
-    HpdOptions oned_opts;
-    oned_opts.solver = HpdSolver::kOneDim;
     const auto newton = *HpdInterval(d, 0.05);
-    const auto sqp = HpdInterval(d, 0.05, sqp_opts);
-    const auto oned = HpdInterval(d, 0.05, oned_opts);
+    const auto sqp = HpdIntervalSqp(d, 0.05);
+    const auto oned = *HpdIntervalByRoot(d, 0.05);
+    const auto gap = [&newton](const Interval& other) {
+      return std::max(std::fabs(newton.interval.lower - other.lower),
+                      std::fabs(newton.interval.upper - other.upper));
+    };
+    worst = std::max(worst, gap(oned.interval));
     // The SQP reference has no fallback; a non-converged solve is counted.
-    if (!sqp.ok()) ++sqp_failures;
-    for (const auto* other : {&sqp, &oned}) {
-      if (!other->ok()) continue;
-      worst = std::max(
-          worst,
-          std::max(std::fabs(newton.interval.lower - (*other)->interval.lower),
-                   std::fabs(newton.interval.upper -
-                             (*other)->interval.upper)));
+    if (sqp.ok()) {
+      worst = std::max(worst, gap(sqp->interval));
+    } else {
+      ++sqp_failures;
     }
   }
   std::printf("Worst endpoint disagreement over 200 random posteriors: "
               "%.2e (SQP did not converge on %d)\n\n", worst, sqp_failures);
+  if (worst > 1e-8) {
+    std::fprintf(stderr, "Newton disagrees with a reference solver by more "
+                         "than 1e-8\n");
+    return 1;
+  }
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

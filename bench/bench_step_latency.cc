@@ -12,9 +12,10 @@
 // and "worst step" that a quantile row makes visible. With FlatSet64's
 // incremental migration the tail should now sit near the median.
 //
-// Emits BENCH_step.json: one record per (design, checkpoint) with the
-// p50/p90/p99 step latency over a measurement window, plus one summary
-// record per design with the 50k/1k p50 flatness ratio.
+// Emits BENCH_step.json: a `host` record first (bench_util.h), then one
+// record per (design, checkpoint) with the p50/p90/p99 step latency over a
+// measurement window, plus one summary record per design with the 50k/1k
+// p50 flatness ratio.
 //
 // Each window additionally snapshots the thread-local HPD solver counters
 // (credible.h): how many solves each path took (the 2x2 Newton KKT primary,
@@ -74,8 +75,7 @@ double EvalsPerSolve(const HpdSolveStats& stats) {
 
 double NewtonShare(const HpdSolveStats& stats) {
   // Share of the *numeric* (non-limiting) solves the Newton path handled.
-  const uint64_t numeric =
-      stats.newton.solves + stats.slsqp.solves + stats.onedim.solves;
+  const uint64_t numeric = stats.newton.solves + stats.onedim.solves;
   return numeric == 0 ? 0.0
                       : static_cast<double>(stats.newton.solves) /
                             static_cast<double>(numeric);
@@ -140,8 +140,9 @@ int main() {
   bench::Rule(113);
 
   std::FILE* json = std::fopen("BENCH_step.json", "w");
-  if (json != nullptr) std::fprintf(json, "[\n");
-  bool first_record = true;
+  if (json != nullptr) {
+    std::fprintf(json, "[\n  %s", bench::HostRecordJson().c_str());
+  }
   bool all_flat = true;
 
   for (Design& design : designs) {
@@ -214,27 +215,25 @@ int main() {
     if (json != nullptr) {
       for (const Checkpoint& cp : measured) {
         std::fprintf(json,
-                     "%s  {\"bench\": \"step_latency\", \"design\": \"%s\", "
+                     ",\n  {\"bench\": \"step_latency\", \"design\": \"%s\", "
                      "\"checkpoint_n\": %llu, \"measured_at_n\": %llu, "
                      "\"p50_step_us\": %.3f, \"p90_step_us\": %.3f, "
                      "\"p99_step_us\": %.3f, \"steps_timed\": %d, "
                      "\"hpd_solves\": %llu, \"hpd_newton_solves\": %llu, "
-                     "\"hpd_sqp_solves\": %llu, \"hpd_onedim_solves\": %llu, "
+                     "\"hpd_onedim_solves\": %llu, "
                      "\"hpd_limiting_solves\": %llu, "
                      "\"hpd_beta_evals_per_solve\": %.2f, "
                      "\"kernel_calls_per_solve\": %.2f}",
-                     first_record ? "" : ",\n", design.name,
+                     design.name,
                      static_cast<unsigned long long>(cp.target_n),
                      static_cast<unsigned long long>(cp.measured_at_n),
                      cp.p50_us, cp.p90_us, cp.p99_us, cp.steps_timed,
                      static_cast<unsigned long long>(cp.hpd.total_solves()),
                      static_cast<unsigned long long>(cp.hpd.newton.solves),
-                     static_cast<unsigned long long>(cp.hpd.slsqp.solves),
                      static_cast<unsigned long long>(cp.hpd.onedim.solves),
                      static_cast<unsigned long long>(cp.hpd.limiting.solves),
                      EvalsPerSolve(cp.hpd),
                      KernelCallsPerSolve(cp.kernel, cp.hpd));
-        first_record = false;
       }
       std::fprintf(json,
                    ",\n  {\"bench\": \"step_latency_summary\", "

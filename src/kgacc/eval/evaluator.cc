@@ -126,14 +126,13 @@ Result<Interval> BuildInterval(const EvaluationConfig& config,
       }
       KGACC_ASSIGN_OR_RETURN(
           const HpdResult hpd,
-          HpdIntervalWarm(posterior, config.alpha, config.hpd, carry));
+          HpdIntervalWarm(posterior, config.alpha, carry));
       return hpd.interval;
     }
     case IntervalMethod::kAhpd: {
       KGACC_ASSIGN_OR_RETURN(
           const AhpdChoice choice,
-          AhpdSelect(config.priors, tau_eff, n_eff, config.alpha, config.hpd,
-                     warm));
+          AhpdSelect(config.priors, tau_eff, n_eff, config.alpha, warm));
       if (winning_prior != nullptr) *winning_prior = choice.prior_index;
       return choice.interval;
     }

@@ -51,7 +51,6 @@ struct EvaluationConfig {
   /// Prior set: all priors compete under kAhpd; kEqualTailed / kHpd use the
   /// first entry. Ignored by the frequentist methods.
   std::vector<BetaPrior> priors = DefaultUninformativePriors();
-  HpdOptions hpd;
   /// Minimum annotated triples before the stop rule may fire — the usual
   /// n >= 30 normal-approximation floor; also what makes the earliest Wald
   /// zero-width halt occur at n = 30 (Example 1).

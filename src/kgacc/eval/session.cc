@@ -177,14 +177,6 @@ void EvaluationSession::EncodeFingerprint(ByteWriter* w) const {
     w->Double(prior.a);
     w->Double(prior.b);
   }
-  w->U8(static_cast<uint8_t>(config_.hpd.solver));
-  w->Bool(config_.hpd.warm_start_at_et);
-  const Interval* warm_start = config_.hpd.warm_start;
-  w->Bool(warm_start != nullptr);
-  if (warm_start != nullptr) {
-    w->Double(warm_start->lower);
-    w->Double(warm_start->upper);
-  }
   w->Double(cost_model_.entity_identification_seconds);
   w->Double(cost_model_.fact_verification_seconds);
   w->Zigzag(cost_model_.annotators_per_triple);

@@ -24,21 +24,20 @@ Interval PredictStart(const HpdCarry& carry,
 }  // namespace
 
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
-                                  double alpha, const HpdOptions& options,
+                                  double alpha,
                                   std::optional<HpdCarry>* carry) {
-  if (carry == nullptr) return HpdInterval(posterior, alpha, options);
+  if (carry == nullptr) return HpdInterval(posterior, alpha);
   // A carry seeds the solve whenever both the previous and the new
   // posterior are unimodal (limiting cases ignore the start). Newton
   // reports a basin exit instead of stalling on a far-off start, so the
   // prediction is usable unconditionally; `HpdInterval` clips it into the
   // domain.
-  HpdOptions local = options;
-  Interval start;
+  std::optional<Interval> start;
   if (carry->has_value() && posterior.Shape() == BetaShape::kUnimodal) {
     start = PredictStart(**carry, posterior);
-    local.warm_start = &start;
   }
-  Result<HpdResult> result = HpdInterval(posterior, alpha, local);
+  Result<HpdResult> result =
+      HpdInterval(posterior, alpha, start ? &*start : nullptr);
   if (result.ok() && result->shape == BetaShape::kUnimodal) {
     *carry = HpdCarry{result->interval, posterior};
   } else {
@@ -49,7 +48,6 @@ Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
 
 Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
                               double tau, double n, double alpha,
-                              const HpdOptions& options,
                               AhpdWarmState* warm) {
   if (priors.empty()) {
     return Status::InvalidArgument("aHPD requires at least one prior");
@@ -62,8 +60,7 @@ Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
                            priors[i].Posterior(tau, n));
     KGACC_ASSIGN_OR_RETURN(
         const HpdResult hpd,
-        HpdIntervalWarm(posterior, alpha, options,
-                        warm ? &warm->priors[i] : nullptr));
+        HpdIntervalWarm(posterior, alpha, warm ? &warm->priors[i] : nullptr));
     choice.candidates.push_back(hpd.interval);
     if (i == 0 || hpd.interval.Width() < choice.interval.Width()) {
       choice.interval = hpd.interval;

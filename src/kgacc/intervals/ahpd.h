@@ -63,8 +63,7 @@ struct AhpdWarmState {
 /// new interval and posterior when it was unimodal (and clears the carry
 /// otherwise). A null `carry` degrades to a plain `HpdInterval` call.
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
-                                  double alpha, const HpdOptions& options,
-                                  std::optional<HpdCarry>* carry);
+                                  double alpha, std::optional<HpdCarry>* carry);
 
 /// Computes the per-prior posteriors Beta(a_i + tau, b_i + n - tau), their
 /// 1-alpha HPD intervals, and returns the shortest (Alg. 1 line 23).
@@ -75,7 +74,6 @@ Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
 /// given, carries the per-prior solutions across successive calls.
 Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
                               double tau, double n, double alpha,
-                              const HpdOptions& options = {},
                               AhpdWarmState* warm = nullptr);
 
 }  // namespace kgacc

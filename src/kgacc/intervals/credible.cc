@@ -5,7 +5,6 @@
 
 #include "kgacc/opt/brent.h"
 #include "kgacc/opt/newton_kkt.h"
-#include "kgacc/opt/slsqp.h"
 
 namespace kgacc {
 
@@ -36,8 +35,6 @@ HpdPathTally& TallyFor(HpdPath path) {
       return t_hpd_stats.limiting;
     case HpdPath::kNewton:
       return t_hpd_stats.newton;
-    case HpdPath::kSlsqp:
-      return t_hpd_stats.slsqp;
     case HpdPath::kOneDim:
       return t_hpd_stats.onedim;
   }
@@ -94,7 +91,7 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
   options.hi = 1.0 - kNewtonBoxEps;
   // Residual certificate thresholds: 1e-12 coverage mass and 1e-9 relative
   // density mismatch bound the endpoint error well below the 1e-9 the
-  // equivalence tests demand against the SQP reference.
+  // equivalence tests demand against the reference solvers.
   options.r0_tol = 1e-12;
   options.r1_tol = 1e-9;
 
@@ -110,55 +107,6 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
   out->kkt_coverage_residual = solve->r0;
   out->kkt_density_residual = solve->r1;
   return true;
-}
-
-/// Standard-case HPD via the SQP reference: minimize (u - l) subject to
-/// F(u) - F(l) = 1 - alpha with (l, u) in [0, 1]^2 (§4.3).
-Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
-                   const Interval& warm_start, HpdResult* out) {
-  SlsqpProblem problem;
-  problem.objective = [](const std::vector<double>& x) { return x[1] - x[0]; };
-  problem.gradient = [](const std::vector<double>&) {
-    return std::vector<double>{-1.0, 1.0};
-  };
-  problem.eq_constraints.push_back(
-      [&posterior, alpha, out](const std::vector<double>& x) {
-        out->cdf_evals += 2;
-        return posterior.Cdf(x[1]) - posterior.Cdf(x[0]) - (1.0 - alpha);
-      });
-  problem.eq_gradients.push_back(
-      [&posterior, out](const std::vector<double>& x) {
-        out->pdf_evals += 2;
-        return std::vector<double>{-posterior.Pdf(x[0]), posterior.Pdf(x[1])};
-      });
-  problem.lower = {0.0, 0.0};
-  problem.upper = {1.0, 1.0};
-
-  SlsqpOptions options;
-  options.max_iterations = 80;
-  options.constraint_tol = 1e-10;
-  // Endpoint precision: intervals live on [0,1] and the stop rule compares
-  // the MoE against thresholds around 5e-2, so 1e-9 endpoints are already
-  // six orders of magnitude past any statistical meaning.
-  options.step_tol = 1e-9;
-  // KKT stationarity: a short first step from a warm start is not a
-  // solution certificate; demand a stationary projected Lagrangian
-  // gradient, whose natural scale here is O(1) (the objective gradient is
-  // (-1, 1)).
-  options.stationarity_tol = 1e-6;
-
-  KGACC_ASSIGN_OR_RETURN(
-      SlsqpSolve solve,
-      MinimizeSlsqp(problem, {warm_start.lower, warm_start.upper}, options));
-  if (!solve.converged &&
-      (solve.max_violation > 1e-6 || solve.kkt_residual > 1e-6)) {
-    return Status::NumericError("HPD SQP failed to satisfy the coverage "
-                                "constraint at a stationary point");
-  }
-  out->interval = Interval{solve.x[0], solve.x[1]};
-  out->solver_iterations += solve.iterations;
-  out->path = HpdPath::kSlsqp;
-  return Status::OK();
 }
 
 /// Standard-case HPD via a 1-D root. Each lower bound l fixes the upper
@@ -217,8 +165,13 @@ Status HpdViaOneDim(const BetaDistribution& posterior, double alpha,
   return Status::OK();
 }
 
-Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
-                                  double alpha, const HpdOptions& options) {
+/// The shape dispatch shared by `HpdInterval` and `HpdIntervalByRoot`:
+/// closed forms for the limiting and U-shaped posteriors, and
+/// `solve_unimodal(&out)` for the interior unimodal one. Tallies every
+/// successful solve.
+template <typename SolveUnimodal>
+Result<HpdResult> SolveHpd(const BetaDistribution& posterior, double alpha,
+                           SolveUnimodal solve_unimodal) {
   KGACC_RETURN_IF_ERROR(ValidateAlpha(alpha));
   HpdResult out;
   out.shape = posterior.Shape();
@@ -229,14 +182,14 @@ Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
       ++out.quantile_evals;
       KGACC_ASSIGN_OR_RETURN(const double u, posterior.Quantile(1.0 - alpha));
       out.interval = Interval{0.0, u};
-      return out;
+      break;
     }
     case BetaShape::kIncreasing: {
       // Limiting case (1), Eq. 10: density peaks at 1.
       ++out.quantile_evals;
       KGACC_ASSIGN_OR_RETURN(const double l, posterior.Quantile(alpha));
       out.interval = Interval{l, 1.0};
-      return out;
+      break;
     }
     case BetaShape::kUShaped: {
       // Both endpoints are modes; the highest-density *region* is a union
@@ -245,54 +198,13 @@ Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
       out.quantile_evals += 2;
       KGACC_ASSIGN_OR_RETURN(out.interval,
                              EqualTailedInterval(posterior, alpha));
-      return out;
+      break;
     }
     case BetaShape::kUnimodal:
+      KGACC_RETURN_IF_ERROR(solve_unimodal(&out));
       break;
   }
-
-  if (options.solver == HpdSolver::kOneDim) {
-    KGACC_RETURN_IF_ERROR(HpdViaOneDim(posterior, alpha, &out));
-    return out;
-  }
-
-  Interval start;
-  bool have_start = false;
-  if (options.warm_start != nullptr) {
-    // Clip the carried-over interval into the domain; limiting-case
-    // endpoints (exact 0 or 1) are nudged inward so the constraint
-    // gradient stays nonzero at the start.
-    const double lo =
-        std::clamp(options.warm_start->lower, 1e-9, 1.0 - 1e-9);
-    const double hi =
-        std::clamp(options.warm_start->upper, 1e-9, 1.0 - 1e-9);
-    if (hi - lo > 1e-9) {
-      start = Interval{lo, hi};
-      have_start = true;
-    }
-  }
-  if (!have_start && options.warm_start_at_et) {
-    out.quantile_evals += 2;
-    KGACC_ASSIGN_OR_RETURN(start, EqualTailedInterval(posterior, alpha));
-    have_start = true;
-  }
-  if (!have_start) {
-    // Cold start: a symmetric interval about the mode, clipped to [0, 1].
-    const double mode = posterior.Mode();
-    start = Interval{std::max(0.0, mode - 0.25), std::min(1.0, mode + 0.25)};
-  }
-
-  if (options.solver == HpdSolver::kSlsqp) {
-    KGACC_RETURN_IF_ERROR(HpdViaSlsqp(posterior, alpha, start, &out));
-    return out;
-  }
-  // The audit path: the dedicated 2x2 Newton. A basin exit (pinned
-  // endpoint, residual growth, singular or non-finite system) falls through
-  // to the 1-D root, which needs no start.
-  if (TryHpdNewton(posterior, alpha, start, &out)) {
-    return out;
-  }
-  KGACC_RETURN_IF_ERROR(HpdViaOneDim(posterior, alpha, &out));
+  TallySolve(out);
   return out;
 }
 
@@ -312,10 +224,33 @@ Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
 }
 
 Result<HpdResult> HpdInterval(const BetaDistribution& posterior, double alpha,
-                              const HpdOptions& options) {
-  Result<HpdResult> result = HpdIntervalImpl(posterior, alpha, options);
-  if (result.ok()) TallySolve(*result);
-  return result;
+                              const Interval* start) {
+  return SolveHpd(posterior, alpha, [&](HpdResult* out) -> Status {
+    // Clip the carried-over interval into the domain; limiting-case
+    // endpoints (exact 0 or 1) are nudged inward so the constraint
+    // gradient stays nonzero at the start.
+    Interval seed;
+    if (start != nullptr) {
+      seed = Interval{std::clamp(start->lower, 1e-9, 1.0 - 1e-9),
+                      std::clamp(start->upper, 1e-9, 1.0 - 1e-9)};
+    }
+    if (start == nullptr || !(seed.Width() > 1e-9)) {
+      out->quantile_evals += 2;
+      KGACC_ASSIGN_OR_RETURN(seed, EqualTailedInterval(posterior, alpha));
+    }
+    // A basin exit (pinned endpoint, residual growth, singular or
+    // non-finite system) falls through to the 1-D root, which needs no
+    // start.
+    if (TryHpdNewton(posterior, alpha, seed, out)) return Status::OK();
+    return HpdViaOneDim(posterior, alpha, out);
+  });
+}
+
+Result<HpdResult> HpdIntervalByRoot(const BetaDistribution& posterior,
+                                    double alpha) {
+  return SolveHpd(posterior, alpha, [&](HpdResult* out) {
+    return HpdViaOneDim(posterior, alpha, out);
+  });
 }
 
 }  // namespace kgacc

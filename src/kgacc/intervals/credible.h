@@ -15,50 +15,14 @@
 
 namespace kgacc {
 
-/// Which algorithm computes the standard-case (interior unimodal) HPD.
-enum class HpdSolver {
-  /// The audit path: a dedicated 2x2 damped Newton on the KKT system
-  /// {F(u) - F(l) = 1 - alpha, f(l) = f(u)} (Thm. 1's first-order
-  /// characterization; `opt/newton_kkt.h`). When the iterate leaves the
-  /// basin, the solve falls back to the bracketed 1-D root of `kOneDim`.
-  kNewton,
-  /// The paper's §4.3 reference: SLSQP on min (u - l) subject to coverage.
-  /// No fallback — a solve that does not converge returns an error. Kept
-  /// for the solver ablation and the cross-check tests, off the audit path.
-  kSlsqp,
-  /// The 1-D reduction alone: u(l) = F^{-1}(F(l) + 1 - alpha) keeps the
-  /// coverage exact, and Brent's bracketed root finder solves the density
-  /// condition log f(l) = log f(u(l)) for the lower bound.
-  kOneDim,
-};
-
-/// Options for `HpdInterval`.
-struct HpdOptions {
-  HpdSolver solver = HpdSolver::kNewton;
-  /// Warm-start the solver at the ET interval (Alg. 1 line 20). Disabling
-  /// this (cold start at a central interval) is Ablation B.
-  bool warm_start_at_et = true;
-  /// Externally supplied start. In an iterative audit it is the warm
-  /// carry's prediction (`HpdIntervalWarm`, `intervals/ahpd.h`): the
-  /// previous step's interval shifted to the new posterior's mode and
-  /// scaled by the ratio of posterior standard deviations, since the
-  /// posterior moves only a little per batch. Takes precedence over
-  /// `warm_start_at_et` when, clipped into the domain, it describes a
-  /// usable interval (positive width inside [0, 1]); the ET quantile solves
-  /// it replaces are the bulk of the standard-case cost. Not owned; must
-  /// outlive the call.
-  const Interval* warm_start = nullptr;
-};
-
 /// Which code path produced an HPD interval.
 enum class HpdPath {
   /// Monotone / U-shaped closed forms (no numeric solve).
   kLimiting,
   /// 2x2 Newton on the KKT system — the standard unimodal path.
   kNewton,
-  /// The SQP reference (`HpdSolver::kSlsqp`).
-  kSlsqp,
-  /// The bracketed 1-D root (explicit choice, or after a Newton basin exit).
+  /// The bracketed 1-D root (`HpdIntervalByRoot`, or after a Newton basin
+  /// exit).
   kOneDim,
 };
 
@@ -107,26 +71,25 @@ struct HpdPathTally {
 };
 
 /// Aggregate HPD solver counters for the calling thread, accumulated by
-/// every successful `HpdInterval` on that thread. Read/reset them around a
-/// measurement region to attribute incomplete-beta work to solver paths;
-/// used by `bench_step_latency` to report per-solve evaluation counts in
-/// BENCH_step.json.
+/// every successful `HpdInterval` and `HpdIntervalByRoot` on that thread.
+/// Read/reset them around a measurement region to attribute incomplete-beta
+/// work to solver paths; used by `bench_step_latency` to report per-solve
+/// evaluation counts in BENCH_step.json.
 struct HpdSolveStats {
   HpdPathTally limiting;
   HpdPathTally newton;
+  /// Always zero: the SQP reference lives outside the library and tallies
+  /// nothing. Both are kept only because kgbench reads them.
   HpdPathTally slsqp;
-  /// Always zero: SQP no longer runs as a fallback. Kept for stats readers.
   HpdPathTally slsqp_fallback;
   HpdPathTally onedim;
 
   uint64_t total_solves() const {
-    return limiting.solves + newton.solves + slsqp.solves +
-           slsqp_fallback.solves + onedim.solves;
+    return limiting.solves + newton.solves + onedim.solves;
   }
   uint64_t total_beta_evals() const {
     uint64_t evals = 0;
-    for (const HpdPathTally* t :
-         {&limiting, &newton, &slsqp, &slsqp_fallback, &onedim}) {
+    for (const HpdPathTally* t : {&limiting, &newton, &onedim}) {
       evals += t->cdf_evals + t->pdf_evals + t->quantile_evals;
     }
     return evals;
@@ -138,8 +101,6 @@ struct HpdSolveStats {
   HpdSolveStats& operator+=(const HpdSolveStats& other) {
     limiting += other.limiting;
     newton += other.newton;
-    slsqp += other.slsqp;
-    slsqp_fallback += other.slsqp_fallback;
     onedim += other.onedim;
     return *this;
   }
@@ -159,15 +120,29 @@ Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
 /// 1-alpha Highest Posterior Density credible interval.
 ///
 /// Dispatches on the posterior shape:
-/// * interior unimodal — 2x2 Newton KKT solve with the 1-D root as its
-///   fallback, or the solver selected by `options` (Thm. 1/2);
+/// * interior unimodal — 2x2 Newton on Thm. 1's KKT system
+///   {F(u) - F(l) = 1 - alpha, f(l) = f(u)} (`opt/newton_kkt.h`), falling
+///   back to the bracketed 1-D root of `HpdIntervalByRoot` when the iterate
+///   leaves the basin. Newton starts at `start` when, clipped into the
+///   domain, it is a usable interval (positive width inside [0, 1]), and at
+///   the ET interval otherwise (Alg. 1 line 20). In an iterative audit the
+///   start is the warm carry's prediction (`HpdIntervalWarm`,
+///   `intervals/ahpd.h`), which saves the two ET quantile solves;
 /// * monotone decreasing (tau = 0 under an uninformative prior) —
 ///   [0, qBeta(1 - alpha)] (Eq. 11, Corollary 1/2);
 /// * monotone increasing (tau = n) — [qBeta(alpha), 1] (Eq. 10);
 /// * U-shaped (no data under a sub-uniform prior) — the density has no
 ///   single HPD *interval*; falls back to the ET interval.
 Result<HpdResult> HpdInterval(const BetaDistribution& posterior, double alpha,
-                              const HpdOptions& options = {});
+                              const Interval* start = nullptr);
+
+/// `HpdInterval` with the interior unimodal case solved by the 1-D root
+/// alone: u(l) = F^{-1}(F(l) + 1 - alpha) keeps the coverage exact, and
+/// Brent's bracketed root finder solves the density condition
+/// log f(l) = log f(u(l)) for the lower bound. The same code is Newton's
+/// fallback; tallied as `onedim`.
+Result<HpdResult> HpdIntervalByRoot(const BetaDistribution& posterior,
+                                    double alpha);
 
 }  // namespace kgacc
 

@@ -44,7 +44,6 @@
 #include "kgacc/math/special.h"
 #include "kgacc/math/student_t.h"
 #include "kgacc/opt/brent.h"
-#include "kgacc/opt/slsqp.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/sample.h"
 #include "kgacc/sampling/sampler.h"

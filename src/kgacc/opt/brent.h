@@ -7,7 +7,7 @@
 
 /// \file brent.h
 /// Derivative-free 1-D root finding (Brent's method). The HPD solver's 1-D
-/// reduction (`HpdSolver::kOneDim`, also the Newton path's fallback) finds
+/// reduction (`HpdIntervalByRoot`, also the Newton path's fallback) finds
 /// the lower bound as the root of the log-density gap between endpoints.
 
 namespace kgacc {

@@ -17,8 +17,8 @@
 /// first-order system {F(u) - F(l) = 1 - alpha, f(l) = f(u)}, whose
 /// Jacobian entries are ±f and ±(log f)' — both cheap for a Beta
 /// posterior. Newton on that system converges in a handful of iterations
-/// (two CDF and two PDF evaluations each) where the general SQP pays
-/// ~25 coverage-constraint evaluations per solve. The solver itself is
+/// (two CDF and two PDF evaluations each) where the paper's general solver
+/// pays ~25 coverage-constraint evaluations per solve. The solver itself is
 /// problem-agnostic: callers supply the residual/Jacobian evaluation.
 ///
 /// The solver is a template over that callable, so the hot path passes a
@@ -32,7 +32,7 @@
 /// the basin (non-finite step, repeated residual growth, an endpoint
 /// pinned at the box) it reports the reason instead of grinding, and the
 /// caller falls back to a globalized solver (for HPD, the bracketed 1-D
-/// root of `HpdSolver::kOneDim`).
+/// root of `HpdIntervalByRoot`).
 
 namespace kgacc {
 

@@ -22,7 +22,9 @@ namespace {
 /// v5: the record is the session fingerprint plus the completed step count,
 ///     and resume replays that many steps from the stored labels. Nothing
 ///     of a v1-v4 payload is readable as v5, so those fail the gate.
-constexpr uint8_t kSessionSnapshotVersion = 5;
+/// v6: the fingerprint drops the HPD solver byte, the ET warm-start bool and
+///     the external-start fields; the library has one HPD solve path.
+constexpr uint8_t kSessionSnapshotVersion = 6;
 
 /// The checkpoint record: version, completed steps, then the session
 /// fingerprint to the end.

@@ -298,29 +298,6 @@ TEST(EvaluationSessionTest, WarmStatePlumbsAcrossSteps) {
   EXPECT_EQ(winner->interval.upper, result.interval.upper);
 }
 
-TEST(EvaluationSessionTest, NewtonAndSqpPathsAgreeOnTheSameAudit) {
-  // The full audit run twice — Newton-primary versus pure-SQP intervals —
-  // must stop at the same step with near-identical intervals (the solver
-  // swap is a performance change, not a statistical one).
-  const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
-  EvaluationConfig newton_cfg;
-  newton_cfg.method = IntervalMethod::kAhpd;
-  EvaluationConfig sqp_cfg = newton_cfg;
-  sqp_cfg.hpd.solver = HpdSolver::kSlsqp;
-
-  SrsSampler s1(kg, SrsConfig{.batch_size = 50});
-  SrsSampler s2(kg, SrsConfig{.batch_size = 50});
-  const auto newton_run = RunEvaluation(s1, annotator, newton_cfg, 99);
-  const auto sqp_run = RunEvaluation(s2, annotator, sqp_cfg, 99);
-  ASSERT_TRUE(newton_run.ok());
-  ASSERT_TRUE(sqp_run.ok());
-  EXPECT_EQ(newton_run->annotated_triples, sqp_run->annotated_triples);
-  EXPECT_EQ(newton_run->winning_prior, sqp_run->winning_prior);
-  EXPECT_NEAR(newton_run->interval.lower, sqp_run->interval.lower, 1e-8);
-  EXPECT_NEAR(newton_run->interval.upper, sqp_run->interval.upper, 1e-8);
-}
-
 TEST(EvaluationSessionTest, StepAfterDoneIsANoOp) {
   const auto kg = MakeKg(0.95);
   OracleAnnotator annotator;

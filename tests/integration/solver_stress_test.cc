@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/slsqp.h"
+
 namespace kgacc {
 namespace {
 
@@ -28,9 +30,7 @@ TEST(HpdSolverStress, RandomPosteriorCloud) {
     const auto newton = HpdInterval(d, alpha);
     ASSERT_TRUE(newton.ok()) << "a=" << a << " b=" << b << " alpha=" << alpha;
 
-    HpdOptions oned_opts;
-    oned_opts.solver = HpdSolver::kOneDim;
-    const auto oned = HpdInterval(d, alpha, oned_opts);
+    const auto oned = HpdIntervalByRoot(d, alpha);
     ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
 
     // Coverage and equal endpoint densities for the root.
@@ -49,9 +49,7 @@ TEST(HpdSolverStress, RandomPosteriorCloud) {
     EXPECT_NEAR(newton->interval.upper, oned->interval.upper, tol)
         << "a=" << a << " b=" << b << " alpha=" << alpha;
 
-    HpdOptions sqp_opts;
-    sqp_opts.solver = HpdSolver::kSlsqp;
-    const auto sqp = HpdInterval(d, alpha, sqp_opts);
+    const auto sqp = HpdIntervalSqp(d, alpha);
     if (!sqp.ok()) {
       ++sqp_unconverged;
       continue;

@@ -23,7 +23,7 @@ uint64_t ExpectWarmWalkMatchesCold(const std::vector<BetaPrior>& priors,
   std::vector<AhpdChoice> warmed;
   ResetThreadHpdStats();
   for (const auto& [tau, n] : path) {
-    warmed.push_back(*AhpdSelect(priors, tau, n, 0.05, {}, &warm));
+    warmed.push_back(*AhpdSelect(priors, tau, n, 0.05, &warm));
   }
   const uint64_t fallbacks = ThreadHpdStatsSnapshot().onedim.solves;
   for (size_t s = 0; s < path.size(); ++s) {
@@ -53,10 +53,9 @@ uint64_t UnmovedCarryFallbacks(const std::vector<BetaPrior>& priors,
   ResetThreadHpdStats();
   for (const auto& [tau, n] : path) {
     for (size_t i = 0; i < priors.size(); ++i) {
-      HpdOptions options;
-      if (carry[i].has_value()) options.warm_start = &*carry[i];
-      const HpdResult hpd =
-          *HpdInterval(*priors[i].Posterior(tau, n), 0.05, options);
+      const HpdResult hpd = *HpdInterval(
+          *priors[i].Posterior(tau, n), 0.05,
+          carry[i].has_value() ? &*carry[i] : nullptr);
       carry[i] = hpd.shape == BetaShape::kUnimodal
                      ? std::optional<Interval>(hpd.interval)
                      : std::nullopt;
@@ -180,7 +179,7 @@ TEST(AhpdWarmTest, WarmStartedSelectionTracksColdSelection) {
     const double n = 10.0 * step;
     const double tau = 0.87 * n;
     const auto cold = *AhpdSelect(priors, tau, n, 0.05);
-    const auto warmed = *AhpdSelect(priors, tau, n, 0.05, {}, &warm);
+    const auto warmed = *AhpdSelect(priors, tau, n, 0.05, &warm);
     EXPECT_NEAR(warmed.interval.lower, cold.interval.lower, 5e-7) << step;
     EXPECT_NEAR(warmed.interval.upper, cold.interval.upper, 5e-7) << step;
     EXPECT_EQ(warmed.prior_index, cold.prior_index) << step;
@@ -192,11 +191,11 @@ TEST(AhpdWarmTest, UnchangedInputsResolveFromTheCarry) {
   // solution, and lands on the same interval.
   const auto priors = DefaultUninformativePriors();
   AhpdWarmState warm;
-  const auto first = *AhpdSelect(priors, 26, 30, 0.05, {}, &warm);
+  const auto first = *AhpdSelect(priors, 26, 30, 0.05, &warm);
   ASSERT_EQ(warm.priors.size(), priors.size());
   for (const auto& carried : warm.priors) EXPECT_TRUE(carried.has_value());
   ResetThreadHpdStats();
-  const auto second = *AhpdSelect(priors, 26, 30, 0.05, {}, &warm);
+  const auto second = *AhpdSelect(priors, 26, 30, 0.05, &warm);
   EXPECT_EQ(ThreadHpdStatsSnapshot().newton.solves, priors.size());
   EXPECT_NEAR(second.interval.lower, first.interval.lower, 1e-12);
   EXPECT_NEAR(second.interval.upper, first.interval.upper, 1e-12);
@@ -209,9 +208,9 @@ TEST(AhpdWarmTest, LimitingCaseClearsTheCarry) {
   // a usable Newton start, so each prior's carry is dropped.
   const auto priors = DefaultUninformativePriors();
   AhpdWarmState warm;
-  ASSERT_TRUE(AhpdSelect(priors, 20, 30, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 20, 30, 0.05, &warm).ok());
   for (const auto& carried : warm.priors) EXPECT_TRUE(carried.has_value());
-  ASSERT_TRUE(AhpdSelect(priors, 30, 30, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 30, 30, 0.05, &warm).ok());
   for (const auto& carried : warm.priors) EXPECT_FALSE(carried.has_value());
 }
 
@@ -220,9 +219,9 @@ TEST(AhpdWarmTest, CarryCrossesLimitingCaseBoundaries) {
   // touches 1.0 and must still seed a successful unimodal solve.
   const auto priors = DefaultUninformativePriors();
   AhpdWarmState warm;
-  const auto extreme = *AhpdSelect(priors, 30, 30, 0.05, {}, &warm);
+  const auto extreme = *AhpdSelect(priors, 30, 30, 0.05, &warm);
   EXPECT_DOUBLE_EQ(extreme.interval.upper, 1.0);
-  const auto interior = AhpdSelect(priors, 55, 70, 0.05, {}, &warm);
+  const auto interior = AhpdSelect(priors, 55, 70, 0.05, &warm);
   ASSERT_TRUE(interior.ok());
   const auto cold = *AhpdSelect(priors, 55, 70, 0.05);
   EXPECT_NEAR(interior->interval.lower, cold.interval.lower, 5e-7);
@@ -232,10 +231,10 @@ TEST(AhpdWarmTest, CarryCrossesLimitingCaseBoundaries) {
 TEST(AhpdWarmTest, PriorSetSizeChangeInvalidatesTheCarry) {
   AhpdWarmState warm;
   auto priors = DefaultUninformativePriors();
-  ASSERT_TRUE(AhpdSelect(priors, 20, 30, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 20, 30, 0.05, &warm).ok());
   EXPECT_EQ(warm.priors.size(), 3u);
   priors.push_back(*InformativePrior(0.9, 50.0));
-  ASSERT_TRUE(AhpdSelect(priors, 22, 33, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 22, 33, 0.05, &warm).ok());
   EXPECT_EQ(warm.priors.size(), 4u);
   for (const auto& carried : warm.priors) EXPECT_TRUE(carried.has_value());
 }
@@ -247,9 +246,9 @@ TEST(AhpdWarmTest, CarryIsUsedUnconditionallyAcrossPosteriorJumps) {
   // still matches the cold one.
   const auto priors = DefaultUninformativePriors();
   AhpdWarmState warm;
-  ASSERT_TRUE(AhpdSelect(priors, 90, 100, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 90, 100, 0.05, &warm).ok());
   const auto cold = *AhpdSelect(priors, 60, 200, 0.05);
-  const auto warmed = *AhpdSelect(priors, 60, 200, 0.05, {}, &warm);
+  const auto warmed = *AhpdSelect(priors, 60, 200, 0.05, &warm);
   EXPECT_NEAR(warmed.interval.lower, cold.interval.lower, 5e-7);
   EXPECT_NEAR(warmed.interval.upper, cold.interval.upper, 5e-7);
   EXPECT_EQ(warmed.prior_index, cold.prior_index);
@@ -308,16 +307,15 @@ TEST(AhpdPredictorTest, GridSeededFromNeighbourMatchesColdSolve) {
       const BetaDistribution posterior = *BetaDistribution::Create(a, b);
       const HpdResult cold = *HpdInterval(posterior, 0.05);
       ResetThreadHpdStats();
-      const HpdResult warm = *HpdIntervalWarm(posterior, 0.05, {}, &carry);
+      const HpdResult warm = *HpdIntervalWarm(posterior, 0.05, &carry);
       predicted_fallbacks += ThreadHpdStatsSnapshot().onedim.solves;
       EXPECT_NEAR(warm.interval.lower, cold.interval.lower, 1e-9);
       EXPECT_NEAR(warm.interval.upper, cold.interval.upper, 1e-9);
       ASSERT_EQ(carry.has_value(), warm.shape == BetaShape::kUnimodal);
 
-      HpdOptions options;
-      if (unmoved.has_value()) options.warm_start = &*unmoved;
       ResetThreadHpdStats();
-      const HpdResult old = *HpdInterval(posterior, 0.05, options);
+      const HpdResult old = *HpdInterval(
+          posterior, 0.05, unmoved.has_value() ? &*unmoved : nullptr);
       unmoved_fallbacks += ThreadHpdStatsSnapshot().onedim.solves;
       unmoved = old.shape == BetaShape::kUnimodal
                     ? std::optional<Interval>(old.interval)
@@ -331,7 +329,7 @@ TEST(AhpdPredictorTest, GridSeededFromNeighbourMatchesColdSolve) {
 TEST(AhpdPredictorTest, CarryRecordsThePosteriorItSolved) {
   const auto priors = DefaultUninformativePriors();
   AhpdWarmState warm;
-  ASSERT_TRUE(AhpdSelect(priors, 26, 30, 0.05, {}, &warm).ok());
+  ASSERT_TRUE(AhpdSelect(priors, 26, 30, 0.05, &warm).ok());
   for (size_t i = 0; i < priors.size(); ++i) {
     const BetaDistribution posterior = *priors[i].Posterior(26, 30);
     ASSERT_TRUE(warm.priors[i].has_value());

@@ -3,8 +3,11 @@
 #include <cmath>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "reference/slsqp.h"
 
 namespace kgacc {
 namespace {
@@ -165,13 +168,8 @@ TEST(HpdTest, SolversAgree) {
   for (const double a : {2.0, 6.5, 28.0, 170.0}) {
     for (const double b : {1.7, 5.0, 30.0}) {
       const auto d = MakeBeta(a, b);
-      HpdOptions sqp_opts;
-      sqp_opts.solver = HpdSolver::kSlsqp;
-      HpdOptions oned_opts;
-      oned_opts.solver = HpdSolver::kOneDim;
-      const auto sqp = *HpdInterval(d, 0.05, sqp_opts);
-      const auto oned = *HpdInterval(d, 0.05, oned_opts);
-      EXPECT_EQ(sqp.path, HpdPath::kSlsqp);
+      const auto sqp = *HpdIntervalSqp(d, 0.05);
+      const auto oned = *HpdIntervalByRoot(d, 0.05);
       EXPECT_EQ(oned.path, HpdPath::kOneDim);
       EXPECT_NEAR(sqp.interval.lower, oned.interval.lower, 1e-8)
           << "a=" << a << " b=" << b;
@@ -182,12 +180,11 @@ TEST(HpdTest, SolversAgree) {
 }
 
 TEST(HpdTest, ColdStartReachesSameSolution) {
+  // Seeded at ET (no start) or at a central interval about the mode.
   const auto d = MakeBeta(12.0, 5.0);
-  HpdOptions warm;
-  HpdOptions cold;
-  cold.warm_start_at_et = false;
-  const auto w = *HpdInterval(d, 0.05, warm);
-  const auto c = *HpdInterval(d, 0.05, cold);
+  const Interval cold{d.Mode() - 0.25, d.Mode() + 0.25};
+  const auto w = *HpdInterval(d, 0.05);
+  const auto c = *HpdInterval(d, 0.05, &cold);
   EXPECT_NEAR(w.interval.lower, c.interval.lower, 1e-5);
   EXPECT_NEAR(w.interval.upper, c.interval.upper, 1e-5);
 }
@@ -265,11 +262,8 @@ TEST(HpdNewtonTest, UsesFewerBetaEvaluationsThanSqp) {
     for (const double alpha : {0.01, 0.05, 0.1}) {
       const auto d = MakeBeta(a, 0.2 * a + 1.0);
       const auto newton = *HpdInterval(d, alpha);
-      HpdOptions sqp_opts;
-      sqp_opts.solver = HpdSolver::kSlsqp;
-      const auto sqp = *HpdInterval(d, alpha, sqp_opts);
+      const auto sqp = *HpdIntervalSqp(d, alpha);
       ASSERT_EQ(newton.path, HpdPath::kNewton) << a;
-      ASSERT_EQ(sqp.path, HpdPath::kSlsqp) << a;
       const int newton_evals = newton.cdf_evals + newton.pdf_evals;
       const int sqp_evals = sqp.cdf_evals + sqp.pdf_evals;
       EXPECT_LT(newton_evals, sqp_evals) << "a=" << a << " alpha=" << alpha;
@@ -297,19 +291,16 @@ TEST(HpdNewtonTest, GridCrossCheckAgainstSqpAndOneDim) {
         const auto d = MakeBeta(a, b);
         const auto hpd = HpdInterval(d, alpha);
         ASSERT_TRUE(hpd.ok()) << "a=" << a << " b=" << b << " alpha=" << alpha;
-        HpdOptions sqp_opts;
-        sqp_opts.solver = HpdSolver::kSlsqp;
-        const auto sqp = HpdInterval(d, alpha, sqp_opts);
-        HpdOptions oned_opts;
-        oned_opts.solver = HpdSolver::kOneDim;
-        const auto oned = HpdInterval(d, alpha, oned_opts);
+        const auto sqp = HpdIntervalSqp(d, alpha);
+        const auto oned = HpdIntervalByRoot(d, alpha);
         ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
-        for (const auto* other : {&sqp, &oned}) {
-          if (!other->ok()) continue;
-          // Newton endpoints within 1e-9 of each reference.
-          EXPECT_NEAR(hpd->interval.lower, (*other)->interval.lower, 1e-9)
+        // Newton endpoints within 1e-9 of each reference.
+        std::vector<Interval> references = {oned->interval};
+        if (sqp.ok()) references.push_back(sqp->interval);
+        for (const Interval& other : references) {
+          EXPECT_NEAR(hpd->interval.lower, other.lower, 1e-9)
               << "a=" << a << " b=" << b << " alpha=" << alpha;
-          EXPECT_NEAR(hpd->interval.upper, (*other)->interval.upper, 1e-9)
+          EXPECT_NEAR(hpd->interval.upper, other.upper, 1e-9)
               << "a=" << a << " b=" << b << " alpha=" << alpha;
         }
         if (d.Shape() != BetaShape::kUnimodal) {
@@ -359,9 +350,7 @@ TEST(HpdFallbackTest, NearLimitingGridMeetsTheCertificate) {
       for (const auto& [a, b] : {std::pair{x, y}, std::pair{y, x}}) {
         for (const double alpha : {0.01, 0.05, 0.1}) {
           const auto d = MakeBeta(a, b);
-          HpdOptions oned_opts;
-          oned_opts.solver = HpdSolver::kOneDim;
-          const auto oned = HpdInterval(d, alpha, oned_opts);
+          const auto oned = HpdIntervalByRoot(d, alpha);
           ASSERT_TRUE(oned.ok()) << "a=" << a << " b=" << b;
           EXPECT_EQ(oned->path, HpdPath::kOneDim);
           ExpectHpdCertificate(d, alpha, oned->interval);
@@ -380,18 +369,17 @@ TEST(HpdFallbackTest, NearLimitingGridMeetsTheCertificate) {
 
 TEST(HpdNewtonTest, SqpIsThePureReferenceWithoutFallback) {
   const auto d = MakeBeta(12.0, 5.0);
-  HpdOptions opts;
-  opts.solver = HpdSolver::kSlsqp;
-  const auto hpd = *HpdInterval(d, 0.05, opts);
-  EXPECT_EQ(hpd.path, HpdPath::kSlsqp);
-  EXPECT_EQ(hpd.kkt_coverage_residual, 0.0);  // Newton never ran.
+  const auto hpd = *HpdIntervalSqp(d, 0.05);
+  EXPECT_GT(hpd.iterations, 0);
+  EXPECT_NEAR(d.Cdf(hpd.interval.upper) - d.Cdf(hpd.interval.lower), 0.95,
+              1e-9);
 
   // Where the SQP does not converge it reports an error: nothing silently
   // substitutes another solver's interval.
   const auto peaked = MakeBeta(5000.0, 1.5);
   int failures = 0;
   for (const double alpha : {0.01, 0.05, 0.1}) {
-    if (!HpdInterval(peaked, alpha, opts).ok()) ++failures;
+    if (!HpdIntervalSqp(peaked, alpha).ok()) ++failures;
     EXPECT_TRUE(HpdInterval(peaked, alpha).ok());
   }
   EXPECT_GT(failures, 0);
@@ -401,21 +389,20 @@ TEST(HpdNewtonTest, ThreadStatsAttributeSolvesToPaths) {
   ResetThreadHpdStats();
   const auto d = MakeBeta(28.0, 4.0);
   ASSERT_TRUE(HpdInterval(d, 0.05).ok());
-  HpdOptions sqp_opts;
-  sqp_opts.solver = HpdSolver::kSlsqp;
-  ASSERT_TRUE(HpdInterval(d, 0.05, sqp_opts).ok());
+  const auto sqp = HpdIntervalSqp(d, 0.05);  // The reference tallies nothing.
+  ASSERT_TRUE(sqp.ok());
   ASSERT_TRUE(HpdInterval(MakeBeta(0.5, 30.5), 0.05).ok());  // Limiting.
   ASSERT_TRUE(HpdInterval(MakeBeta(1.001, 20.0), 0.05).ok());  // Fallback.
+  ASSERT_TRUE(HpdIntervalByRoot(d, 0.05).ok());
   const HpdSolveStats stats = ThreadHpdStatsSnapshot();
   EXPECT_EQ(stats.newton.solves, 1u);
-  EXPECT_EQ(stats.slsqp.solves, 1u);
   EXPECT_EQ(stats.limiting.solves, 1u);
-  EXPECT_EQ(stats.onedim.solves, 1u);
-  EXPECT_EQ(stats.slsqp_fallback.solves, 0u);
+  EXPECT_EQ(stats.onedim.solves, 2u);
+  EXPECT_EQ(stats.slsqp.solves + stats.slsqp_fallback.solves, 0u);
   EXPECT_EQ(stats.total_solves(), 4u);
   EXPECT_GT(stats.newton.cdf_evals, 0u);
   EXPECT_LT(stats.newton.cdf_evals + stats.newton.pdf_evals,
-            stats.slsqp.cdf_evals + stats.slsqp.pdf_evals);
+            static_cast<uint64_t>(sqp->cdf_evals + sqp->pdf_evals));
   ResetThreadHpdStats();
   EXPECT_EQ(ThreadHpdStatsSnapshot().total_solves(), 0u);
 }
@@ -424,9 +411,7 @@ TEST(HpdOneDimTest, TinyAlphaKeepsABoundedBracket) {
   // A lower quantile near the origin must still leave the root a usable
   // bracket.
   const auto d = MakeBeta(1.2, 2000.0);
-  HpdOptions oned;
-  oned.solver = HpdSolver::kOneDim;
-  const auto hpd = HpdInterval(d, 1e-6, oned);
+  const auto hpd = HpdIntervalByRoot(d, 1e-6);
   ASSERT_TRUE(hpd.ok());
   EXPECT_GT(hpd->interval.Width(), 0.0);
   EXPECT_NEAR(d.Cdf(hpd->interval.upper) - d.Cdf(hpd->interval.lower),
@@ -441,9 +426,7 @@ TEST(HpdOneDimTest, WidePosteriorFindsARealInterval) {
   // log-density gap stays small across the whole bracket. The solve must
   // return a real interval whose width beats 1 and satisfies coverage.
   const auto d = MakeBeta(1.05, 1.1);
-  HpdOptions oned;
-  oned.solver = HpdSolver::kOneDim;
-  const auto hpd = HpdInterval(d, 0.005, oned);
+  const auto hpd = HpdIntervalByRoot(d, 0.005);
   ASSERT_TRUE(hpd.ok());
   EXPECT_LT(hpd->interval.Width(), 1.0);
   EXPECT_NEAR(d.Cdf(hpd->interval.upper) - d.Cdf(hpd->interval.lower), 0.995,

@@ -1,4 +1,4 @@
-#include "kgacc/opt/slsqp.h"
+#include "reference/slsqp.h"
 
 #include <cmath>
 

@@ -1,9 +1,11 @@
-#ifndef KGACC_OPT_SLSQP_H_
-#define KGACC_OPT_SLSQP_H_
+#ifndef KGACC_REFERENCE_SLSQP_H_
+#define KGACC_REFERENCE_SLSQP_H_
 
 #include <functional>
 #include <vector>
 
+#include "kgacc/intervals/interval.h"
+#include "kgacc/math/beta.h"
 #include "kgacc/util/status.h"
 
 /// \file slsqp.h
@@ -20,7 +22,9 @@
 /// globalized with an L1 exact-penalty merit line search.
 ///
 /// Designed for the low-dimensional problems arising here (n <= ~16); all
-/// linear algebra is dense with partial pivoting.
+/// linear algebra is dense with partial pivoting. `HpdIntervalSqp` states
+/// the HPD program on it: the reference the library's Newton KKT solve
+/// (`intervals/credible.h`) is checked against. No audit runs either.
 
 namespace kgacc {
 
@@ -82,6 +86,25 @@ Result<SlsqpSolve> MinimizeSlsqp(const SlsqpProblem& problem,
                                  std::vector<double> x0,
                                  const SlsqpOptions& options = {});
 
+/// A reference solve and the work it took: SQP outer iterations, and
+/// coverage-constraint (2 CDF each) and gradient (2 PDF each) evaluations,
+/// counted as `HpdResult` counts them.
+struct SqpHpdResult {
+  Interval interval;
+  int iterations = 0;
+  int cdf_evals = 0;
+  int pdf_evals = 0;
+};
+
+/// The paper's §4.3 HPD formulation: SLSQP on min (u - l) subject to
+/// F(u) - F(l) = 1 - alpha. A unimodal posterior is solved from `start`
+/// (clamped into [0, 1]^2), or from the ET interval when it is null
+/// (Alg. 1 line 20); other shapes take `HpdInterval`'s closed forms. No
+/// fallback: a solve that does not converge returns an error.
+Result<SqpHpdResult> HpdIntervalSqp(const BetaDistribution& posterior,
+                                    double alpha,
+                                    const Interval* start = nullptr);
+
 namespace internal {
 
 /// Solves the dense linear system `a * x = b` (row-major n x n) in place
@@ -94,4 +117,4 @@ bool SolveLinearSystem(std::vector<double> a, std::vector<double> b, int n,
 
 }  // namespace kgacc
 
-#endif  // KGACC_OPT_SLSQP_H_
+#endif  // KGACC_REFERENCE_SLSQP_H_

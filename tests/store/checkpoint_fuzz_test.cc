@@ -1,5 +1,5 @@
 // Seeded mutation fuzzing of the one decoder of checkpoint bytes,
-// `CheckpointManager::Resume`. A finished audit's v5 record (version byte,
+// `CheckpointManager::Resume`. A finished audit's record (version byte,
 // step-count varint, session fingerprint) is mutated with fixed seeds —
 // truncations, bit flips, every wrong version byte, fingerprints of the
 // wrong length, huge and over-long step counts, random garbage — and each
@@ -59,7 +59,6 @@ class CheckpointFuzzTest : public testing::Test {
     ASSERT_GE(steps_, 3u);
     record_ = *store_->LatestCheckpoint(kAuditId);
     ASSERT_GT(record_.size(), 2u);
-    ASSERT_EQ(record_[0], 5u);
     fingerprint_at_ = FingerprintAt(record_);
     ASSERT_LT(fingerprint_at_, record_.size());
   }
@@ -129,7 +128,7 @@ TEST_F(CheckpointFuzzTest, EveryTruncationFails) {
 
 TEST_F(CheckpointFuzzTest, EveryWrongVersionFailsWithTheVersionError) {
   for (int version = 0; version < 256; ++version) {
-    if (version == 5) continue;
+    if (version == record_[0]) continue;
     std::vector<uint8_t> record = record_;
     record[0] = static_cast<uint8_t>(version);
     const Status status = ResumeFrom(record);
@@ -137,6 +136,39 @@ TEST_F(CheckpointFuzzTest, EveryWrongVersionFailsWithTheVersionError) {
     EXPECT_NE(status.message().find("incompatible"), std::string::npos)
         << status.ToString();
   }
+}
+
+TEST_F(CheckpointFuzzTest, AVersion5RecordFailsWithTheVersionError) {
+  // This audit's finished checkpoint as the v5 format wrote it: the same
+  // fingerprint plus the HPD solver byte, the ET warm-start bool and the
+  // external-start bool (0x00 0x01 0x00 at offset 95, after the priors).
+  const std::vector<uint8_t> v5 = {
+      0x05, 0x1d, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x54,
+      0x57, 0x43, 0x53, 0x06, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f,
+      0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, 0x1e, 0xc0, 0x84, 0x3d,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x55,
+      0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55,
+      0x55, 0xd5, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x46, 0x40, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x39, 0x40, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x34, 0x40,
+  };
+  // Less those three fields and under the live version, it is this build's
+  // record of the same audit: only the version gate can refuse it.
+  std::vector<uint8_t> live = v5;
+  live.erase(live.begin() + 95, live.begin() + 98);
+  live[0] = record_[0];
+  EXPECT_EQ(live, record_);
+
+  const Status status = ResumeFrom(v5);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("snapshot version 5 is incompatible"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("fingerprint"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(CheckpointFuzzTest, WrongFingerprintLengthsFail) {

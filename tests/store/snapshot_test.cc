@@ -273,7 +273,7 @@ TEST(SnapshotTest, ResumeRefusesEveryFingerprintMismatch) {
   std::vector<EvaluationConfig> others(7, config);
   others[0].method = IntervalMethod::kWald;
   others[1].priors[0].a += 1.0;  // Same prior count, other parameters.
-  others[2].hpd.solver = HpdSolver::kOneDim;
+  others[2].alpha = 0.1;
   others[3].design_effect.max_deff = 10.0;
   others[4].record_trace = !config.record_trace;
   others[5].max_cost_seconds = 3600.0;
