@@ -94,11 +94,11 @@ int main() {
               "Wald/Wilson/CP/aHPD x SRS/TWCS, shared job cursor)\n");
   std::printf("cells run until >= %.0f ms of wall time; audits/s is the "
               "median run\n", min_cell_seconds * 1000.0);
-  bench::Rule(110);
-  std::printf("%6s %8s %5s %10s %12s %14s %12s %10s %10s %5s %7s\n", "jobs",
+  bench::Rule(102);
+  std::printf("%6s %8s %5s %10s %12s %14s %12s %10s %10s %5s\n", "jobs",
               "threads", "runs", "wall(s)", "audits/s", "triples/s",
-              "allocs/audit", "run(s)", "barrier(s)", "util", "stolen");
-  bench::Rule(110);
+              "allocs/audit", "run(s)", "barrier(s)", "util");
+  bench::Rule(102);
 
   std::FILE* json = std::fopen("BENCH_service.json", "w");
   if (json != nullptr) {
@@ -144,7 +144,6 @@ int main() {
       double submit_seconds = 0.0;
       double run_seconds = 0.0;
       double barrier_seconds = 0.0;
-      uint64_t stolen_groups = 0;
       size_t groups = 0;
       size_t failed = 0;
       // Robustness counters summed over the cell's runs — all zero under
@@ -172,7 +171,6 @@ int main() {
         submit_seconds += stats.submit_seconds;
         run_seconds += stats.run_seconds;
         barrier_seconds += stats.barrier_seconds;
-        stolen_groups += stats.stolen_groups;
         degraded_jobs += stats.degraded_jobs;
         total_retries += stats.total_retries;
         cell_hpd += stats.hpd;
@@ -212,11 +210,10 @@ int main() {
               : 0.0;
       cell_audits_per_second[jobs_n][thread_sweep[s]] = median_audits;
       std::printf(
-          "%6d %8d %5zu %10.3f %12.1f %14.0f %12.1f %10.4f %10.4f %5.3f "
-          "%7llu\n",
+          "%6d %8d %5zu %10.3f %12.1f %14.0f %12.1f %10.4f %10.4f %5.3f\n",
           jobs_n, service.num_threads(), runs, median_wall, median_audits,
           median_triples, allocs_per_audit, mean_run, mean_barrier,
-          utilization, static_cast<unsigned long long>(stolen_groups));
+          utilization);
       if (json != nullptr) {
         std::fprintf(
             json,
@@ -226,7 +223,7 @@ int main() {
             "\"triples_per_second\": %.2f, "
             "\"annotated_triples\": %llu, "
             "\"allocations_per_audit\": %.2f, \"failed\": %zu, "
-            "\"groups\": %zu, \"stolen_groups\": %llu, "
+            "\"groups\": %zu, "
             "\"spawn_seconds\": %.6f, \"submit_seconds\": %.6f, "
             "\"run_seconds\": %.6f, \"barrier_seconds\": %.6f, "
             "\"utilization\": %.4f, \"degraded_jobs\": %zu, "
@@ -236,8 +233,7 @@ int main() {
             jobs_n, service.num_threads(), runs, median_wall, median_audits,
             median_triples,
             static_cast<unsigned long long>(annotated_triples),
-            allocs_per_audit, failed, groups,
-            static_cast<unsigned long long>(stolen_groups), spawn_seconds,
+            allocs_per_audit, failed, groups, spawn_seconds,
             mean_submit, mean_run, mean_barrier, utilization, degraded_jobs,
             static_cast<unsigned long long>(total_retries),
             static_cast<unsigned long long>(cell_hpd.total_solves()),

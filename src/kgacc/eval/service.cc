@@ -221,7 +221,6 @@ EvaluationBatchResult EvaluationService::RunBatch(
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t stolen_before = pool_.stolen_tasks();
   // One task per worker, each pulling the next unclaimed job off a shared
   // cursor until the batch runs dry: a slow job holds back only itself,
   // and the tail is at most one job long. Task t always runs against
@@ -269,8 +268,6 @@ EvaluationBatchResult EvaluationService::RunBatch(
   stats.num_threads = num_threads;
   stats.jobs = jobs.size();
   stats.groups = tasks;
-  stats.stolen_groups =
-      static_cast<size_t>(pool_.stolen_tasks() - stolen_before);
   stats.wall_seconds = std::chrono::duration<double>(finished - start).count();
   for (const TaskSlot& slot : slots) {
     stats.hpd += slot.hpd;

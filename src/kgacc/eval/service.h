@@ -27,9 +27,10 @@
 /// Execution model: one task per worker over a shared job cursor. A batch
 /// submits `min(jobs, threads)` tasks, task t to worker t, and each task
 /// claims the next unclaimed job index from one atomic cursor until the
-/// batch runs dry. Task t runs its jobs against persistent execution
-/// context t: a cache of cloned samplers keyed by job prototype plus
-/// reusable session scratch (batch buffers and annotated-sample storage).
+/// batch runs dry. The pool never moves a task, so task t runs on worker
+/// t, against persistent execution context t: a cache of cloned samplers
+/// keyed by job prototype plus reusable session scratch (batch buffers
+/// and annotated-sample storage).
 /// Balance comes from the cursor, not from a static assignment: a slow
 /// job delays only itself, so the batch's tail is at most one job long.
 /// Jobs write their outcomes to disjoint slots; the cursor is the only
@@ -144,7 +145,7 @@ struct ServiceBatchStats {
   ///   only for the first batch after construction; the pool is persistent,
   ///   so every later batch reports 0 here.
   /// * `submit_seconds` — main-thread time handing one task to each
-  ///   worker's ring.
+  ///   worker's queue.
   /// * `run_seconds` — task execution time summed across tasks, from a
   ///   task's start to its finding the cursor exhausted (aggregate busy
   ///   time, so > wall_seconds when scaling works; over
@@ -155,11 +156,10 @@ struct ServiceBatchStats {
   double submit_seconds = 0.0;
   double run_seconds = 0.0;
   double barrier_seconds = 0.0;
-  /// Tasks the batch submitted (`min(jobs, num_threads)`, one per worker),
-  /// and how many of them ran on a worker other than the one they were
-  /// submitted to. A task is only stolen when its home worker is slow to
-  /// wake; it then finds fewer jobs left, never different results.
+  /// Tasks the batch submitted (`min(jobs, num_threads)`, one per worker).
   size_t groups = 0;
+  /// Always 0: every task runs on the worker it was submitted to. Kept
+  /// only because kgbench reads it.
   size_t stolen_groups = 0;
   /// HPD solver counters aggregated across every worker thread of the
   /// batch (per-path solve/eval tallies). The

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -38,11 +40,20 @@ double SecondsSince(Clock::time_point start) {
 /// The sampling designs a protocol design string can name.
 enum class SamplingDesign { kSrs, kTwcs, kWcs, kRcs, kSsrs, kSys };
 
-/// Cheap: the daemon rejects an unknown design at admission, before any
-/// build.
-Result<SamplingDesign> ParseSamplingDesign(const std::string& design) {
+/// Also checks TWCS's second-stage size, which `TwcsConfig` holds as a
+/// positive int. Cheap: the daemon rejects an unknown design or a bad m at
+/// admission, before any build.
+Result<SamplingDesign> ParseSamplingDesign(const std::string& design,
+                                           uint64_t twcs_m) {
   if (design == "srs") return SamplingDesign::kSrs;
-  if (design == "twcs") return SamplingDesign::kTwcs;
+  if (design == "twcs") {
+    if (twcs_m < 1 || twcs_m > static_cast<uint64_t>(INT_MAX)) {
+      return Status::InvalidArgument(
+          "twcs second-stage size m must be in [1, " +
+          std::to_string(INT_MAX) + "], got " + std::to_string(twcs_m));
+    }
+    return SamplingDesign::kTwcs;
+  }
   if (design == "wcs") return SamplingDesign::kWcs;
   if (design == "rcs") return SamplingDesign::kRcs;
   if (design == "ssrs") return SamplingDesign::kSsrs;
@@ -75,11 +86,12 @@ std::unique_ptr<Sampler> BuildSampler(const KnowledgeGraph& kg,
 }  // namespace
 
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m,
+    const KnowledgeGraph& kg, const std::string& design, uint64_t twcs_m,
     bool srs_without_replacement) {
   KGACC_ASSIGN_OR_RETURN(const SamplingDesign parsed,
-                         ParseSamplingDesign(design));
-  return BuildSampler(kg, parsed, twcs_m, srs_without_replacement);
+                         ParseSamplingDesign(design, twcs_m));
+  return BuildSampler(kg, parsed, static_cast<int>(twcs_m),
+                      srs_without_replacement);
 }
 
 /// One TCP peer. Owned and touched exclusively by the poll thread.
@@ -704,7 +716,7 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
                method.status().message());
     return;
   }
-  const auto design = ParseSamplingDesign(msg.design);
+  const auto design = ParseSamplingDesign(msg.design, msg.twcs_m);
   if (!design.ok()) {
     QueueError(conn, design.status().code(), msg.audit_id, true, false,
                design.status().message());

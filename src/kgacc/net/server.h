@@ -27,14 +27,16 @@
 /// `AuditDaemon` — the crash-tolerant networked audit service behind the
 /// `kgaccd` tool. One poll()-loop thread owns every socket and does
 /// admission only: drain and cap checks, tenant quotas, KG / method /
-/// design-name lookup, and opening the KG's shared store on first use (that
-/// first store replay is the one heavy step left on it). Everything else
-/// runs on the audit's *home worker* (`audit_id % workers` on a
-/// `ThreadPool`), in per-worker weighted DRR order: first the audit's
-/// open — sampler build (a TWCS PPS alias table is O(#clusters)), then the
-/// session's `DurableAudit` (store/checkpoint.h) and its resume — then its
-/// step batches, each step a `DurableAudit::Step`. Workers hand encoded
-/// reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
+/// design-name lookup (with the range of TWCS's m), and opening the KG's
+/// shared store on first use (that first store replay is the one heavy
+/// step left on it). Everything else runs on the audit's *home worker*:
+/// an audit's open and all its batches run on thread `audit_id % workers`
+/// of a `ThreadPool` (whose tasks never move between workers), one item
+/// in flight per worker, in per-worker weighted DRR order: first the
+/// audit's open — sampler build (a TWCS PPS alias table is O(#clusters)),
+/// then the session's `DurableAudit` (store/checkpoint.h) and its resume —
+/// then its step batches, each step a `DurableAudit::Step`. Workers hand
+/// encoded reply frames (AuditOpened, IntervalUpdate, AuditReport, Error)
 /// back to the poll thread through an event queue + self-pipe, so sockets
 /// are never touched off-thread and one client's open never stalls another
 /// client's frames.
@@ -337,11 +339,13 @@ class AuditDaemon {
 
 /// Builds the sampler a design string names: srs|twcs|wcs|rcs|ssrs|sys,
 /// the vocabulary of the protocol and of `kgacc_audit`. `twcs_m` is the
-/// TWCS second-stage size; `srs_without_replacement` selects the
-/// finite-population SRS draw. The cost is the design's precomputation:
-/// O(#clusters) for the PPS designs (TWCS, WCS).
+/// TWCS second-stage size, InvalidArgument outside [1, INT_MAX] when the
+/// design is TWCS (the daemon's OpenAudit admission runs the same check);
+/// `srs_without_replacement` selects the finite-population SRS draw. The
+/// cost is the design's precomputation: O(#clusters) for the PPS designs
+/// (TWCS, WCS).
 Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m,
+    const KnowledgeGraph& kg, const std::string& design, uint64_t twcs_m,
     bool srs_without_replacement = false);
 
 }  // namespace kgacc

@@ -1,6 +1,7 @@
 #include "kgacc/util/arg_parser.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 namespace kgacc {
@@ -26,15 +27,22 @@ Result<double> ParsedArgs::GetDouble(const std::string& name,
 }
 
 Result<int64_t> ParsedArgs::GetInt(const std::string& name,
-                                   int64_t fallback) const {
+                                   int64_t fallback, int64_t min,
+                                   int64_t max) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     return Status::InvalidArgument("flag --" + name +
                                    " expects an integer, got '" + it->second +
                                    "'");
+  }
+  if (errno == ERANGE || value < min || value > max) {
+    return Status::InvalidArgument(
+        "flag --" + name + " must be in [" + std::to_string(min) + ", " +
+        std::to_string(max) + "], got '" + it->second + "'");
   }
   return static_cast<int64_t>(value);
 }

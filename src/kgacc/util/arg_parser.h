@@ -1,6 +1,7 @@
 #ifndef KGACC_UTIL_ARG_PARSER_H_
 #define KGACC_UTIL_ARG_PARSER_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,9 +26,14 @@ class ParsedArgs {
   std::string GetString(const std::string& name,
                         const std::string& fallback = "") const;
 
-  /// Numeric accessors; error when present but unparsable.
+  /// Number flag, or `fallback` when absent; error when present but
+  /// unparsable.
   Result<double> GetDouble(const std::string& name, double fallback) const;
-  Result<int64_t> GetInt(const std::string& name, int64_t fallback) const;
+
+  /// Integer flag, or `fallback` when absent; error when present but
+  /// unparsable or outside [min, max], the range of the field it sets.
+  Result<int64_t> GetInt(const std::string& name, int64_t fallback,
+                         int64_t min, int64_t max) const;
 
   /// Boolean flag: present without value or with "true"/"1" is true;
   /// "false"/"0" is false.

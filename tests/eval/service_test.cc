@@ -484,7 +484,7 @@ TEST(EvaluationServiceTest, BatchStatsReportTheTimingSplit) {
   // persistent pool makes every later batch report zero there.
   EXPECT_GT(first.stats.spawn_seconds, 0.0);
   EXPECT_GT(first.stats.groups, 0u);
-  EXPECT_LE(first.stats.stolen_groups, first.stats.groups);
+  EXPECT_EQ(first.stats.stolen_groups, 0u);  // Tasks never move.
   EXPECT_GE(first.stats.submit_seconds, 0.0);
   EXPECT_GE(first.stats.barrier_seconds, 0.0);
   EXPECT_GT(first.stats.run_seconds, 0.0);

@@ -742,6 +742,45 @@ TEST(AuditDaemonOpenTest, FailedOpenIsSessionFatalAndARetryResumes) {
   daemon.Stop();
 }
 
+TEST(AuditDaemonOpenTest, OutOfRangeTwcsMIsASessionFatalInvalidArgument) {
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  const std::string dir = TempDir("bad_twcs_m");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  // m = 0, and 2^32, whose int cast is 0: TwcsConfig cannot hold either,
+  // so admission answers an Error frame before any sampler is built.
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+  uint64_t audit_id = 1;
+  for (const uint64_t m : {uint64_t{0}, uint64_t{1} << 32}) {
+    OpenAuditMsg open = OpenFor(audit_id++);
+    open.design = "twcs";
+    open.twcs_m = m;
+    ASSERT_TRUE(peer.Send(FrameOf(open)).ok());
+    auto reply = peer.Read();
+    ASSERT_TRUE(reply.ok()) << "m=" << m << ": " << reply.status().ToString();
+    ASSERT_EQ(reply->type, static_cast<uint8_t>(MessageType::kError));
+    auto err = Decode<ErrorMsg>(reply->payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err->code, StatusCode::kInvalidArgument) << err->message;
+    EXPECT_EQ(err->audit_id, open.audit_id);
+    EXPECT_TRUE(err->fatal_to_session);
+    EXPECT_FALSE(err->fatal_to_connection);
+  }
+
+  // The same daemon then serves a normal audit to the reference report.
+  AuditClient client(ClientOptions(daemon.port()));
+  auto report = client.RunAudit(OpenFor(audit_id));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  EXPECT_EQ(daemon.stats().sessions_opened.load(), 1u);
+  daemon.Stop();
+}
+
 TEST(AuditDaemonOpenTest, DuplicateOpenWhileOpeningAnswersBusy) {
   const KnowledgeGraph kg = TestKg();
   const std::string dir = TempDir("open_dup");

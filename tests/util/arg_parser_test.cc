@@ -1,5 +1,7 @@
 #include "kgacc/util/arg_parser.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -9,6 +11,8 @@ ArgParser MakeParser() {
   ArgParser parser;
   parser.AddFlag("kg", "path").AddFlag("alpha", "level").AddFlag("json",
                                                                  "toggle");
+  parser.AddFlag("port", "port").AddFlag("seed", "seed").AddFlag(
+      "checkpoint-every", "cadence");
   return parser;
 }
 
@@ -40,7 +44,7 @@ TEST(ArgParserTest, FallbacksWhenAbsent) {
   const auto args = *ParseAll({});
   EXPECT_EQ(args.GetString("kg", "default.tsv"), "default.tsv");
   EXPECT_DOUBLE_EQ(*args.GetDouble("alpha", 0.05), 0.05);
-  EXPECT_EQ(*args.GetInt("alpha", 7), 7);
+  EXPECT_EQ(*args.GetInt("alpha", 7, INT64_MIN, INT64_MAX), 7);
   EXPECT_FALSE(*args.GetBool("json", false));
   EXPECT_FALSE(args.Has("kg"));
 }
@@ -54,7 +58,33 @@ TEST(ArgParserTest, UnknownFlagIsError) {
 TEST(ArgParserTest, MalformedNumbersAreErrors) {
   const auto args = *ParseAll({"--alpha=abc"});
   EXPECT_FALSE(args.GetDouble("alpha", 0.05).ok());
-  EXPECT_FALSE(args.GetInt("alpha", 1).ok());
+  EXPECT_FALSE(args.GetInt("alpha", 1, INT64_MIN, INT64_MAX).ok());
+}
+
+TEST(ArgParserTest, IntegersOutsideTheirRangeAreErrors) {
+  const auto args = *ParseAll({"--port=70000", "--checkpoint-every=-1"});
+  const auto port = args.GetInt("port", 0, 0, 65535);
+  ASSERT_FALSE(port.ok());
+  EXPECT_EQ(port.status().code(), StatusCode::kInvalidArgument);
+  // The error names the flag and its range.
+  EXPECT_NE(port.status().message().find("--port"), std::string::npos);
+  EXPECT_NE(port.status().message().find("[0, 65535]"), std::string::npos);
+  EXPECT_FALSE(args.GetInt("checkpoint-every", 1, 1, INT64_MAX).ok());
+  EXPECT_FALSE((*ParseAll({"--port=-1"})).GetInt("port", 0, 0, 65535).ok());
+  // strtoll overflow is an error, not a saturated value in range.
+  for (const char* arg :
+       {"--seed=99999999999999999999", "--seed=-99999999999999999999"}) {
+    EXPECT_FALSE(
+        (*ParseAll({arg})).GetInt("seed", 42, INT64_MIN, INT64_MAX).ok())
+        << arg;
+  }
+  // The bounds themselves are in range.
+  EXPECT_EQ(*(*ParseAll({"--port=65535"})).GetInt("port", 0, 0, 65535),
+            65535);
+  EXPECT_EQ(*(*ParseAll({"--port=0"})).GetInt("port", 1, 0, 65535), 0);
+  EXPECT_EQ(*(*ParseAll({"--seed=9223372036854775807"}))
+                 .GetInt("seed", 42, 0, INT64_MAX),
+            INT64_MAX);
 }
 
 TEST(ArgParserTest, PositionalArguments) {

@@ -1,7 +1,6 @@
 #include "kgacc/util/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -10,51 +9,6 @@
 
 namespace kgacc {
 namespace {
-
-TEST(TaskRingTest, FifoOrderThroughGrowth) {
-  TaskRing ring;
-  std::vector<int> order;
-  // Push past several doublings so the rotated-rebuild path runs.
-  for (int i = 0; i < 100; ++i) {
-    ring.PushBack([&order, i] { order.push_back(i); });
-  }
-  EXPECT_EQ(ring.size(), 100u);
-  while (!ring.empty()) ring.PopFront()();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(TaskRingTest, PopBackTakesNewestPopFrontTakesOldest) {
-  TaskRing ring;
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    ring.PushBack([&order, i] { order.push_back(i); });
-  }
-  ring.PopBack()();   // 3: the steal end.
-  ring.PopFront()();  // 0: the owner end.
-  ring.PopBack()();   // 2
-  ring.PopFront()();  // 1
-  EXPECT_EQ(order, (std::vector<int>{3, 0, 2, 1}));
-}
-
-TEST(TaskRingTest, WrapAroundKeepsOrder) {
-  TaskRing ring;
-  std::vector<int> order;
-  // Interleave pushes and pops so head_ walks around the slot array and
-  // the live window straddles the wrap point repeatedly.
-  int next = 0;
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      ring.PushBack([&order, v = next] { order.push_back(v); });
-      ++next;
-    }
-    ring.PopFront()();
-    ring.PopFront()();
-  }
-  while (!ring.empty()) ring.PopFront()();
-  ASSERT_EQ(order.size(), static_cast<size_t>(next));
-  for (int i = 0; i < next; ++i) EXPECT_EQ(order[i], i);
-}
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
@@ -110,22 +64,18 @@ TEST(ThreadPoolTest, SingleThreadPoolIsSequentialButComplete) {
 }
 
 /// Parks every worker of a pool inside one spinning task each, so a test
-/// can stage ring contents deterministically (nothing runs or gets stolen
-/// while parked) and then let chosen workers go. Construction returns once
-/// all workers are inside. Call `ReleaseAll()` and `pool.Wait()` before
-/// letting this object go out of scope.
+/// can stage queue contents deterministically (nothing runs while parked)
+/// and then let chosen workers go. Construction returns once all workers
+/// are inside. Call `ReleaseAll()` and `pool.Wait()` before letting this
+/// object go out of scope.
 class ParkedWorkers {
  public:
   explicit ParkedWorkers(ThreadPool& pool) : release_(pool.num_threads()) {
     const int n = pool.num_threads();
     for (int w = 0; w < n; ++w) {
-      // Steals may shuffle which worker runs which park task; each task
-      // asks the pool who is actually running it. n spinning tasks across
-      // n workers always ends with exactly one per worker.
-      pool.SubmitTo(w, [this, &pool] {
-        const int self = pool.current_worker_index();
+      pool.SubmitTo(w, [this, w] {
         started_.fetch_add(1);
-        while (!release_[self].load()) std::this_thread::yield();
+        while (!release_[w].load()) std::this_thread::yield();
       });
     }
     while (started_.load() < n) std::this_thread::yield();
@@ -144,7 +94,7 @@ class ParkedWorkers {
 TEST(ThreadPoolTest, SubmitToRunsTasksOfOneWorkerInOrder) {
   ThreadPool pool(3);
   ParkedWorkers parked(pool);
-  // Staged while everyone is parked: 50 tasks on worker 0's ring. Only
+  // Staged while everyone is parked: 50 tasks on worker 0's queue. Only
   // worker 0 gets released, so it alone drains them — and must do so FIFO.
   std::vector<int> order;
   std::atomic<int> done{0};
@@ -162,33 +112,12 @@ TEST(ThreadPoolTest, SubmitToRunsTasksOfOneWorkerInOrder) {
   pool.Wait();
 }
 
-TEST(ThreadPoolTest, IdleWorkersStealWholeTasksFromABusyShard) {
-  ThreadPool pool(4);
-  ParkedWorkers parked(pool);
-  // 64 tasks staged on worker 0's ring; worker 0 stays parked while the
-  // other three get released, so completion is only possible by stealing
-  // whole tasks off shard 0.
-  const uint64_t stolen_before = pool.stolen_tasks();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.SubmitTo(0, [&ran] { ran.fetch_add(1); });
-  }
-  parked.Release(1);
-  parked.Release(2);
-  parked.Release(3);
-  while (ran.load() < 64) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_GE(pool.stolen_tasks() - stolen_before, 64u);
-  parked.ReleaseAll();
-  pool.Wait();
-}
-
-TEST(ThreadPoolTest, ConcurrentSubmitToAndStealRunsEverythingExactlyOnce) {
+TEST(ThreadPoolTest, ConcurrentSubmitToRunsEverythingExactlyOnce) {
   ThreadPool pool(4);
   constexpr int kPerWorker = 500;
   std::vector<std::atomic<int>> hits(4 * kPerWorker);
-  // Hammer all four rings from four external submitter threads while the
-  // workers pop and steal concurrently — every task must run exactly once.
+  // Hammer all four queues from four external submitter threads while the
+  // workers pop concurrently — every task must run exactly once.
   std::vector<std::thread> submitters;
   for (int w = 0; w < 4; ++w) {
     submitters.emplace_back([&pool, &hits, w] {
@@ -206,40 +135,67 @@ TEST(ThreadPoolTest, ConcurrentSubmitToAndStealRunsEverythingExactlyOnce) {
   EXPECT_EQ(pool.executed_tasks(), hits.size());
 }
 
-TEST(ThreadPoolTest, CurrentWorkerIndexIdentifiesHomeAndOffPoolThreads) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.current_worker_index(), -1);  // Not a pool thread.
+TEST(ThreadPoolTest, EveryTaskRunsOnTheWorkerItWasSubmittedTo) {
+  constexpr int kWorkers = 4;
+  constexpr int kPerWorker = 200;
+  ThreadPool pool(kWorkers);
+  std::vector<std::vector<std::thread::id>> ran_on(
+      kWorkers, std::vector<std::thread::id>(kPerWorker));
   {
-    // Two spinning probes across two workers necessarily end up one per
-    // worker; each asks the pool who it is. Both indices must come back
-    // valid and distinct — i.e. each in-range index exactly once.
-    std::vector<std::atomic<int>> seen(2);
-    for (auto& s : seen) s.store(0);
-    std::atomic<int> started{0};
-    std::atomic<bool> release{false};
-    for (int w = 0; w < 2; ++w) {
-      pool.SubmitTo(w, [&pool, &seen, &started, &release] {
-        const int self = pool.current_worker_index();
-        EXPECT_GE(self, 0);
-        EXPECT_LT(self, 2);
-        if (self >= 0 && self < 2) seen[self].fetch_add(1);
-        started.fetch_add(1);
-        while (!release.load()) std::this_thread::yield();
-      });
+    // Stage every task while the workers are parked, then free workers
+    // 1-3 first: they run dry while worker 0's 200 tasks still wait, which
+    // is exactly when a pool that moves tasks would move them.
+    ParkedWorkers parked(pool);
+    std::atomic<int> done{0};
+    for (int w = 0; w < kWorkers; ++w) {
+      for (int i = 0; i < kPerWorker; ++i) {
+        pool.SubmitTo(w, [&ran_on, &done, w, i] {
+          ran_on[w][i] = std::this_thread::get_id();
+          done.fetch_add(1);
+        });
+      }
     }
-    while (started.load() < 2) std::this_thread::yield();
-    EXPECT_EQ(seen[0].load(), 1);
-    EXPECT_EQ(seen[1].load(), 1);
-    release.store(true);
+    for (int w = 1; w < kWorkers; ++w) parked.Release(w);
+    while (done.load() < (kWorkers - 1) * kPerWorker) {
+      std::this_thread::yield();
+    }
+    parked.ReleaseAll();
     pool.Wait();
   }
-  // A second pool's workers are strangers to the first.
-  ThreadPool other(1);
-  std::atomic<int> cross{0};
-  other.SubmitTo(0,
-                 [&pool, &cross] { cross.store(pool.current_worker_index()); });
-  other.Wait();
-  EXPECT_EQ(cross.load(), -1);
+  std::vector<std::thread::id> ids;
+  for (int w = 0; w < kWorkers; ++w) {
+    for (int i = 0; i < kPerWorker; ++i) {
+      ASSERT_EQ(ran_on[w][i], ran_on[w][0]) << "worker " << w << " task " << i;
+    }
+    EXPECT_NE(ran_on[w][0], std::this_thread::get_id());
+    ids.push_back(ran_on[w][0]);
+  }
+  for (int a = 0; a < kWorkers; ++a) {
+    for (int b = a + 1; b < kWorkers; ++b) EXPECT_NE(ids[a], ids[b]);
+  }
+}
+
+TEST(ThreadPoolTest, ABusyWorkerDoesNotDelayOtherWorkers) {
+  ThreadPool pool(4);
+  ParkedWorkers parked(pool);
+  parked.Release(1);
+  parked.Release(2);
+  parked.Release(3);
+  // Worker 0 stays busy. Work queued on the other workers completes
+  // meanwhile; work queued on worker 0 waits for worker 0 alone.
+  std::atomic<int> others{0};
+  std::atomic<int> on_zero{0};
+  for (int i = 0; i < 10; ++i) {
+    pool.SubmitTo(0, [&on_zero] { on_zero.fetch_add(1); });
+  }
+  for (int i = 0; i < 300; ++i) {
+    pool.SubmitTo(1 + i % 3, [&others] { others.fetch_add(1); });
+  }
+  while (others.load() < 300) std::this_thread::yield();
+  EXPECT_EQ(on_zero.load(), 0);
+  parked.ReleaseAll();
+  pool.Wait();
+  EXPECT_EQ(on_zero.load(), 10);
 }
 
 TEST(ThreadPoolTest, SpawnSecondsIsMeasuredOnce) {
@@ -251,9 +207,9 @@ TEST(ThreadPoolTest, SpawnSecondsIsMeasuredOnce) {
   EXPECT_EQ(pool.spawn_seconds(), spawn);  // Construction-time only.
 }
 
-TEST(ThreadPoolTest, ShutdownDrainsNonEmptyRingsOfParkedWorkers) {
-  // Rings still holding tasks at destruction time must be drained — even
-  // rings whose home worker spends the whole test parked on another task.
+TEST(ThreadPoolTest, ShutdownDrainsNonEmptyQueuesOfParkedWorkers) {
+  // Queues still holding tasks at destruction time must be drained — even
+  // a queue whose worker spends the whole test parked on another task.
   std::atomic<int> ran{0};
   {
     ThreadPool pool(3);
@@ -266,8 +222,8 @@ TEST(ThreadPoolTest, ShutdownDrainsNonEmptyRingsOfParkedWorkers) {
       pool.SubmitTo(0, [&ran] { ran.fetch_add(1); });
     }
     release.store(true);
-    // No Wait(): the destructor must drain shard 0's ring (its owner or
-    // thieves, either way) before joining.
+    // No Wait(): the destructor must let worker 0 drain its queue before
+    // joining.
   }
   EXPECT_EQ(ran.load(), 31);
 }
@@ -283,50 +239,6 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
     // No Wait(): the destructor must still run everything.
   }
   EXPECT_EQ(counter.load(), 40);
-}
-
-TEST(ThreadPoolTest, SubmitToWakesTheSleepingHomeWorkerDirectly) {
-  // Per-worker condvars: when the home worker is asleep, SubmitTo must
-  // wake *it* — the task then runs on its home shard via an uncontended
-  // PopFront, with no steal. Repeat from a fully-parked pool each round so
-  // every submission exercises the targeted-wake path, not a still-awake
-  // worker's drain loop.
-  ThreadPool pool(4);
-  for (int round = 0; round < 25; ++round) {
-    const int home = round % 4;
-    while (pool.sleeping_workers() < 4) std::this_thread::yield();
-    const uint64_t stolen_before = pool.stolen_tasks();
-    std::atomic<int> ran_on{-1};
-    pool.SubmitTo(home, [&pool, &ran_on] {
-      ran_on.store(pool.current_worker_index());
-    });
-    pool.Wait();
-    EXPECT_EQ(ran_on.load(), home) << "round " << round;
-    EXPECT_EQ(pool.stolen_tasks(), stolen_before) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolTest, ParkedHomeStillGetsItsWorkRunByASleepingThief) {
-  // The targeted wake must not strand work when the home worker is busy:
-  // with workers 0-2 parked and only worker 3 asleep, a SubmitTo(0, ...)
-  // has to fall through to "wake any sleeper" and get the task stolen by
-  // worker 3 — never a silent hang waiting for worker 0.
-  ThreadPool pool(4);
-  ParkedWorkers parked(pool);
-  parked.Release(3);
-  // Worker 3 finishes its park task and goes to sleep; the others stay
-  // parked (busy, not asleep).
-  while (pool.sleeping_workers() < 1) std::this_thread::yield();
-  std::atomic<int> ran_on{-1};
-  std::atomic<bool> done{false};
-  pool.SubmitTo(0, [&pool, &ran_on, &done] {
-    ran_on.store(pool.current_worker_index());
-    done.store(true);
-  });
-  while (!done.load()) std::this_thread::yield();
-  EXPECT_EQ(ran_on.load(), 3);
-  parked.ReleaseAll();
-  pool.Wait();
 }
 
 TEST(ThreadPoolTest, ThrowingTaskIsContainedCountedAndPoolSurvives) {

@@ -43,6 +43,8 @@
 //   kgacc_audit --kg=facts.tsv --store=audit.wal \
 //       --failpoints=audit.kill=every:5                     # crash test
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -205,8 +207,9 @@ int RunMain(int argc, char** argv) {
   config.method = *method;
   const auto alpha = parsed->GetDouble("alpha", 0.05);
   const auto epsilon = parsed->GetDouble("epsilon", 0.05);
-  const auto m = parsed->GetInt("m", 3);
-  const auto seed = parsed->GetInt("seed", 42);
+  // MakeSamplerForDesign checks m against the design.
+  const auto m = parsed->GetInt("m", 3, 0, INT_MAX);
+  const auto seed = parsed->GetInt("seed", 42, 0, INT64_MAX);
   const auto budget = parsed->GetDouble("budget-hours", 0.0);
   const auto fpc = parsed->GetBool("fpc", false);
   const auto json = parsed->GetBool("json", false);
@@ -273,7 +276,7 @@ int RunMain(int argc, char** argv) {
     return 0;
   }
 
-  auto built = MakeSamplerForDesign(*kg, design, static_cast<int>(*m),
+  auto built = MakeSamplerForDesign(*kg, design, static_cast<uint64_t>(*m),
                                     /*srs_without_replacement=*/*fpc);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
@@ -316,7 +319,7 @@ int RunMain(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", methods.status().ToString().c_str());
       return 2;
     }
-    const auto threads = parsed->GetInt("threads", 0);
+    const auto threads = parsed->GetInt("threads", 0, 0, INT_MAX);
     if (!threads.ok()) {
       std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
       return 2;
@@ -374,8 +377,8 @@ int RunMain(int argc, char** argv) {
   if (parsed->Has("store")) {
     // Durable audit: labels flow through the write-ahead annotation store
     // and the session checkpoints itself into the same log.
-    const auto audit_id = parsed->GetInt("audit-id", *seed);
-    const auto every = parsed->GetInt("checkpoint-every", 1);
+    const auto audit_id = parsed->GetInt("audit-id", *seed, 0, INT64_MAX);
+    const auto every = parsed->GetInt("checkpoint-every", 1, 1, INT64_MAX);
     const auto resume = parsed->GetBool("resume", false);
     const auto compact_threshold =
         parsed->GetDouble("compact-threshold", 0.0);

@@ -19,6 +19,8 @@
 //       --deadline-seconds 30
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -120,7 +122,8 @@ int RunMain(int argc, char** argv) {
     return 2;
   }
   const std::string port_file = parsed->GetString("port-file");
-  const auto port_wait_ms = parsed->GetInt("port-wait-ms", 10000);
+  const auto port_wait_ms =
+      parsed->GetInt("port-wait-ms", 10000, 0, INT64_MAX);
   if (!port_wait_ms.ok()) {
     std::fprintf(stderr, "%s\n", port_wait_ms.status().ToString().c_str());
     return 2;
@@ -128,7 +131,7 @@ int RunMain(int argc, char** argv) {
   Result<uint16_t> port = Status::InvalidArgument(
       "one of --port / --port-file is required");
   if (parsed->Has("port")) {
-    const auto flag = parsed->GetInt("port", 0);
+    const auto flag = parsed->GetInt("port", 0, 0, 65535);
     if (!flag.ok()) {
       std::fprintf(stderr, "%s\n", flag.status().ToString().c_str());
       return 2;
@@ -148,17 +151,23 @@ int RunMain(int argc, char** argv) {
   }
   const auto alpha = parsed->GetDouble("alpha", 0.05);
   const auto epsilon = parsed->GetDouble("epsilon", 0.05);
-  const auto seed = parsed->GetInt("seed", 42);
-  const auto m = parsed->GetInt("m", 3);
-  const auto audit_id = parsed->GetInt("audit-id", seed.value_or(42));
-  const auto checkpoint_every = parsed->GetInt("checkpoint-every", 1);
-  const auto max_steps = parsed->GetInt("max-steps", 0);
+  const auto seed = parsed->GetInt("seed", 42, 0, INT64_MAX);
+  // The daemon checks m against the design it opens.
+  const auto m = parsed->GetInt("m", 3, 0, INT64_MAX);
+  const auto audit_id =
+      parsed->GetInt("audit-id", seed.value_or(42), 0, INT64_MAX);
+  const auto checkpoint_every =
+      parsed->GetInt("checkpoint-every", 1, 1, INT64_MAX);
+  const auto max_steps = parsed->GetInt("max-steps", 0, 0, INT64_MAX);
   const auto deadline = parsed->GetDouble("deadline-seconds", 0.0);
   const auto no_resume = parsed->GetBool("no-resume", false);
-  const auto batch_steps = parsed->GetInt("batch-steps", 4);
-  const auto reconnects = parsed->GetInt("reconnects", 8);
-  const auto recv_timeout = parsed->GetInt("recv-timeout-ms", 2000);
-  const auto miss_limit = parsed->GetInt("heartbeat-miss-limit", 3);
+  // A zero-step batch is never answered.
+  const auto batch_steps = parsed->GetInt("batch-steps", 4, 1, INT64_MAX);
+  const auto reconnects = parsed->GetInt("reconnects", 8, 0, INT_MAX);
+  const auto recv_timeout =
+      parsed->GetInt("recv-timeout-ms", 2000, 0, INT64_MAX);
+  const auto miss_limit =
+      parsed->GetInt("heartbeat-miss-limit", 3, 0, INT_MAX);
   const auto progress = parsed->GetBool("progress", false);
   const auto json = parsed->GetBool("json", false);
   for (const Status& s :

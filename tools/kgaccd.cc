@@ -25,7 +25,9 @@
 //   kgaccd --kg demo=facts.tsv --store-dir s --failpoints net.accept=once
 //   kgaccd --kg demo=facts.tsv --store-dir s --failpoints audit.kill=every:7
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -153,15 +155,19 @@ int RunMain(int argc, char** argv) {
     return 2;
   }
 
-  const auto port = parsed->GetInt("port", 0);
-  const auto workers = parsed->GetInt("workers", 0);
-  const auto max_sessions = parsed->GetInt("max-sessions", 64);
-  const auto max_inflight = parsed->GetInt("max-inflight", 4);
-  const auto max_connections = parsed->GetInt("max-connections", 64);
-  const auto heartbeat_ms = parsed->GetInt("heartbeat-interval-ms", 5000);
-  const auto idle_ms = parsed->GetInt("idle-timeout-ms", 30000);
-  const auto default_max_steps = parsed->GetInt("default-max-steps", 0);
-  const auto checkpoint_every = parsed->GetInt("checkpoint-every", 1);
+  const auto port = parsed->GetInt("port", 0, 0, 65535);
+  const auto workers = parsed->GetInt("workers", 0, 0, INT_MAX);
+  const auto max_sessions = parsed->GetInt("max-sessions", 64, 0, INT64_MAX);
+  const auto max_inflight = parsed->GetInt("max-inflight", 4, 0, INT64_MAX);
+  const auto max_connections =
+      parsed->GetInt("max-connections", 64, 0, INT64_MAX);
+  const auto heartbeat_ms =
+      parsed->GetInt("heartbeat-interval-ms", 5000, 0, INT64_MAX);
+  const auto idle_ms = parsed->GetInt("idle-timeout-ms", 30000, 0, INT64_MAX);
+  const auto default_max_steps =
+      parsed->GetInt("default-max-steps", 0, 0, INT64_MAX);
+  const auto checkpoint_every =
+      parsed->GetInt("checkpoint-every", 1, 1, INT64_MAX);
   const auto compact_threshold = parsed->GetDouble("compact-threshold", 0.0);
   for (const Status& s :
        {port.status(), workers.status(), max_sessions.status(),
