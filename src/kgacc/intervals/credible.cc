@@ -64,6 +64,8 @@ Status ValidateAlpha(double alpha) {
 /// densities overflow the merit long before the endpoints degrade.
 /// One evaluation costs 2 CDF + 2 PDF calls (the Jacobian's density row is
 /// shared with the coverage gradient; the log-density slopes are rational).
+/// Each endpoint's log x and log1p(-x) are taken once and feed its CDF, its
+/// density and the log-density gap: 8 libm calls per evaluation, not 18.
 bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
                   const Interval& start, HpdResult* out) {
   const double a = posterior.a();
@@ -76,11 +78,14 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
                           double l, double u, double* r, double* jac) {
     out->cdf_evals += 2;
     out->pdf_evals += 2;
-    r[0] = posterior.Cdf(u) - posterior.Cdf(l) - (1.0 - alpha);
-    r[1] = (a - 1.0) * (std::log(l) - std::log(u)) +
-           (b - 1.0) * (std::log1p(-l) - std::log1p(-u));
-    jac[0] = -posterior.Pdf(l);
-    jac[1] = posterior.Pdf(u);
+    // The solver keeps both endpoints inside the box, so (0, 1) holds.
+    const BetaPoint pl(l);
+    const BetaPoint pu(u);
+    r[0] = posterior.Cdf(pu) - posterior.Cdf(pl) - (1.0 - alpha);
+    r[1] = (a - 1.0) * (pl.log_x - pu.log_x) +
+           (b - 1.0) * (pl.log1m_x - pu.log1m_x);
+    jac[0] = -posterior.Pdf(pl);
+    jac[1] = posterior.Pdf(pu);
     jac[2] = (a - 1.0) / l - (b - 1.0) / (1.0 - l);
     jac[3] = -((a - 1.0) / u - (b - 1.0) / (1.0 - u));
   };

@@ -7,6 +7,18 @@
 
 namespace kgacc {
 
+namespace {
+
+/// f = exp(log f), with the +-inf edge values of `LogPdf` mapped to inf / 0.
+double DensityFromLog(double lp) {
+  if (std::isinf(lp)) {
+    return lp > 0 ? std::numeric_limits<double>::infinity() : 0.0;
+  }
+  return std::exp(lp);
+}
+
+}  // namespace
+
 Result<BetaDistribution> BetaDistribution::Create(double a, double b) {
   if (!(a > 0.0) || !(b > 0.0) || !std::isfinite(a) || !std::isfinite(b)) {
     return Status::InvalidArgument(
@@ -41,25 +53,35 @@ double BetaDistribution::LogPdf(double x) const {
     if (b_ == 1.0) return -log_beta_;
     return std::numeric_limits<double>::infinity();
   }
-  return (a_ - 1.0) * std::log(x) + (b_ - 1.0) * std::log1p(-x) - log_beta_;
+  return LogPdf(BetaPoint(x));
+}
+
+double BetaDistribution::LogPdf(const BetaPoint& point) const {
+  return (a_ - 1.0) * point.log_x + (b_ - 1.0) * point.log1m_x - log_beta_;
 }
 
 double BetaDistribution::Pdf(double x) const {
-  const double lp = LogPdf(x);
-  if (std::isinf(lp)) {
-    return lp > 0 ? std::numeric_limits<double>::infinity() : 0.0;
-  }
-  return std::exp(lp);
+  return DensityFromLog(LogPdf(x));
+}
+
+double BetaDistribution::Pdf(const BetaPoint& point) const {
+  return DensityFromLog(LogPdf(point));
 }
 
 double BetaDistribution::Cdf(double x) const {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  // Parameters were validated at construction, so this cannot fail; the
-  // cached log B(a, b) spares the three lgamma calls per evaluation that
-  // dominate a cold call (the HPD solvers evaluate this CDF hundreds of
-  // times per interval at fixed (a, b)).
-  return RegularizedIncompleteBeta(x, a_, b_, log_beta_).value();
+  return Cdf(BetaPoint(x));
+}
+
+double BetaDistribution::Cdf(const BetaPoint& point) const {
+  // Parameters were validated at construction and the point lies inside
+  // the support, so the shared kernel body runs without re-validating. The
+  // cached log B(a, b), log a and log b spare three lgamma calls and a log
+  // per evaluation (the HPD solvers evaluate this CDF many times per
+  // interval at fixed (a, b)).
+  return internal::RegularizedIncompleteBetaFromLogs(
+      point.x, a_, b_, log_beta_, point.log_x, point.log1m_x, log_a_, log_b_);
 }
 
 Result<double> BetaDistribution::Quantile(double p) const {

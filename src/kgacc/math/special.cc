@@ -72,6 +72,32 @@ double BetaContinuedFraction(double x, double a, double b) {
   return h;
 }
 
+double RegularizedIncompleteBetaFromLogs(double x, double a, double b,
+                                         double log_beta, double log_x,
+                                         double log1m_x, double log_a,
+                                         double log_b) {
+  ++t_kernel_stats.calls;
+  if (x == 0.0) return 0.0;
+  if (x == 1.0) return 1.0;
+
+  // Symmetry: above the split the mirrored fraction I_{1-x}(b, a) converges
+  // faster, and I_x(a, b) = 1 - I_{1-x}(b, a).
+  const bool mirror = !(x < (a + 1.0) / (a + b + 2.0));
+  // Front factor x^a (1-x)^b / (a B(a,b)), evaluated in log space. The
+  // mirrored one uses (b, a) at 1-x, which differs from the direct one only
+  // through the 1/a vs 1/b term (LogBeta is symmetric).
+  const double log_front =
+      a * log_x + b * log1m_x - (mirror ? log_b : log_a) - log_beta;
+  const double tail =
+      std::exp(log_front) * (mirror ? BetaContinuedFraction(1.0 - x, b, a)
+                                    : BetaContinuedFraction(x, a, b));
+  double result = mirror ? 1.0 - tail : tail;
+  // Clamp tiny negative / >1 excursions from the final subtraction.
+  if (result < 0.0) result = 0.0;
+  if (result > 1.0) result = 1.0;
+  return result;
+}
+
 }  // namespace internal
 
 Result<double> RegularizedIncompleteBeta(double x, double a, double b) {
@@ -89,29 +115,9 @@ Result<double> RegularizedIncompleteBeta(double x, double a, double b,
   if (!(x >= 0.0) || !(x <= 1.0)) {
     return Status::OutOfRange("incomplete beta argument x must be in [0,1]");
   }
-  ++t_kernel_stats.calls;
-  if (x == 0.0) return 0.0;
-  if (x == 1.0) return 1.0;
-
-  double result;
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    // Front factor x^a (1-x)^b / (a B(a,b)), evaluated in log space.
-    const double log_front =
-        a * std::log(x) + b * std::log1p(-x) - std::log(a) - log_beta;
-    result = std::exp(log_front) * internal::BetaContinuedFraction(x, a, b);
-  } else {
-    // Symmetry: the mirrored fraction converges faster here. The mirrored
-    // front factor uses (b, a) at 1-x, which differs from the direct one
-    // only through the 1/a vs 1/b term (LogBeta is symmetric).
-    const double log_front_mirror = b * std::log1p(-x) + a * std::log(x) -
-                                    std::log(b) - log_beta;
-    result = 1.0 - std::exp(log_front_mirror) *
-                       internal::BetaContinuedFraction(1.0 - x, b, a);
-  }
-  // Clamp tiny negative / >1 excursions from the final subtraction.
-  if (result < 0.0) result = 0.0;
-  if (result > 1.0) result = 1.0;
-  return result;
+  return internal::RegularizedIncompleteBetaFromLogs(
+      x, a, b, log_beta, std::log(x), std::log1p(-x), std::log(a),
+      std::log(b));
 }
 
 Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b) {
@@ -141,13 +147,15 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
     return 1.0 - y;
   }
 
+  const double log_a = std::log(a);
+  const double log_b = std::log(b);
+
   // Initial guess. Near the lower tail the leading term of the series gives
   // I_x(a, b) ~ x^a / (a B(a, b)), inverted in closed form; otherwise start
   // from the mean with a crude probit nudge.
   double x;
   {
-    const double x_tail =
-        std::exp((std::log(p) + std::log(a) + log_beta) / a);
+    const double x_tail = std::exp((std::log(p) + log_a + log_beta) / a);
     const double mean = a / (a + b);
     if (x_tail < 0.5 * mean) {
       x = x_tail;
@@ -159,6 +167,11 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
       if (!(x > 1e-12) || !(x < 1.0 - 1e-12)) x = mean;
     }
   }
+  // Only an infinite shape makes a NaN guess; later iterates stay in the
+  // bracket [0, 1].
+  if (!(x >= 0.0) || !(x <= 1.0)) {
+    return Status::OutOfRange("incomplete beta argument x must be in [0,1]");
+  }
 
   // Safeguarded Newton with a maintained bracket. Bisection between the
   // bracket ends is geometric (sqrt of the product) while the lower end is
@@ -166,8 +179,11 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
   double lo = 0.0, hi = 1.0;
   double err = 0.0;
   for (int iter = 0; iter < 300; ++iter) {
-    KGACC_ASSIGN_OR_RETURN(const double cdf,
-                           RegularizedIncompleteBeta(x, a, b, log_beta));
+    // One log x and one log1p(-x) per iterate feed the CDF and the density.
+    const double log_x = std::log(x);
+    const double log1m_x = std::log1p(-x);
+    const double cdf = internal::RegularizedIncompleteBetaFromLogs(
+        x, a, b, log_beta, log_x, log1m_x, log_a, log_b);
     err = cdf - p;
     if (err > 0.0) {
       hi = x;
@@ -182,7 +198,7 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
     bool have_newton = false;
     if (x > 0.0 && x < 1.0) {
       const double log_pdf =
-          (a - 1.0) * std::log(x) + (b - 1.0) * std::log1p(-x) - log_beta;
+          (a - 1.0) * log_x + (b - 1.0) * log1m_x - log_beta;
       const double pdf = std::exp(log_pdf);
       if (pdf > kTiny && std::isfinite(pdf)) {
         next = x - err / pdf;

@@ -1,6 +1,8 @@
 #include "kgacc/intervals/credible.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -46,6 +48,101 @@ void ExpectHpdCertificate(const BetaDistribution& d, double alpha,
               1e-9 + UlpLogDensitySlack(d, l) + UlpLogDensitySlack(d, u));
   }
 }
+
+/// Bitwise equality, printed as hex floats on failure.
+void ExpectSameBits(const Interval& got, const Interval& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.lower),
+            std::bit_cast<uint64_t>(want.lower))
+      << std::hexfloat << got.lower << " vs " << want.lower;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.upper),
+            std::bit_cast<uint64_t>(want.upper))
+      << std::hexfloat << got.upper << " vs " << want.upper;
+}
+
+/// HPD, warm-started HPD, 1-D-root HPD and ET endpoints pinned to the last
+/// bit. The warm start is the ET interval of Beta(a + 1, b), the posterior
+/// one more correct label away. A reordered expression anywhere on these
+/// paths (incomplete-beta kernel, Newton system, quantile iteration, 1-D
+/// fallback) moves one of them, where the 1e-9 tolerances elsewhere would
+/// let it through. The last three rows are near-limiting (Newton falls back
+/// to the 1-D root) and symmetric (Thm. 3: HPD == ET).
+struct GoldenPosterior {
+  double a;
+  double b;
+  double alpha;
+  Interval cold;
+  Interval warm;
+  Interval root;
+  Interval et;
+};
+
+const GoldenPosterior kGoldenPosteriors[] = {
+    {2.5, 1.7, 0.05,
+     {0x1.9c5e3a2d21654p-3, 0x1.f201fbc991b35p-1},
+     {0x1.9c5e3a2d2586ap-3, 0x1.f201fbc992074p-1},
+     {0x1.9c5e3a2d2164cp-3, 0x1.f201fbc991b36p-1},
+     {0x1.4c60e46f951abp-3, 0x1.e46c2a1515d9ep-1}},
+    {10.0, 4.0, 0.05,
+     {0x1.f1d8fdb6d8512p-2, 0x1.d9dda419d3d76p-1},
+     {0x1.f1d8fdb6d588p-2, 0x1.d9dda419d4652p-1},
+     {0x1.f1d8fdb6d5882p-2, 0x1.d9dda419d4652p-1},
+     {0x1.d8f40bb82cb3bp-2, 0x1.d172e1cd8bfeep-1}},
+    {28.0, 4.0, 0.05,
+     {0x1.85e485d0396adp-1, 0x1.f2aa816da5a66p-1},
+     {0x1.85e485d0396aep-1, 0x1.f2aa816da5a66p-1},
+     {0x1.85e485d0396adp-1, 0x1.f2aa816da5a66p-1},
+     {0x1.7c23d6f7f67fep-1, 0x1.ed69de5a04881p-1}},
+    {7.0, 3.0, 0.1,
+     {0x1.f07b5fb0791b9p-2, 0x1.da25f92519d61p-1},
+     {0x1.f07b5fb0771b7p-2, 0x1.da25f9251a603p-1},
+     {0x1.f07b5fb0771b8p-2, 0x1.da25f9251a604p-1},
+     {0x1.cd2abd4b66014p-2, 0x1.cdf42131faee1p-1}},
+    {170.5, 30.5, 0.05,
+     {0x1.98a6c03877ffbp-1, 0x1.caf6c7047dcf4p-1},
+     {0x1.98a6c03877ffbp-1, 0x1.caf6c7047dcf4p-1},
+     {0x1.98a6c03877ff9p-1, 0x1.caf6c7047dcf5p-1},
+     {0x1.975dcec229066p-1, 0x1.c9e4afa4a1e81p-1}},
+    {1.5, 40.0, 0.05,
+     {0x1.8fb5f92464486p-15, 0x1.7b1919900f246p-4},
+     {0x1.8fb5f92464344p-15, 0x1.7b1919900f14fp-4},
+     {0x1.8fb5f92464476p-15, 0x1.7b1919900f248p-4},
+     {0x1.5ee7798661316p-9, 0x1.c11fb82e0c4ap-4}},
+    {40.0, 1.5, 0.01,
+     {0x1.bcb0b7df7fbe1p-1, 0x1.ffffb5db43bc1p-1},
+     {0x1.bcb0b7df7fb9cp-1, 0x1.ffffb5db43bc1p-1},
+     {0x1.bcb0b7df7fb99p-1, 0x1.ffffb5db43bc1p-1},
+     {0x1.b4843811f570ap-1, 0x1.ff8b44e4c7a48p-1}},
+    {950.5, 49.5, 0.05,
+     {0x1.dfaf12eddff57p-1, 0x1.ed5df3ac9ad1fp-1},
+     {0x1.dfaf12eddff57p-1, 0x1.ed5df3ac9ad2p-1},
+     {0x1.dfaf12eddff57p-1, 0x1.ed5df3ac9ad2p-1},
+     {0x1.df59fe507e1ep-1, 0x1.ed166fa6af803p-1}},
+    {4000.5, 12.5, 0.01,
+     {0x1.fd1c52bdcb86cp-1, 0x1.ff63604524923p-1},
+     {0x1.fd1c52bdcb86cp-1, 0x1.ff63604524922p-1},
+     {0x1.fd1c52bdcb86ep-1, 0x1.ff63604524922p-1},
+     {0x1.fd02936483d8fp-1, 0x1.ff540718d731ep-1}},
+    {25.5, 8.5, 0.1,
+     {0x1.43ef2b00b728bp-1, 0x1.bdace968e12f4p-1},
+     {0x1.43ef2b00b728ap-1, 0x1.bdace968e12f5p-1},
+     {0x1.43ef2b00b728bp-1, 0x1.bdace968e12f4p-1},
+     {0x1.3e334bfdf7773p-1, 0x1.b9208576925b3p-1}},
+    {1.02, 60.0, 0.05,
+     {0x0p+0, 0x1.93ec781e91a6p-5},
+     {0x0p+0, 0x1.93ec781e91a6p-5},
+     {0x0p+0, 0x1.93ec781e91a6p-5},
+     {0x1.dfee2cb2d37acp-12, 0x1.edc9aedef204p-5}},
+    {60.0, 1.01, 0.05,
+     {0x1.e6e8bf504cf43p-1, 0x1p+0},
+     {0x1.e6e8bf504cf43p-1, 0x1p+0},
+     {0x1.e6e8bf504cf43p-1, 0x1p+0},
+     {0x1.e14dbd539bd49p-1, 0x1.ffc6621b35dddp-1}},
+    {3.2, 3.2, 0.05,
+     {0x1.3da544aedc191p-3, 0x1.b096aed448f9bp-1},
+     {0x1.3da544aedc194p-3, 0x1.b096aed448f9cp-1},
+     {0x1.3da544aedc193p-3, 0x1.b096aed448f9bp-1},
+     {0x1.3da544aedc191p-3, 0x1.b096aed448f9bp-1}},
+};
 
 TEST(EqualTailedTest, QuantileDefinition) {
   const auto d = MakeBeta(9.0, 3.0);
@@ -187,6 +284,22 @@ TEST(HpdTest, ColdStartReachesSameSolution) {
   const auto c = *HpdInterval(d, 0.05, &cold);
   EXPECT_NEAR(w.interval.lower, c.interval.lower, 1e-5);
   EXPECT_NEAR(w.interval.upper, c.interval.upper, 1e-5);
+}
+
+TEST(HpdTest, GoldenEndpointsMatchPinnedBits) {
+  for (const GoldenPosterior& g : kGoldenPosteriors) {
+    SCOPED_TRACE(::testing::Message() << "a=" << g.a << " b=" << g.b
+                                      << " alpha=" << g.alpha);
+    const auto d = MakeBeta(g.a, g.b);
+    const Interval start =
+        *EqualTailedInterval(MakeBeta(g.a + 1.0, g.b), g.alpha);
+    const Interval cold = HpdInterval(d, g.alpha)->interval;
+    ExpectSameBits(cold, g.cold);
+    ExpectSameBits(HpdInterval(d, g.alpha, &start)->interval, g.warm);
+    ExpectSameBits(HpdIntervalByRoot(d, g.alpha)->interval, g.root);
+    ExpectSameBits(*EqualTailedInterval(d, g.alpha), g.et);
+    ExpectHpdCertificate(d, g.alpha, cold);
+  }
 }
 
 TEST(HpdTest, RejectsBadAlpha) {

@@ -1,6 +1,8 @@
 #include "kgacc/intervals/frequentist.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "kgacc/math/binomial.h"
 
@@ -115,14 +117,55 @@ TEST(AgrestiCoullIntervalTest, ContainsWilsonInterval) {
   }
 }
 
+/// Clopper-Pearson endpoints pinned to the last bit: any change to the
+/// quantile iteration or the incomplete-beta kernel that moves one is a
+/// behaviour change, however far inside the tail tolerances below.
+struct ClopperPearsonGolden {
+  uint64_t tau;
+  uint64_t n;
+  double alpha;
+  Interval ci;
+};
+
+const ClopperPearsonGolden kClopperPearsonGolden[] = {
+    {31, 40, 0.05, {0x1.3b2149121a77bp-1, 0x1.c8803c59225ap-1}},
+    {0, 20, 0.05, {0x0p+0, 0x1.58f3a5cb64974p-3}},
+    {20, 20, 0.05, {0x1.a9c3168d26da3p-1, 0x1p+0}},
+    {1, 3, 0.05, {0x1.135fd64da2387p-7, 0x1.cfb7ffbe56accp-1}},
+    {7, 10, 0.01, {0x1.0f3e4789702d4p-2, 0x1.ed0d63b75a08p-1}},
+    {95, 100, 0.05, {0x1.c63a80a5e8f14p-1, 0x1.f7963da09a3f3p-1}},
+    {480, 500, 0.05, {0x1.e0b728a5f4573p-1, 0x1.f36774f24ecb2p-1}},
+    {12, 345, 0.1, {0x1.4acc617813493p-6, 0x1.c8adc579055dp-5}},
+    {199, 200, 0.01, {0x1.ed481f23fba8cp-1, 0x1.fffcb70baa71ap-1}},
+    {50, 100, 0.05, {0x1.97e17e8216fe6p-2, 0x1.340f40bef480dp-1}},
+    {2990, 3000, 0.05, {0x1.fcdda2f0fb3a2p-1, 0x1.ff2e56d956404p-1}},
+    {3, 1000, 0.05, {0x1.44962facd533cp-11, 0x1.1e7567f47f5p-7}},
+};
+
+TEST(ClopperPearsonIntervalTest, GoldenEndpointsMatchPinnedBits) {
+  for (const ClopperPearsonGolden& g : kClopperPearsonGolden) {
+    const auto ci = *ClopperPearsonInterval(g.tau, g.n, g.alpha);
+    EXPECT_EQ(std::bit_cast<uint64_t>(ci.lower),
+              std::bit_cast<uint64_t>(g.ci.lower))
+        << g.tau << "/" << g.n << ": " << std::hexfloat << ci.lower;
+    EXPECT_EQ(std::bit_cast<uint64_t>(ci.upper),
+              std::bit_cast<uint64_t>(g.ci.upper))
+        << g.tau << "/" << g.n << ": " << std::hexfloat << ci.upper;
+  }
+}
+
 TEST(ClopperPearsonIntervalTest, ExactTailCoverageConditions) {
   // By construction P(Bin(n, upper) <= tau) = alpha/2 and
-  // P(Bin(n, lower) >= tau) = alpha/2.
-  const uint64_t n = 40, tau = 31;
-  const double alpha = 0.05;
-  const auto ci = *ClopperPearsonInterval(tau, n, alpha);
-  EXPECT_NEAR(*BinomialCdf(tau, n, ci.upper), alpha / 2.0, 1e-9);
-  EXPECT_NEAR(1.0 - *BinomialCdf(tau - 1, n, ci.lower), alpha / 2.0, 1e-9);
+  // P(Bin(n, lower) >= tau) = alpha/2, for every interior count.
+  for (const ClopperPearsonGolden& g : kClopperPearsonGolden) {
+    if (g.tau == 0 || g.tau == g.n) continue;
+    const auto ci = *ClopperPearsonInterval(g.tau, g.n, g.alpha);
+    EXPECT_NEAR(*BinomialCdf(g.tau, g.n, ci.upper), g.alpha / 2.0, 1e-9)
+        << g.tau << "/" << g.n;
+    EXPECT_NEAR(1.0 - *BinomialCdf(g.tau - 1, g.n, ci.lower), g.alpha / 2.0,
+                1e-9)
+        << g.tau << "/" << g.n;
+  }
 }
 
 TEST(ClopperPearsonIntervalTest, EdgeCounts) {

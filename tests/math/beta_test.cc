@@ -1,8 +1,12 @@
 #include "kgacc/math/beta.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
+
+#include "kgacc/math/special.h"
 
 namespace kgacc {
 namespace {
@@ -106,6 +110,44 @@ TEST(BetaDistributionTest, CdfIsDerivativeConsistentWithPdf) {
   for (double x = 0.1; x < 1.0; x += 0.1) {
     const double numeric = (d.Cdf(x + h) - d.Cdf(x - h)) / (2.0 * h);
     EXPECT_NEAR(numeric, d.Pdf(x), 1e-5) << x;
+  }
+}
+
+TEST(BetaDistributionTest, SharedLogPointMatchesPlainOverloadsBitForBit) {
+  const double shapes[][2] = {{0.5, 0.5},   {0.7, 3.0},       {2.0, 2.0},
+                              {28.0, 4.0},  {170.5, 30.5},    {4000.5, 12.5},
+                              {1.02, 60.0}, {5000.0, 5000.0}};
+  const double xs[] = {1e-300, 1e-12, 1e-3, 0.25, 0.5, 0.75, 0.999,
+                       1.0 - 1e-12, std::nextafter(1.0, 0.0)};
+  for (const auto& [a, b] : shapes) {
+    const auto d = *BetaDistribution::Create(a, b);
+    const double log_beta = LogBeta(a, b);
+    for (const double x : xs) {
+      SCOPED_TRACE(::testing::Message() << "a=" << a << " b=" << b
+                                        << " x=" << x);
+      const BetaPoint point(x);
+      EXPECT_EQ(std::bit_cast<uint64_t>(point.log_x),
+                std::bit_cast<uint64_t>(std::log(x)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(point.log1m_x),
+                std::bit_cast<uint64_t>(std::log1p(-x)));
+
+      ResetThreadBetaKernelStats();
+      const double cdf = d.Cdf(point);
+      EXPECT_EQ(ThreadBetaKernelStatsSnapshot().calls, 1u);
+      EXPECT_EQ(std::bit_cast<uint64_t>(cdf), std::bit_cast<uint64_t>(d.Cdf(x)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(cdf),
+                std::bit_cast<uint64_t>(*RegularizedIncompleteBeta(x, a, b)));
+
+      const double log_pdf = d.LogPdf(point);
+      EXPECT_EQ(std::bit_cast<uint64_t>(log_pdf),
+                std::bit_cast<uint64_t>(d.LogPdf(x)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(log_pdf),
+                std::bit_cast<uint64_t>((a - 1.0) * std::log(x) +
+                                        (b - 1.0) * std::log1p(-x) -
+                                        log_beta));
+      EXPECT_EQ(std::bit_cast<uint64_t>(d.Pdf(point)),
+                std::bit_cast<uint64_t>(d.Pdf(x)));
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 #include "kgacc/math/special.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -163,6 +167,73 @@ TEST(BetaKernelStatsTest, CountsCallsAndIterationsPerThread) {
   EXPECT_EQ(ThreadBetaKernelStatsSnapshot().cf_iterations, 0u);
 }
 
+/// I_x(a, b) with each branch written out on its own: the direct front
+/// factor in (a, x) order and the mirrored one in (b, 1-x) order. The shared
+/// body evaluates both through one expression and must not move a bit.
+double TwoBranchIncompleteBeta(double x, double a, double b, double log_beta) {
+  if (x == 0.0) return 0.0;
+  if (x == 1.0) return 1.0;
+  double result;
+  if (x < (a + 1.0) / (a + b + 2.0)) {
+    result = std::exp(a * std::log(x) + b * std::log1p(-x) - std::log(a) -
+                      log_beta) *
+             internal::BetaContinuedFraction(x, a, b);
+  } else {
+    result = 1.0 - std::exp(b * std::log1p(-x) + a * std::log(x) -
+                            std::log(b) - log_beta) *
+                       internal::BetaContinuedFraction(1.0 - x, b, a);
+  }
+  return std::clamp(result, 0.0, 1.0);
+}
+
+TEST(IncompleteBetaSharedBodyTest, MatchesEveryOverloadBitForBit) {
+  const double shapes[] = {0.5, 0.8, 1.0, 1.7, 4.0, 12.5, 60.0, 333.0, 1500.0,
+                           5000.0};
+  const double xs[] = {0.0,         1e-300,     1e-12, 1e-6,       0.01,
+                       0.2,         0.5,        0.8,   0.99,       1.0 - 1e-6,
+                       1.0 - 1e-12, std::nextafter(1.0, 0.0),      1.0};
+  int direct = 0;
+  int mirrored = 0;
+  for (const double a : shapes) {
+    for (const double b : shapes) {
+      const double log_beta = LogBeta(a, b);
+      for (const double x : xs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "a=" << a << " b=" << b << " x=" << x);
+        ResetThreadBetaKernelStats();
+        const double body = internal::RegularizedIncompleteBetaFromLogs(
+            x, a, b, log_beta, std::log(x), std::log1p(-x), std::log(a),
+            std::log(b));
+        const BetaKernelStats body_stats = ThreadBetaKernelStatsSnapshot();
+        ResetThreadBetaKernelStats();
+        const double with_log_beta = *RegularizedIncompleteBeta(x, a, b,
+                                                                log_beta);
+        const BetaKernelStats overload_stats = ThreadBetaKernelStatsSnapshot();
+        const double plain = *RegularizedIncompleteBeta(x, a, b);
+        const double two_branch = TwoBranchIncompleteBeta(x, a, b, log_beta);
+
+        EXPECT_EQ(std::bit_cast<uint64_t>(body),
+                  std::bit_cast<uint64_t>(with_log_beta));
+        EXPECT_EQ(std::bit_cast<uint64_t>(body),
+                  std::bit_cast<uint64_t>(plain));
+        EXPECT_EQ(std::bit_cast<uint64_t>(body),
+                  std::bit_cast<uint64_t>(two_branch));
+        // One kernel call each, the same continued-fraction work.
+        EXPECT_EQ(body_stats.calls, 1u);
+        EXPECT_EQ(overload_stats.calls, 1u);
+        EXPECT_EQ(body_stats.cf_iterations, overload_stats.cf_iterations);
+        if (x > 0.0 && x < 1.0) {
+          EXPECT_GE(body_stats.cf_iterations, 1u);
+          ++(x < (a + 1.0) / (a + b + 2.0) ? direct : mirrored);
+        }
+      }
+    }
+  }
+  // Both continued-fraction branches were exercised, many times over.
+  EXPECT_GT(direct, 100);
+  EXPECT_GT(mirrored, 100);
+}
+
 TEST(InverseIncompleteBetaTest, EndpointValues) {
   EXPECT_DOUBLE_EQ(*InverseRegularizedIncompleteBeta(0.0, 2.0, 3.0), 0.0);
   EXPECT_DOUBLE_EQ(*InverseRegularizedIncompleteBeta(1.0, 2.0, 3.0), 1.0);
@@ -184,6 +255,11 @@ TEST(InverseIncompleteBetaTest, RejectsInvalidArguments) {
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(0.5, -1.0, 2.0).ok());
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(-0.01, 1.0, 2.0).ok());
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(1.01, 1.0, 2.0).ok());
+  // An infinite shape passes the positivity check but leaves no finite
+  // starting point for the iteration.
+  EXPECT_FALSE(InverseRegularizedIncompleteBeta(
+                   0.3, std::numeric_limits<double>::infinity(), 2.0)
+                   .ok());
 }
 
 /// Property sweep: quantile/CDF round trips across a parameter grid,

@@ -234,7 +234,15 @@ int RunMain(int argc, char** argv) {
     for (const BetaPrior& p : *extra) config.priors.push_back(p);
   }
 
+  // Plan and audit alike reject an unknown design or a bad TWCS m here.
   const std::string design = parsed->GetString("design", "srs");
+  auto built = MakeSamplerForDesign(*kg, design, static_cast<uint64_t>(*m),
+                                    /*srs_without_replacement=*/*fpc);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+    return 2;
+  }
+  const std::unique_ptr<Sampler> sampler = std::move(built).value();
 
   if (parsed->GetBool("plan", false).value_or(false)) {
     // Forecast mode: no annotations spent. Entity sharing depends on the
@@ -275,14 +283,6 @@ int RunMain(int argc, char** argv) {
     }
     return 0;
   }
-
-  auto built = MakeSamplerForDesign(*kg, design, static_cast<uint64_t>(*m),
-                                    /*srs_without_replacement=*/*fpc);
-  if (!built.ok()) {
-    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-    return 2;
-  }
-  const std::unique_ptr<Sampler> sampler = std::move(built).value();
 
   std::unique_ptr<Annotator> annotator;
   const std::string annotator_name = parsed->GetString("annotator", "oracle");
