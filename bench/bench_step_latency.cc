@@ -129,7 +129,6 @@ int main() {
   config.method = IntervalMethod::kAhpd;
   config.moe_threshold = 1e-9;
   config.max_triples = checkpoints.back() + 20000;
-  config.retain_unit_history = false;  // The O(batch) step needs no replay.
 
   std::printf("EvaluationSession::Step() latency vs accumulated sample size "
               "(aHPD, %d-step windows)\n", window);
@@ -154,7 +153,7 @@ int main() {
     for (const uint64_t target : checkpoints) {
       // Advance (unmeasured) until the sample reaches the checkpoint.
       while (!session.done() &&
-             session.sample().num_triples() < target) {
+             session.accumulator().num_triples() < target) {
         const auto outcome = session.Step();
         if (!outcome.ok()) {
           std::fprintf(stderr, "[%s] step failed: %s\n", design.name,
@@ -166,7 +165,7 @@ int main() {
       // Measure a window of steps at this sample size.
       Checkpoint cp;
       cp.target_n = target;
-      cp.measured_at_n = session.sample().num_triples();
+      cp.measured_at_n = session.accumulator().num_triples();
       std::vector<double> step_us;
       step_us.reserve(window);
       ResetThreadHpdStats();

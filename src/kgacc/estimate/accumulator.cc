@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kgacc/util/check.h"
+
 namespace kgacc {
 
 void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
+  KGACC_DCHECK(unit.correct <= unit.drawn);
   n_ += unit.drawn;
   tau_ += unit.correct;
   ++units_;
@@ -43,14 +46,6 @@ void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
       break;
     }
   }
-}
-
-void EstimatorAccumulator::Reset() {
-  n_ = tau_ = units_ = 0;
-  sum_mu_ = welford_mean_ = welford_m2_ = 0.0;
-  sum_tau_ = sum_m_ = sum_tau2_ = sum_taum_ = sum_m2_ = 0;
-  n_h_.clear();
-  tau_h_.clear();
 }
 
 Result<AccuracyEstimate> EstimatorAccumulator::Estimate(

@@ -1,7 +1,7 @@
 #ifndef KGACC_ESTIMATE_DESIGN_EFFECT_H_
 #define KGACC_ESTIMATE_DESIGN_EFFECT_H_
 
-#include "kgacc/estimate/estimators.h"
+#include "kgacc/estimate/accumulator.h"
 
 /// \file design_effect.h
 /// Kish design-effect machinery (Kish 1965/1995), applied exactly as in

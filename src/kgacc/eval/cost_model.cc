@@ -12,9 +12,4 @@ double AnnotationCostSeconds(const CostModel& model,
              static_cast<double>(model.annotators_per_triple);
 }
 
-double AnnotationCostHours(const CostModel& model,
-                           const AnnotatedSample& sample) {
-  return AnnotationCostSeconds(model, sample) / 3600.0;
-}
-
 }  // namespace kgacc

@@ -23,13 +23,10 @@ struct CostModel {
   int annotators_per_triple = 1;
 };
 
-/// Total manual effort for `sample` in seconds.
+/// Total manual effort for `sample` in seconds (divide by 3600 for the
+/// hours of Tables 3-4 and Fig. 4).
 double AnnotationCostSeconds(const CostModel& model,
                              const AnnotatedSample& sample);
-
-/// Total manual effort in hours (the unit of Tables 3-4 and Fig. 4).
-double AnnotationCostHours(const CostModel& model,
-                           const AnnotatedSample& sample);
 
 }  // namespace kgacc
 

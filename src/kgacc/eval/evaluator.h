@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "kgacc/estimate/accumulator.h"
 #include "kgacc/estimate/design_effect.h"
-#include "kgacc/estimate/estimators.h"
 #include "kgacc/eval/annotator.h"
 #include "kgacc/eval/cost_model.h"
 #include "kgacc/intervals/ahpd.h"
@@ -41,7 +41,9 @@ const char* IntervalMethodName(IntervalMethod method);
 /// ahpd|hpd|et|wilson|wald|cp.
 Result<IntervalMethod> ParseIntervalMethod(const std::string& name);
 
-/// Configuration of one evaluation run.
+/// Configuration of one evaluation run. Every field can change the result,
+/// so every field is part of the session fingerprint a checkpoint resumes
+/// under (`EvaluationSession::EncodeFingerprint`).
 struct EvaluationConfig {
   IntervalMethod method = IntervalMethod::kAhpd;
   /// Significance level alpha (paper default 0.05).
@@ -71,12 +73,6 @@ struct EvaluationConfig {
   DesignEffectOptions design_effect;
   /// When true, records (n, MoE) after every batch for plotting.
   bool record_trace = false;
-  /// Keep the per-unit history in the session's `AnnotatedSample`. The
-  /// streaming `EstimatorAccumulator` the session estimates from never
-  /// replays units, so long-running audits can opt out and hold O(1)
-  /// sample memory; keep it on (default) when `session.sample().units()`
-  /// is inspected afterwards (the batch estimators, custom analyses).
-  bool retain_unit_history = true;
 };
 
 /// One point of the convergence trace.

@@ -42,7 +42,6 @@ EvaluationSession::EvaluationSession(Sampler& sampler, Annotator& annotator,
     batch_ = &own_batch_;
   }
   cost_model_.annotators_per_triple = annotator_.JudgmentsPerTriple();
-  sample_->set_retain_units(config_.retain_unit_history);
   if (init_status_.ok()) sampler_.Reset();
 }
 
@@ -50,7 +49,7 @@ StepOutcome EvaluationSession::Snapshot() const {
   StepOutcome outcome;
   outcome.done = done_;
   outcome.stop_reason = result_.stop_reason;
-  outcome.annotated_triples = sample_->num_triples();
+  outcome.annotated_triples = accumulator_.num_triples();
   outcome.mu = result_.mu;
   outcome.moe = moe_;
   return outcome;
@@ -72,8 +71,9 @@ Result<StepOutcome> EvaluationSession::Step() {
   }
   ++result_.iterations;
 
-  // Phase 2: annotate the batch and fold it into the running sample and the
-  // streaming estimator state (each unit is touched exactly once).
+  // Phase 2: annotate the batch, mark its triples in the distinct sets the
+  // cost model charges, and fold each unit into the streaming estimator
+  // state (each unit is touched exactly once).
   const KgView& kg = sampler_.kg();
   for (size_t u = 0; u < batch.size(); ++u) {
     const SampledUnit& unit = batch.unit(u);
@@ -88,14 +88,13 @@ Result<StepOutcome> EvaluationSession::Step() {
     }
     annotated.correct = annotator_.AnnotateUnit(kg, unit.cluster, offsets,
                                                 &rng_);
-    sample_->Add(annotated);
     accumulator_.Add(annotated);
   }
 
-  // Phase 3: estimate from the accumulator — O(batch) per step where the
-  // batch estimators re-walk the whole sample — and build the configured
-  // 1-alpha interval. The warm state carries each prior's previous HPD
-  // interval into the next solve, where it seeds the 2x2 Newton KKT path.
+  // Phase 3: estimate from the accumulator, at a cost that does not grow
+  // with the sample, and build the configured 1-alpha interval. The warm
+  // state carries each prior's previous HPD interval into the next solve,
+  // where it seeds the 2x2 Newton KKT path.
   Result<AccuracyEstimate> estimate_result =
       (sampler_.estimator() == EstimatorKind::kSrs &&
        config_.finite_population_correction)
@@ -114,12 +113,12 @@ Result<StepOutcome> EvaluationSession::Step() {
   }
 
   // Phase 4: quality control against the MoE budget and resource caps.
-  if (sample_->num_triples() >= config_.min_sample_triples &&
+  if (accumulator_.num_triples() >= config_.min_sample_triples &&
       moe_ <= config_.moe_threshold) {
     result_.converged = true;
     result_.stop_reason = StopReason::kConverged;
     done_ = true;
-  } else if (sample_->num_triples() >= config_.max_triples) {
+  } else if (accumulator_.num_triples() >= config_.max_triples) {
     result_.stop_reason = StopReason::kTripleCapReached;
     done_ = true;
   } else if (config_.max_cost_seconds > 0.0 &&
@@ -133,12 +132,12 @@ Result<StepOutcome> EvaluationSession::Step() {
 
 Result<EvaluationResult> EvaluationSession::Finish() {
   if (!init_status_.ok()) return init_status_;
-  if (sample_->empty()) {
+  if (accumulator_.num_units() == 0) {
     return Status::FailedPrecondition(
         "sampler produced no units; population may be empty");
   }
   EvaluationResult out = result_;
-  out.annotated_triples = sample_->num_triples();
+  out.annotated_triples = accumulator_.num_triples();
   out.distinct_triples = sample_->num_distinct_triples();
   out.distinct_entities = sample_->num_distinct_entities();
   out.cost_seconds = AnnotationCostSeconds(cost_model_, *sample_);

@@ -103,22 +103,20 @@ class EvaluationSession {
   /// the full `RunEvaluation` semantics.
   Result<EvaluationResult> Run();
 
-  /// The accumulated annotated sample (Algorithm 1's `sample` variable).
-  /// Its `units()` history is empty when the config opted out of
-  /// `retain_unit_history`; totals and distinct counts are always live.
+  /// The distinct entities and triples annotated so far (what the cost
+  /// model charges).
   const AnnotatedSample& sample() const { return *sample_; }
 
-  /// The streaming estimator state Step() estimates from — every batch is
-  /// folded in once, so phase 3 costs O(batch), not O(sample).
+  /// The streaming estimator state Step() estimates from, and the source
+  /// of the running totals (n_S, tau_S, units): every unit is folded in
+  /// once, so phase 3's cost does not grow with the sample and the
+  /// session holds no per-unit history.
   const EstimatorAccumulator& accumulator() const { return accumulator_; }
 
   /// The cross-step HPD warm carry threaded through `BuildInterval`: the
   /// per-prior previous intervals that seed the Newton KKT solver each
   /// step.
   const AhpdWarmState& interval_warm() const { return interval_warm_; }
-
-  /// The seed this session's stochastic path is derived from.
-  uint64_t seed() const { return seed_; }
 
   /// Batches drawn so far.
   int iterations() const { return result_.iterations; }
@@ -129,8 +127,7 @@ class EvaluationSession {
   /// deterministic function of this identity and its labels, which is what
   /// lets `CheckpointManager` resume by replaying steps: two sessions with
   /// equal fingerprints, fed the same labels, take the same path bit for
-  /// bit. `retain_unit_history` is left out; it changes memory, not
-  /// results.
+  /// bit.
   void EncodeFingerprint(ByteWriter* w) const;
 
  private:

@@ -54,14 +54,12 @@ Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
   }
   if (warm != nullptr) warm->Sync(priors.size());
   AhpdChoice choice;
-  choice.candidates.reserve(priors.size());
   for (size_t i = 0; i < priors.size(); ++i) {
     KGACC_ASSIGN_OR_RETURN(const BetaDistribution posterior,
                            priors[i].Posterior(tau, n));
     KGACC_ASSIGN_OR_RETURN(
         const HpdResult hpd,
         HpdIntervalWarm(posterior, alpha, warm ? &warm->priors[i] : nullptr));
-    choice.candidates.push_back(hpd.interval);
     if (i == 0 || hpd.interval.Width() < choice.interval.Width()) {
       choice.interval = hpd.interval;
       choice.prior_index = i;

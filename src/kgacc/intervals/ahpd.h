@@ -24,9 +24,6 @@ struct AhpdChoice {
   size_t prior_index = 0;
   /// Posterior shape branch taken for the winner.
   BetaShape shape = BetaShape::kUnimodal;
-  /// All competing intervals, parallel to the prior set (for diagnostics
-  /// and the prior-selection experiments of §6.2).
-  std::vector<Interval> candidates;
 };
 
 /// One prior's warm-start carry: the last unimodal HPD interval and the

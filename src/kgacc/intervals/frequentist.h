@@ -1,7 +1,7 @@
 #ifndef KGACC_INTERVALS_FREQUENTIST_H_
 #define KGACC_INTERVALS_FREQUENTIST_H_
 
-#include "kgacc/estimate/estimators.h"
+#include "kgacc/estimate/accumulator.h"
 #include "kgacc/intervals/interval.h"
 #include "kgacc/util/status.h"
 

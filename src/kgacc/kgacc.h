@@ -18,7 +18,6 @@
 
 #include "kgacc/estimate/accumulator.h"
 #include "kgacc/estimate/design_effect.h"
-#include "kgacc/estimate/estimators.h"
 #include "kgacc/eval/annotator.h"
 #include "kgacc/eval/cost_model.h"
 #include "kgacc/eval/evaluator.h"

@@ -100,18 +100,39 @@ double RegularizedIncompleteBetaFromLogs(double x, double a, double b,
 
 }  // namespace internal
 
-Result<double> RegularizedIncompleteBeta(double x, double a, double b) {
-  if (!(a > 0.0) || !(b > 0.0)) {
-    return Status::InvalidArgument("beta parameters must be positive");
+namespace {
+
+/// The shape check every public incomplete-beta entry point runs: a and b
+/// positive and finite with a finite sum (an infinite shape or an
+/// overflowing a + b reaches the front factor as inf - inf).
+Status ValidateShapes(double a, double b) {
+  if (!(a > 0.0) || !(b > 0.0) || !std::isfinite(a + b)) {
+    return Status::InvalidArgument(
+        "beta parameters must be positive and finite with a finite sum");
   }
+  return Status::OK();
+}
+
+/// `ValidateShapes` plus a finite log B(a, b), which the front factor and
+/// the quantile's Newton density both subtract.
+Status ValidateShapes(double a, double b, double log_beta) {
+  KGACC_RETURN_IF_ERROR(ValidateShapes(a, b));
+  if (!std::isfinite(log_beta)) {
+    return Status::InvalidArgument("log B(a, b) must be finite");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<double> RegularizedIncompleteBeta(double x, double a, double b) {
+  KGACC_RETURN_IF_ERROR(ValidateShapes(a, b));
   return RegularizedIncompleteBeta(x, a, b, LogBeta(a, b));
 }
 
 Result<double> RegularizedIncompleteBeta(double x, double a, double b,
                                          double log_beta) {
-  if (!(a > 0.0) || !(b > 0.0)) {
-    return Status::InvalidArgument("beta parameters must be positive");
-  }
+  KGACC_RETURN_IF_ERROR(ValidateShapes(a, b, log_beta));
   if (!(x >= 0.0) || !(x <= 1.0)) {
     return Status::OutOfRange("incomplete beta argument x must be in [0,1]");
   }
@@ -121,17 +142,13 @@ Result<double> RegularizedIncompleteBeta(double x, double a, double b,
 }
 
 Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b) {
-  if (!(a > 0.0) || !(b > 0.0)) {
-    return Status::InvalidArgument("beta parameters must be positive");
-  }
+  KGACC_RETURN_IF_ERROR(ValidateShapes(a, b));
   return InverseRegularizedIncompleteBeta(p, a, b, LogBeta(a, b));
 }
 
 Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
                                                 double log_beta) {
-  if (!(a > 0.0) || !(b > 0.0)) {
-    return Status::InvalidArgument("beta parameters must be positive");
-  }
+  KGACC_RETURN_IF_ERROR(ValidateShapes(a, b, log_beta));
   if (!(p >= 0.0) || !(p <= 1.0)) {
     return Status::OutOfRange("probability must be in [0,1]");
   }
@@ -167,12 +184,6 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
       if (!(x > 1e-12) || !(x < 1.0 - 1e-12)) x = mean;
     }
   }
-  // Only an infinite shape makes a NaN guess; later iterates stay in the
-  // bracket [0, 1].
-  if (!(x >= 0.0) || !(x <= 1.0)) {
-    return Status::OutOfRange("incomplete beta argument x must be in [0,1]");
-  }
-
   // Safeguarded Newton with a maintained bracket. Bisection between the
   // bracket ends is geometric (sqrt of the product) while the lower end is
   // far from the upper, so tiny quantiles are located in O(log log) steps.

@@ -21,7 +21,8 @@ double LogGamma(double x);
 double LogBeta(double a, double b);
 
 /// Regularized incomplete beta function I_x(a, b) = P(X <= x) for
-/// X ~ Beta(a, b). Requires a, b > 0 and x in [0, 1].
+/// X ~ Beta(a, b). Requires finite a, b > 0 with a finite sum
+/// (InvalidArgument otherwise) and x in [0, 1] (OutOfRange otherwise).
 ///
 /// Uses the continued-fraction expansion (modified Lentz algorithm) with the
 /// symmetry relation I_x(a,b) = 1 - I_{1-x}(b,a) to stay in the
@@ -42,7 +43,8 @@ Result<double> RegularizedIncompleteBeta(double x, double a, double b,
                                          double log_beta);
 
 /// Inverse of the regularized incomplete beta function: the unique x in
-/// [0, 1] with I_x(a, b) = p. Requires a, b > 0 and p in [0, 1].
+/// [0, 1] with I_x(a, b) = p. Requires finite a, b > 0 with a finite sum
+/// (InvalidArgument otherwise) and p in [0, 1] (OutOfRange otherwise).
 ///
 /// Newton iteration on the CDF with a maintained bisection bracket; falls
 /// back to pure bisection whenever a Newton step leaves the bracket. Each
@@ -52,6 +54,8 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b);
 
 /// Overload taking the precomputed `log_beta = LogBeta(a, b)`; every Newton
 /// iteration evaluates the CDF and the log-PDF, both of which reuse it.
+/// Both log-beta overloads reject a non-finite `log_beta` with
+/// InvalidArgument.
 Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
                                                 double log_beta);
 

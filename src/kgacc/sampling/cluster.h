@@ -86,7 +86,7 @@ class WcsSampler final : public Sampler {
 
 /// Uniform (unweighted) cluster sampler annotating whole clusters (RCS).
 /// Emitted units carry whole-cluster counts and advertise the unequal-size
-/// ratio estimator (`EstimateRcs` / `EstimatorKind::kRcs`): the
+/// ratio estimator (`EstimatorKind::kRcs`): the
 /// per-cluster-accuracy mean is biased when cluster size correlates with
 /// accuracy under uniform selection.
 class RcsSampler final : public Sampler {

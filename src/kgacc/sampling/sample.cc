@@ -5,21 +5,8 @@
 namespace kgacc {
 
 void AnnotatedSample::Clear() {
-  units_.clear();
-  retain_units_ = true;
-  num_units_ = 0;
-  num_triples_ = 0;
-  num_correct_ = 0;
   entities_.clear();
   triples_.clear();
-}
-
-void AnnotatedSample::Add(const AnnotatedUnit& unit) {
-  KGACC_DCHECK(unit.correct <= unit.drawn);
-  if (retain_units_) units_.push_back(unit);
-  ++num_units_;
-  num_triples_ += unit.drawn;
-  num_correct_ += unit.correct;
 }
 
 uint64_t AnnotatedSample::TripleKey(const TripleRef& ref) {

@@ -12,9 +12,10 @@
 #include "kgacc/util/status.h"
 
 /// \file sample.h
-/// Accumulated annotated sample (the `sample` variable of Algorithm 1).
-/// Grows batch by batch across the iterations of the evaluation framework
-/// and feeds the estimators, the interval constructors, and the cost model.
+/// The units of Algorithm 1's `sample` variable: the sampled units a design
+/// draws each batch (`SampleBatch`), the annotated units the estimator
+/// folds in (`AnnotatedUnit`), and the distinct entities and triples the
+/// cost model charges for (`AnnotatedSample`).
 
 namespace kgacc {
 
@@ -137,67 +138,33 @@ struct AnnotatedUnit {
   uint32_t correct = 0;
 };
 
-/// The running annotated sample. Tracks totals (n_S, tau_S), per-unit
-/// records for cluster estimators, and the *distinct* entities/triples
-/// touched, which is what the annotation cost function charges for
-/// (Eq. 12: identifying an already-identified entity is free).
+/// The distinct entities and triples an audit has annotated so far: what
+/// the annotation cost function charges for (Eq. 12: identifying an
+/// already-identified entity is free, and a re-drawn triple is only
+/// manually verified once). The running totals (n_S, tau_S) and the
+/// estimator state live in `EstimatorAccumulator`.
 class AnnotatedSample {
  public:
-  /// Appends an annotated unit.
-  void Add(const AnnotatedUnit& unit);
-
-  /// Restores the freshly constructed state while keeping every buffer's
-  /// capacity (the unit history and both distinct-set tables). This is what
-  /// lets a worker context recycle one sample across thousands of audits:
-  /// after the first few jobs the flat sets are sized for the workload and
-  /// later sessions never rehash.
+  /// Restores the freshly constructed state while keeping both
+  /// distinct-set tables' capacity. This is what lets a worker context
+  /// recycle one sample across thousands of audits: after the first few
+  /// jobs the flat sets are sized for the workload and later sessions never
+  /// rehash.
   void Clear();
-
-  /// Number of annotated triples n_S (duplicates from with-replacement
-  /// designs count, matching the estimator's sample size).
-  uint64_t num_triples() const { return num_triples_; }
-
-  /// Number of correct annotations tau_S.
-  uint64_t num_correct() const { return num_correct_; }
-
-  /// Units accumulated so far (including ones dropped from `units()` when
-  /// retention is off).
-  uint64_t num_units() const { return num_units_; }
-
-  /// Sampled units in arrival order (the first-stage units for cluster
-  /// designs; one unit per triple for SRS). Empty when unit retention is
-  /// disabled (`set_retain_units`).
-  const std::vector<AnnotatedUnit>& units() const { return units_; }
-
-  /// Controls whether `Add` keeps the per-unit history. The batch
-  /// estimators in estimate/estimators.h replay `units()`, but the
-  /// streaming `EstimatorAccumulator` does not — sessions that feed an
-  /// accumulator can opt out and hold O(1) memory per design instead of
-  /// O(units). Totals and distinct-set tracking are unaffected. Disabling
-  /// retention mid-run keeps what was already recorded.
-  void set_retain_units(bool retain) { retain_units_ = retain; }
 
   /// Distinct entities |E_S| identified so far.
   uint64_t num_distinct_entities() const { return entities_.size(); }
 
-  /// Distinct triples |T_S| annotated so far (a re-drawn triple is only
-  /// manually verified once).
+  /// Distinct triples |T_S| annotated so far.
   uint64_t num_distinct_triples() const { return triples_.size(); }
 
   /// Records a triple as manually annotated (updates the distinct sets).
   /// Returns true when the triple had not been seen before.
   bool MarkAnnotated(const TripleRef& ref);
 
-  bool empty() const { return num_units_ == 0; }
-
  private:
   static uint64_t TripleKey(const TripleRef& ref);
 
-  std::vector<AnnotatedUnit> units_;
-  bool retain_units_ = true;
-  uint64_t num_units_ = 0;
-  uint64_t num_triples_ = 0;
-  uint64_t num_correct_ = 0;
   FlatSet64 entities_;
   FlatSet64 triples_;
 };

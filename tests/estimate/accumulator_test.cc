@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "kgacc/util/random.h"
+#include "reference/batch_estimators.h"
 
 #include <gtest/gtest.h>
 
@@ -33,14 +34,14 @@ AnnotatedUnit RandomUnit(Rng* rng, uint32_t max_drawn, uint32_t num_strata) {
 
 TEST(EstimatorAccumulatorTest, SrsMatchesBatchBitForBit) {
   Rng rng(101);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   EstimatorAccumulator acc(EstimatorKind::kSrs);
   for (int i = 0; i < 5000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 1, 1);  // One triple per unit.
-    sample.Add(unit);
+    units.push_back(unit);
     acc.Add(unit);
     if (i % 7 != 0) continue;  // Compare on a sweep of prefixes.
-    const auto batch = *EstimateSrs(sample);
+    const auto batch = *EstimateSrs(units);
     const auto streaming = *acc.Estimate();
     EXPECT_EQ(streaming.mu, batch.mu);
     EXPECT_EQ(streaming.variance, batch.variance);
@@ -52,15 +53,15 @@ TEST(EstimatorAccumulatorTest, SrsMatchesBatchBitForBit) {
 
 TEST(EstimatorAccumulatorTest, SrsFinitePopulationCorrectionMatches) {
   Rng rng(102);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   EstimatorAccumulator acc(EstimatorKind::kSrs);
   const uint64_t population = 4000;
   for (int i = 0; i < 3000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 1, 1);
-    sample.Add(unit);
+    units.push_back(unit);
     acc.Add(unit);
   }
-  const auto batch = *EstimateSrs(sample, population);
+  const auto batch = *EstimateSrs(units, population);
   const auto streaming = *acc.Estimate(nullptr, population);
   EXPECT_EQ(streaming.mu, batch.mu);
   EXPECT_EQ(streaming.variance, batch.variance);
@@ -68,21 +69,21 @@ TEST(EstimatorAccumulatorTest, SrsFinitePopulationCorrectionMatches) {
 
   // Sample larger than the declared population is rejected identically.
   EXPECT_EQ(acc.Estimate(nullptr, 10).status().code(),
-            EstimateSrs(sample, 10).status().code());
+            EstimateSrs(units, 10).status().code());
   EXPECT_EQ(acc.Estimate(nullptr, 10).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(EstimatorAccumulatorTest, ClusterMatchesBatchOnRandomStreams) {
   Rng rng(103);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   EstimatorAccumulator acc(EstimatorKind::kCluster);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 12, 1);
-    sample.Add(unit);
+    units.push_back(unit);
     acc.Add(unit);
     if (i % 11 != 0) continue;
-    const auto batch = *EstimateCluster(sample);
+    const auto batch = *EstimateCluster(units);
     const auto streaming = *acc.Estimate();
     // The running mean adds the same terms in the same order: bit-exact.
     EXPECT_EQ(streaming.mu, batch.mu);
@@ -95,11 +96,11 @@ TEST(EstimatorAccumulatorTest, ClusterSingleUnitUsesWorstCaseVariance) {
   AnnotatedUnit unit;
   unit.drawn = 4;
   unit.correct = 3;
-  AnnotatedSample sample;
-  sample.Add(unit);
+  std::vector<AnnotatedUnit> units;
+  units.push_back(unit);
   EstimatorAccumulator acc(EstimatorKind::kCluster);
   acc.Add(unit);
-  const auto batch = *EstimateCluster(sample);
+  const auto batch = *EstimateCluster(units);
   const auto streaming = *acc.Estimate();
   EXPECT_EQ(streaming.mu, batch.mu);
   EXPECT_EQ(streaming.variance, batch.variance);
@@ -108,14 +109,14 @@ TEST(EstimatorAccumulatorTest, ClusterSingleUnitUsesWorstCaseVariance) {
 
 TEST(EstimatorAccumulatorTest, RcsMatchesBatchOnRandomStreams) {
   Rng rng(104);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   EstimatorAccumulator acc(EstimatorKind::kRcs);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 15, 1);
-    sample.Add(unit);
+    units.push_back(unit);
     acc.Add(unit);
     if (i % 11 != 0) continue;
-    const auto batch = *EstimateRcs(sample);
+    const auto batch = *EstimateRcs(units);
     const auto streaming = *acc.Estimate();
     // Integer power sums reproduce the ratio exactly.
     EXPECT_EQ(streaming.mu, batch.mu);
@@ -142,16 +143,16 @@ TEST(EstimatorAccumulatorTest, RcsDegenerateResidualsClampToZero) {
 TEST(EstimatorAccumulatorTest, StratifiedMatchesBatchBitForBit) {
   Rng rng(105);
   const std::vector<double> weights = {0.5, 0.3, 0.15, 0.05};
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   EstimatorAccumulator acc(EstimatorKind::kStratified);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 6, weights.size());
     // Leave stratum 3 unobserved early to exercise the imputation branch.
     if (i < 500 && unit.stratum == 3) unit.stratum = 0;
-    sample.Add(unit);
+    units.push_back(unit);
     acc.Add(unit);
     if (i % 13 != 0) continue;
-    const auto batch = *EstimateStratified(sample, weights);
+    const auto batch = *EstimateStratified(units, weights);
     const auto streaming = *acc.Estimate(&weights);
     EXPECT_EQ(streaming.mu, batch.mu);
     EXPECT_EQ(streaming.variance, batch.variance);
@@ -190,54 +191,18 @@ TEST(EstimatorAccumulatorTest, EmptyAccumulatorFailsLikeBatch) {
   }
 }
 
-TEST(EstimatorAccumulatorTest, ResetRestoresFreshState) {
-  Rng rng(106);
-  EstimatorAccumulator acc(EstimatorKind::kCluster);
-  for (int i = 0; i < 50; ++i) acc.Add(RandomUnit(&rng, 5, 1));
-  acc.Reset();
-  EXPECT_EQ(acc.num_triples(), 0u);
-  EXPECT_EQ(acc.num_units(), 0u);
-  EXPECT_FALSE(acc.Estimate().ok());
-
-  // A post-reset stream estimates as if the accumulator were new.
-  AnnotatedSample sample;
-  for (int i = 0; i < 100; ++i) {
-    const AnnotatedUnit unit = RandomUnit(&rng, 5, 1);
-    sample.Add(unit);
-    acc.Add(unit);
-  }
-  const auto batch = *EstimateCluster(sample);
-  const auto streaming = *acc.Estimate();
-  EXPECT_EQ(streaming.mu, batch.mu);
-  ExpectAgrees(streaming.variance, batch.variance);
-}
-
-TEST(EstimatorAccumulatorTest, AddBatchEqualsElementwiseAdds) {
-  Rng rng(107);
-  std::vector<AnnotatedUnit> units;
-  for (int i = 0; i < 200; ++i) units.push_back(RandomUnit(&rng, 8, 1));
-  EstimatorAccumulator one(EstimatorKind::kRcs);
-  EstimatorAccumulator many(EstimatorKind::kRcs);
-  for (const AnnotatedUnit& unit : units) one.Add(unit);
-  many.AddBatch(units);
-  const auto a = *one.Estimate();
-  const auto b = *many.Estimate();
-  EXPECT_EQ(a.mu, b.mu);
-  EXPECT_EQ(a.variance, b.variance);
-}
-
 TEST(EstimateDispatchTest, RcsKindRoutesToRatioEstimator) {
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> units;
   AnnotatedUnit a;
   a.drawn = 4;
   a.correct = 4;
   AnnotatedUnit b;
   b.drawn = 2;
   b.correct = 0;
-  sample.Add(a);
-  sample.Add(b);
-  const auto via_kind = *Estimate(EstimatorKind::kRcs, sample);
-  const auto direct = *EstimateRcs(sample);
+  units.push_back(a);
+  units.push_back(b);
+  const auto via_kind = *Estimate(EstimatorKind::kRcs, units);
+  const auto direct = *EstimateRcs(units);
   EXPECT_EQ(via_kind.mu, direct.mu);
   EXPECT_EQ(via_kind.variance, direct.variance);
   // Combined ratio 4/6, not the mean of per-cluster accuracies 1/2.

@@ -1,22 +1,28 @@
-#include "kgacc/estimate/estimators.h"
+// The design-based estimators of §2.4: hand computations against the
+// two-pass reference forms, and unbiasedness of the library's streaming
+// accumulator against live samplers.
 
 #include <cmath>
+#include <vector>
 
+#include "kgacc/estimate/accumulator.h"
 #include "kgacc/eval/annotator.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
+#include "reference/batch_estimators.h"
 
 #include <gtest/gtest.h>
 
 namespace kgacc {
 namespace {
 
-AnnotatedSample MakeSrsSample(uint32_t n, uint32_t tau) {
-  AnnotatedSample sample;
+std::vector<AnnotatedUnit> MakeSrsSample(uint32_t n, uint32_t tau) {
+  std::vector<AnnotatedUnit> sample;
   for (uint32_t i = 0; i < n; ++i) {
-    sample.Add(AnnotatedUnit{.cluster = i, .cluster_population = 1,
-                             .drawn = 1, .correct = (i < tau) ? 1u : 0u});
+    sample.push_back(AnnotatedUnit{.cluster = i, .cluster_population = 1,
+                                   .drawn = 1,
+                                   .correct = (i < tau) ? 1u : 0u});
   }
   return sample;
 }
@@ -36,7 +42,7 @@ TEST(EstimateSrsTest, DegenerateAllCorrectHasZeroVariance) {
 }
 
 TEST(EstimateSrsTest, EmptySampleIsError) {
-  AnnotatedSample empty;
+  std::vector<AnnotatedUnit> empty;
   EXPECT_FALSE(EstimateSrs(empty).ok());
 }
 
@@ -61,13 +67,11 @@ TEST(EstimateSrsTest, RejectsSampleLargerThanPopulation) {
 }
 
 TEST(EstimateClusterTest, MeanOfClusterAccuracies) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 8, .drawn = 4,
-                           .correct = 4});  // mu_1 = 1.0
-  sample.Add(AnnotatedUnit{.cluster = 1, .cluster_population = 6, .drawn = 4,
-                           .correct = 2});  // mu_2 = 0.5
-  sample.Add(AnnotatedUnit{.cluster = 2, .cluster_population = 4, .drawn = 4,
-                           .correct = 0});  // mu_3 = 0.0
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 8, .drawn = 4, .correct = 4},
+      {.cluster = 1, .cluster_population = 6, .drawn = 4, .correct = 2},
+      {.cluster = 2, .cluster_population = 4, .drawn = 4, .correct = 0},
+  };  // mu_i = 1.0, 0.5, 0.0
   const auto est = *EstimateCluster(sample);
   EXPECT_DOUBLE_EQ(est.mu, 0.5);
   // V = sum (mu_i - 0.5)^2 / (3 * 2) = (0.25 + 0 + 0.25) / 6.
@@ -76,19 +80,18 @@ TEST(EstimateClusterTest, MeanOfClusterAccuracies) {
 }
 
 TEST(EstimateClusterTest, SingleUnitUsesConservativeVariance) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 5, .drawn = 3,
-                           .correct = 2});
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 5, .drawn = 3, .correct = 2}};
   const auto est = *EstimateCluster(sample);
   EXPECT_DOUBLE_EQ(est.variance, 0.25 / 3.0);
 }
 
 TEST(EstimateClusterTest, IdenticalClustersGiveZeroVariance) {
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   for (int i = 0; i < 5; ++i) {
-    sample.Add(AnnotatedUnit{.cluster = static_cast<uint64_t>(i),
-                             .cluster_population = 3, .drawn = 3,
-                             .correct = 3});
+    sample.push_back(AnnotatedUnit{.cluster = static_cast<uint64_t>(i),
+                                   .cluster_population = 3, .drawn = 3,
+                                   .correct = 3});
   }
   const auto est = *EstimateCluster(sample);
   EXPECT_DOUBLE_EQ(est.mu, 1.0);
@@ -96,11 +99,10 @@ TEST(EstimateClusterTest, IdenticalClustersGiveZeroVariance) {
 }
 
 TEST(EstimateRcsTest, RatioEstimate) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 4, .drawn = 4,
-                           .correct = 4});
-  sample.Add(AnnotatedUnit{.cluster = 1, .cluster_population = 2, .drawn = 2,
-                           .correct = 0});
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 4, .drawn = 4, .correct = 4},
+      {.cluster = 1, .cluster_population = 2, .drawn = 2, .correct = 0},
+  };
   const auto est = *EstimateRcs(sample);
   EXPECT_DOUBLE_EQ(est.mu, 4.0 / 6.0);
 }
@@ -131,7 +133,7 @@ double RunMeanOfEstimates(Sampler& sampler, int reps, int batches) {
   for (int r = 0; r < reps; ++r) {
     Rng rng(1000 + r);
     sampler.Reset();
-    AnnotatedSample sample;
+    EstimatorAccumulator accumulator(sampler.estimator());
     for (int b = 0; b < batches; ++b) {
       KGACC_CHECK(sampler.NextBatch(&rng, &batch_).ok());
       for (size_t u = 0; u < batch_.size(); ++u) {
@@ -147,10 +149,10 @@ double RunMeanOfEstimates(Sampler& sampler, int reps, int batches) {
                   ? 1
                   : 0;
         }
-        sample.Add(annotated);
+        accumulator.Add(annotated);
       }
     }
-    sum += (*Estimate(sampler.estimator(), sample)).mu;
+    sum += (*accumulator.Estimate()).mu;
   }
   return sum / reps;
 }

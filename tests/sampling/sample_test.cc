@@ -7,22 +7,19 @@ namespace {
 
 TEST(AnnotatedSampleTest, StartsEmpty) {
   AnnotatedSample sample;
-  EXPECT_TRUE(sample.empty());
-  EXPECT_EQ(sample.num_triples(), 0u);
-  EXPECT_EQ(sample.num_correct(), 0u);
   EXPECT_EQ(sample.num_distinct_entities(), 0u);
   EXPECT_EQ(sample.num_distinct_triples(), 0u);
 }
 
-TEST(AnnotatedSampleTest, AccumulatesUnits) {
+TEST(AnnotatedSampleTest, ClearForgetsTheDistinctSets) {
   AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 5, .drawn = 3,
-                           .correct = 2});
-  sample.Add(AnnotatedUnit{.cluster = 1, .cluster_population = 2, .drawn = 2,
-                           .correct = 0});
-  EXPECT_EQ(sample.num_triples(), 5u);
-  EXPECT_EQ(sample.num_correct(), 2u);
-  EXPECT_EQ(sample.units().size(), 2u);
+  sample.MarkAnnotated(TripleRef{0, 0});
+  sample.MarkAnnotated(TripleRef{1, 2});
+  sample.Clear();
+  EXPECT_EQ(sample.num_distinct_entities(), 0u);
+  EXPECT_EQ(sample.num_distinct_triples(), 0u);
+  EXPECT_TRUE(sample.MarkAnnotated(TripleRef{1, 2}));  // New again.
+  EXPECT_EQ(sample.num_distinct_entities(), 1u);
 }
 
 TEST(AnnotatedSampleTest, MarkAnnotatedTracksDistinctTriples) {

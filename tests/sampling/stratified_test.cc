@@ -2,9 +2,10 @@
 
 #include <cmath>
 
-#include "kgacc/estimate/estimators.h"
+#include "kgacc/estimate/accumulator.h"
 #include "kgacc/eval/annotator.h"
 #include "kgacc/kg/synthetic.h"
+#include "reference/batch_estimators.h"
 
 #include <gtest/gtest.h>
 
@@ -85,7 +86,7 @@ TEST(StratifiedSamplerTest, EstimatorIsUnbiased) {
   for (int r = 0; r < reps; ++r) {
     Rng rng(500 + r);
     sampler.Reset();
-    AnnotatedSample sample;
+    EstimatorAccumulator accumulator(EstimatorKind::kStratified);
     for (int b = 0; b < 3; ++b) {
       const SampleBatch batch = Draw(sampler, &rng);
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -97,21 +98,22 @@ TEST(StratifiedSamplerTest, EstimatorIsUnbiased) {
         annotated.drawn = 1;
         annotated.correct = annotator.Annotate(
             kg, TripleRef{unit.cluster, batch.offsets(i)[0]}, &rng) ? 1 : 0;
-        sample.Add(annotated);
+        accumulator.Add(annotated);
       }
     }
-    sum += (*EstimateStratified(sample, *sampler.stratum_weights())).mu;
+    sum += (*accumulator.Estimate(sampler.stratum_weights())).mu;
   }
   EXPECT_NEAR(sum / reps, kg.TrueAccuracy(), 0.015);
 }
 
 TEST(EstimateStratifiedTest, WeightedHandComputation) {
   // Two strata with W = {0.25, 0.75}: mu = 0.25*1.0 + 0.75*0.5 = 0.625.
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 1,
-                           .stratum = 0, .drawn = 4, .correct = 4});
-  sample.Add(AnnotatedUnit{.cluster = 1, .cluster_population = 1,
-                           .stratum = 1, .drawn = 4, .correct = 2});
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 1, .stratum = 0, .drawn = 4,
+       .correct = 4},
+      {.cluster = 1, .cluster_population = 1, .stratum = 1, .drawn = 4,
+       .correct = 2},
+  };
   const auto est = *EstimateStratified(sample, {0.25, 0.75});
   EXPECT_DOUBLE_EQ(est.mu, 0.625);
   // V = 0.25^2 * 0 + 0.75^2 * (0.25 / 4).
@@ -119,21 +121,20 @@ TEST(EstimateStratifiedTest, WeightedHandComputation) {
 }
 
 TEST(EstimateStratifiedTest, UnobservedStratumImputesPooledMean) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 1,
-                           .stratum = 0, .drawn = 10, .correct = 8});
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 1, .stratum = 0, .drawn = 10,
+       .correct = 8}};
   const auto est = *EstimateStratified(sample, {0.5, 0.5});
   EXPECT_DOUBLE_EQ(est.mu, 0.8);  // 0.5*0.8 (observed) + 0.5*0.8 (imputed).
   EXPECT_GT(est.variance, 0.25 * 0.25 * 0.9);  // Worst-case term present.
 }
 
 TEST(EstimateStratifiedTest, RejectsBadInputs) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 1,
-                           .stratum = 3, .drawn = 1, .correct = 1});
+  const std::vector<AnnotatedUnit> sample = {
+      {.cluster = 0, .cluster_population = 1, .stratum = 3, .drawn = 1,
+       .correct = 1}};
   EXPECT_FALSE(EstimateStratified(sample, {0.5, 0.5}).ok());  // Stratum oob.
-  AnnotatedSample empty;
-  EXPECT_FALSE(EstimateStratified(empty, {1.0}).ok());
+  EXPECT_FALSE(EstimateStratified({}, {1.0}).ok());
   EXPECT_FALSE(Estimate(EstimatorKind::kStratified, sample, nullptr).ok());
 }
 
@@ -158,7 +159,7 @@ TEST(StratifiedSamplerTest, StratificationNeverHurtsVersusSrsVariance) {
   for (int r = 0; r < reps; ++r) {
     Rng rng(3000 + r);
     sampler.Reset();
-    AnnotatedSample sample;
+    EstimatorAccumulator accumulator(EstimatorKind::kStratified);
     const SampleBatch batch = Draw(sampler, &rng);
     uint32_t srs_tau = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -169,10 +170,10 @@ TEST(StratifiedSamplerTest, StratificationNeverHurtsVersusSrsVariance) {
       annotated.correct = annotator.Annotate(
           kg, TripleRef{unit.cluster, batch.offsets(i)[0]}, &rng) ? 1 : 0;
       srs_tau += annotated.correct;
-      sample.Add(annotated);
+      accumulator.Add(annotated);
     }
     const double strat_mu =
-        (*EstimateStratified(sample, *sampler.stratum_weights())).mu;
+        (*accumulator.Estimate(sampler.stratum_weights())).mu;
     const double srs_mu = static_cast<double>(srs_tau) / batch.size();
     strat_ss += (strat_mu - truth) * (strat_mu - truth);
     srs_ss += (srs_mu - truth) * (srs_mu - truth);

@@ -289,10 +289,6 @@ TEST(SnapshotTest, ResumeRefusesEveryFingerprintMismatch) {
     EXPECT_TRUE(IsFingerprintError(
         CheckpointManager(audit.store.get(), 1).Resume(&session)));
   }
-  // Retention changes memory, not results: accepted.
-  EvaluationConfig lean = config;
-  lean.retain_unit_history = false;
-  EXPECT_TRUE(audit.Resume(kg, lean).ok());
 }
 
 TEST(SnapshotTest, ResumeNeedsAFreshSession) {
