@@ -24,8 +24,10 @@
 // path's eval reduction is *measured* in the checked-in record, not
 // asserted. The summary row carries the aggregate evals-per-solve and the
 // incomplete-beta kernel calls per solve (math/special.h counters, which
-// also count the calls inside each quantile inversion); both are gated by
-// tools/check_perf_regression.py alongside the latency ratios.
+// also count the calls inside each quantile inversion) and the
+// continued-fraction iterations per kernel call, the kernel's own work per
+// call; all three are gated by tools/check_perf_regression.py alongside the
+// latency ratios.
 //
 // Knobs: KGACC_SEED, KGACC_REPS = steps per measurement window (default 60).
 
@@ -89,6 +91,12 @@ double KernelCallsPerSolve(const BetaKernelStats& kernel,
                    static_cast<double>(stats.total_solves());
 }
 
+double CfIterationsPerCall(const BetaKernelStats& kernel) {
+  return kernel.calls == 0 ? 0.0
+                           : static_cast<double>(kernel.cf_iterations) /
+                                 static_cast<double>(kernel.calls);
+}
+
 }  // namespace
 
 int main() {
@@ -132,11 +140,11 @@ int main() {
 
   std::printf("EvaluationSession::Step() latency vs accumulated sample size "
               "(aHPD, %d-step windows)\n", window);
-  bench::Rule(113);
-  std::printf("%6s %9s | %26s | %26s | %9s | %6s %6s %5s\n", "design",
+  bench::Rule(120);
+  std::printf("%6s %9s | %26s | %26s | %9s | %6s %6s %6s %5s\n", "design",
               "n=1k p50", "n=10k p50/p90/p99 (us)", "n=50k p50/p90/p99 (us)",
-              "50k/1k", "ev/slv", "kc/slv", "newt");
-  bench::Rule(113);
+              "50k/1k", "ev/slv", "kc/slv", "cf/kc", "newt");
+  bench::Rule(120);
 
   std::FILE* json = std::fopen("BENCH_step.json", "w");
   if (json != nullptr) {
@@ -203,12 +211,13 @@ int main() {
       design_kernel += cp.kernel;
     }
     std::printf("%6s %9.1f | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f | %8.2fx"
-                " | %6.1f %6.1f %5.0f%%\n",
+                " | %6.1f %6.1f %6.1f %5.0f%%\n",
                 design.name, measured[0].p50_us, measured[1].p50_us,
                 measured[1].p90_us, measured[1].p99_us, measured[2].p50_us,
                 measured[2].p90_us, measured[2].p99_us, ratio,
                 EvalsPerSolve(design_hpd),
                 KernelCallsPerSolve(design_kernel, design_hpd),
+                CfIterationsPerCall(design_kernel),
                 100.0 * NewtonShare(design_hpd));
 
     if (json != nullptr) {
@@ -239,17 +248,19 @@ int main() {
                    "\"design\": \"%s\", \"latency_ratio_50k_over_1k\": %.3f, "
                    "\"flat\": %s, \"hpd_beta_evals_per_solve\": %.2f, "
                    "\"hpd_newton_share\": %.3f, "
-                   "\"kernel_calls_per_solve\": %.2f}",
+                   "\"kernel_calls_per_solve\": %.2f, "
+                   "\"cf_iterations_per_call\": %.2f}",
                    design.name, ratio, ratio <= 2.0 ? "true" : "false",
                    EvalsPerSolve(design_hpd), NewtonShare(design_hpd),
-                   KernelCallsPerSolve(design_kernel, design_hpd));
+                   KernelCallsPerSolve(design_kernel, design_hpd),
+                   CfIterationsPerCall(design_kernel));
     }
   }
   if (json != nullptr) {
     std::fprintf(json, "\n]\n");
     std::fclose(json);
   }
-  bench::Rule(113);
+  bench::Rule(120);
   std::printf("per-step cost flat (50k p50 within 2x of 1k) for every "
               "design: %s\n", all_flat ? "yes" : "NO");
   std::printf("wrote BENCH_step.json\n");

@@ -170,7 +170,8 @@ struct ServiceBatchStats {
   HpdSolveStats hpd;
   /// Incomplete-beta kernel counters (`math/special.h`), captured the same
   /// way: every method's kernel work, HPD solves and quantile-based
-  /// intervals alike.
+  /// intervals alike, and `cf_bound_stops`, the fractions that stopped at
+  /// their iteration bound unconverged (zero on a healthy batch).
   BetaKernelStats kernel;
   /// Robustness aggregates across the batch — both are zero in the
   /// healthy, unarmed default (the invariant the throughput bench records):

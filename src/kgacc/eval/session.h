@@ -113,11 +113,6 @@ class EvaluationSession {
   /// session holds no per-unit history.
   const EstimatorAccumulator& accumulator() const { return accumulator_; }
 
-  /// The cross-step HPD warm carry threaded through `BuildInterval`: the
-  /// per-prior previous intervals that seed the Newton KKT solver each
-  /// step.
-  const AhpdWarmState& interval_warm() const { return interval_warm_; }
-
   /// Batches drawn so far.
   int iterations() const { return result_.iterations; }
 
@@ -148,6 +143,9 @@ class EvaluationSession {
   AnnotatedSample* sample_ = nullptr;
   SampleBatch* batch_ = nullptr;
   EstimatorAccumulator accumulator_;
+  /// The cross-step HPD warm carry threaded through `BuildInterval`: the
+  /// per-prior previous intervals that seed the Newton KKT solver each
+  /// step.
   AhpdWarmState interval_warm_;
   EvaluationResult result_;
   bool done_ = false;

@@ -71,10 +71,7 @@ double BetaDistribution::Pdf(const BetaPoint& point) const {
 double BetaDistribution::Cdf(double x) const {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  return Cdf(BetaPoint(x));
-}
-
-double BetaDistribution::Cdf(const BetaPoint& point) const {
+  const BetaPoint point(x);
   // Parameters were validated at construction and the point lies inside
   // the support, so the shared kernel body runs without re-validating. The
   // cached log B(a, b), log a and log b spare three lgamma calls and a log
@@ -82,6 +79,12 @@ double BetaDistribution::Cdf(const BetaPoint& point) const {
   // interval at fixed (a, b)).
   return internal::RegularizedIncompleteBetaFromLogs(
       point.x, a_, b_, log_beta_, point.log_x, point.log1m_x, log_a_, log_b_);
+}
+
+void BetaDistribution::CdfPair(const BetaPoint& l, const BetaPoint& u,
+                               double* cdf_l, double* cdf_u) const {
+  internal::RegularizedIncompleteBetaPairFromLogs(
+      l, u, a_, b_, log_beta_, log_a_, log_b_, cdf_l, cdf_u);
 }
 
 Result<double> BetaDistribution::Quantile(double p) const {

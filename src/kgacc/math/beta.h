@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "kgacc/math/special.h"
 #include "kgacc/util/status.h"
 
 /// \file beta.h
@@ -22,20 +23,6 @@ enum class BetaShape {
   kIncreasing,
   /// a <= 1 and b <= 1: U-shaped or flat (both endpoints are modes).
   kUShaped,
-};
-
-/// A point x in (0, 1) with its logarithms, taken once and shared by every
-/// quantity a caller evaluates there (`BetaDistribution::Cdf`, `LogPdf`,
-/// `Pdf`). The HPD Newton system evaluates two CDFs, two densities and a
-/// log-density gap at each (l, u); with a point per endpoint that costs
-/// four logarithms instead of fourteen.
-struct BetaPoint {
-  explicit BetaPoint(double x)
-      : x(x), log_x(std::log(x)), log1m_x(std::log1p(-x)) {}
-
-  double x;
-  double log_x;    // log x
-  double log1m_x;  // log1p(-x) = log(1 - x)
 };
 
 /// An immutable Beta(a, b) distribution with full density/CDF/quantile
@@ -77,11 +64,18 @@ class BetaDistribution {
   /// F(x) = P(X <= x), clamped to [0, 1] outside the support.
   double Cdf(double x) const;
 
-  /// Pdf, LogPdf and Cdf at a point inside (0, 1), from its shared
-  /// logarithms; each equals its plain overload at `point.x` bit for bit.
+  /// Pdf and LogPdf at a point inside (0, 1), from its shared logarithms;
+  /// each equals its plain overload at `point.x` bit for bit.
   double Pdf(const BetaPoint& point) const;
   double LogPdf(const BetaPoint& point) const;
-  double Cdf(const BetaPoint& point) const;
+
+  /// F(l) and F(u) at two points inside (0, 1), through the two-lane
+  /// incomplete-beta kernel: both continued fractions step in one loop, so
+  /// the pair costs well under two `Cdf` calls (one fraction alone waits
+  /// on its division chain). Each value equals `Cdf` at its point bit for
+  /// bit, and the kernel counters read two calls.
+  void CdfPair(const BetaPoint& l, const BetaPoint& u, double* cdf_l,
+               double* cdf_u) const;
 
   /// F^{-1}(p) for p in [0, 1].
   Result<double> Quantile(double p) const;

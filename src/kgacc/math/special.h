@@ -1,6 +1,7 @@
 #ifndef KGACC_MATH_SPECIAL_H_
 #define KGACC_MATH_SPECIAL_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "kgacc/util/status.h"
@@ -10,6 +11,16 @@
 /// Implemented from scratch (no Boost/Eigen): log-beta via lgamma, the
 /// regularized incomplete beta function via the modified Lentz continued
 /// fraction, and its inverse via a bracketed Newton iteration.
+///
+/// The continued fraction has one recurrence body, run either alone or as
+/// two lanes in one loop (`internal::RegularizedIncompleteBetaPairFromLogs`).
+/// One fraction is bound by the latency of its chain of dependent
+/// divisions, so a second, independent fraction stepped in the same loop
+/// costs little more than the first. Each lane runs the scalar operations
+/// in the scalar order and stops at its own convergence test, so both
+/// paths give the same bits. A fraction may run 400 iterations, or more
+/// for large shapes (the bound grows as (a + b)^(1/3)); one that stops at
+/// the bound unconverged is counted in `BetaKernelStats::cf_bound_stops`.
 
 namespace kgacc {
 
@@ -31,7 +42,8 @@ double LogBeta(double a, double b);
 /// Both overloads validate their arguments, take the logarithms the front
 /// factor needs and call `internal::RegularizedIncompleteBetaFromLogs`, the
 /// one body that evaluates the front factor, dispatches the continued
-/// fraction and counts the call (`BetaKernelStats`).
+/// fraction and counts the call (`BetaKernelStats`). Its two-lane version
+/// shares the front factor and the fraction's step with it.
 Result<double> RegularizedIncompleteBeta(double x, double a, double b);
 
 /// Overload taking the precomputed `log_beta = LogBeta(a, b)`. Evaluating
@@ -60,22 +72,27 @@ Result<double> InverseRegularizedIncompleteBeta(double p, double a, double b,
                                                 double log_beta);
 
 /// Incomplete-beta kernel counters for the calling thread: the work behind
-/// every CDF and quantile. Both are counted in one place, the shared body
-/// `internal::RegularizedIncompleteBetaFromLogs`, so every path into the
-/// kernel counts alike. `HpdResult`'s evaluation counts are lower bounds
+/// every CDF and quantile. They are counted in the shared bodies
+/// `internal::RegularizedIncompleteBetaFromLogs` and its two-lane version,
+/// which counts as two scalar calls, so every path into the kernel counts
+/// alike. `HpdResult`'s evaluation counts are lower bounds
 /// on it: a quantile counts there as one evaluation, here as every kernel
 /// call its inversion made.
 struct BetaKernelStats {
   /// Shared-body evaluations: every `RegularizedIncompleteBeta` call with a
-  /// valid argument, every `BetaDistribution::Cdf` inside the support and
-  /// every quantile iterate.
+  /// valid argument, every `BetaDistribution::Cdf` inside the support (a
+  /// `CdfPair` is two) and every quantile iterate.
   uint64_t calls = 0;
   /// Continued-fraction iterations those calls ran.
   uint64_t cf_iterations = 0;
+  /// Continued fractions that stopped at their iteration bound before
+  /// converging: each returned a value short of the kernel's accuracy.
+  uint64_t cf_bound_stops = 0;
 
   BetaKernelStats& operator+=(const BetaKernelStats& other) {
     calls += other.calls;
     cf_iterations += other.cf_iterations;
+    cf_bound_stops += other.cf_bound_stops;
     return *this;
   }
 };
@@ -85,6 +102,20 @@ BetaKernelStats ThreadBetaKernelStatsSnapshot();
 
 /// Zeroes this thread's kernel counters.
 void ResetThreadBetaKernelStats();
+
+/// A point x in (0, 1) with its logarithms, taken once and shared by every
+/// quantity a caller evaluates there (`BetaDistribution::CdfPair`,
+/// `LogPdf`, `Pdf`). The HPD Newton system evaluates two CDFs, two densities and a
+/// log-density gap at each (l, u); with a point per endpoint that costs
+/// four logarithms instead of fourteen.
+struct BetaPoint {
+  explicit BetaPoint(double x)
+      : x(x), log_x(std::log(x)), log1m_x(std::log1p(-x)) {}
+
+  double x;
+  double log_x;    // log x
+  double log1m_x;  // log1p(-x) = log(1 - x)
+};
 
 namespace internal {
 
@@ -99,8 +130,22 @@ double RegularizedIncompleteBetaFromLogs(double x, double a, double b,
                                          double log1m_x, double log_a,
                                          double log_b);
 
+/// Two-lane `RegularizedIncompleteBetaFromLogs`: I_x(a, b) at two points
+/// of one Beta(a, b), their continued fractions stepped together in one
+/// loop until one converges, the other then finishing alone. Each result
+/// equals the scalar body's bit for bit, and the counters read as two
+/// scalar calls would leave them: two calls, each lane's own iterations.
+/// The side choice and front factor are the scalar body's code. Assumes
+/// valid arguments (a, b > 0, both points inside (0, 1)).
+void RegularizedIncompleteBetaPairFromLogs(const BetaPoint& p,
+                                           const BetaPoint& q, double a,
+                                           double b, double log_beta,
+                                           double log_a, double log_b,
+                                           double* i_p, double* i_q);
+
 /// Continued-fraction kernel used by RegularizedIncompleteBeta; exposed for
 /// targeted testing. Assumes x < (a+1)/(a+b+2) (the convergent region).
+/// Counts its iterations but no call.
 double BetaContinuedFraction(double x, double a, double b);
 
 }  // namespace internal

@@ -61,9 +61,6 @@ class SampleBatch {
     return offsets(units_[i]);
   }
 
-  /// The shared offset buffer (the concatenation of every unit's span).
-  const std::vector<uint64_t>& offset_buffer() const { return offsets_; }
-
   /// Drops all units and offsets, keeping both buffers' capacity.
   void Clear() {
     units_.clear();
@@ -86,9 +83,9 @@ class SampleBatch {
     u.offset_count = 1;
   }
 
-  /// Starts a multi-offset unit; append its offsets with `AppendOffset` /
-  /// `AppendIota` (or directly into `mutable_offset_buffer()`), then seal
-  /// the span with `CloseUnit`. Units must be produced one at a time.
+  /// Starts a multi-offset unit; append its offsets with `AppendIota` or
+  /// directly into `mutable_offset_buffer()`, then seal the span with
+  /// `CloseUnit`. Units must be produced one at a time.
   SampledUnit& OpenUnit(uint64_t cluster, uint64_t cluster_population,
                         uint32_t stratum) {
     SampledUnit u;
@@ -100,9 +97,6 @@ class SampleBatch {
     units_.push_back(u);
     return units_.back();
   }
-
-  /// Appends one offset to the currently open unit.
-  void AppendOffset(uint64_t offset) { offsets_.push_back(offset); }
 
   /// Appends the identity range 0..count-1 (whole-cluster designs).
   void AppendIota(uint64_t count) {

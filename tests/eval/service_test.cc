@@ -298,11 +298,25 @@ TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
   EXPECT_EQ(parallel.stats.hpd.newton.solves,
             baseline.stats.hpd.newton.solves);
 
+  // The kernel counters fold in the same way, and no fraction of the mix
+  // stops at its iteration bound.
+  EXPECT_GT(baseline.stats.kernel.calls, 0u);
+  EXPECT_EQ(baseline.stats.kernel.cf_bound_stops, 0u);
+  EXPECT_EQ(parallel.stats.kernel.calls, baseline.stats.kernel.calls);
+  EXPECT_EQ(parallel.stats.kernel.cf_iterations,
+            baseline.stats.kernel.cf_iterations);
+  EXPECT_EQ(parallel.stats.kernel.cf_bound_stops,
+            baseline.stats.kernel.cf_bound_stops);
+
   ResetThreadHpdStats();
+  ResetThreadBetaKernelStats();
   (void)SerialReference(jobs);
   const HpdSolveStats serial = ThreadHpdStatsSnapshot();
   EXPECT_EQ(serial.total_solves(), baseline.stats.hpd.total_solves());
   EXPECT_EQ(serial.total_beta_evals(), baseline.stats.hpd.total_beta_evals());
+  const BetaKernelStats serial_kernel = ThreadBetaKernelStatsSnapshot();
+  EXPECT_EQ(serial_kernel.calls, baseline.stats.kernel.calls);
+  EXPECT_EQ(serial_kernel.cf_iterations, baseline.stats.kernel.cf_iterations);
 }
 
 TEST(EvaluationServiceTest, RegisteredPrototypesKeepClonesAcrossBatches) {

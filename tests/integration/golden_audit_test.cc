@@ -10,6 +10,7 @@
 
 #include "kgacc/eval/session.h"
 #include "kgacc/kg/synthetic.h"
+#include "kgacc/math/special.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
@@ -128,6 +129,40 @@ TEST(GoldenAuditTest, EveryDesignAndMethodReproducesItsPinnedAudit) {
     EXPECT_EQ(got->distinct_triples, want.distinct_triples);
     EXPECT_EQ(got->iterations, want.iterations);
     EXPECT_EQ(got->winning_prior, want.winning_prior);
+  }
+}
+
+// The incomplete-beta kernel work behind each audit in `kGolden`, in the
+// same order: calls and continued-fraction iterations. They pin the kernel
+// path as the hex values pin its results, so a change that must leave both
+// alone (two lanes in one loop instead of two scalar calls, say) is seen
+// to do so. Captured with the scalar kernel; Wilson audits make no call.
+struct GoldenKernelWork {
+  uint64_t calls;
+  uint64_t cf_iterations;
+};
+
+constexpr GoldenKernelWork kGoldenKernelWork[] = {
+    {728, 9502},  {0, 0}, {842, 9965},  {0, 0}, {1299, 16824}, {0, 0},
+    {1871, 26569}, {0, 0}, {600, 6004}, {0, 0}, {644, 7637},   {0, 0},
+};
+
+TEST(GoldenAuditTest, EveryAuditSpendsItsPinnedKernelWork) {
+  ASSERT_EQ(std::size(kGoldenKernelWork), std::size(kGolden));
+  for (size_t i = 0; i < std::size(kGolden); ++i) {
+    const GoldenAudit& audit = kGolden[i];
+    SCOPED_TRACE(std::string(audit.design) + " / " +
+                 IntervalMethodName(audit.method));
+    std::unique_ptr<Sampler> sampler = MakeSampler(audit.design);
+    OracleAnnotator oracle;
+    EvaluationConfig config;
+    config.method = audit.method;
+    EvaluationSession session(*sampler, oracle, config, 11);
+    ResetThreadBetaKernelStats();
+    ASSERT_TRUE(session.Run().ok());
+    const BetaKernelStats kernel = ThreadBetaKernelStatsSnapshot();
+    EXPECT_EQ(kernel.calls, kGoldenKernelWork[i].calls);
+    EXPECT_EQ(kernel.cf_iterations, kGoldenKernelWork[i].cf_iterations);
   }
 }
 

@@ -132,9 +132,8 @@ TEST(BetaDistributionTest, SharedLogPointMatchesPlainOverloadsBitForBit) {
                 std::bit_cast<uint64_t>(std::log1p(-x)));
 
       ResetThreadBetaKernelStats();
-      const double cdf = d.Cdf(point);
+      const double cdf = d.Cdf(x);
       EXPECT_EQ(ThreadBetaKernelStatsSnapshot().calls, 1u);
-      EXPECT_EQ(std::bit_cast<uint64_t>(cdf), std::bit_cast<uint64_t>(d.Cdf(x)));
       EXPECT_EQ(std::bit_cast<uint64_t>(cdf),
                 std::bit_cast<uint64_t>(*RegularizedIncompleteBeta(x, a, b)));
 
@@ -147,6 +146,39 @@ TEST(BetaDistributionTest, SharedLogPointMatchesPlainOverloadsBitForBit) {
                                         log_beta));
       EXPECT_EQ(std::bit_cast<uint64_t>(d.Pdf(point)),
                 std::bit_cast<uint64_t>(d.Pdf(x)));
+    }
+  }
+}
+
+TEST(BetaDistributionTest, CdfPairMatchesTwoCdfCallsBitForBit) {
+  const double shapes[][2] = {{0.5, 0.5}, {2.0, 2.0}, {170.5, 30.5},
+                              {4000.5, 12.5}, {5000.0, 5000.0}};
+  const double xs[] = {1e-300, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-12};
+  for (const auto& [a, b] : shapes) {
+    const auto d = *BetaDistribution::Create(a, b);
+    for (const double l : xs) {
+      for (const double u : xs) {
+        SCOPED_TRACE(::testing::Message() << "a=" << a << " b=" << b
+                                          << " l=" << l << " u=" << u);
+        const BetaPoint pl(l);
+        const BetaPoint pu(u);
+        ResetThreadBetaKernelStats();
+        const double want_l = d.Cdf(l);
+        const double want_u = d.Cdf(u);
+        const BetaKernelStats scalar = ThreadBetaKernelStatsSnapshot();
+        ResetThreadBetaKernelStats();
+        double got_l = -1.0;
+        double got_u = -1.0;
+        d.CdfPair(pl, pu, &got_l, &got_u);
+        const BetaKernelStats pair = ThreadBetaKernelStatsSnapshot();
+        EXPECT_EQ(std::bit_cast<uint64_t>(got_l),
+                  std::bit_cast<uint64_t>(want_l));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got_u),
+                  std::bit_cast<uint64_t>(want_u));
+        EXPECT_EQ(pair.calls, 2u);
+        EXPECT_EQ(pair.calls, scalar.calls);
+        EXPECT_EQ(pair.cf_iterations, scalar.cf_iterations);
+      }
     }
   }
 }

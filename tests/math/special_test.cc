@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +223,8 @@ TEST(IncompleteBetaSharedBodyTest, MatchesEveryOverloadBitForBit) {
         EXPECT_EQ(body_stats.calls, 1u);
         EXPECT_EQ(overload_stats.calls, 1u);
         EXPECT_EQ(body_stats.cf_iterations, overload_stats.cf_iterations);
+        // Every fraction on the grid converges inside its bound.
+        EXPECT_EQ(body_stats.cf_bound_stops, 0u);
         if (x > 0.0 && x < 1.0) {
           EXPECT_GE(body_stats.cf_iterations, 1u);
           ++(x < (a + 1.0) / (a + b + 2.0) ? direct : mirrored);
@@ -232,6 +235,119 @@ TEST(IncompleteBetaSharedBodyTest, MatchesEveryOverloadBitForBit) {
   // Both continued-fraction branches were exercised, many times over.
   EXPECT_GT(direct, 100);
   EXPECT_GT(mirrored, 100);
+}
+
+/// The scalar body at x with its counters: the reference each lane of the
+/// two-lane body must reproduce.
+struct ScalarCall {
+  double value;
+  BetaKernelStats stats;
+};
+
+ScalarCall ScalarBody(double x, double a, double b, double log_beta) {
+  ResetThreadBetaKernelStats();
+  const double value = internal::RegularizedIncompleteBetaFromLogs(
+      x, a, b, log_beta, std::log(x), std::log1p(-x), std::log(a),
+      std::log(b));
+  return {value, ThreadBetaKernelStatsSnapshot()};
+}
+
+/// Runs the two-lane body at (p, q) and checks each lane against the
+/// scalar body bit for bit, and the counters against the two scalar calls'.
+/// Returns the scalar iteration counts of the two lanes.
+std::pair<uint64_t, uint64_t> ExpectPairMatchesScalar(double p, double q,
+                                                      double a, double b) {
+  const double log_beta = LogBeta(a, b);
+  const ScalarCall want_p = ScalarBody(p, a, b, log_beta);
+  const ScalarCall want_q = ScalarBody(q, a, b, log_beta);
+  ResetThreadBetaKernelStats();
+  double got_p = -1.0;
+  double got_q = -1.0;
+  internal::RegularizedIncompleteBetaPairFromLogs(
+      BetaPoint(p), BetaPoint(q), a, b, log_beta, std::log(a), std::log(b),
+      &got_p, &got_q);
+  const BetaKernelStats pair = ThreadBetaKernelStatsSnapshot();
+  EXPECT_EQ(std::bit_cast<uint64_t>(got_p),
+            std::bit_cast<uint64_t>(want_p.value));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got_q),
+            std::bit_cast<uint64_t>(want_q.value));
+  EXPECT_EQ(pair.calls, 2u);
+  EXPECT_EQ(pair.cf_iterations,
+            want_p.stats.cf_iterations + want_q.stats.cf_iterations);
+  EXPECT_EQ(pair.cf_bound_stops,
+            want_p.stats.cf_bound_stops + want_q.stats.cf_bound_stops);
+  return {want_p.stats.cf_iterations, want_q.stats.cf_iterations};
+}
+
+TEST(IncompleteBetaPairTest, EachLaneMatchesTheScalarBodyBitForBit) {
+  // The shape-by-argument grid of MatchesEveryOverloadBitForBit inside
+  // (0, 1), every ordered pair of arguments per shape.
+  const double shapes[] = {0.5, 0.8, 1.0, 1.7, 4.0, 12.5, 60.0, 333.0, 1500.0,
+                           5000.0};
+  const double xs[] = {1e-300, 1e-12, 1e-6,       0.01,       0.2,
+                       0.5,    0.8,   0.99,       1.0 - 1e-6, 1.0 - 1e-12,
+                       std::nextafter(1.0, 0.0)};
+  int direct_direct = 0;
+  int direct_mirrored = 0;
+  int mirrored_mirrored = 0;
+  uint64_t widest_gap = 0;
+  for (const double a : shapes) {
+    for (const double b : shapes) {
+      const double split = (a + 1.0) / (a + b + 2.0);
+      for (const double p : xs) {
+        for (const double q : xs) {
+          SCOPED_TRACE(::testing::Message() << "a=" << a << " b=" << b
+                                            << " p=" << p << " q=" << q);
+          const auto [iters_p, iters_q] = ExpectPairMatchesScalar(p, q, a, b);
+          const int mirrored = (p < split ? 0 : 1) + (q < split ? 0 : 1);
+          ++(mirrored == 0   ? direct_direct
+             : mirrored == 1 ? direct_mirrored
+                             : mirrored_mirrored);
+          widest_gap = std::max(widest_gap, iters_p > iters_q
+                                                ? iters_p - iters_q
+                                                : iters_q - iters_p);
+        }
+      }
+    }
+  }
+  EXPECT_GT(direct_direct, 1000);
+  EXPECT_GT(direct_mirrored, 1000);
+  EXPECT_GT(mirrored_mirrored, 1000);
+  // Some pairs converge many iterations apart, so one lane finishes alone.
+  EXPECT_GT(widest_gap, 50u);
+}
+
+TEST(IncompleteBetaPairTest, LanesPastTheFirstCheckAndAtTheBound) {
+  // a = b = 1e7 at x = 1/2 runs 1,091 iterations, past the first bound
+  // check at 400; 1e18 needs millions, more than the bound allows. Each is
+  // paired with a lane that converges at once and with itself.
+  for (const double shape : {1e7, 1e18}) {
+    SCOPED_TRACE(shape);
+    const auto [slow, fast] = ExpectPairMatchesScalar(0.5, 1e-300, shape,
+                                                      shape);
+    EXPECT_GT(slow, 400u);
+    EXPECT_LE(fast, 2u);
+    ExpectPairMatchesScalar(1e-300, 0.5, shape, shape);
+    ExpectPairMatchesScalar(0.5, 0.5, shape, shape);
+  }
+  EXPECT_EQ(ScalarBody(0.5, 1e7, 1e7, LogBeta(1e7, 1e7)).stats.cf_bound_stops,
+            0u);
+  EXPECT_EQ(
+      ScalarBody(0.5, 1e18, 1e18, LogBeta(1e18, 1e18)).stats.cf_bound_stops,
+      1u);
+}
+
+TEST(IncompleteBetaTest, LargeShapesConvergePastFourHundredIterations) {
+  // I_{1/2}(a, a) = 1/2 exactly. These fractions need 526 (1e6) and 1,091
+  // (1e7) iterations; a fixed cap of 400 returned 0.49924 at 1e7 and gave
+  // no sign of it. What error remains (~5e-8) is the front factor's.
+  for (const double a : {1e6, 1e7}) {
+    ResetThreadBetaKernelStats();
+    EXPECT_NEAR(*RegularizedIncompleteBeta(0.5, a, a), 0.5, 1e-6) << a;
+    const BetaKernelStats stats = ThreadBetaKernelStatsSnapshot();
+    EXPECT_GT(stats.cf_iterations, 400u) << a;
+    EXPECT_EQ(stats.cf_bound_stops, 0u) << a;
+  }
 }
 
 TEST(InverseIncompleteBetaTest, EndpointValues) {

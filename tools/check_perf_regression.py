@@ -2,7 +2,7 @@
 """Perf-regression gate over machine-independent bench metrics.
 
 Compares a freshly measured BENCH_step.json against the checked-in record
-and fails when either of two algorithmic properties regressed by more than
+and fails when any of these algorithmic properties regressed by more than
 the allowed factor (default 2x):
 
 * the 50k/1k per-step latency *ratio* per design — flatness of the per-step
@@ -18,6 +18,11 @@ the allowed factor (default 2x):
   including the ~12 each quantile inversion makes, which evals-per-solve
   counts as one. A jump means the Newton start or a quantile seed got
   worse even where the evaluation count looks unchanged.
+* the continued-fraction *iterations per kernel call* per design — the
+  kernel's own work per call, which kernel calls per solve cannot see. A
+  jump means the fraction stopped converging where it used to (a broken
+  side choice, a lane stepped past its own convergence test) or calls
+  moved to shapes and arguments that converge slowly.
 
 With --service-fresh/--service-record it additionally gates the
 `service_hpd_summary` record of BENCH_service.json — the same
@@ -352,6 +357,9 @@ def main():
     failed |= check_metric(fresh, record, "kernel_calls_per_solve",
                            "kernel calls/solve", args.max_regression,
                            floor=4.0)
+    failed |= check_metric(fresh, record, "cf_iterations_per_call",
+                           "CF iterations/call", args.max_regression,
+                           floor=4.0)
     if args.service_fresh and args.service_record:
         failed |= check_service(args.service_fresh, args.service_record,
                                 args.max_regression)
@@ -365,12 +373,12 @@ def main():
 
     if failed:
         print("\nstep-latency ratio, HPD evals-per-solve, kernel "
-              "calls-per-solve, HPD fallback share, thread-scaling ratio, "
+              "calls-per-solve, CF iterations-per-call, HPD fallback share, thread-scaling ratio, "
               "store compaction, or tenant fairness out of bounds (see lines "
               "above)", file=sys.stderr)
         return 1
     print("\nstep-latency ratios, HPD evals-per-solve, kernel "
-          "calls-per-solve, HPD fallback share, thread scaling, store "
+          "calls-per-solve, CF iterations-per-call, HPD fallback share, thread scaling, store "
           "compaction, and tenant fairness within budget")
     return 0
 
