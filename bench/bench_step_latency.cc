@@ -29,6 +29,18 @@
 // call; all three are gated by tools/check_perf_regression.py alongside the
 // latency ratios.
 //
+// Before the step windows, the record times TWCS and WCS sampler
+// construction (each builds the PPS alias table over every cluster) on the
+// dbpedia-1m population kgaccd reopens audits over: the DBPEDIA profile
+// scaled 107x, 314,152 clusters. One `sampler_construct` record per design
+// carries the median and the cost per 10^6 clusters. It is wall clock, so
+// it is recorded, not gated. Each build here gets freshly mapped pages for
+// its O(n) buffers, so the record includes their first-touch page faults:
+// on the record's host, raising glibc's mmap threshold
+// (MALLOC_MMAP_THRESHOLD_=33554432) cut the TWCS median from ~8 ms to
+// ~4.7 ms. kgbench's traced `sampling.construct_ms.twcs` runs in a process
+// whose heap already holds such blocks and reads the build without them.
+//
 // Knobs: KGACC_SEED, KGACC_REPS = steps per measurement window (default 60).
 
 #include <algorithm>
@@ -45,7 +57,7 @@ namespace {
 using namespace kgacc;
 
 /// Quantile with linear interpolation over the sorted window.
-double QuantileUs(std::vector<double> xs, double q) {
+double Quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
   const double pos = q * static_cast<double>(xs.size() - 1);
@@ -97,6 +109,42 @@ double CfIterationsPerCall(const BetaKernelStats& kernel) {
                                  static_cast<double>(kernel.calls);
 }
 
+/// Times TWCS and WCS sampler construction over the dbpedia-1m population
+/// and appends one `sampler_construct` record per design to `json`.
+void RecordSamplerConstruction(std::FILE* json) {
+  constexpr int kReps = 21;
+  DatasetProfile profile = DbpediaProfile();
+  profile.num_facts *= 107;
+  profile.num_clusters *= 107;
+  const auto kg = *MakeKg(profile, 42);
+  const double clusters = static_cast<double>(kg.num_clusters());
+  const auto record = [&](const char* design, auto build) {
+    std::vector<double> ms;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto sampler = build();
+      const std::chrono::duration<double, std::milli> elapsed =
+          std::chrono::steady_clock::now() - start;
+      ms.push_back(elapsed.count());
+    }
+    const double median = Quantile(ms, 0.50);
+    std::printf("%s sampler construction over dbpedia-1m (%.0f clusters): "
+                "median %.3f ms, %.2f ms per 10^6 clusters\n",
+                design, clusters, median, median * 1e6 / clusters);
+    if (json != nullptr) {
+      std::fprintf(json,
+                   ",\n  {\"bench\": \"sampler_construct\", "
+                   "\"design\": \"%s\", \"kg\": \"dbpedia-1m\", "
+                   "\"clusters\": %llu, \"reps\": %d, "
+                   "\"median_ms\": %.3f, \"ms_per_million_clusters\": %.3f}",
+                   design, static_cast<unsigned long long>(kg.num_clusters()),
+                   kReps, median, median * 1e6 / clusters);
+    }
+  };
+  record("TWCS", [&kg] { return TwcsSampler(kg, TwcsConfig{}); });
+  record("WCS", [&kg] { return WcsSampler(kg, ClusterConfig{}); });
+}
+
 }  // namespace
 
 int main() {
@@ -138,6 +186,12 @@ int main() {
   config.moe_threshold = 1e-9;
   config.max_triples = checkpoints.back() + 20000;
 
+  std::FILE* json = std::fopen("BENCH_step.json", "w");
+  if (json != nullptr) {
+    std::fprintf(json, "[\n  %s", bench::HostRecordJson().c_str());
+  }
+  RecordSamplerConstruction(json);
+
   std::printf("EvaluationSession::Step() latency vs accumulated sample size "
               "(aHPD, %d-step windows)\n", window);
   bench::Rule(120);
@@ -145,11 +199,6 @@ int main() {
               "n=1k p50", "n=10k p50/p90/p99 (us)", "n=50k p50/p90/p99 (us)",
               "50k/1k", "ev/slv", "kc/slv", "cf/kc", "newt");
   bench::Rule(120);
-
-  std::FILE* json = std::fopen("BENCH_step.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "[\n  %s", bench::HostRecordJson().c_str());
-  }
   bool all_flat = true;
 
   for (Design& design : designs) {
@@ -192,9 +241,9 @@ int main() {
         ++total_steps;
       }
       cp.steps_timed = static_cast<int>(step_us.size());
-      cp.p50_us = QuantileUs(step_us, 0.50);
-      cp.p90_us = QuantileUs(step_us, 0.90);
-      cp.p99_us = QuantileUs(step_us, 0.99);
+      cp.p50_us = Quantile(step_us, 0.50);
+      cp.p90_us = Quantile(step_us, 0.90);
+      cp.p99_us = Quantile(step_us, 0.99);
       cp.hpd = ThreadHpdStatsSnapshot();
       cp.kernel = ThreadBetaKernelStatsSnapshot();
       measured.push_back(cp);

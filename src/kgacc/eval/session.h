@@ -16,10 +16,10 @@
 /// Algorithm 1). `EvaluationSession` exposes the monolithic loop of
 /// `RunEvaluation` as explicit, resumable steps:
 ///
-///   phase 1  draw a batch        \
+///   phase 1  draw a batch        -+
 ///   phase 2  annotate it          |  one Step()
 ///   phase 3  estimate + interval  |
-///   phase 4  stop-rule check     /
+///   phase 4  stop-rule check     -+
 ///
 /// so callers can interleave audits, inspect convergence mid-flight, or
 /// schedule many sessions on a thread pool (`EvaluationService`). Driving a

@@ -1,5 +1,8 @@
 #include "kgacc/intervals/priors.h"
 
+#include <cmath>
+#include <cstdio>
+
 namespace kgacc {
 
 Result<BetaDistribution> BetaPrior::Posterior(double tau, double n) const {
@@ -27,6 +30,18 @@ Result<BetaPrior> InformativePrior(double accuracy, double weight,
   BetaPrior prior;
   prior.a = accuracy * weight;
   prior.b = (1.0 - accuracy) * weight;
+  // Every Beta built on this prior takes its variance from a * b; past the
+  // largest double that product is inf, the variance NaN, and the audit
+  // would fail far from the flag that caused it (at accuracy 0.8 the
+  // heaviest weight that fits is about 3e154).
+  if (!std::isfinite(prior.a * prior.b)) {
+    char spec[64];
+    std::snprintf(spec, sizeof(spec), "%g:%g", accuracy, weight);
+    return Status::InvalidArgument(
+        "informative prior " +
+        (name.empty() ? std::string(spec) : "'" + name + "' (" + spec + ")") +
+        ": weight too large, Beta shape product a * b overflows");
+  }
   prior.name = name.empty()
                    ? "Informative(" + std::to_string(accuracy) + "," +
                          std::to_string(weight) + ")"

@@ -41,7 +41,8 @@ BetaPrior UniformPrior();
 
 /// An informative prior encoding `accuracy` worth `weight` pseudo-triples
 /// of prior knowledge (e.g., from an earlier audit of a similar KG;
-/// Example 2 uses {0.80, 100} and {0.90, 100}).
+/// Example 2 uses {0.80, 100} and {0.90, 100}). InvalidArgument, naming
+/// the prior, when the weight is so large that a * b overflows a double.
 Result<BetaPrior> InformativePrior(double accuracy, double weight,
                                    std::string name = "");
 

@@ -10,9 +10,9 @@ namespace kgacc {
 namespace internal {
 
 std::unique_ptr<AliasTable> BuildSizeAliasTable(const KgView& kg) {
-  return std::make_unique<AliasTable>(kg.num_clusters(), [&kg](uint64_t c) {
-    return static_cast<double>(kg.cluster_size(c));
-  });
+  return std::make_unique<AliasTable>(
+      kg.num_clusters(), kg.num_triples(),
+      [&kg](uint64_t c) { return kg.cluster_size(c); });
 }
 
 void DrawSecondStageAppend(uint64_t cluster_size, int m, Rng* rng,

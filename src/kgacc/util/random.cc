@@ -75,42 +75,28 @@ void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
   }
 }
 
-void AliasTable::Build() {
+void AliasTable::Pair(uint32_t* work, size_t num_small) {
   const size_t n = prob_.size();
-  KGACC_CHECK(n > 0);
-  double total = 0.0;
-  for (double w : prob_) {
-    KGACC_CHECK(w >= 0.0);
-    total += w;
-  }
-  KGACC_CHECK(total > 0.0);
-
-  // Scale in place so the average bucket holds probability 1. A bucket's
-  // scaled value is final once it leaves the worklist, so prob_ doubles as
-  // Vose's working array.
-  for (double& p : prob_) p = (p / total) * static_cast<double>(n);
-  alias_.resize(n);
-
-  // Vose's "small" (scaled < 1) and "large" worklists share one buffer:
-  // small grows up from the front, large down from the back. Every index
-  // sits in at most one of them, so they never meet.
-  std::vector<uint32_t> work(n);
-  size_t num_small = 0;
-  size_t num_large = 0;
-  auto push = [&](uint32_t i) {
-    if (prob_[i] < 1.0) {
-      work[num_small++] = i;
-    } else {
-      work[n - 1 - num_large++] = i;
-    }
-  };
-  for (size_t i = 0; i < n; ++i) push(static_cast<uint32_t>(i));
+  size_t num_large = n - num_small;
+  // Each round takes the top large bucket l and keeps its scaled mass in a
+  // register while it absorbs the top small buckets (LIFO), until its mass
+  // drops below 1 or the smalls run out. That is the textbook
+  // pop-both-then-push-l-back loop: a bucket that stays large would be
+  // popped again at once, and one that turns small is pushed and then
+  // popped as the next small.
   while (num_small > 0 && num_large > 0) {
-    const uint32_t s = work[--num_small];
-    const uint32_t l = work[n - num_large--];
-    alias_[s] = l;
-    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
-    push(l);
+    const uint32_t l = work[n - num_large];
+    double mass = prob_[l];
+    do {
+      const uint32_t s = work[--num_small];
+      alias_[s] = l;
+      mass = (mass + prob_[s]) - 1.0;
+    } while (!(mass < 1.0) && num_small > 0);
+    prob_[l] = mass;
+    if (mass < 1.0) {
+      --num_large;
+      work[num_small++] = l;
+    }
   }
   // Residuals are exactly-1 buckets up to floating point error.
   for (size_t k = 0; k < num_small; ++k) {

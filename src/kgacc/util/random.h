@@ -122,25 +122,46 @@ void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
                                     FlatSet64* scratch);
 
 /// Walker/Vose alias table for O(1) sampling from a discrete distribution
-/// with fixed weights. Used for the probability-proportional-to-size first
-/// stage of TWCS, where the number of clusters can be in the millions.
+/// with fixed integer weights. Used for the probability-proportional-to-size
+/// first stage of TWCS and WCS: the outcomes are clusters, possibly
+/// millions of them, and each weight is a cluster's triple count.
 class AliasTable {
  public:
-  /// Builds the table from non-negative `weights`; at least one weight must
-  /// be positive. O(n) time and memory.
-  explicit AliasTable(const std::vector<double>& weights) : prob_(weights) {
-    Build();
-  }
-
-  /// Builds the table from `n` weights `weight(0) .. weight(n - 1)` without
-  /// materializing a weight vector (a PPS table over millions of clusters
-  /// reads the sizes straight from the KG). Bit-identical to the vector
-  /// constructor over the same weights.
-  template <typename WeightFn>
-    requires std::invocable<WeightFn&, size_t>
-  AliasTable(size_t n, WeightFn weight) : prob_(n) {
-    for (size_t i = 0; i < n; ++i) prob_[i] = weight(i);
-    Build();
+  /// Builds the table over outcomes 0 .. n-1 with weights `count(i)`,
+  /// reading each count once. Contract: 0 < n < 2^32, and the counts sum
+  /// exactly to `total`, with 0 < total <= 2^53 (a KG knows its triple
+  /// count). Every partial sum of such counts is exact in a double, so the
+  /// table is the textbook Vose build over the counts as doubles, bit for
+  /// bit. A `count` that breaks the sum aborts instead of building a skewed
+  /// table. O(n) time and memory.
+  template <typename CountFn>
+    requires std::invocable<CountFn&, size_t>
+  AliasTable(size_t n, uint64_t total, CountFn count)
+      : prob_(n), alias_(n) {
+    KGACC_CHECK(n > 0 && n <= UINT32_MAX);
+    KGACC_CHECK(total > 0 && total <= (uint64_t{1} << 53));
+    // One pass scales every weight so the average bucket holds probability
+    // 1 and sorts it onto Vose's "small" (scaled < 1) or "large" worklist.
+    // The two share one buffer: small grows up from the front, large down
+    // from the back.
+    std::vector<uint32_t> work(n);
+    const double scale_total = static_cast<double>(total);
+    const double scale_n = static_cast<double>(n);
+    size_t num_small = 0;
+    uint64_t sum = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t c = count(i);
+      sum += c;
+      const double p = (static_cast<double>(c) / scale_total) * scale_n;
+      prob_[i] = p;
+      // Branch-free push: write i to both stack tops (both lie in the free
+      // gap between the stacks) and advance only the one it belongs to.
+      work[num_small] = static_cast<uint32_t>(i);
+      work[n - 1 - (i - num_small)] = static_cast<uint32_t>(i);
+      num_small += p < 1.0;
+    }
+    KGACC_CHECK(sum == total);
+    Pair(work.data(), num_small);
   }
 
   /// Draws an index with probability proportional to its weight.
@@ -156,8 +177,10 @@ class AliasTable {
   uint32_t alias(size_t b) const { return alias_[b]; }
 
  private:
-  /// Turns the raw weights held in `prob_` into the Vose table in place.
-  void Build();
+  /// Vose's pairing over the scaled weights in `prob_`: `work` holds the
+  /// first `num_small` small indices from the front and every large one
+  /// from the back. Fills `alias_` and leaves the final thresholds.
+  void Pair(uint32_t* work, size_t num_small);
 
   std::vector<double> prob_;      // Acceptance threshold per bucket.
   std::vector<uint32_t> alias_;   // Fallback outcome per bucket.

@@ -1,6 +1,9 @@
 #include "kgacc/eval/evaluator.h"
 
+#include <cstdio>
+
 #include "kgacc/intervals/credible.h"
+#include "kgacc/intervals/priors.h"
 #include "kgacc/kg/profiles.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
@@ -46,6 +49,43 @@ TEST(RunEvaluationTest, ConvergesAndMeetsMoeBudget) {
   EXPECT_GE(result.annotated_triples, config.min_sample_triples);
   EXPECT_GT(result.iterations, 0);
   EXPECT_NEAR(result.mu, 0.85, 0.15);
+}
+
+TEST(RunEvaluationTest, HeaviestInformativePriorsKeepTheirResults) {
+  // The heaviest informative priors that InformativePrior still accepts
+  // run to the same report bits as before weights were bounded (captured
+  // from that build), and the informative prior wins. This pins the bits,
+  // it does not bless them: at these shapes the solver's endpoints are off
+  // by up to 2e-7, and at 1e100 the lower one exceeds the upper one.
+  struct Pinned {
+    double weight;
+    double mu, lower, upper;
+    uint64_t annotated_triples;
+  };
+  const Pinned kPinned[] = {
+      {1e100, 0x1.aaaaaaaaaaaabp-1, 0x1.99999d408cd6ap-1, 0x1.99999d40647a6p-1,
+       30},
+      {1e154, 0x1.aaaaaaaaaaaabp-1, 0x1.9999999999998p-1, 0x1.999999b333334p-1,
+       30},
+  };
+  const auto kg = MakeKg(0.85);
+  for (const Pinned& pin : kPinned) {
+    SrsSampler sampler(kg, SrsConfig{});
+    OracleAnnotator annotator;
+    EvaluationConfig config;
+    config.priors.push_back(*InformativePrior(0.8, pin.weight));
+    const auto result = RunEvaluation(sampler, annotator, config, 9);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    char got[160];
+    std::snprintf(got, sizeof(got), "%a, %a, %a, %llu", result->mu,
+                  result->interval.lower, result->interval.upper,
+                  static_cast<unsigned long long>(result->annotated_triples));
+    EXPECT_EQ(result->mu, pin.mu) << got;
+    EXPECT_EQ(result->interval.lower, pin.lower) << got;
+    EXPECT_EQ(result->interval.upper, pin.upper) << got;
+    EXPECT_EQ(result->annotated_triples, pin.annotated_triples) << got;
+    EXPECT_EQ(result->winning_prior, config.priors.size() - 1) << got;
+  }
 }
 
 TEST(RunEvaluationTest, DeterministicForFixedSeed) {

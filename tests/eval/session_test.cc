@@ -220,7 +220,9 @@ TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {
     const StepOutcome outcome = *session.Step();
     ++steps;
     EXPECT_EQ(outcome.annotated_triples, session.accumulator().num_triples());
-    if (!outcome.done) EXPECT_GT(outcome.moe, config.moe_threshold);
+    if (!outcome.done) {
+      EXPECT_GT(outcome.moe, config.moe_threshold);
+    }
   }
   EXPECT_EQ(steps, loop.iterations);
   ExpectSameResult(loop, *session.Finish());

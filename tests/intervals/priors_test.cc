@@ -82,5 +82,29 @@ TEST(InformativePriorTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(InformativePrior(0.5, -5.0).ok());
 }
 
+TEST(InformativePriorTest, RefusesWeightsWhoseShapeProductOverflows) {
+  for (const double weight : {1e155, 1e200, 1e250, 1e308}) {
+    const auto prior = InformativePrior(0.8, weight);
+    ASSERT_FALSE(prior.ok()) << weight;
+    EXPECT_EQ(prior.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(prior.status().message().find("informative prior 0.8:"),
+              std::string::npos)
+        << prior.status().ToString();
+  }
+  const auto named = InformativePrior(0.8, 1e200, "sister-kg");
+  ASSERT_FALSE(named.ok());
+  EXPECT_NE(named.status().message().find("'sister-kg'"), std::string::npos)
+      << named.status().ToString();
+}
+
+TEST(InformativePriorTest, HeavyWeightsThatFitAreUnchanged) {
+  for (const double weight : {1e100, 1e154}) {
+    const auto prior = InformativePrior(0.8, weight);
+    ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+    EXPECT_EQ(prior->a, 0.8 * weight);
+    EXPECT_EQ(prior->b, (1.0 - 0.8) * weight);
+  }
+}
+
 }  // namespace
 }  // namespace kgacc

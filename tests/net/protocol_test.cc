@@ -53,7 +53,9 @@ TEST(NetProtocolTest, ErrorCarriesOnlyFailureCodes) {
         code >= 1 && code <= static_cast<int>(StatusCode::kQuotaExceeded);
     ASSERT_EQ(decoded.ok(), failure) << "code byte " << code;
     // A decoded Error always converts to a non-OK status.
-    if (failure) EXPECT_FALSE(decoded->ToStatus().ok());
+    if (failure) {
+      EXPECT_FALSE(decoded->ToStatus().ok());
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "kgacc/kg/synthetic.h"
+#include "reference/plain_vose.h"
 
 #include <gtest/gtest.h>
 
@@ -174,16 +175,19 @@ TEST(BuildSizeAliasTableTest, ProbabilitiesMatchSizes) {
                     static_cast<double>(kg.num_triples()),
                 1e-12);
   }
-  // The size-streaming build is the vector build over the same weights.
-  std::vector<double> sizes(kg.num_clusters());
-  for (uint64_t c = 0; c < kg.num_clusters(); ++c) {
-    sizes[c] = static_cast<double>(kg.cluster_size(c));
-  }
-  const AliasTable reference(sizes);
-  Rng a(17);
-  Rng b(17);
-  for (int i = 0; i < 100000; ++i) {
-    ASSERT_EQ(table->Sample(&a), reference.Sample(&b)) << "draw " << i;
+}
+
+TEST(BuildSizeAliasTableTest, BitIdenticalToPlainVose) {
+  // Bucket for bucket, the textbook Vose build over the same sizes.
+  for (const SyntheticKg& kg : {MakeKg(10, 3.0), MakeKg(50000, 3.2)}) {
+    const auto table = internal::BuildSizeAliasTable(kg);
+    std::vector<uint64_t> sizes(kg.num_clusters());
+    for (uint64_t c = 0; c < kg.num_clusters(); ++c) {
+      sizes[c] = kg.cluster_size(c);
+    }
+    const PlainVose reference = PlainVose::FromCounts(sizes);
+    EXPECT_EQ(reference.FirstMismatch(*table), table->size())
+        << kg.num_clusters() << " clusters";
   }
 }
 

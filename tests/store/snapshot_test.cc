@@ -152,7 +152,9 @@ void CheckReplayResume(const Design& design, IntervalMethod method,
                               CheckpointOptions{.every_steps = every});
     for (int i = 1; i <= crash_after; ++i) {
       ASSERT_TRUE(session.Step().ok());
-      if (i < crash_after) ASSERT_TRUE(manager.OnStep(session).ok());
+      if (i < crash_after) {
+        ASSERT_TRUE(manager.OnStep(session).ok());
+      }
     }
     ASSERT_FALSE(session.done());
     ASSERT_TRUE(annotator.status().ok());

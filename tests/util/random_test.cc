@@ -6,7 +6,9 @@
 #include <set>
 #include <vector>
 
+#include "kgacc/kg/profiles.h"
 #include "kgacc/util/flat_set.h"
+#include "reference/plain_vose.h"
 
 #include <gtest/gtest.h>
 
@@ -187,120 +189,119 @@ std::vector<double> OutcomeProbabilities(const AliasTable& table) {
   return p;
 }
 
-/// Textbook Vose construction with separate weight, scaled and worklist
-/// vectors — the reference the lean in-place build must match bit for bit.
-struct PlainVose {
-  std::vector<double> prob;
-  std::vector<uint32_t> alias;
+/// The table over `counts`, with their exact total.
+AliasTable FromCounts(const std::vector<uint64_t>& counts) {
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  return AliasTable(counts.size(), total,
+                    [&counts](size_t i) { return counts[i]; });
+}
 
-  explicit PlainVose(const std::vector<double>& weights) {
-    const size_t n = weights.size();
-    double total = 0.0;
-    for (double w : weights) total += w;
-    prob.resize(n);
-    alias.resize(n);
-    std::vector<double> scaled(n);
-    for (size_t i = 0; i < n; ++i) {
-      const double normalized = weights[i] / total;
-      scaled[i] = normalized * static_cast<double>(n);
-    }
-    std::vector<uint32_t> small, large;
-    for (size_t i = 0; i < n; ++i) {
-      (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-    }
-    while (!small.empty() && !large.empty()) {
-      const uint32_t s = small.back();
-      small.pop_back();
-      const uint32_t l = large.back();
-      large.pop_back();
-      prob[s] = scaled[s];
-      alias[s] = l;
-      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-      (scaled[l] < 1.0 ? small : large).push_back(l);
-    }
-    for (uint32_t i : large) {
-      prob[i] = 1.0;
-      alias[i] = i;
-    }
-    for (uint32_t i : small) {
-      prob[i] = 1.0;
-      alias[i] = i;
-    }
-  }
-};
-
-void ExpectBitIdentical(const AliasTable& table, const PlainVose& ref) {
-  ASSERT_EQ(table.size(), ref.prob.size());
-  for (size_t b = 0; b < table.size(); ++b) {
-    const double got = table.threshold(b);
-    ASSERT_EQ(std::memcmp(&got, &ref.prob[b], sizeof(double)), 0)
-        << "bucket " << b << ": " << got << " vs " << ref.prob[b];
-    ASSERT_EQ(table.alias(b), ref.alias[b]) << "bucket " << b;
-  }
+void ExpectBitIdentical(const std::vector<uint64_t>& counts) {
+  const AliasTable table = FromCounts(counts);
+  const PlainVose ref = PlainVose::FromCounts(counts);
+  ASSERT_EQ(table.size(), counts.size());
+  const size_t b = ref.FirstMismatch(table);
+  ASSERT_EQ(b, counts.size())
+      << "n = " << counts.size() << ", bucket " << b << ": "
+      << table.threshold(b) << " -> " << table.alias(b) << " vs "
+      << ref.prob[b] << " -> " << ref.alias[b];
 }
 
 TEST(AliasTableTest, BitIdenticalToPlainVose) {
   Rng rng(59);
   for (const size_t n : {1u, 2u, 7u, 1000u, 100000u}) {
-    // Integer cluster-size-like weights (many ties), with some zeros.
-    std::vector<double> weights(n);
-    for (double& w : weights) {
-      w = rng.Uniform() < 0.05 ? 0.0 : 1.0 + static_cast<double>(
-                                                 rng.UniformInt(40));
+    // Cluster-size-like counts (many ties), with some zeros.
+    std::vector<uint64_t> counts(n);
+    for (uint64_t& c : counts) {
+      c = rng.Uniform() < 0.05 ? 0 : 1 + rng.UniformInt(40);
     }
-    weights[0] = 3.0;  // keep the total positive at n = 1
-    const PlainVose ref(weights);
-    ExpectBitIdentical(AliasTable(weights), ref);
-    ExpectBitIdentical(AliasTable(n, [&](size_t i) { return weights[i]; }),
-                       ref);
+    counts[0] = 3;  // keep the total positive at n = 1
+    ExpectBitIdentical(counts);
   }
-  // Continuous weights exercise the floating-point residual branch.
-  std::vector<double> weights(5000);
-  for (double& w : weights) w = rng.Uniform();
-  ExpectBitIdentical(AliasTable(weights), PlainVose(weights));
+  // The procedural dbpedia-1m population: the DBPEDIA profile scaled 107x,
+  // the KG kgaccd reopens audits over.
+  DatasetProfile profile = DbpediaProfile();
+  profile.num_facts *= 107;
+  profile.num_clusters *= 107;
+  const SyntheticKg kg = *MakeKg(profile, 42);
+  std::vector<uint64_t> sizes(kg.num_clusters());
+  for (uint64_t c = 0; c < kg.num_clusters(); ++c) {
+    sizes[c] = kg.cluster_size(c);
+  }
+  ASSERT_EQ(sizes.size(), 314152u);
+  ExpectBitIdentical(sizes);
+  // Mostly small counts, with one in ten drawn up to 10^6.
+  std::vector<uint64_t> wide(20000);
+  for (uint64_t& c : wide) {
+    c = rng.Uniform() < 0.9 ? 1 + rng.UniformInt(8)
+                            : 1 + rng.UniformInt(1000000);
+  }
+  ExpectBitIdentical(wide);
+  // One nonzero count among zeros: one large bucket absorbs every small.
+  std::vector<uint64_t> lone(1000, 0);
+  lone[617] = 5;
+  ExpectBitIdentical(lone);
+  // All-equal counts scale to exactly 1: no smalls, nothing to pair.
+  ExpectBitIdentical(std::vector<uint64_t>(4096, 7));
+  // Half the counts scale to exactly 1 between smalls and larges: a
+  // scaled 1 is large, so it keeps its own bucket.
+  std::vector<uint64_t> ones;
+  for (int k = 0; k < 1024; ++k) ones.insert(ones.end(), {1, 2, 3, 2});
+  ExpectBitIdentical(ones);
+  // Large random counts (total below 2^53) leave floating-point residuals
+  // on both worklists.
+  std::vector<uint64_t> big(5000);
+  for (uint64_t& c : big) c = rng.UniformInt(uint64_t{1} << 40);
+  ExpectBitIdentical(big);
+}
+
+TEST(AliasTableDeathTest, CountsThatMissTheTotalAbort) {
+  const std::vector<uint64_t> counts = {2, 3, 4};
+  EXPECT_DEATH(AliasTable(3, 10, [&](size_t i) { return counts[i]; }),
+               "sum == total");
+  EXPECT_DEATH(AliasTable(3, 8, [&](size_t i) { return counts[i]; }),
+               "sum == total");
 }
 
 TEST(AliasTableTest, MatchesWeightsEmpirically) {
-  const std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
-  AliasTable table(weights);
+  const std::vector<uint64_t> counts = {1, 2, 3, 4};
+  const AliasTable table = FromCounts(counts);
   ASSERT_EQ(table.size(), 4u);
   Rng rng(61);
-  std::vector<int> counts(4, 0);
+  std::vector<int> hits(4, 0);
   const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[table.Sample(&rng)];
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double expected = n * weights[i] / 10.0;
-    EXPECT_NEAR(counts[i], expected, 0.03 * expected + 100) << "bucket " << i;
+  for (int i = 0; i < n; ++i) ++hits[table.Sample(&rng)];
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const double expected = n * static_cast<double>(counts[i]) / 10.0;
+    EXPECT_NEAR(hits[i], expected, 0.03 * expected + 100) << "bucket " << i;
   }
 }
 
 TEST(AliasTableTest, NormalizedProbabilities) {
-  AliasTable table({2.0, 6.0});
-  const std::vector<double> p = OutcomeProbabilities(table);
+  const std::vector<double> p = OutcomeProbabilities(FromCounts({2, 6}));
   EXPECT_DOUBLE_EQ(p[0], 0.25);
   EXPECT_DOUBLE_EQ(p[1], 0.75);
-  const std::vector<double> q =
-      OutcomeProbabilities(AliasTable({1.0, 2.0, 3.0, 4.0}));
+  const std::vector<double> q = OutcomeProbabilities(FromCounts({1, 2, 3, 4}));
   for (size_t i = 0; i < q.size(); ++i) {
     EXPECT_NEAR(q[i], (i + 1) / 10.0, 1e-15) << "outcome " << i;
   }
 }
 
 TEST(AliasTableTest, ZeroWeightNeverSampled) {
-  AliasTable table({0.0, 1.0, 0.0});
+  const AliasTable table = FromCounts({0, 1, 0});
   Rng rng(67);
   for (int i = 0; i < 10000; ++i) EXPECT_EQ(table.Sample(&rng), 1u);
 }
 
 TEST(AliasTableTest, SingleOutcome) {
-  AliasTable table({5.0});
+  const AliasTable table = FromCounts({5});
   Rng rng(71);
   EXPECT_EQ(table.Sample(&rng), 0u);
 }
 
 TEST(AliasTableTest, ManyUniformWeightsStayUniform) {
-  std::vector<double> weights(1000, 1.0);
-  AliasTable table(weights);
+  const AliasTable table = FromCounts(std::vector<uint64_t>(1000, 1));
   Rng rng(73);
   std::vector<int> counts(1000, 0);
   const int n = 1000000;

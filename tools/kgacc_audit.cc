@@ -38,10 +38,9 @@
 //   kgacc_audit --kg=facts.tsv --annotator=human --json
 //   kgacc_audit --kg=facts.tsv --store=audit.wal            # durable
 //   kgacc_audit --kg=facts.tsv --store=audit.wal --resume   # after a crash
-//   kgacc_audit --kg=facts.tsv --store=audit.wal \
-//       --failpoints=store.append=every:5                   # chaos
-//   kgacc_audit --kg=facts.tsv --store=audit.wal \
-//       --failpoints=audit.kill=every:5                     # crash test
+// With injected faults, a chaos run and a crash test:
+//   kgacc_audit --kg=facts.tsv --store=a.wal --failpoints=store.append=every:5
+//   kgacc_audit --kg=facts.tsv --store=a.wal --failpoints=audit.kill=every:5
 
 #include <climits>
 #include <cstdint>

@@ -15,8 +15,8 @@
 // Examples:
 //   kgacc_client --port 7471 --kg demo --audit-id 42
 //   kgacc_client --port-file port.txt --kg demo --audit-id 42 --json
-//   kgacc_client --port 7471 --kg demo --audit-id 7 --max-steps 50 \
-//       --deadline-seconds 30
+//   kgacc_client --port 7471 --kg demo --audit-id 7 --max-steps 50
+//   kgacc_client --port 7471 --kg demo --audit-id 7 --deadline-seconds 30
 
 #include <chrono>
 #include <climits>
