@@ -18,6 +18,9 @@ Status ValidateEvaluationConfig(const EvaluationConfig& config) {
         "min_sample_triples exceeds max_triples; the run could never "
         "converge before hitting the cap");
   }
+  for (const BetaPrior& prior : config.priors) {
+    if (Status status = CheckPriorWeight(prior); !status.ok()) return status;
+  }
   return Status::OK();
 }
 

@@ -38,7 +38,8 @@ class ByteWriter;
 /// Validates the stop-rule parameters shared by `RunEvaluation` and
 /// `EvaluationSession`: positive MoE budget, alpha in (0,1), and a minimum
 /// sample that does not exceed the annotation cap (a configuration that
-/// previously looped past the cap check silently).
+/// previously looped past the cap check silently), and no prior heavier
+/// than kMaxPriorWeight (InvalidArgument naming the prior).
 Status ValidateEvaluationConfig(const EvaluationConfig& config);
 
 /// Snapshot of a session after one step.

@@ -1,7 +1,7 @@
 #include "kgacc/intervals/priors.h"
 
-#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace kgacc {
 
@@ -28,25 +28,26 @@ Result<BetaPrior> InformativePrior(double accuracy, double weight,
     return Status::InvalidArgument("informative prior weight must be > 0");
   }
   BetaPrior prior;
-  prior.a = accuracy * weight;
-  prior.b = (1.0 - accuracy) * weight;
-  // Every Beta built on this prior takes its variance from a * b; past the
-  // largest double that product is inf, the variance NaN, and the audit
-  // would fail far from the flag that caused it (at accuracy 0.8 the
-  // heaviest weight that fits is about 3e154).
-  if (!std::isfinite(prior.a * prior.b)) {
-    char spec[64];
-    std::snprintf(spec, sizeof(spec), "%g:%g", accuracy, weight);
-    return Status::InvalidArgument(
-        "informative prior " +
-        (name.empty() ? std::string(spec) : "'" + name + "' (" + spec + ")") +
-        ": weight too large, Beta shape product a * b overflows");
-  }
   prior.name = name.empty()
                    ? "Informative(" + std::to_string(accuracy) + "," +
                          std::to_string(weight) + ")"
                    : std::move(name);
+  prior.a = accuracy * weight;
+  prior.b = (1.0 - accuracy) * weight;
+  if (Status status = CheckPriorWeight(prior); !status.ok()) return status;
   return prior;
+}
+
+Status CheckPriorWeight(const BetaPrior& prior) {
+  // A prior built from weight w has a + b below w * (1 + 2 eps): 1 -
+  // accuracy, the two products and their sum each round by at most eps/2.
+  constexpr double kRounded =
+      kMaxPriorWeight * (1.0 + 2.0 * std::numeric_limits<double>::epsilon());
+  if (prior.a + prior.b <= kRounded) return Status::OK();
+  char detail[96];
+  std::snprintf(detail, sizeof(detail), "a + b = %g exceeds %g",
+                prior.a + prior.b, kMaxPriorWeight);
+  return Status::InvalidArgument("prior '" + prior.name + "': " + detail);
 }
 
 std::vector<BetaPrior> DefaultUninformativePriors() {

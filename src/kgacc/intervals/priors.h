@@ -39,10 +39,22 @@ BetaPrior JeffreysPrior();
 /// Bayes-Laplace uniform prior Beta(1, 1): shortest in the central region.
 BetaPrior UniformPrior();
 
+/// The heaviest prior, a + b, that kgacc audits with. The HPD interval is
+/// accurate a decade past it (at a + b = 1e10 its endpoints match the
+/// normal approximation's to ~1e-10), but not much further: at 1e20 it is
+/// 400 times too wide. A billion pseudo-triples already outweighs any
+/// sample an audit annotates.
+inline constexpr double kMaxPriorWeight = 1e9;
+
+/// OK when `prior`'s a + b is at most kMaxPriorWeight, else InvalidArgument
+/// naming the prior. A prior built from a weight of exactly kMaxPriorWeight
+/// passes: its a and b each round, so a + b may land a few ulps above it.
+Status CheckPriorWeight(const BetaPrior& prior);
+
 /// An informative prior encoding `accuracy` worth `weight` pseudo-triples
 /// of prior knowledge (e.g., from an earlier audit of a similar KG;
-/// Example 2 uses {0.80, 100} and {0.90, 100}). InvalidArgument, naming
-/// the prior, when the weight is so large that a * b overflows a double.
+/// Example 2 uses {0.80, 100} and {0.90, 100}). The weight must be at most
+/// kMaxPriorWeight (CheckPriorWeight's InvalidArgument otherwise).
 Result<BetaPrior> InformativePrior(double accuracy, double weight,
                                    std::string name = "");
 

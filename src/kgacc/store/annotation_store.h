@@ -442,7 +442,7 @@ class StoredAnnotator final : public Annotator {
     /// Exhausted-retry policy for store writes (see the class comment).
     StoreErrorPolicy on_store_error = StoreErrorPolicy::kDegrade;
     /// Retry schedule for transient append failures.
-    BackoffPolicy backoff;
+    BackoffPolicy backoff{};
   };
 
   /// All three pointers must outlive the annotator.

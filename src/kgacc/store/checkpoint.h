@@ -41,7 +41,7 @@ struct CheckpointOptions {
   /// checkpointing, and recovery recomputes from the last good snapshot.
   StoreErrorPolicy on_store_error = StoreErrorPolicy::kDegrade;
   /// Retry schedule for transient snapshot-append failures.
-  BackoffPolicy backoff;
+  BackoffPolicy backoff{};
 };
 
 /// Drives checkpointing for one (session, store, audit_id) binding. The

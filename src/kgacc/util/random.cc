@@ -76,41 +76,59 @@ void SampleWithoutReplacementAppend(uint64_t n, uint64_t k, Rng* rng,
 }
 
 void AliasTable::Pair(uint32_t* work, size_t num_small) {
-  const size_t n = prob_.size();
-  size_t num_large = n - num_small;
-  // Each round takes the top large bucket l and keeps its scaled mass in a
-  // register while it absorbs the top small buckets (LIFO), until its mass
-  // drops below 1 or the smalls run out. That is the textbook
-  // pop-both-then-push-l-back loop: a bucket that stays large would be
-  // popped again at once, and one that turns small is pushed and then
-  // popped as the next small.
-  while (num_small > 0 && num_large > 0) {
-    const uint32_t l = work[n - num_large];
-    double mass = prob_[l];
-    do {
-      const uint32_t s = work[--num_small];
-      alias_[s] = l;
-      mass = (mass + prob_[s]) - 1.0;
-    } while (!(mass < 1.0) && num_small > 0);
-    prob_[l] = mass;
-    if (mass < 1.0) {
-      --num_large;
-      work[num_small++] = l;
+  const size_t n = size_;
+  double* const prob = prob_.get();
+  uint32_t* const alias = alias_.get();
+  // The large worklist is work[next_large, n), its top at next_large.
+  size_t next_large = num_small;
+  // One loop over (small s, large l) pairs. The current large's mass stays
+  // in a register while it absorbs smalls from the top of the small stack;
+  // once it drops below 1 its threshold is final, and it is the next small,
+  // paired with the next large. That is the textbook pop-both-then-push-l-
+  // back loop, the same operations in the same order: a bucket that stays
+  // large would be popped again at once, and one that turns small is
+  // pushed and then popped as the next small.
+  if (num_small > 0 && next_large < n) {
+    uint32_t l = work[next_large];
+    double mass = prob[l];
+    uint32_t s = work[--num_small];
+    double small_mass = prob[s];
+    for (;;) {
+      alias[s] = l;
+      mass = (mass + small_mass) - 1.0;
+      if (mass < 1.0) {
+        if (++next_large == n) {
+          // No large left to absorb it: a residual small.
+          prob[l] = 1.0;
+          alias[l] = l;
+          break;
+        }
+        prob[l] = mass;
+        s = l;
+        small_mass = mass;
+        l = work[next_large];
+        mass = prob[l];
+      } else {
+        // Out of smalls, l stays large: the residual loop finishes it.
+        if (num_small == 0) break;
+        s = work[--num_small];
+        small_mass = prob[s];
+      }
     }
   }
   // Residuals are exactly-1 buckets up to floating point error.
   for (size_t k = 0; k < num_small; ++k) {
-    prob_[work[k]] = 1.0;
-    alias_[work[k]] = work[k];
+    prob[work[k]] = 1.0;
+    alias[work[k]] = work[k];
   }
-  for (size_t k = n - num_large; k < n; ++k) {
-    prob_[work[k]] = 1.0;
-    alias_[work[k]] = work[k];
+  for (size_t k = next_large; k < n; ++k) {
+    prob[work[k]] = 1.0;
+    alias[work[k]] = work[k];
   }
 }
 
 uint64_t AliasTable::Sample(Rng* rng) const {
-  const uint64_t bucket = rng->UniformInt(prob_.size());
+  const uint64_t bucket = rng->UniformInt(size_);
   return rng->Uniform() < prob_[bucket] ? bucket : alias_[bucket];
 }
 

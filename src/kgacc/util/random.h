@@ -4,6 +4,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kgacc/util/check.h"
@@ -133,18 +134,21 @@ class AliasTable {
   /// count). Every partial sum of such counts is exact in a double, so the
   /// table is the textbook Vose build over the counts as doubles, bit for
   /// bit. A `count` that breaks the sum aborts instead of building a skewed
-  /// table. O(n) time and memory.
+  /// table. O(n) time and memory; the O(n) buffers are never zero-filled,
+  /// since the build writes every element before reading it.
   template <typename CountFn>
     requires std::invocable<CountFn&, size_t>
   AliasTable(size_t n, uint64_t total, CountFn count)
-      : prob_(n), alias_(n) {
+      : size_(n),
+        prob_(std::make_unique_for_overwrite<double[]>(n)),
+        alias_(std::make_unique_for_overwrite<uint32_t[]>(n)) {
     KGACC_CHECK(n > 0 && n <= UINT32_MAX);
     KGACC_CHECK(total > 0 && total <= (uint64_t{1} << 53));
     // One pass scales every weight so the average bucket holds probability
     // 1 and sorts it onto Vose's "small" (scaled < 1) or "large" worklist.
     // The two share one buffer: small grows up from the front, large down
     // from the back.
-    std::vector<uint32_t> work(n);
+    const auto work = std::make_unique_for_overwrite<uint32_t[]>(n);
     const double scale_total = static_cast<double>(total);
     const double scale_n = static_cast<double>(n);
     size_t num_small = 0;
@@ -161,14 +165,14 @@ class AliasTable {
       num_small += p < 1.0;
     }
     KGACC_CHECK(sum == total);
-    Pair(work.data(), num_small);
+    Pair(work.get(), num_small);
   }
 
   /// Draws an index with probability proportional to its weight.
   uint64_t Sample(Rng* rng) const;
 
   /// Number of outcomes (= buckets).
-  size_t size() const { return prob_.size(); }
+  size_t size() const { return size_; }
 
   /// Bucket `b`'s acceptance threshold: a draw landing in bucket b keeps
   /// outcome b with this probability, else takes `alias(b)`.
@@ -182,8 +186,9 @@ class AliasTable {
   /// from the back. Fills `alias_` and leaves the final thresholds.
   void Pair(uint32_t* work, size_t num_small);
 
-  std::vector<double> prob_;      // Acceptance threshold per bucket.
-  std::vector<uint32_t> alias_;   // Fallback outcome per bucket.
+  size_t size_;
+  std::unique_ptr<double[]> prob_;     // Acceptance threshold per bucket.
+  std::unique_ptr<uint32_t[]> alias_;  // Fallback outcome per bucket.
 };
 
 }  // namespace kgacc

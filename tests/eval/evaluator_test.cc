@@ -1,7 +1,5 @@
 #include "kgacc/eval/evaluator.h"
 
-#include <cstdio>
-
 #include "kgacc/intervals/credible.h"
 #include "kgacc/intervals/priors.h"
 #include "kgacc/kg/profiles.h"
@@ -51,40 +49,22 @@ TEST(RunEvaluationTest, ConvergesAndMeetsMoeBudget) {
   EXPECT_NEAR(result.mu, 0.85, 0.15);
 }
 
-TEST(RunEvaluationTest, HeaviestInformativePriorsKeepTheirResults) {
-  // The heaviest informative priors that InformativePrior still accepts
-  // run to the same report bits as before weights were bounded (captured
-  // from that build), and the informative prior wins. This pins the bits,
-  // it does not bless them: at these shapes the solver's endpoints are off
-  // by up to 2e-7, and at 1e100 the lower one exceeds the upper one.
-  struct Pinned {
-    double weight;
-    double mu, lower, upper;
-    uint64_t annotated_triples;
-  };
-  const Pinned kPinned[] = {
-      {1e100, 0x1.aaaaaaaaaaaabp-1, 0x1.99999d408cd6ap-1, 0x1.99999d40647a6p-1,
-       30},
-      {1e154, 0x1.aaaaaaaaaaaabp-1, 0x1.9999999999998p-1, 0x1.999999b333334p-1,
-       30},
-  };
+TEST(RunEvaluationTest, HeaviestInformativePriorsAreRefused) {
+  // Past kMaxPriorWeight the HPD endpoints go wrong (at a + b = 1e100 an
+  // SRS audit of this KG ended with its lower endpoint above the upper
+  // one), so an audit refuses such a prior up front and names it.
   const auto kg = MakeKg(0.85);
-  for (const Pinned& pin : kPinned) {
+  for (const double weight : {1e10, 1e100, 1e154}) {
     SrsSampler sampler(kg, SrsConfig{});
     OracleAnnotator annotator;
     EvaluationConfig config;
-    config.priors.push_back(*InformativePrior(0.8, pin.weight));
+    config.priors.push_back(BetaPrior{"heavy", 0.8 * weight, 0.2 * weight});
     const auto result = RunEvaluation(sampler, annotator, config, 9);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    char got[160];
-    std::snprintf(got, sizeof(got), "%a, %a, %a, %llu", result->mu,
-                  result->interval.lower, result->interval.upper,
-                  static_cast<unsigned long long>(result->annotated_triples));
-    EXPECT_EQ(result->mu, pin.mu) << got;
-    EXPECT_EQ(result->interval.lower, pin.lower) << got;
-    EXPECT_EQ(result->interval.upper, pin.upper) << got;
-    EXPECT_EQ(result->annotated_triples, pin.annotated_triples) << got;
-    EXPECT_EQ(result->winning_prior, config.priors.size() - 1) << got;
+    ASSERT_FALSE(result.ok()) << weight;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("prior 'heavy'"),
+              std::string::npos)
+        << result.status().ToString();
   }
 }
 

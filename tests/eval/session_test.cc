@@ -344,6 +344,17 @@ TEST(ValidateEvaluationConfigTest, RejectsMinSampleAboveCap) {
   EXPECT_FALSE(RunEvaluation(sampler, annotator, config, 1).ok());
 }
 
+TEST(ValidateEvaluationConfigTest, RefusesPriorsHeavierThanTheBound) {
+  EvaluationConfig config;
+  config.priors.push_back(BetaPrior{"bound", 0.8e9, 0.2e9});
+  EXPECT_TRUE(ValidateEvaluationConfig(config).ok());
+  config.priors.push_back(BetaPrior{"sister-kg", 0.8e10, 0.2e10});
+  const Status status = ValidateEvaluationConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("prior 'sister-kg'"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ValidateEvaluationConfigTest, AcceptsTheDefaults) {
   EXPECT_TRUE(ValidateEvaluationConfig(EvaluationConfig{}).ok());
 }

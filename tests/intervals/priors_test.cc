@@ -1,5 +1,10 @@
 #include "kgacc/intervals/priors.h"
 
+#include <cmath>
+
+#include "kgacc/intervals/credible.h"
+#include "kgacc/math/normal.h"
+
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -82,27 +87,59 @@ TEST(InformativePriorTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(InformativePrior(0.5, -5.0).ok());
 }
 
-TEST(InformativePriorTest, RefusesWeightsWhoseShapeProductOverflows) {
-  for (const double weight : {1e155, 1e200, 1e250, 1e308}) {
+TEST(InformativePriorTest, RefusesWeightsAboveTheBound) {
+  for (const double weight : {1.0000001e9, 1e10, 1e14, 1e20, 1e50, 1e100,
+                              1e155, 1e308}) {
     const auto prior = InformativePrior(0.8, weight);
     ASSERT_FALSE(prior.ok()) << weight;
     EXPECT_EQ(prior.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(prior.status().message().find("informative prior 0.8:"),
+    EXPECT_NE(prior.status().message().find("prior 'Informative(0.800000,"),
               std::string::npos)
         << prior.status().ToString();
   }
-  const auto named = InformativePrior(0.8, 1e200, "sister-kg");
+  const auto named = InformativePrior(0.8, 1e10, "sister-kg");
   ASSERT_FALSE(named.ok());
   EXPECT_NE(named.status().message().find("'sister-kg'"), std::string::npos)
       << named.status().ToString();
 }
 
-TEST(InformativePriorTest, HeavyWeightsThatFitAreUnchanged) {
-  for (const double weight : {1e100, 1e154}) {
+TEST(InformativePriorTest, WeightsUpToTheBoundAreUnchanged) {
+  for (const double weight : {1e3, 1e6, 1e9}) {
     const auto prior = InformativePrior(0.8, weight);
     ASSERT_TRUE(prior.ok()) << prior.status().ToString();
     EXPECT_EQ(prior->a, 0.8 * weight);
     EXPECT_EQ(prior->b, (1.0 - 0.8) * weight);
+  }
+}
+
+TEST(InformativePriorTest, EveryAccuracyAtTheBoundIsAccepted) {
+  // At weight kMaxPriorWeight, a + b rounds above the bound for some
+  // accuracies; those priors are still accepted, by CheckPriorWeight too.
+  int rounded_up = 0;
+  for (int k = 1; k < 1000; ++k) {
+    const double accuracy = k / 1000.0;
+    const auto prior = InformativePrior(accuracy, kMaxPriorWeight);
+    ASSERT_TRUE(prior.ok()) << accuracy << ": " << prior.status().ToString();
+    EXPECT_TRUE(CheckPriorWeight(*prior).ok()) << accuracy;
+    rounded_up += prior->a + prior->b > kMaxPriorWeight;
+  }
+  EXPECT_GT(rounded_up, 0);
+}
+
+TEST(InformativePriorTest, WeightsUpToTheBoundKeepNormalWidths) {
+  // Up to the bound, the HPD interval of a heavy prior's posterior is a
+  // proper interval as wide as the normal approximation's 2 z sd.
+  const double z = *TwoSidedZ(0.05);
+  for (const double weight : {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}) {
+    const BetaDistribution posterior =
+        *InformativePrior(0.8, weight)->Posterior(170, 200);
+    const auto hpd = HpdInterval(posterior, 0.05);
+    ASSERT_TRUE(hpd.ok()) << weight << ": " << hpd.status().ToString();
+    const double normal_width = 2.0 * z * std::sqrt(posterior.Variance());
+    EXPECT_LT(hpd->interval.lower, hpd->interval.upper) << weight;
+    EXPECT_NEAR(hpd->interval.upper - hpd->interval.lower, normal_width,
+                0.01 * normal_width)
+        << weight;
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "kgacc/kg/knowledge_graph.h"
 #include "kgacc/kg/synthetic.h"
 #include "reference/plain_vose.h"
 
@@ -189,6 +192,78 @@ TEST(BuildSizeAliasTableTest, BitIdenticalToPlainVose) {
     EXPECT_EQ(reference.FirstMismatch(*table), table->size())
         << kg.num_clusters() << " clusters";
   }
+}
+
+/// A view that forwards every call to another view. It is not a
+/// `KnowledgeGraph`, so a table built over it reads each size through the
+/// virtual `KgView` call. `extra_triples` makes it misreport its total.
+class ForwardingKg : public KgView {
+ public:
+  explicit ForwardingKg(const KgView& inner, uint64_t extra_triples = 0)
+      : inner_(inner), extra_triples_(extra_triples) {}
+  uint64_t num_triples() const override {
+    return inner_.num_triples() + extra_triples_;
+  }
+  uint64_t num_clusters() const override { return inner_.num_clusters(); }
+  uint64_t cluster_size(uint64_t cluster) const override {
+    return inner_.cluster_size(cluster);
+  }
+  bool label(uint64_t cluster, uint64_t offset) const override {
+    return inner_.label(cluster, offset);
+  }
+  TripleRef TripleAt(uint64_t global_index) const override {
+    return inner_.TripleAt(global_index);
+  }
+  double TrueAccuracy() const override { return inner_.TrueAccuracy(); }
+
+ private:
+  const KgView& inner_;
+  uint64_t extra_triples_;
+};
+
+/// A materialized KG whose cluster c holds `sizes[c]` triples.
+KnowledgeGraph KgWithSizes(const std::vector<uint64_t>& sizes) {
+  KnowledgeGraphBuilder builder;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    const std::string subject = "e" + std::to_string(c);
+    for (uint64_t off = 0; off < sizes[c]; ++off) {
+      builder.Add(subject, "p" + std::to_string(off), "o", off % 3 != 0);
+    }
+  }
+  return *builder.Build();
+}
+
+TEST(BuildSizeAliasTableTest, BothSizePathsMatchPlainVose) {
+  Rng rng(83);
+  // Mostly small counts, some mid-sized ones and one 10^6; then all-equal
+  // counts, every bucket scaled to exactly 1.
+  std::vector<uint64_t> mixed(3000);
+  for (uint64_t& c : mixed) c = 1 + rng.UniformInt(8);
+  for (size_t i = 0; i < 60; ++i) mixed[50 * i + 7] = 63 + i % 3;
+  mixed[1234] = 1000000;
+  const std::vector<std::vector<uint64_t>> cases = {
+      mixed, std::vector<uint64_t>(700, 7)};
+  for (const std::vector<uint64_t>& sizes : cases) {
+    const KnowledgeGraph kg = KgWithSizes(sizes);
+    ASSERT_EQ(kg.num_clusters(), sizes.size());
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      ASSERT_EQ(kg.cluster_size(c), sizes[c]) << c;
+    }
+    const PlainVose reference = PlainVose::FromCounts(sizes);
+    const auto fast = internal::BuildSizeAliasTable(kg);
+    const auto virtual_path =
+        internal::BuildSizeAliasTable(ForwardingKg(kg));
+    EXPECT_EQ(reference.FirstMismatch(*fast), sizes.size());
+    EXPECT_EQ(reference.FirstMismatch(*virtual_path), sizes.size());
+  }
+}
+
+TEST(BuildSizeAliasTableDeathTest, SizesThatMissTheTotalAbort) {
+  // A KnowledgeGraph cannot miss its own total, so a view that forwards
+  // its sizes misreports the total.
+  const KnowledgeGraph kg = KgWithSizes({3, 5, 8});
+  EXPECT_DEATH(internal::BuildSizeAliasTable(ForwardingKg(kg, 1)),
+               "sum == total");
 }
 
 }  // namespace

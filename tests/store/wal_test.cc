@@ -211,7 +211,7 @@ TEST(WalTest, ZeroLengthLogOpensClean) {
 TEST(WalTest, UnopenablePathIsADescriptiveIoError) {
   // A directory cannot be a log file; a missing parent cannot hold one.
   // (Permission-bit tests do not work here — CI runs as root.)
-  for (const std::string path :
+  for (const std::string& path :
        {testing::TempDir(),
         TempPath("no_such_dir") + "/sub/dir/log.wal"}) {
     auto log = WriteAheadLog::Open(path, nullptr);

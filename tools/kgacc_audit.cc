@@ -77,8 +77,8 @@ ArgParser BuildParser() {
       .AddFlag("budget-hours", "manual-effort budget in hours (0 = none)")
       .AddFlag("annotator", "oracle|human (default oracle)")
       .AddFlag("prior",
-               "extra informative prior as accuracy:weight (repeatable via "
-               "comma list)")
+               "extra informative prior as accuracy:weight, its Beta "
+               "a + b at most 1e9 (repeatable via comma list)")
       .AddFlag("fpc", "apply the finite-population correction (srs only)")
       .AddFlag("json", "emit a JSON record instead of the text report")
       .AddFlag("plan",
