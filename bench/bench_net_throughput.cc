@@ -7,8 +7,9 @@
 // `net.read.torn` failpoint armed to price reconnect-and-resume under a
 // lossy transport, and a two-tenant fairness window on a single-worker
 // daemon whose served-step split CI gates against the 3:1 DRR weights
-// (`check_perf_regression.py --net-fresh`). Emits BENCH_net.json; the
-// throughput rows are informational — the byte-identity and
+// (`check_perf_regression.py --net-fresh`). Emits BENCH_net.json, opening
+// with the `host` record (bench_util.h) as the step and service records
+// do; the throughput rows are informational — the byte-identity and
 // crash-tolerance *contracts* are gated by tests/net/daemon_test.cc and
 // the CI daemon stage — but the fairness row is a machine-independent
 // ratio and is gated.
@@ -280,11 +281,12 @@ int main() {
   std::FILE* json = std::fopen("BENCH_net.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
-                 "[\n"
+                 "[\n  %s,\n"
                  "  {\"bench\": \"net_cold_audits\", \"clients\": %d, "
                  "\"audits\": %llu, \"audits_per_sec\": %.2f, "
                  "\"steps_per_sec\": %.2f},\n",
-                 clients, static_cast<unsigned long long>(cold.audits),
+                 bench::HostRecordJson().c_str(), clients,
+                 static_cast<unsigned long long>(cold.audits),
                  cold.audits / cold.seconds, cold.steps / cold.seconds);
     std::fprintf(json,
                  "  {\"bench\": \"net_report_replay\", \"clients\": %d, "

@@ -27,13 +27,11 @@ void Advise(const char* label, const SyntheticKg& kg) {
 
   // Cost heuristic: TWCS needs ~deff times the SRS triples but pays the
   // entity-identification cost only once per cluster (m=3 second stage).
-  const CostModel cost;
-  const double srs_per_triple = cost.entity_identification_seconds +
-                                cost.fact_verification_seconds;
+  const double srs_per_triple =
+      kEntityIdentificationSeconds + kFactVerificationSeconds;
   const double m_eff = std::min(3.0, stats.avg_cluster_size);
   const double twcs_per_triple =
-      cost.entity_identification_seconds / m_eff +
-      cost.fact_verification_seconds;
+      kEntityIdentificationSeconds / m_eff + kFactVerificationSeconds;
   const double twcs_relative =
       stats.predicted_design_effect * twcs_per_triple / srs_per_triple;
   const char* advice = twcs_relative < 1.0 ? "TWCS" : "SRS";

@@ -22,21 +22,18 @@ struct EffectiveSample {
   double tau_eff = 0.0;
 };
 
-/// Tuning for the design-effect computation.
-struct DesignEffectOptions {
-  /// Lower clamp for deff: protects against pathological near-zero variance
-  /// estimates in early iterations inflating n_eff without bound.
-  double min_deff = 0.25;
-  /// Upper clamp, symmetric protection for tiny samples.
-  double max_deff = 20.0;
-};
+/// Lower clamp for deff: protects against pathological near-zero variance
+/// estimates in early iterations inflating n_eff without bound.
+inline constexpr double kMinDesignEffect = 0.25;
+/// Upper clamp, symmetric protection for tiny samples.
+inline constexpr double kMaxDesignEffect = 20.0;
 
-/// Computes the effective sample for `estimate`. Falls back to deff = 1
-/// when the SRS reference variance mu(1-mu)/n is zero (degenerate
-/// all-correct / all-incorrect samples) or fewer than two first-stage units
-/// have been observed.
-EffectiveSample ComputeEffectiveSample(const AccuracyEstimate& estimate,
-                                       const DesignEffectOptions& options = {});
+/// Computes the effective sample for `estimate`, with deff clamped to
+/// [kMinDesignEffect, kMaxDesignEffect]. Falls back to deff = 1 when the
+/// SRS reference variance mu(1-mu)/n is zero (degenerate all-correct /
+/// all-incorrect samples) or fewer than two first-stage units have been
+/// observed.
+EffectiveSample ComputeEffectiveSample(const AccuracyEstimate& estimate);
 
 }  // namespace kgacc
 

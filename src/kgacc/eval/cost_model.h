@@ -12,21 +12,18 @@
 
 namespace kgacc {
 
-/// Per-action average manual effort, in seconds.
-struct CostModel {
-  /// c1: linking an entity to its real-world concept.
-  double entity_identification_seconds = 45.0;
-  /// c2: collecting evidence and auditing one fact.
-  double fact_verification_seconds = 25.0;
-  /// Judgments collected per triple (multi-annotator protocols multiply the
-  /// verification effort; 1 reproduces the paper's single-annotator cost).
-  int annotators_per_triple = 1;
-};
+/// c1: average seconds to link an entity to its real-world concept.
+inline constexpr double kEntityIdentificationSeconds = 45.0;
+/// c2: average seconds to collect evidence for and audit one fact.
+inline constexpr double kFactVerificationSeconds = 25.0;
 
 /// Total manual effort for `sample` in seconds (divide by 3600 for the
-/// hours of Tables 3-4 and Fig. 4).
-double AnnotationCostSeconds(const CostModel& model,
-                             const AnnotatedSample& sample);
+/// hours of Tables 3-4 and Fig. 4). `annotators_per_triple` judgments are
+/// collected per triple: multi-annotator protocols multiply the
+/// verification effort, and 1 reproduces the paper's single-annotator
+/// cost.
+double AnnotationCostSeconds(const AnnotatedSample& sample,
+                             int annotators_per_triple);
 
 }  // namespace kgacc
 

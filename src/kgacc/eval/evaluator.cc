@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "kgacc/estimate/design_effect.h"
 #include "kgacc/eval/session.h"
 
 namespace kgacc {
@@ -73,8 +74,7 @@ Result<Interval> BuildInterval(const EvaluationConfig& config,
   double tau_eff = static_cast<double>(estimate.tau);
   double deff = 1.0;
   if (kind != EstimatorKind::kSrs) {
-    const EffectiveSample eff =
-        ComputeEffectiveSample(estimate, config.design_effect);
+    const EffectiveSample eff = ComputeEffectiveSample(estimate);
     n_eff = eff.n_eff;
     tau_eff = eff.tau_eff;
     deff = eff.deff;

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "kgacc/estimate/accumulator.h"
-#include "kgacc/estimate/design_effect.h"
 #include "kgacc/eval/annotator.h"
-#include "kgacc/eval/cost_model.h"
 #include "kgacc/intervals/ahpd.h"
 #include "kgacc/intervals/frequentist.h"
 #include "kgacc/sampling/sampler.h"
@@ -41,6 +39,11 @@ const char* IntervalMethodName(IntervalMethod method);
 /// ahpd|hpd|et|wilson|wald|cp.
 Result<IntervalMethod> ParseIntervalMethod(const std::string& name);
 
+/// Minimum annotated triples before the stop rule may fire — the usual
+/// n >= 30 normal-approximation floor; also what makes the earliest Wald
+/// zero-width halt occur at n = 30 (Example 1).
+inline constexpr uint64_t kMinSampleTriples = 30;
+
 /// Configuration of one evaluation run. Every field can change the result,
 /// so every field is part of the session fingerprint a checkpoint resumes
 /// under (`EvaluationSession::EncodeFingerprint`).
@@ -53,10 +56,6 @@ struct EvaluationConfig {
   /// Prior set: all priors compete under kAhpd; kEqualTailed / kHpd use the
   /// first entry. Ignored by the frequentist methods.
   std::vector<BetaPrior> priors = DefaultUninformativePriors();
-  /// Minimum annotated triples before the stop rule may fire — the usual
-  /// n >= 30 normal-approximation floor; also what makes the earliest Wald
-  /// zero-width halt occur at n = 30 (Example 1).
-  uint64_t min_sample_triples = 30;
   /// Safety cap on annotations; exceeding it reports convergence failure.
   uint64_t max_triples = 1000000;
   /// Manual-effort budget in seconds (0 = unlimited). When the accumulated
@@ -69,8 +68,6 @@ struct EvaluationConfig {
   /// it lets the interval shrink to zero at full census (§2.2). Off by
   /// default to match the paper's with-replacement protocol.
   bool finite_population_correction = false;
-  CostModel cost;
-  DesignEffectOptions design_effect;
   /// When true, records (n, MoE) after every batch for plotting.
   bool record_trace = false;
 };

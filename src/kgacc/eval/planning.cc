@@ -82,8 +82,7 @@ Result<uint64_t> AhpdRequiredSampleSize(const std::vector<BetaPrior>& priors,
 Result<SamplePlan> PlanAhpdAudit(const std::vector<BetaPrior>& priors,
                                  double mu_guess, double alpha,
                                  double epsilon, double tau, double n,
-                                 double entities_per_triple,
-                                 const CostModel& cost) {
+                                 double entities_per_triple) {
   KGACC_RETURN_IF_ERROR(ValidatePlanArgs(mu_guess, alpha, epsilon));
   if (tau < 0.0 || n < 0.0 || tau > n) {
     return Status::InvalidArgument("need 0 <= tau <= n");
@@ -115,9 +114,8 @@ Result<SamplePlan> PlanAhpdAudit(const std::vector<BetaPrior>& priors,
   plan.additional_triples = static_cast<uint64_t>(std::llround(extra));
   plan.additional_cost_hours =
       extra *
-      (entities_per_triple * cost.entity_identification_seconds +
-       cost.fact_verification_seconds *
-           static_cast<double>(cost.annotators_per_triple)) /
+      (entities_per_triple * kEntityIdentificationSeconds +
+       kFactVerificationSeconds) /
       3600.0;
   return plan;
 }

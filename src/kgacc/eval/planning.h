@@ -42,12 +42,12 @@ Result<uint64_t> AhpdRequiredSampleSize(const std::vector<BetaPrior>& priors,
 /// Full plan starting from an existing annotation state (tau, n); pass
 /// (0, 0) for a fresh audit. `entities_per_triple` is the expected fraction
 /// of sampled triples introducing a new entity (1.0 for SRS on entity-rich
-/// KGs, ~1/min(m, avg cluster) for TWCS).
+/// KGs, ~1/min(m, avg cluster) for TWCS). The cost is Eq. 12's c1 per new
+/// entity plus c2 per triple, with one annotator per triple.
 Result<SamplePlan> PlanAhpdAudit(const std::vector<BetaPrior>& priors,
                                  double mu_guess, double alpha,
                                  double epsilon, double tau, double n,
-                                 double entities_per_triple = 1.0,
-                                 const CostModel& cost = {});
+                                 double entities_per_triple = 1.0);
 
 }  // namespace kgacc
 

@@ -1,7 +1,9 @@
 #include "kgacc/eval/session.h"
 
+#include <string>
 #include <utility>
 
+#include "kgacc/eval/cost_model.h"
 #include "kgacc/util/codec.h"
 
 namespace kgacc {
@@ -13,13 +15,14 @@ Status ValidateEvaluationConfig(const EvaluationConfig& config) {
   if (!(config.alpha > 0.0) || !(config.alpha < 1.0)) {
     return Status::OutOfRange("alpha must be in (0,1)");
   }
-  if (config.min_sample_triples > config.max_triples) {
+  if (config.max_triples < kMinSampleTriples) {
     return Status::InvalidArgument(
-        "min_sample_triples exceeds max_triples; the run could never "
-        "converge before hitting the cap");
+        "max_triples is below the " + std::to_string(kMinSampleTriples) +
+        "-triple minimum sample; the run could never converge before "
+        "hitting the cap");
   }
   for (const BetaPrior& prior : config.priors) {
-    if (Status status = CheckPriorWeight(prior); !status.ok()) return status;
+    if (Status status = CheckPrior(prior); !status.ok()) return status;
   }
   return Status::OK();
 }
@@ -30,7 +33,7 @@ EvaluationSession::EvaluationSession(Sampler& sampler, Annotator& annotator,
     : sampler_(sampler),
       annotator_(annotator),
       config_(config),
-      cost_model_(config.cost),
+      annotators_per_triple_(annotator.JudgmentsPerTriple()),
       seed_(seed),
       rng_(seed),
       init_status_(ValidateEvaluationConfig(config)),
@@ -44,7 +47,6 @@ EvaluationSession::EvaluationSession(Sampler& sampler, Annotator& annotator,
     sample_ = &own_sample_;
     batch_ = &own_batch_;
   }
-  cost_model_.annotators_per_triple = annotator_.JudgmentsPerTriple();
   if (init_status_.ok()) sampler_.Reset();
 }
 
@@ -116,7 +118,7 @@ Result<StepOutcome> EvaluationSession::Step() {
   }
 
   // Phase 4: quality control against the MoE budget and resource caps.
-  if (accumulator_.num_triples() >= config_.min_sample_triples &&
+  if (accumulator_.num_triples() >= kMinSampleTriples &&
       moe_ <= config_.moe_threshold) {
     result_.converged = true;
     result_.stop_reason = StopReason::kConverged;
@@ -125,7 +127,7 @@ Result<StepOutcome> EvaluationSession::Step() {
     result_.stop_reason = StopReason::kTripleCapReached;
     done_ = true;
   } else if (config_.max_cost_seconds > 0.0 &&
-             AnnotationCostSeconds(cost_model_, *sample_) >=
+             AnnotationCostSeconds(*sample_, annotators_per_triple_) >=
                  config_.max_cost_seconds) {
     result_.stop_reason = StopReason::kBudgetExhausted;
     done_ = true;
@@ -143,7 +145,7 @@ Result<EvaluationResult> EvaluationSession::Finish() {
   out.annotated_triples = accumulator_.num_triples();
   out.distinct_triples = sample_->num_distinct_triples();
   out.distinct_entities = sample_->num_distinct_entities();
-  out.cost_seconds = AnnotationCostSeconds(cost_model_, *sample_);
+  out.cost_seconds = AnnotationCostSeconds(*sample_, annotators_per_triple_);
   out.cost_hours = out.cost_seconds / 3600.0;
   // Surface a degraded durable layer (e.g. a StoredAnnotator that stopped
   // persisting labels) so every driver — local, resumed, networked — reports
@@ -167,7 +169,6 @@ void EvaluationSession::EncodeFingerprint(ByteWriter* w) const {
   w->U8(static_cast<uint8_t>(config_.method));
   w->Double(config_.alpha);
   w->Double(config_.moe_threshold);
-  w->Varint(config_.min_sample_triples);
   w->Varint(config_.max_triples);
   w->Double(config_.max_cost_seconds);
   w->Bool(config_.finite_population_correction);
@@ -179,11 +180,7 @@ void EvaluationSession::EncodeFingerprint(ByteWriter* w) const {
     w->Double(prior.a);
     w->Double(prior.b);
   }
-  w->Double(cost_model_.entity_identification_seconds);
-  w->Double(cost_model_.fact_verification_seconds);
-  w->Zigzag(cost_model_.annotators_per_triple);
-  w->Double(config_.design_effect.min_deff);
-  w->Double(config_.design_effect.max_deff);
+  w->Zigzag(annotators_per_triple_);
 }
 
 }  // namespace kgacc

@@ -36,10 +36,11 @@ namespace kgacc {
 class ByteWriter;
 
 /// Validates the stop-rule parameters shared by `RunEvaluation` and
-/// `EvaluationSession`: positive MoE budget, alpha in (0,1), and a minimum
-/// sample that does not exceed the annotation cap (a configuration that
-/// previously looped past the cap check silently), and no prior heavier
-/// than kMaxPriorWeight (InvalidArgument naming the prior).
+/// `EvaluationSession`: positive MoE budget, alpha in (0,1), an annotation
+/// cap no smaller than kMinSampleTriples (a configuration that previously
+/// looped past the cap check silently), and priors whose a and b are
+/// finite and positive with a + b at most kMaxPriorWeight (InvalidArgument
+/// naming the prior).
 Status ValidateEvaluationConfig(const EvaluationConfig& config);
 
 /// Snapshot of a session after one step.
@@ -118,8 +119,8 @@ class EvaluationSession {
   int iterations() const { return result_.iterations; }
 
   /// Encodes the session's identity: the seed, the design name, and every
-  /// configuration field that can change the result (the effective cost
-  /// model included, so the annotator's panel size counts). A session is a
+  /// configuration field that can change the result (the annotator's
+  /// panel size included, since it scales the cost). A session is a
   /// deterministic function of this identity and its labels, which is what
   /// lets `CheckpointManager` resume by replaying steps: two sessions with
   /// equal fingerprints, fed the same labels, take the same path bit for
@@ -133,7 +134,8 @@ class EvaluationSession {
   Sampler& sampler_;
   Annotator& annotator_;
   EvaluationConfig config_;
-  CostModel cost_model_;
+  /// Judgments per triple, from the annotator; scales the fact cost c2.
+  int annotators_per_triple_;
   uint64_t seed_;
   Rng rng_;
   Status init_status_;

@@ -71,10 +71,8 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
                   const Interval& start, HpdResult* out) {
   const double a = posterior.a();
   const double b = posterior.b();
-  // Plain lambda, not a KktSystem2Fn: the solver is templated over the
-  // callable, so the system inlines and the solve allocates nothing — the
-  // per-solve type-erasure allocation was the last heap traffic on the
-  // warm kHpd step path.
+  // The solver is templated over the callable, so the system inlines and
+  // the solve allocates nothing.
   const auto system = [&posterior, a, b, alpha, out](
                           double l, double u, double* r, double* jac) {
     out->cdf_evals += 2;

@@ -1,8 +1,6 @@
 #ifndef KGACC_INTERVALS_INTERVAL_H_
 #define KGACC_INTERVALS_INTERVAL_H_
 
-#include <algorithm>
-
 /// \file interval.h
 /// The 1-alpha interval value type shared by every frequentist and Bayesian
 /// constructor in the library, together with the Margin of Error (MoE =
@@ -22,16 +20,6 @@ struct Interval {
 
   /// True when `x` lies inside the interval (inclusive).
   bool Contains(double x) const { return x >= lower && x <= upper; }
-
-  /// The interval clipped to the [0, 1] accuracy domain. Wald intervals can
-  /// overshoot the domain (§3.1); clipping is presentational only — the MoE
-  /// stopping rule always uses the raw width.
-  Interval ClampedToUnit() const {
-    Interval out;
-    out.lower = std::clamp(lower, 0.0, 1.0);
-    out.upper = std::clamp(upper, 0.0, 1.0);
-    return out;
-  }
 };
 
 }  // namespace kgacc

@@ -1,5 +1,6 @@
 #include "kgacc/intervals/priors.h"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -34,19 +35,27 @@ Result<BetaPrior> InformativePrior(double accuracy, double weight,
                    : std::move(name);
   prior.a = accuracy * weight;
   prior.b = (1.0 - accuracy) * weight;
-  if (Status status = CheckPriorWeight(prior); !status.ok()) return status;
+  if (Status status = CheckPrior(prior); !status.ok()) return status;
   return prior;
 }
 
-Status CheckPriorWeight(const BetaPrior& prior) {
+Status CheckPrior(const BetaPrior& prior) {
   // A prior built from weight w has a + b below w * (1 + 2 eps): 1 -
   // accuracy, the two products and their sum each round by at most eps/2.
   constexpr double kRounded =
       kMaxPriorWeight * (1.0 + 2.0 * std::numeric_limits<double>::epsilon());
-  if (prior.a + prior.b <= kRounded) return Status::OK();
   char detail[96];
-  std::snprintf(detail, sizeof(detail), "a + b = %g exceeds %g",
-                prior.a + prior.b, kMaxPriorWeight);
+  if (!(std::isfinite(prior.a) && prior.a > 0.0 && std::isfinite(prior.b) &&
+        prior.b > 0.0)) {
+    std::snprintf(detail, sizeof(detail),
+                  "a = %g and b = %g must be finite and positive", prior.a,
+                  prior.b);
+  } else if (prior.a + prior.b <= kRounded) {
+    return Status::OK();
+  } else {
+    std::snprintf(detail, sizeof(detail), "a + b = %g exceeds %g",
+                  prior.a + prior.b, kMaxPriorWeight);
+  }
   return Status::InvalidArgument("prior '" + prior.name + "': " + detail);
 }
 

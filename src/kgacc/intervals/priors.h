@@ -20,9 +20,6 @@ struct BetaPrior {
   double a = 1.0;
   double b = 1.0;
 
-  /// Uninformative in the paper's sense: a == b <= 1.
-  bool IsUninformative() const { return a == b && a <= 1.0; }
-
   /// Conjugate update (§4.1): Beta(a + tau, b + n - tau). Counts may be
   /// fractional when design-effect-adjusted effective samples are used.
   Result<BetaDistribution> Posterior(double tau, double n) const;
@@ -46,15 +43,16 @@ BetaPrior UniformPrior();
 /// sample an audit annotates.
 inline constexpr double kMaxPriorWeight = 1e9;
 
-/// OK when `prior`'s a + b is at most kMaxPriorWeight, else InvalidArgument
-/// naming the prior. A prior built from a weight of exactly kMaxPriorWeight
-/// passes: its a and b each round, so a + b may land a few ulps above it.
-Status CheckPriorWeight(const BetaPrior& prior);
+/// OK when `prior`'s a and b are finite and positive and a + b is at most
+/// kMaxPriorWeight, else InvalidArgument naming the prior. A prior built
+/// from a weight of exactly kMaxPriorWeight passes: its a and b each round,
+/// so a + b may land a few ulps above it.
+Status CheckPrior(const BetaPrior& prior);
 
 /// An informative prior encoding `accuracy` worth `weight` pseudo-triples
 /// of prior knowledge (e.g., from an earlier audit of a similar KG;
 /// Example 2 uses {0.80, 100} and {0.90, 100}). The weight must be at most
-/// kMaxPriorWeight (CheckPriorWeight's InvalidArgument otherwise).
+/// kMaxPriorWeight (CheckPrior's InvalidArgument otherwise).
 Result<BetaPrior> InformativePrior(double accuracy, double weight,
                                    std::string name = "");
 

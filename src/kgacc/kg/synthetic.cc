@@ -63,12 +63,9 @@ Result<SyntheticKg> SyntheticKg::Create(const SyntheticKgConfig& config) {
         std::max<int64_t>(1, std::llround(config.mean_cluster_size)));
     std::fill(sizes.begin(), sizes.end(), fixed);
   } else if (config.size_model == ClusterSizeModel::kZipf) {
-    if (config.zipf_max_size < 2) {
-      return Status::InvalidArgument("zipf_max_size must be >= 2");
-    }
     // Solve for the exponent s with mean(k^-s over 1..cap) matching the
     // target. The mean is decreasing in s; bisect on [1.01, 12].
-    const uint64_t cap = config.zipf_max_size;
+    const uint64_t cap = kZipfMaxClusterSize;
     auto mean_for = [cap](double s) {
       double mass = 0.0, weighted = 0.0;
       for (uint64_t k = 1; k <= cap; ++k) {
@@ -81,7 +78,7 @@ Result<SyntheticKg> SyntheticKg::Create(const SyntheticKgConfig& config) {
     double lo_s = 1.01, hi_s = 12.0;
     if (config.mean_cluster_size >= mean_for(lo_s)) {
       return Status::InvalidArgument(
-          "zipf mean_cluster_size unreachable; raise zipf_max_size");
+          "zipf mean_cluster_size unreachable under the size cap");
     }
     for (int iter = 0; iter < 60; ++iter) {
       const double mid = 0.5 * (lo_s + hi_s);

@@ -41,12 +41,16 @@ enum class ClusterSizeModel {
   kFixed,
   /// M_i = 1 + Geometric; matches the small-cluster skew of entity KGs.
   kGeometric,
-  /// M_i ~ truncated Zipf: P(M = k) proportional to k^-s, k = 1..cap. The
-  /// exponent s is solved numerically so the mean matches
-  /// `mean_cluster_size`; models the heavy-tailed entity degrees of
-  /// encyclopedic KGs (a few hub entities with thousands of facts).
+  /// M_i ~ truncated Zipf: P(M = k) proportional to k^-s, k = 1..cap with
+  /// cap = kZipfMaxClusterSize. The exponent s is solved numerically so the
+  /// mean matches `mean_cluster_size`; models the heavy-tailed entity
+  /// degrees of encyclopedic KGs (a few hub entities with thousands of
+  /// facts).
   kZipf,
 };
+
+/// Largest cluster size the kZipf model draws.
+inline constexpr uint64_t kZipfMaxClusterSize = 10000;
 
 /// Generation parameters for a `SyntheticKg`.
 struct SyntheticKgConfig {
@@ -54,8 +58,6 @@ struct SyntheticKgConfig {
   /// Target mean cluster size (>= 1).
   double mean_cluster_size = 1.0;
   ClusterSizeModel size_model = ClusterSizeModel::kGeometric;
-  /// Largest cluster size for the kZipf model.
-  uint64_t zipf_max_size = 10000;
   /// Target accuracy mu in [0, 1].
   double accuracy = 0.5;
   LabelModel label_model = LabelModel::kIid;

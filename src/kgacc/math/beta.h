@@ -51,9 +51,6 @@ class BetaDistribution {
   /// Shape class of the density; drives the HPD limiting-case logic.
   BetaShape Shape() const;
 
-  /// True iff the density is symmetric about 1/2 (a == b).
-  bool IsSymmetric() const { return a_ == b_; }
-
   /// Density f(x); 0 outside [0, 1]. Edge values follow the continuous
   /// extension (may be +inf when a < 1 at x=0 or b < 1 at x=1).
   double Pdf(double x) const;

@@ -6,17 +6,6 @@
 
 namespace kgacc {
 
-Result<double> StudentTCdf(double t, double nu) {
-  if (!(nu > 0.0)) {
-    return Status::InvalidArgument("degrees of freedom must be positive");
-  }
-  if (std::isnan(t)) return Status::NumericError("t statistic is NaN");
-  const double x = nu / (nu + t * t);
-  KGACC_ASSIGN_OR_RETURN(const double ib,
-                         RegularizedIncompleteBeta(x, nu / 2.0, 0.5));
-  return t >= 0.0 ? 1.0 - 0.5 * ib : 0.5 * ib;
-}
-
 Result<double> StudentTTwoSidedP(double t, double nu) {
   if (!(nu > 0.0)) {
     return Status::InvalidArgument("degrees of freedom must be positive");
@@ -24,24 +13,6 @@ Result<double> StudentTTwoSidedP(double t, double nu) {
   if (std::isnan(t)) return Status::NumericError("t statistic is NaN");
   const double x = nu / (nu + t * t);
   return RegularizedIncompleteBeta(x, nu / 2.0, 0.5);
-}
-
-Result<double> StudentTQuantile(double p, double nu) {
-  if (!(nu > 0.0)) {
-    return Status::InvalidArgument("degrees of freedom must be positive");
-  }
-  if (!(p > 0.0) || !(p < 1.0)) {
-    return Status::OutOfRange("t quantile requires p in (0,1)");
-  }
-  if (p == 0.5) return 0.0;
-  // For p > 1/2: t = sqrt(nu (1-x)/x) with x = I^{-1}(2(1-p); nu/2, 1/2).
-  const bool upper = p > 0.5;
-  const double tail = upper ? 2.0 * (1.0 - p) : 2.0 * p;
-  KGACC_ASSIGN_OR_RETURN(const double x,
-                         InverseRegularizedIncompleteBeta(tail, nu / 2.0, 0.5));
-  if (x <= 0.0) return Status::NumericError("t quantile underflow");
-  const double t = std::sqrt(nu * (1.0 - x) / x);
-  return upper ? t : -t;
 }
 
 }  // namespace kgacc

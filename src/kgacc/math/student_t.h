@@ -9,16 +9,10 @@
 
 namespace kgacc {
 
-/// CDF of Student's t with `nu` degrees of freedom at `t`. Requires nu > 0.
-/// Computed through the incomplete-beta identity
-/// P(T <= t) = 1 - I_{nu/(nu+t^2)}(nu/2, 1/2) / 2 for t >= 0.
-Result<double> StudentTCdf(double t, double nu);
-
-/// Two-sided tail probability P(|T| >= |t|).
+/// Two-sided tail probability P(|T| >= |t|) of Student's t with `nu`
+/// degrees of freedom. Requires nu > 0. Computed through the
+/// incomplete-beta identity P(|T| >= |t|) = I_{nu/(nu+t^2)}(nu/2, 1/2).
 Result<double> StudentTTwoSidedP(double t, double nu);
-
-/// Quantile F^{-1}(p) of Student's t with `nu` degrees of freedom.
-Result<double> StudentTQuantile(double p, double nu);
 
 }  // namespace kgacc
 

@@ -229,7 +229,7 @@ Status AuditDaemon::Start() {
   if (workers <= 0) workers = 1;
   pool_ = std::make_unique<ThreadPool>(workers);
   worker_sched_.assign(static_cast<size_t>(workers),
-                       DrrScheduler(options_.drr_quantum));
+                       DrrScheduler(kDrrQuantum));
   worker_busy_.assign(static_cast<size_t>(workers), 0);
   // The tenant ledger shares the store directory but never a KG store's
   // filename (those carry a `kg_` prefix). Appends flush to the OS per

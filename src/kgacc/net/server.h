@@ -101,8 +101,6 @@ class AuditDaemon {
     uint64_t idle_timeout_ms = 30000;
     /// Step budget applied when OpenAudit asks for none (0 = unlimited).
     uint64_t default_max_steps = 0;
-    /// Largest frame accepted from a peer.
-    size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// fsync checkpoint frames (the daemon's whole point is surviving
     /// kill -9, so default on).
     bool sync_checkpoints = true;
@@ -119,11 +117,11 @@ class AuditDaemon {
     /// and session/inflight caps. Spend is metered durably in
     /// `store_dir/tenant_ledger.wal`, so budgets survive SIGKILL.
     TenantRegistry tenants;
-    /// Per-visit DRR credit for a weight-1 tenant, in steps. Pick the
-    /// typical StepBatch size so one scheduler visit serves about
-    /// `weight` batches.
-    uint64_t drr_quantum = 8;
   };
+
+  /// Per-visit DRR credit for a weight-1 tenant, in steps: about one
+  /// StepBatch, so one scheduler visit serves about `weight` batches.
+  static constexpr uint64_t kDrrQuantum = 8;
 
   /// Monotone robustness counters, readable concurrently with operation.
   struct Stats {

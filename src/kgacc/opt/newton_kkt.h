@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <concepts>
-#include <functional>
 
 #include "kgacc/util/status.h"
 
@@ -25,8 +24,7 @@
 /// lambda directly and the iteration inlines with zero heap allocations —
 /// this is what extends the evaluation session's steady-state
 /// zero-allocation contract into the interval layer (a `std::function`
-/// here cost one type-erasure allocation per HPD solve). A `KktSystem2Fn`
-/// overload remains for callers that want runtime polymorphism.
+/// here cost one type-erasure allocation per HPD solve).
 ///
 /// It is a *basin* method, not a globalized one: when the iteration leaves
 /// the basin (non-finite step, repeated residual growth, an endpoint
@@ -35,12 +33,6 @@
 /// root of `HpdIntervalByRoot`).
 
 namespace kgacc {
-
-/// Evaluates the system at (x0, x1): writes the two residuals into `r` and
-/// the row-major 2x2 Jacobian dR_i/dx_j into `jac`. Type-erased form; the
-/// template entry point accepts any callable with this signature.
-using KktSystem2Fn =
-    std::function<void(double x0, double x1, double* r, double* jac)>;
 
 /// Why the iteration stopped.
 enum class NewtonKktStop {
@@ -58,8 +50,6 @@ enum class NewtonKktStop {
   /// of the intended (interior) problem is not in reach from here.
   kPinnedAtBox,
 };
-
-const char* NewtonKktStopName(NewtonKktStop reason);
 
 struct NewtonKkt2Options {
   int max_iterations = 32;
@@ -112,12 +102,25 @@ inline bool NewtonKktFinite4(const double j[4]) {
          std::isfinite(j[3]);
 }
 
-/// The damped Newton iteration, generic over the system callable. Direct
-/// calls go through the public entry points below.
+}  // namespace internal
+
+/// Runs the damped Newton iteration from (x0, x1), clamped into the box
+/// first. Returns an error only for malformed input (empty box, x0 >= x1
+/// after clamping); leaving the basin is reported through
+/// `NewtonKkt2Solve::reason`, not as an error.
+///
+/// `system` is any callable `void(double x0, double x1, double* r, double*
+/// jac)` that writes the two residuals at (x0, x1) into `r` and the
+/// row-major 2x2 Jacobian dR_i/dx_j into `jac`. It is invoked directly (no
+/// type erasure, no allocation).
 template <typename SystemFn>
-Result<NewtonKkt2Solve> SolveNewtonKkt2Impl(const SystemFn& system, double x0,
-                                            double x1,
-                                            const NewtonKkt2Options& options) {
+  requires std::invocable<const SystemFn&, double, double, double*, double*>
+Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
+                                        double x1,
+                                        const NewtonKkt2Options& options = {}) {
+  using internal::NewtonKktFinite2;
+  using internal::NewtonKktFinite4;
+  using internal::NewtonKktMerit;
   if (!(options.lo < options.hi)) {
     return Status::InvalidArgument("NewtonKkt2: empty safeguarding box");
   }
@@ -257,30 +260,6 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2Impl(const SystemFn& system, double x0,
   }
   return out;
 }
-
-}  // namespace internal
-
-/// Runs the damped Newton iteration from (x0, x1), clamped into the box
-/// first. Returns an error only for malformed input (no system, empty box,
-/// x0 >= x1 after clamping); leaving the basin is reported through
-/// `NewtonKkt2Solve::reason`, not as an error.
-///
-/// Generic entry point: `system` is any callable `void(double x0, double
-/// x1, double* r, double* jac)`, invoked directly (no type erasure, no
-/// allocation). Exact-signature `KktSystem2Fn` arguments resolve to the
-/// non-template overload below instead, which adds a null check.
-template <typename SystemFn>
-  requires std::invocable<const SystemFn&, double, double, double*, double*>
-Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
-                                        double x1,
-                                        const NewtonKkt2Options& options = {}) {
-  return internal::SolveNewtonKkt2Impl(system, x0, x1, options);
-}
-
-/// Type-erased overload (rejects an empty `std::function`).
-Result<NewtonKkt2Solve> SolveNewtonKkt2(const KktSystem2Fn& system, double x0,
-                                        double x1,
-                                        const NewtonKkt2Options& options = {});
 
 }  // namespace kgacc
 

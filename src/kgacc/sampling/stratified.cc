@@ -10,15 +10,13 @@ StratifiedSampler::StratifiedSampler(const KgView& kg,
                                      const StratifiedConfig& config)
     : kg_(kg), config_(config) {
   KGACC_CHECK(config_.batch_size > 0);
-  KGACC_CHECK(std::is_sorted(config_.size_boundaries.begin(),
-                             config_.size_boundaries.end()));
 
-  std::vector<Stratum> raw(config_.size_boundaries.size() + 1);
+  std::vector<Stratum> raw(kStratumSizeBoundaries.size() + 1);
   for (uint64_t c = 0; c < kg_.num_clusters(); ++c) {
     const uint64_t size = kg_.cluster_size(c);
     size_t h = 0;
-    while (h < config_.size_boundaries.size() &&
-           size > config_.size_boundaries[h]) {
+    while (h < kStratumSizeBoundaries.size() &&
+           size > kStratumSizeBoundaries[h]) {
       ++h;
     }
     raw[h].clusters.push_back(c);

@@ -1,6 +1,8 @@
 #ifndef KGACC_SAMPLING_STRATIFIED_H_
 #define KGACC_SAMPLING_STRATIFIED_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,14 +23,15 @@
 
 namespace kgacc {
 
+/// Cluster-size boundaries separating strata: a cluster of size s belongs
+/// to stratum h where h is the first boundary with s <= boundary (the last
+/// stratum is unbounded): singletons, small (2-3) and large (4+) clusters.
+inline constexpr std::array<uint64_t, 2> kStratumSizeBoundaries = {1, 3};
+
 /// Configuration for `StratifiedSampler`.
 struct StratifiedConfig {
   /// Triples drawn per batch, split across strata proportionally.
   int batch_size = 10;
-  /// Cluster-size boundaries separating strata: a cluster of size s belongs
-  /// to stratum h where h is the first boundary with s <= boundary (the
-  /// last stratum is unbounded). Default: singletons / small / large.
-  std::vector<uint64_t> size_boundaries = {1, 3};
 };
 
 /// Stratified uniform triple sampler with proportional allocation.

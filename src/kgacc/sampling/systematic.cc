@@ -8,7 +8,6 @@ SystematicSampler::SystematicSampler(const KgView& kg,
                                      const SystematicConfig& config)
     : kg_(kg), config_(config) {
   KGACC_CHECK(config_.batch_size > 0);
-  KGACC_CHECK(config_.skip >= 1);
 }
 
 Status SystematicSampler::NextBatch(Rng* rng, SampleBatch* batch) {
@@ -17,12 +16,12 @@ Status SystematicSampler::NextBatch(Rng* rng, SampleBatch* batch) {
   batch->Reserve(config_.batch_size, config_.batch_size);
   for (int i = 0; i < config_.batch_size; ++i) {
     if (position_ == kNotStarted) {
-      position_ = rng->UniformInt(std::min(config_.skip, population));
+      position_ = rng->UniformInt(std::min(kSystematicSkip, population));
     } else {
-      position_ += config_.skip;
+      position_ += kSystematicSkip;
       if (position_ >= population) {
         // New pass with a fresh random phase to stay unbiased.
-        position_ = rng->UniformInt(std::min(config_.skip, population));
+        position_ = rng->UniformInt(std::min(kSystematicSkip, population));
       }
     }
     const TripleRef ref = kg_.TripleAt(position_);

@@ -5,7 +5,7 @@
 
 /// \file systematic.h
 /// Systematic sampling over the global triple order: a random start in
-/// [0, skip) followed by equally spaced draws. A classic low-variance
+/// [0, kSystematicSkip) followed by equally spaced draws. A classic low-variance
 /// alternative to SRS when the frame order is uncorrelated with the
 /// response; since our frame enumerates triples cluster by cluster,
 /// systematic draws also spread across entities, which depresses the
@@ -15,13 +15,15 @@
 
 namespace kgacc {
 
+/// Sampling interval: each pass over the population draws every 97th
+/// triple (a prime, so the sweep does not alias with regular cluster
+/// sizes).
+inline constexpr uint64_t kSystematicSkip = 97;
+
 /// Configuration for `SystematicSampler`.
 struct SystematicConfig {
   /// Triples emitted per batch.
   int batch_size = 10;
-  /// Sampling interval; each pass over the population draws every skip-th
-  /// triple. Must be >= 1.
-  uint64_t skip = 97;
 };
 
 /// Equal-interval triple sampler. Each Reset() draws a fresh random start;

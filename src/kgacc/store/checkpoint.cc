@@ -24,7 +24,9 @@ namespace {
 ///     of a v1-v4 payload is readable as v5, so those fail the gate.
 /// v6: the fingerprint drops the HPD solver byte, the ET warm-start bool and
 ///     the external-start fields; the library has one HPD solve path.
-constexpr uint8_t kSessionSnapshotVersion = 6;
+/// v7: the fingerprint drops the minimum sample, the c1 and c2 costs and the
+///     design-effect clamp, which are constants of the library now.
+constexpr uint8_t kSessionSnapshotVersion = 7;
 
 /// The checkpoint record: version, completed steps, then the session
 /// fingerprint to the end.

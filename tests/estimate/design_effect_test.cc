@@ -42,14 +42,13 @@ TEST(DesignEffectTest, NegativeClusteringGrowsEffectiveSample) {
   EXPECT_DOUBLE_EQ(eff.n_eff, 200.0);
 }
 
-TEST(DesignEffectTest, ClampsAtConfiguredBounds) {
-  DesignEffectOptions opts;
-  opts.min_deff = 0.25;
-  opts.max_deff = 20.0;
+TEST(DesignEffectTest, ClampsAtTheLibraryBounds) {
+  EXPECT_DOUBLE_EQ(kMinDesignEffect, 0.25);
+  EXPECT_DOUBLE_EQ(kMaxDesignEffect, 20.0);
   const auto tiny = MakeEstimate(0.5, 1e-9, 100, 10);
-  EXPECT_DOUBLE_EQ(ComputeEffectiveSample(tiny, opts).deff, 0.25);
+  EXPECT_DOUBLE_EQ(ComputeEffectiveSample(tiny).deff, kMinDesignEffect);
   const auto huge = MakeEstimate(0.5, 1.0, 100, 10);
-  EXPECT_DOUBLE_EQ(ComputeEffectiveSample(huge, opts).deff, 20.0);
+  EXPECT_DOUBLE_EQ(ComputeEffectiveSample(huge).deff, kMaxDesignEffect);
 }
 
 TEST(DesignEffectTest, DegenerateEstimateFallsBackToUnity) {

@@ -5,11 +5,9 @@
 namespace kgacc {
 namespace {
 
-TEST(CostModelTest, PaperDefaultsAre45And25Seconds) {
-  const CostModel model;
-  EXPECT_DOUBLE_EQ(model.entity_identification_seconds, 45.0);
-  EXPECT_DOUBLE_EQ(model.fact_verification_seconds, 25.0);
-  EXPECT_EQ(model.annotators_per_triple, 1);
+TEST(CostModelTest, PaperConstantsAre45And25Seconds) {
+  EXPECT_DOUBLE_EQ(kEntityIdentificationSeconds, 45.0);
+  EXPECT_DOUBLE_EQ(kFactVerificationSeconds, 25.0);
 }
 
 TEST(CostModelTest, Eq12HandComputation) {
@@ -20,9 +18,8 @@ TEST(CostModelTest, Eq12HandComputation) {
   sample.MarkAnnotated(TripleRef{0, 2});
   sample.MarkAnnotated(TripleRef{1, 0});
   sample.MarkAnnotated(TripleRef{1, 1});
-  const CostModel model;
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample), 215.0);
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample) / 3600.0,
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(sample, 1), 215.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(sample, 1) / 3600.0,
                    215.0 / 3600.0);
 }
 
@@ -31,7 +28,7 @@ TEST(CostModelTest, RepeatedTriplesCostOnce) {
   sample.MarkAnnotated(TripleRef{0, 0});
   sample.MarkAnnotated(TripleRef{0, 0});
   sample.MarkAnnotated(TripleRef{0, 0});
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(CostModel{}, sample), 45.0 + 25.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(sample, 1), 45.0 + 25.0);
 }
 
 TEST(CostModelTest, EntityIdentificationAmortizedWithinCluster) {
@@ -41,30 +38,18 @@ TEST(CostModelTest, EntityIdentificationAmortizedWithinCluster) {
   for (uint64_t o = 0; o < 4; ++o) clustered.MarkAnnotated(TripleRef{7, o});
   AnnotatedSample scattered;
   for (uint64_t c = 0; c < 4; ++c) scattered.MarkAnnotated(TripleRef{c, 0});
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(CostModel{}, clustered), 145.0);
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(CostModel{}, scattered), 280.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(clustered, 1), 145.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(scattered, 1), 280.0);
 }
 
 TEST(CostModelTest, MultiAnnotatorMultipliesVerificationOnly) {
   AnnotatedSample sample;
   sample.MarkAnnotated(TripleRef{0, 0});
-  CostModel model;
-  model.annotators_per_triple = 3;
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample), 45.0 + 3 * 25.0);
-}
-
-TEST(CostModelTest, CustomRatesAreApplied) {
-  AnnotatedSample sample;
-  sample.MarkAnnotated(TripleRef{0, 0});
-  sample.MarkAnnotated(TripleRef{1, 0});
-  CostModel model;
-  model.entity_identification_seconds = 10.0;
-  model.fact_verification_seconds = 1.0;
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(model, sample), 22.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(sample, 3), 45.0 + 3 * 25.0);
 }
 
 TEST(CostModelTest, EmptySampleCostsNothing) {
-  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(CostModel{}, AnnotatedSample{}), 0.0);
+  EXPECT_DOUBLE_EQ(AnnotationCostSeconds(AnnotatedSample{}, 1), 0.0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -329,10 +330,11 @@ TEST(EvaluationSessionTest, InvalidConfigReportedOnStepAndFinish) {
   EXPECT_FALSE(session.Run().ok());
 }
 
-TEST(ValidateEvaluationConfigTest, RejectsMinSampleAboveCap) {
+TEST(ValidateEvaluationConfigTest, RejectsCapBelowMinSample) {
   EvaluationConfig config;
-  config.min_sample_triples = 500;
-  config.max_triples = 100;
+  config.max_triples = kMinSampleTriples;
+  EXPECT_TRUE(ValidateEvaluationConfig(config).ok());
+  config.max_triples = kMinSampleTriples - 1;
   const Status status = ValidateEvaluationConfig(config);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -353,6 +355,28 @@ TEST(ValidateEvaluationConfigTest, RefusesPriorsHeavierThanTheBound) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("prior 'sister-kg'"), std::string::npos)
       << status.ToString();
+}
+
+TEST(ValidateEvaluationConfigTest, RefusesPriorsWithoutFinitePositiveShapes) {
+  const auto kg = MakeKg(0.85);
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  for (const double shape : {-1.0, 0.0, std::nan("")}) {
+    for (const bool on_a : {true, false}) {
+      EvaluationConfig config;
+      config.method = IntervalMethod::kAhpd;
+      config.priors.push_back(on_a ? BetaPrior{"bad", shape, 2.0}
+                                   : BetaPrior{"bad", 2.0, shape});
+      const Status status = ValidateEvaluationConfig(config);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << shape << " " << on_a;
+      EXPECT_NE(status.message().find("prior 'bad'"), std::string::npos)
+          << status.ToString();
+      // The audit refuses to run rather than finishing OK.
+      const auto result = RunEvaluation(sampler, annotator, config, 1);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(ValidateEvaluationConfigTest, AcceptsTheDefaults) {

@@ -50,7 +50,7 @@ TEST_P(EvaluationGrid, ConvergesWithSaneEstimate) {
   EXPECT_NEAR(result->mu, profile.accuracy, 0.13)
       << profile.name << "/" << design << "/" << IntervalMethodName(method);
   EXPECT_GT(result->cost_hours, 0.0);
-  EXPECT_GE(result->annotated_triples, config.min_sample_triples);
+  EXPECT_GE(result->annotated_triples, kMinSampleTriples);
 }
 
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {

@@ -1,5 +1,6 @@
 #include "kgacc/intervals/ahpd.h"
 
+#include <cmath>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -148,13 +149,35 @@ TEST(AhpdTest, UniformWinsInCentralRegion) {
 
 TEST(AhpdTest, JeffreysNeverWinsAcrossOutcomeSweep) {
   // §4.4: Jeffreys is a trade-off and is never the most efficient choice.
+  // Swept over the grid a prior-skipping AhpdSelect must hold on: n on a
+  // geometric grid over [1, 3000], each also shifted by a fractional offset
+  // (design-effect-adjusted samples), 51 tau per n from 0 to n, and four
+  // alphas. prior_index == 1 would mean Jeffreys won outright or tied
+  // Uniform below Kerman (lower indices win ties).
   const auto priors = DefaultUninformativePriors();
-  int jeffreys_wins = 0;
-  for (int tau = 0; tau <= 30; ++tau) {
-    const auto choice = *AhpdSelect(priors, tau, 30, 0.05);
-    if (priors[choice.prior_index].name == "Jeffreys") ++jeffreys_wins;
+  ASSERT_EQ(priors[1].name, "Jeffreys");
+  constexpr int kSteps = 60;
+  constexpr int kTaus = 51;
+  int cells = 0;
+  double previous = 0.0;
+  for (int k = 0; k <= kSteps; ++k) {
+    const double whole = std::round(std::pow(3000.0, double(k) / kSteps));
+    if (whole == previous) continue;
+    previous = whole;
+    for (const double n : {whole, whole + 0.37}) {
+      for (int j = 0; j < kTaus; ++j) {
+        const double tau = n * j / (kTaus - 1);
+        for (const double alpha : {0.01, 0.05, 0.1, 0.2}) {
+          const auto choice = AhpdSelect(priors, tau, n, alpha);
+          ASSERT_TRUE(choice.ok()) << "n=" << n << " tau=" << tau;
+          EXPECT_NE(choice->prior_index, 1u)
+              << "n=" << n << " tau=" << tau << " alpha=" << alpha;
+          ++cells;
+        }
+      }
+    }
   }
-  EXPECT_EQ(jeffreys_wins, 0);
+  EXPECT_GT(cells, 20000);
 }
 
 TEST(AhpdTest, LimitingCasesAreHandled) {

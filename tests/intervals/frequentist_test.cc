@@ -41,8 +41,6 @@ TEST(WaldIntervalTest, OvershootsNearBoundary) {
   // mu = 0.95, n = 20: the upper bound exceeds 1 — the documented Wald flaw.
   const auto ci = *WaldInterval(SrsEstimate(0.95, 20), 0.05);
   EXPECT_GT(ci.upper, 1.0);
-  const auto clamped = ci.ClampedToUnit();
-  EXPECT_DOUBLE_EQ(clamped.upper, 1.0);
 }
 
 TEST(WaldIntervalTest, UsesDesignVarianceDirectly) {

@@ -19,14 +19,6 @@ TEST(PriorsTest, StandardUninformativeParameters) {
   EXPECT_DOUBLE_EQ(UniformPrior().b, 1.0);
 }
 
-TEST(PriorsTest, UninformativeFlag) {
-  EXPECT_TRUE(KermanPrior().IsUninformative());
-  EXPECT_TRUE(JeffreysPrior().IsUninformative());
-  EXPECT_TRUE(UniformPrior().IsUninformative());
-  EXPECT_FALSE((*InformativePrior(0.8, 100)).IsUninformative());
-  EXPECT_FALSE((BetaPrior{"asym", 0.5, 1.0}).IsUninformative());
-}
-
 TEST(PriorsTest, DefaultTrioOrderAndNames) {
   const auto priors = DefaultUninformativePriors();
   ASSERT_EQ(priors.size(), 3u);
@@ -114,13 +106,13 @@ TEST(InformativePriorTest, WeightsUpToTheBoundAreUnchanged) {
 
 TEST(InformativePriorTest, EveryAccuracyAtTheBoundIsAccepted) {
   // At weight kMaxPriorWeight, a + b rounds above the bound for some
-  // accuracies; those priors are still accepted, by CheckPriorWeight too.
+  // accuracies; those priors are still accepted, by CheckPrior too.
   int rounded_up = 0;
   for (int k = 1; k < 1000; ++k) {
     const double accuracy = k / 1000.0;
     const auto prior = InformativePrior(accuracy, kMaxPriorWeight);
     ASSERT_TRUE(prior.ok()) << accuracy << ": " << prior.status().ToString();
-    EXPECT_TRUE(CheckPriorWeight(*prior).ok()) << accuracy;
+    EXPECT_TRUE(CheckPrior(*prior).ok()) << accuracy;
     rounded_up += prior->a + prior->b > kMaxPriorWeight;
   }
   EXPECT_GT(rounded_up, 0);

@@ -199,11 +199,8 @@ TEST(SyntheticKgTest, ZipfSizesHaveHeavyTail) {
 TEST(SyntheticKgTest, ZipfRejectsUnreachableMean) {
   SyntheticKgConfig cfg = BaseConfig();
   cfg.size_model = ClusterSizeModel::kZipf;
-  cfg.zipf_max_size = 4;
-  cfg.mean_cluster_size = 100.0;  // Impossible with sizes capped at 4.
-  EXPECT_FALSE(SyntheticKg::Create(cfg).ok());
-  cfg.zipf_max_size = 1;
-  cfg.mean_cluster_size = 1.0;
+  // Impossible with sizes capped at kZipfMaxClusterSize.
+  cfg.mean_cluster_size = static_cast<double>(kZipfMaxClusterSize);
   EXPECT_FALSE(SyntheticKg::Create(cfg).ok());
 }
 

@@ -48,11 +48,6 @@ TEST(BetaDistributionTest, ShapeClassification) {
             BetaShape::kUShaped);
 }
 
-TEST(BetaDistributionTest, SymmetryFlag) {
-  EXPECT_TRUE((*BetaDistribution::Create(3.0, 3.0)).IsSymmetric());
-  EXPECT_FALSE((*BetaDistribution::Create(3.0, 3.1)).IsSymmetric());
-}
-
 TEST(BetaDistributionTest, PdfMatchesClosedFormBeta22) {
   // Beta(2,2): f(x) = 6 x (1-x).
   const auto d = *BetaDistribution::Create(2.0, 2.0);

@@ -17,7 +17,7 @@ namespace {
 ///   r0 = x1 - x0 - 0.5        (an affine "coverage" equation)
 ///   r1 = x1^2 + x0^2 - 0.5    (a convex coupling)
 /// In-box root: x0 = (sqrt(3) - 1)/4 ~ 0.183, x1 = x0 + 0.5 ~ 0.683.
-KktSystem2Fn QuadraticSystem() {
+auto QuadraticSystem() {
   return [](double x0, double x1, double* r, double* jac) {
     r[0] = x1 - x0 - 0.5;
     r[1] = x1 * x1 + x0 * x0 - 0.5;
@@ -63,8 +63,7 @@ TEST(NewtonKkt2Test, QuadraticConvergenceIsFast) {
 
 TEST(NewtonKkt2Test, ReportsSingularJacobian) {
   // Identically dependent rows: the Newton system has no unique step.
-  const KktSystem2Fn degenerate = [](double x0, double x1, double* r,
-                                     double* jac) {
+  const auto degenerate = [](double x0, double x1, double* r, double* jac) {
     r[0] = x1 - x0 - 0.25;
     r[1] = 2.0 * (x1 - x0) - 0.5 + 0.1;  // Parallel, inconsistent.
     jac[0] = -1.0;
@@ -79,7 +78,7 @@ TEST(NewtonKkt2Test, ReportsSingularJacobian) {
 }
 
 TEST(NewtonKkt2Test, ReportsNonFiniteSystem) {
-  const KktSystem2Fn nan_system = [](double, double, double* r, double* jac) {
+  const auto nan_system = [](double, double, double* r, double* jac) {
     r[0] = std::numeric_limits<double>::quiet_NaN();
     r[1] = 0.0;
     jac[0] = jac[1] = jac[2] = jac[3] = 1.0;
@@ -94,7 +93,7 @@ TEST(NewtonKkt2Test, ReportsResidualGrowthOutsideBasin) {
   // A system whose Newton direction always increases the residual norm:
   // r = (atan of a huge slope) — steps overshoot wildly and backtracking
   // cannot find a decrease from the flat tails.
-  const KktSystem2Fn nasty = [](double x0, double x1, double* r, double* jac) {
+  const auto nasty = [](double x0, double x1, double* r, double* jac) {
     r[0] = std::atan(1e8 * (x0 - 0.5)) + 1.0;  // Never zero on the tails.
     r[1] = std::atan(1e8 * (x1 - 0.5)) - 1.0;
     const double d0 = 1e8 / (1.0 + 1e16 * (x0 - 0.5) * (x0 - 0.5));
@@ -115,8 +114,7 @@ TEST(NewtonKkt2Test, ReportsResidualGrowthOutsideBasin) {
 TEST(NewtonKkt2Test, ReportsPinnedAtBox) {
   // The root of this system lies outside the box: the iterate runs into
   // the wall and the solver reports the pin instead of grinding on it.
-  const KktSystem2Fn outside = [](double x0, double x1, double* r,
-                                  double* jac) {
+  const auto outside = [](double x0, double x1, double* r, double* jac) {
     r[0] = x0 + 2.0;   // Root at x0 = -2, far left of the box.
     r[1] = x1 - 0.75;  // Root at x1 = 0.75, inside.
     jac[0] = 1.0;
@@ -147,8 +145,6 @@ TEST(NewtonKkt2Test, HonorsMaxIterations) {
 }
 
 TEST(NewtonKkt2Test, RejectsMalformedInput) {
-  EXPECT_FALSE(SolveNewtonKkt2(nullptr, 0.1, 0.9).ok());
-
   NewtonKkt2Options empty_box;
   empty_box.lo = 0.8;
   empty_box.hi = 0.2;
@@ -159,13 +155,11 @@ TEST(NewtonKkt2Test, RejectsMalformedInput) {
 }
 
 TEST(NewtonKkt2Test, TemplatedSolveWithLambdaAllocatesNothing) {
-  // Passing a lambda hits the templated entry point: no std::function is
+  // The solver is templated over the callable: no std::function is
   // constructed, so a solve performs zero heap allocations — the property
   // that lets the interval layer join the session's zero-allocation
-  // steady-state contract. (A KktSystem2Fn argument still works and still
-  // type-erases; that path is covered by the tests above.)
-  const auto lambda_system = [](double x0, double x1, double* r,
-                                double* jac) {
+  // steady-state contract.
+  const auto lambda_system = [](double x0, double x1, double* r, double* jac) {
     r[0] = x1 - x0 - 0.5;
     r[1] = x1 * x1 + x0 * x0 - 0.5;
     jac[0] = -1.0;
@@ -183,34 +177,6 @@ TEST(NewtonKkt2Test, TemplatedSolveWithLambdaAllocatesNothing) {
   }
   EXPECT_EQ(alloc_counter::Current() - before, 0u)
       << "templated Newton KKT solves allocated";
-}
-
-TEST(NewtonKkt2Test, TemplateAndTypeErasedPathsAgreeExactly) {
-  const auto lambda_system = [](double x0, double x1, double* r,
-                                double* jac) {
-    r[0] = x1 - x0 - 0.5;
-    r[1] = x1 * x1 + x0 * x0 - 0.5;
-    jac[0] = -1.0;
-    jac[1] = 1.0;
-    jac[2] = 2.0 * x0;
-    jac[3] = 2.0 * x1;
-  };
-  const auto direct = SolveNewtonKkt2(lambda_system, 0.1, 0.9);
-  const auto erased = SolveNewtonKkt2(KktSystem2Fn(lambda_system), 0.1, 0.9);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(erased.ok());
-  EXPECT_EQ(direct->x0, erased->x0);
-  EXPECT_EQ(direct->x1, erased->x1);
-  EXPECT_EQ(direct->iterations, erased->iterations);
-  EXPECT_EQ(direct->system_evals, erased->system_evals);
-}
-
-TEST(NewtonKkt2Test, StopNamesAreStable) {
-  EXPECT_STREQ(NewtonKktStopName(NewtonKktStop::kConverged), "converged");
-  EXPECT_STREQ(NewtonKktStopName(NewtonKktStop::kPinnedAtBox),
-               "pinned-at-box");
-  EXPECT_STREQ(NewtonKktStopName(NewtonKktStop::kResidualGrowth),
-               "residual-growth");
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ std::vector<std::unique_ptr<Sampler>> AllSamplers(const KgView& kg) {
   out.push_back(std::make_unique<SrsSampler>(
       kg, SrsConfig{.batch_size = 25, .without_replacement = true}));
   out.push_back(std::make_unique<SystematicSampler>(
-      kg, SystematicConfig{.batch_size = 25, .skip = 13}));
+      kg, SystematicConfig{.batch_size = 25}));
   out.push_back(std::make_unique<StratifiedSampler>(
       kg, StratifiedConfig{.batch_size = 25}));
   out.push_back(std::make_unique<TwcsSampler>(

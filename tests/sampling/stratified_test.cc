@@ -40,16 +40,14 @@ TEST(StratifiedSamplerTest, WeightsSumToOne) {
 
 TEST(StratifiedSamplerTest, UnitsCarryTheirStratum) {
   const auto kg = MakeKg();
-  StratifiedConfig config;
-  config.size_boundaries = {1, 3};
-  StratifiedSampler sampler(kg, config);
+  StratifiedSampler sampler(kg, StratifiedConfig{});
   Rng rng(1);
   for (int b = 0; b < 20; ++b) {
     const SampleBatch batch = Draw(sampler, &rng);
     for (const SampledUnit& unit : batch.units()) {
       const uint64_t size = kg.cluster_size(unit.cluster);
-      // Recover the expected stratum from the boundaries (non-empty strata
-      // here cover all three buckets).
+      // Recover the expected stratum from kStratumSizeBoundaries = {1, 3}
+      // (non-empty strata here cover all three buckets).
       uint32_t expected = size <= 1 ? 0 : (size <= 3 ? 1 : 2);
       EXPECT_EQ(unit.stratum, expected) << "size " << size;
       EXPECT_EQ(unit.offset_count, 1u);

@@ -25,8 +25,9 @@ SampleBatch Draw(Sampler& sampler, Rng* rng) {
 }
 
 TEST(SystematicSamplerTest, EmitsFixedIntervalDraws) {
-  const auto kg = MakeKg();
-  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 5, .skip = 7});
+  const auto kg = MakeKg();  // ~1500 triples > 97 x 5: one pass per batch.
+  ASSERT_GT(kg.num_triples(), kSystematicSkip * 5);
+  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 5});
   Rng rng(1);
   const SampleBatch batch = Draw(sampler, &rng);
   ASSERT_EQ(batch.size(), 5u);
@@ -39,14 +40,13 @@ TEST(SystematicSamplerTest, EmitsFixedIntervalDraws) {
     globals.push_back(global);
   }
   for (size_t i = 1; i < globals.size(); ++i) {
-    EXPECT_EQ(globals[i] - globals[i - 1], 7u) << i;
+    EXPECT_EQ(globals[i] - globals[i - 1], kSystematicSkip) << i;
   }
 }
 
 TEST(SystematicSamplerTest, WrapsWithFreshPhase) {
-  const auto kg = MakeKg(10);  // ~30 triples; skip sweeps fast.
-  SystematicSampler sampler(kg,
-                            SystematicConfig{.batch_size = 50, .skip = 7});
+  const auto kg = MakeKg(10);  // ~30 triples < 97: every draw wraps.
+  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 50});
   Rng rng(2);
   const SampleBatch batch = Draw(sampler, &rng);
   EXPECT_EQ(batch.size(), 50u);  // Wrapping keeps batches full.
@@ -57,9 +57,10 @@ TEST(SystematicSamplerTest, WrapsWithFreshPhase) {
 }
 
 TEST(SystematicSamplerTest, LongRunFrequenciesAreUniform) {
+  // ~150 triples < 2 x 97: every pass starts at a fresh phase in [0, 97), so
+  // each position is hit with probability 1/97 per pass.
   const auto kg = MakeKg(50);
-  SystematicSampler sampler(kg,
-                            SystematicConfig{.batch_size = 40, .skip = 11});
+  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 40});
   Rng rng(3);
   std::vector<double> hits(kg.num_clusters(), 0.0);
   double total = 0.0;
@@ -78,12 +79,12 @@ TEST(SystematicSamplerTest, LongRunFrequenciesAreUniform) {
 
 TEST(SystematicSamplerTest, ResetDrawsNewStart) {
   const auto kg = MakeKg();
-  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 1, .skip = 5});
+  SystematicSampler sampler(kg, SystematicConfig{.batch_size = 1});
   Rng rng(4);
   const SampleBatch first = Draw(sampler, &rng);
   sampler.Reset();
   const SampleBatch second = Draw(sampler, &rng);
-  // Different random phases with overwhelming probability (skip = 5).
+  // Different random phases with overwhelming probability (skip = 97).
   // We only require both to be valid draws.
   EXPECT_EQ(first.size(), 1u);
   EXPECT_EQ(second.size(), 1u);

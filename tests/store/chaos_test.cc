@@ -307,7 +307,7 @@ TEST(ChaosTest, RandomSchedulesWithAutoCompactionKeepResumeExactness) {
   store_options.sync_checkpoints = true;
   // Aggressive thresholds so compactions actually fire inside the short
   // armed window of each round.
-  store_options.auto_compact_garbage_ratio = 0.3;
+  store_options.auto_compact_garbage_ratio = 0.25;
   store_options.auto_compact_min_bytes = 1 << 10;
 
   StoredAnnotator::Options stored_options;

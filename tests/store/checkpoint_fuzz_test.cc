@@ -138,9 +138,55 @@ TEST_F(CheckpointFuzzTest, EveryWrongVersionFailsWithTheVersionError) {
   }
 }
 
+/// This audit's finished checkpoint as the v6 format wrote it, captured
+/// from a v6 build: the v7 fingerprint plus the minimum sample (varint 30
+/// at offset 32), the c1 and c2 costs (doubles 45 and 25 at offset 95) and
+/// the design-effect clamp (doubles 0.25 and 20 at offset 112, after the
+/// panel size).
+const std::vector<uint8_t> kVersion6Record = {
+    0x06, 0x1d, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x54,
+    0x57, 0x43, 0x53, 0x06, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f,
+    0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, 0x1e, 0xc0, 0x84, 0x3d,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x55,
+    0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55,
+    0x55, 0xd5, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x80, 0x46, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x39, 0x40, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x34, 0x40,
+};
+
+/// Expects `status` to be the snapshot-version refusal of `version`, not a
+/// fingerprint mismatch.
+void ExpectVersionError(const Status& status, int version) {
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("snapshot version " +
+                                  std::to_string(version) +
+                                  " is incompatible"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("fingerprint"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(CheckpointFuzzTest, AVersion6RecordFailsWithTheVersionError) {
+  // Less those five fields and under the live version, it is this build's
+  // record of the same audit: only the version gate can refuse it.
+  std::vector<uint8_t> live = kVersion6Record;
+  live.erase(live.begin() + 112, live.end());
+  live.erase(live.begin() + 95, live.begin() + 111);
+  live.erase(live.begin() + 32);
+  live[0] = record_[0];
+  EXPECT_EQ(live, record_);
+
+  ExpectVersionError(ResumeFrom(kVersion6Record), 6);
+}
+
 TEST_F(CheckpointFuzzTest, AVersion5RecordFailsWithTheVersionError) {
-  // This audit's finished checkpoint as the v5 format wrote it: the same
-  // fingerprint plus the HPD solver byte, the ET warm-start bool and the
+  // This audit's finished checkpoint as the v5 format wrote it: the v6
+  // record plus the HPD solver byte, the ET warm-start bool and the
   // external-start bool (0x00 0x01 0x00 at offset 95, after the priors).
   const std::vector<uint8_t> v5 = {
       0x05, 0x1d, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x54,
@@ -155,20 +201,12 @@ TEST_F(CheckpointFuzzTest, AVersion5RecordFailsWithTheVersionError) {
       0x00, 0x00, 0x00, 0x00, 0x39, 0x40, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x34, 0x40,
   };
-  // Less those three fields and under the live version, it is this build's
-  // record of the same audit: only the version gate can refuse it.
-  std::vector<uint8_t> live = v5;
-  live.erase(live.begin() + 95, live.begin() + 98);
-  live[0] = record_[0];
-  EXPECT_EQ(live, record_);
+  std::vector<uint8_t> v6 = v5;
+  v6.erase(v6.begin() + 95, v6.begin() + 98);
+  v6[0] = kVersion6Record[0];
+  EXPECT_EQ(v6, kVersion6Record);
 
-  const Status status = ResumeFrom(v5);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("snapshot version 5 is incompatible"),
-            std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(status.message().find("fingerprint"), std::string::npos)
-      << status.ToString();
+  ExpectVersionError(ResumeFrom(v5), 5);
 }
 
 TEST_F(CheckpointFuzzTest, WrongFingerprintLengthsFail) {

@@ -49,9 +49,9 @@ SyntheticKg TestKg() {
 }
 
 /// One complete checkpointed audit against the store. Re-running it with
-/// the same audit id and seed is the paper's repeat-audit workload: every
-/// label is a store hit, but each step's checkpoint supersedes the last —
-/// pure garbage accumulation.
+/// the same seed under a new audit id is the paper's repeat-audit
+/// workload: every label is a store hit, but each step's checkpoint
+/// supersedes the last — pure garbage accumulation.
 void RunAudit(AnnotationStore* store, const SyntheticKg& kg,
               uint64_t audit_id, uint64_t seed) {
   OracleAnnotator oracle;
@@ -83,10 +83,12 @@ TEST(CompactionTest, RepeatedReauditsCompactToNearLiveSize) {
   std::remove(path.c_str());
   auto store = AnnotationStore::Open(path);
   ASSERT_TRUE(store.ok());
-  // Ten-plus re-audits of the same task: one live label set, ten layers of
-  // superseded checkpoints.
-  for (int round = 0; round < 12; ++round) {
-    RunAudit(store->get(), kg, /*audit_id=*/1, /*seed=*/4242);
+  // Twelve re-audits of the same task, each under its own audit id (a
+  // finished audit id would only resume to its end and write nothing): one
+  // live label set, every label a store hit after the first audit, and
+  // twelve layers of superseded checkpoints.
+  for (uint64_t audit_id = 1; audit_id <= 12; ++audit_id) {
+    RunAudit(store->get(), kg, audit_id, /*seed=*/4242);
   }
   const auto labels_before = AllLabels(**store, kg);
   const uint64_t live_before = (*store)->live_bytes();

@@ -115,8 +115,7 @@ void CheckReplayResume(const Design& design, IntervalMethod method,
   const auto kg = TestKg();
   EvaluationConfig config;
   config.method = method;
-  config.moe_threshold = 0.03;
-  config.min_sample_triples = 120;  // Long enough to interrupt at every 3.
+  config.moe_threshold = 0.02;  // Long enough to interrupt at every 3.
   config.record_trace = true;
   const std::string path = TempPath(std::string(design.name) + "_" +
                                     std::to_string(seed));
@@ -251,17 +250,21 @@ bool IsFingerprintError(const Status& status) {
          status.message().find("fingerprint") != std::string::npos;
 }
 
-TEST(SnapshotTest, ResumeUnderAnotherCostModelIsRefused) {
-  // The cost model decides when a budgeted audit stops: a checkpoint taken
-  // under one model must not resume under another and mix the two.
+TEST(SnapshotTest, ResumeUnderAnotherPanelSizeIsRefused) {
+  // The panel size scales the fact cost c2, which decides when a budgeted
+  // audit stops: a checkpoint taken with one judgment per triple must not
+  // resume under a three-annotator panel and mix the two costs.
   const auto kg = TestKg();
   CheckpointedAudit audit("cost");
   const EvaluationConfig config;
   audit.Write(kg, config);
   ASSERT_TRUE(audit.Resume(kg, config).ok());
-  EvaluationConfig cheaper = config;
-  cheaper.cost.fact_verification_seconds += 1.0;
-  const Status status = audit.Resume(kg, cheaper);
+  MajorityVoteAnnotator panel(3, 0.1);
+  StoredAnnotator annotator(&panel, audit.store.get(), 1);
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationSession session(sampler, annotator, config, 42);
+  const Status status =
+      CheckpointManager(audit.store.get(), 1).Resume(&session);
   EXPECT_TRUE(IsFingerprintError(status)) << status.ToString();
 }
 
@@ -276,7 +279,7 @@ TEST(SnapshotTest, ResumeRefusesEveryFingerprintMismatch) {
   others[0].method = IntervalMethod::kWald;
   others[1].priors[0].a += 1.0;  // Same prior count, other parameters.
   others[2].alpha = 0.1;
-  others[3].design_effect.max_deff = 10.0;
+  others[3].max_triples = config.max_triples / 2;
   others[4].record_trace = !config.record_trace;
   others[5].max_cost_seconds = 3600.0;
   others[6].moe_threshold = 0.04;
