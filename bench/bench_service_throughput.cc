@@ -243,20 +243,23 @@ int main() {
     }
   }
   // ---- Durable multi-writer cell -----------------------------------------
-  // N concurrent jobs share ONE annotation store with per-label fsync
-  // durability (`sync_appends`): every judgment funnels through the store's
-  // group-commit queue, so the cell's fsync bill is `commit_syncs`, far
-  // below one per label when coalescing works. Each job also checkpoints
-  // itself every step (the durable-audit shape), which litters the log with
-  // superseded snapshots — exactly the garbage the closing compaction
-  // record then measures reclaiming. The second batch re-runs the same jobs
-  // against the now-populated store: every triple must answer from the
-  // index (zero oracle calls), the durable replay fast path.
+  // N concurrent jobs share ONE annotation store with kgaccd's durability:
+  // labels are flushed to the OS, checkpoints are fsynced
+  // (`sync_checkpoints`). Each job checkpoints itself every step (the
+  // durable-audit shape), and every frame funnels through the store's
+  // group-commit queue, so one fsync settles a batch holding several jobs'
+  // checkpoints and labels. The cell's fsync bill is `commit_syncs`
+  // (`fsyncs_per_label` divides it by the labels paid): below one per
+  // checkpoint when coalescing works. The superseded snapshots litter the
+  // log — exactly the garbage the closing compaction record then measures
+  // reclaiming. The second batch re-runs the same jobs against the
+  // now-populated store: every triple must answer from the index (zero
+  // oracle calls), the durable replay fast path.
   {
     const char* store_path = "BENCH_store.wal";
     std::remove(store_path);
     AnnotationStore::Options store_options;
-    store_options.sync_appends = true;
+    store_options.sync_checkpoints = true;
     auto store_open = AnnotationStore::Open(store_path, store_options);
     if (!store_open.ok()) {
       std::fprintf(stderr, "cannot open bench store: %s\n",

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "kgacc/util/check.h"
 #include "kgacc/util/random.h"
 
 namespace kgacc {
@@ -45,7 +46,6 @@ struct EvaluationService::WorkerContext {
   /// Returns this context's clone for `prototype`. The clone may carry
   /// state from the previous job; EvaluationSession's constructor Reset()s
   /// its sampler, which is the invariant job isolation rests on.
-  /// Nullptr when the design does not support cloning.
   Sampler* GetSampler(const Sampler* prototype) {
     for (CachedSampler& entry : samplers) {
       if (entry.prototype == prototype) {
@@ -53,7 +53,7 @@ struct EvaluationService::WorkerContext {
       }
     }
     std::unique_ptr<Sampler> clone = prototype->Clone();
-    if (clone == nullptr) return nullptr;
+    KGACC_CHECK(clone != nullptr);
     ++clones_created;
     samplers.push_back(CachedSampler{prototype, std::move(clone)});
     return samplers.back().clone.get();
@@ -116,12 +116,6 @@ void EvaluationService::RunJob(const EvaluationJob& job,
     return;
   }
   Sampler* sampler = context.GetSampler(job.sampler);
-  if (sampler == nullptr) {
-    out->status = Status::Unimplemented(
-        std::string(job.sampler->name()) +
-        " sampler does not support Clone(); jobs need per-job isolation");
-    return;
-  }
   // Store-backed job: wrap the annotator in a per-job StoredAnnotator so
   // this job reads the shared label pool and appends its fresh judgments
   // through the store's group-commit queue. The wrapper is per-job state on

@@ -10,15 +10,6 @@ namespace kgacc {
 
 namespace {
 
-/// Safeguarding box for the Newton KKT iterate. Interior unimodal optima
-/// live strictly inside (0, 1); an iterate pinned here has left the basin
-/// and is handed to the 1-D root.
-constexpr double kNewtonBoxEps = 1e-12;
-
-/// Iteration cap for the Newton attempt; seeded from the predicted warm
-/// carry, a solve averages ~3.2 iterations on an audit mix.
-constexpr int kNewtonMaxIterations = 32;
-
 /// Clamp on the 1-D root's log-density gap. Brent's interpolation cannot
 /// take the infinite gaps at the bracket ends; clamping keeps every
 /// value's sign, so the root is unchanged.
@@ -92,18 +83,8 @@ bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
     jac[3] = -((a - 1.0) / u - (b - 1.0) / (1.0 - u));
   };
 
-  NewtonKkt2Options options;
-  options.max_iterations = kNewtonMaxIterations;
-  options.lo = kNewtonBoxEps;
-  options.hi = 1.0 - kNewtonBoxEps;
-  // Residual certificate thresholds: 1e-12 coverage mass and 1e-9 relative
-  // density mismatch bound the endpoint error well below the 1e-9 the
-  // equivalence tests demand against the reference solvers.
-  options.r0_tol = 1e-12;
-  options.r1_tol = 1e-9;
-
   const Result<NewtonKkt2Solve> solve =
-      SolveNewtonKkt2(system, start.lower, start.upper, options);
+      SolveNewtonKkt2(system, start.lower, start.upper);
   if (!solve.ok() || !solve->converged) {
     if (solve.ok()) out->solver_iterations += solve->iterations;
     return false;
@@ -159,7 +140,7 @@ Status HpdViaOneDim(const BetaDistribution& posterior, double alpha,
   double l = 0.0;
   if (g(l_min) < 0.0) {
     KGACC_ASSIGN_OR_RETURN(const ScalarSolve solve,
-                           FindRootBrent(g, l_min, l_max, 0.0));
+                           FindRootBrent(g, l_min, l_max));
     l = solve.x;
     out->solver_iterations += solve.iterations;
   }

@@ -31,12 +31,6 @@ struct TripleRef {
   }
 };
 
-/// A triple annotated with its correctness label 1(t) (§2.2).
-struct AnnotatedTriple {
-  TripleRef ref;
-  bool correct = false;
-};
-
 }  // namespace kgacc
 
 #endif  // KGACC_KG_TRIPLE_H_

@@ -16,7 +16,7 @@ void SleepMs(double ms) {
 
 void AuditClient::Disconnect() {
   fd_.Reset();
-  assembler_ = FrameAssembler(kDefaultMaxFrameBytes);
+  assembler_ = FrameAssembler();
 }
 
 Status AuditClient::SendFrame(const std::vector<uint8_t>& frame) {

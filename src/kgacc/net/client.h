@@ -110,7 +110,7 @@ class AuditClient {
   AuditClientOptions options_;
   AuditClientStats stats_;
   OwnedFd fd_;
-  FrameAssembler assembler_{kDefaultMaxFrameBytes};
+  FrameAssembler assembler_;
   uint64_t effective_timeout_ms_ = 2000;
   uint64_t next_heartbeat_nonce_ = 1;
 };

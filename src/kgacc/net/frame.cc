@@ -26,7 +26,8 @@ Result<bool> FrameAssembler::Next(NetFrame* frame) {
   // The cap applies to the length prefix alone, so an overlong frame fails
   // here before its payload is ever buffered.
   const Result<std::optional<DecodedFrame>> decoded = DecodeFrame(
-      std::span<const uint8_t>(buf_).subspan(consumed_), max_frame_bytes_);
+      std::span<const uint8_t>(buf_).subspan(consumed_),
+      kDefaultMaxFrameBytes);
   if (!decoded.ok()) {
     stream_error_ = decoded.status();
     return stream_error_;

@@ -25,7 +25,7 @@
 /// `ByteWriter::PutFrame` is the write side. `FrameAssembler` is the read
 /// side: feed it whatever byte chunks the socket hands you (a frame may
 /// arrive in many reads, or many frames in one) and pull complete frames
-/// out. It enforces a maximum frame length,
+/// out. It enforces `kDefaultMaxFrameBytes` as the maximum payload length,
 /// so a malicious or corrupt length prefix cannot make the daemon buffer
 /// unbounded memory.
 
@@ -46,9 +46,6 @@ struct NetFrame {
 /// assembler per connection.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   /// Appends received bytes to the internal buffer.
   void Feed(std::span<const uint8_t> bytes);
 
@@ -72,7 +69,6 @@ class FrameAssembler {
   /// compaction keeps Feed/Next O(bytes) overall).
   void Compact();
 
-  size_t max_frame_bytes_;
   std::vector<uint8_t> buf_;
   size_t consumed_ = 0;
   Status stream_error_;

@@ -4,9 +4,14 @@
 
 namespace kgacc {
 
+namespace {
+
+constexpr int kBrentMaxIterations = 200;
+
+}  // namespace
+
 Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
-                                  double a, double b, double tol,
-                                  int max_iter) {
+                                  double a, double b) {
   double fa = f(a);
   double fb = f(b);
   if (fa == 0.0) return ScalarSolve{a, 0.0, 0};
@@ -17,7 +22,7 @@ Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
 
   double c = a, fc = fa;
   double d = b - a, e = d;
-  for (int iter = 1; iter <= max_iter; ++iter) {
+  for (int iter = 1; iter <= kBrentMaxIterations; ++iter) {
     if ((fb > 0.0) == (fc > 0.0)) {
       c = a;
       fc = fa;
@@ -31,7 +36,7 @@ Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
       fb = fc;
       fc = fa;
     }
-    const double tol1 = 2.0 * 1e-16 * std::fabs(b) + 0.5 * tol;
+    const double tol1 = 2.0 * 1e-16 * std::fabs(b);
     const double xm = 0.5 * (c - b);
     if (std::fabs(xm) <= tol1 || fb == 0.0) {
       return ScalarSolve{b, fb, iter};
@@ -72,7 +77,7 @@ Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
     }
     fb = f(b);
   }
-  return ScalarSolve{b, fb, max_iter};
+  return ScalarSolve{b, fb, kBrentMaxIterations};
 }
 
 }  // namespace kgacc

@@ -21,10 +21,10 @@ struct ScalarSolve {
 
 /// Finds a root of `f` in [a, b] with Brent's method (inverse quadratic
 /// interpolation + secant + bisection). Requires f(a) and f(b) to have
-/// opposite signs (or one of them to be an exact root).
+/// opposite signs (or one of them to be an exact root). Iterates to working
+/// precision (a bracket of 2e-16 |x|), at most 200 iterations.
 Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
-                                  double a, double b, double tol = 1e-12,
-                                  int max_iter = 200);
+                                  double a, double b);
 
 }  // namespace kgacc
 

@@ -37,36 +37,40 @@ namespace kgacc {
 /// Why the iteration stopped.
 enum class NewtonKktStop {
   kConverged,
-  /// Residual tolerances unmet after `max_iterations`.
+  /// Residual tolerances unmet after `kNewtonKktMaxIterations`.
   kMaxIterations,
   /// The 2x2 Jacobian was singular to working precision.
   kSingularJacobian,
   /// A residual, Jacobian entry, or step turned non-finite.
   kNonFinite,
   /// The damped step failed to reduce the residual norm for
-  /// `max_growth_iterations` consecutive iterations.
+  /// `kNewtonKktMaxGrowthIterations` consecutive iterations.
   kResidualGrowth,
   /// An endpoint sat on the safeguarding box after a step — the solution
   /// of the intended (interior) problem is not in reach from here.
   kPinnedAtBox,
 };
 
-struct NewtonKkt2Options {
-  int max_iterations = 32;
-  /// Per-equation absolute residual tolerances (the certificate below
-  /// reports the final residuals against these).
-  double r0_tol = 1e-12;
-  double r1_tol = 1e-9;
-  /// Safeguarding box applied to both variables; iterates additionally
-  /// keep x0 < x1.
-  double lo = 0.0;
-  double hi = 1.0;
-  /// Backtracking halvings per iteration before the step counts as a
-  /// residual-growth iteration.
-  int max_backtracks = 10;
-  /// Consecutive no-decrease iterations tolerated before giving up.
-  int max_growth_iterations = 2;
-};
+/// The solver's settings. Each has one value, the HPD program's (§4.3).
+/// Iteration cap: seeded from the predicted warm carry, an HPD solve
+/// averages ~3.2 iterations on an audit mix.
+inline constexpr int kNewtonKktMaxIterations = 32;
+/// Per-equation absolute residual tolerances (the certificate below reports
+/// the final residuals against these): 1e-12 coverage mass and 1e-9
+/// relative density mismatch bound the HPD endpoint error well below the
+/// 1e-9 the equivalence tests demand against the reference solvers.
+inline constexpr double kNewtonKktR0Tol = 1e-12;
+inline constexpr double kNewtonKktR1Tol = 1e-9;
+/// Backtracking halvings per iteration before the step counts as a
+/// residual-growth iteration.
+inline constexpr int kNewtonKktMaxBacktracks = 10;
+/// Consecutive no-decrease iterations tolerated before giving up.
+inline constexpr int kNewtonKktMaxGrowthIterations = 2;
+/// Safeguarding box applied to both variables; iterates additionally keep
+/// x0 < x1. Interior unimodal optima live strictly inside (0, 1); an
+/// iterate pinned here has left the basin.
+inline constexpr double kNewtonKktLo = 1e-12;
+inline constexpr double kNewtonKktHi = 1.0 - 1e-12;
 
 /// Outcome of a solve. `converged` iff both residual tolerances were met;
 /// (r0, r1) are the residuals at (x0, x1) either way — the convergence
@@ -105,8 +109,8 @@ inline bool NewtonKktFinite4(const double j[4]) {
 }  // namespace internal
 
 /// Runs the damped Newton iteration from (x0, x1), clamped into the box
-/// first. Returns an error only for malformed input (empty box, x0 >= x1
-/// after clamping); leaving the basin is reported through
+/// first. Returns an error only for malformed input (x0 >= x1 after
+/// clamping); leaving the basin is reported through
 /// `NewtonKkt2Solve::reason`, not as an error.
 ///
 /// `system` is any callable `void(double x0, double x1, double* r, double*
@@ -116,17 +120,13 @@ inline bool NewtonKktFinite4(const double j[4]) {
 template <typename SystemFn>
   requires std::invocable<const SystemFn&, double, double, double*, double*>
 Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
-                                        double x1,
-                                        const NewtonKkt2Options& options = {}) {
+                                        double x1) {
   using internal::NewtonKktFinite2;
   using internal::NewtonKktFinite4;
   using internal::NewtonKktMerit;
-  if (!(options.lo < options.hi)) {
-    return Status::InvalidArgument("NewtonKkt2: empty safeguarding box");
-  }
   NewtonKkt2Solve out;
-  out.x0 = std::clamp(x0, options.lo, options.hi);
-  out.x1 = std::clamp(x1, options.lo, options.hi);
+  out.x0 = std::clamp(x0, kNewtonKktLo, kNewtonKktHi);
+  out.x1 = std::clamp(x1, kNewtonKktLo, kNewtonKktHi);
   if (!(out.x0 < out.x1)) {
     return Status::InvalidArgument(
         "NewtonKkt2: start does not satisfy x0 < x1 inside the box");
@@ -139,7 +139,7 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
   double merit = NewtonKktMerit(r);
   int growth_iterations = 0;
 
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+  for (int iter = 1; iter <= kNewtonKktMaxIterations; ++iter) {
     out.iterations = iter;
     out.r0 = r[0];
     out.r1 = r[1];
@@ -148,8 +148,8 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
       out.reason = NewtonKktStop::kNonFinite;
       return out;
     }
-    if (std::fabs(r[0]) <= options.r0_tol &&
-        std::fabs(r[1]) <= options.r1_tol) {
+    if (std::fabs(r[0]) <= kNewtonKktR0Tol &&
+        std::fabs(r[1]) <= kNewtonKktR1Tol) {
       out.converged = true;
       out.reason = NewtonKktStop::kConverged;
       return out;
@@ -179,11 +179,11 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
     double trial_r[2];
     double trial_jac[4];
     bool clamped = false;
-    for (int bt = 0; bt <= options.max_backtracks; ++bt, t *= 0.5) {
+    for (int bt = 0; bt <= kNewtonKktMaxBacktracks; ++bt, t *= 0.5) {
       const double raw0 = out.x0 + t * d0;
       const double raw1 = out.x1 + t * d1;
-      const double c0 = std::clamp(raw0, options.lo, options.hi);
-      const double c1 = std::clamp(raw1, options.lo, options.hi);
+      const double c0 = std::clamp(raw0, kNewtonKktLo, kNewtonKktHi);
+      const double c1 = std::clamp(raw1, kNewtonKktLo, kNewtonKktHi);
       if (!(c0 < c1)) continue;  // Endpoints crossed; shorten further.
       system(c0, c1, trial_r, trial_jac);
       ++out.system_evals;
@@ -200,7 +200,7 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
       }
     }
     if (!accepted) {
-      if (++growth_iterations >= options.max_growth_iterations) {
+      if (++growth_iterations >= kNewtonKktMaxGrowthIterations) {
         out.reason = NewtonKktStop::kResidualGrowth;
         return out;
       }
@@ -209,11 +209,11 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
       // iteration sees a fresh Jacobian. Without movement the next round
       // would recompute the identical step, so this is the last chance
       // before kResidualGrowth fires above.
-      const double tiny = std::ldexp(1.0, -options.max_backtracks);
+      const double tiny = std::ldexp(1.0, -kNewtonKktMaxBacktracks);
       const double c0 =
-          std::clamp(out.x0 + tiny * d0, options.lo, options.hi);
+          std::clamp(out.x0 + tiny * d0, kNewtonKktLo, kNewtonKktHi);
       const double c1 =
-          std::clamp(out.x1 + tiny * d1, options.lo, options.hi);
+          std::clamp(out.x1 + tiny * d1, kNewtonKktLo, kNewtonKktHi);
       if (!(c0 < c1)) {
         out.reason = NewtonKktStop::kResidualGrowth;
         return out;
@@ -233,16 +233,15 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
     // Re-test convergence on the accepted step: the final allowed
     // iteration (and a tolerant step that brushed the box) must not be
     // thrown away just because the loop is about to exit.
-    if (std::fabs(r[0]) <= options.r0_tol &&
-        std::fabs(r[1]) <= options.r1_tol) {
+    if (std::fabs(r[0]) <= kNewtonKktR0Tol &&
+        std::fabs(r[1]) <= kNewtonKktR1Tol) {
       out.converged = true;
       out.reason = NewtonKktStop::kConverged;
       return out;
     }
     // A step that ended on the box wall means the interior solution is not
     // reachable along this path; let the globalized fallback handle it.
-    if (clamped &&
-        (out.x0 <= options.lo || out.x1 >= options.hi)) {
+    if (clamped && (out.x0 <= kNewtonKktLo || out.x1 >= kNewtonKktHi)) {
       out.reason = NewtonKktStop::kPinnedAtBox;
       return out;
     }
@@ -251,8 +250,8 @@ Result<NewtonKkt2Solve> SolveNewtonKkt2(const SystemFn& system, double x0,
   out.r1 = r[1];
   // A growth-path (perturbed) step taken on the last iteration skips the
   // in-loop test; give its residuals the same final chance.
-  if (NewtonKktFinite2(r) && std::fabs(r[0]) <= options.r0_tol &&
-      std::fabs(r[1]) <= options.r1_tol) {
+  if (NewtonKktFinite2(r) && std::fabs(r[0]) <= kNewtonKktR0Tol &&
+      std::fabs(r[1]) <= kNewtonKktR1Tol) {
     out.converged = true;
     out.reason = NewtonKktStop::kConverged;
   } else {

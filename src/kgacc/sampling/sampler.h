@@ -80,9 +80,8 @@ class Sampler {
   /// immutable precomputed structures (PPS alias tables, strata indexes)
   /// with the clone, so cloning is cheap — this is what lets
   /// `EvaluationService` give every concurrent job its own mutable sampler
-  /// without re-paying the O(#clusters) setup. Returns nullptr when the
-  /// design does not support cloning.
-  virtual std::unique_ptr<Sampler> Clone() const { return nullptr; }
+  /// without re-paying the O(#clusters) setup. Never null.
+  virtual std::unique_ptr<Sampler> Clone() const = 0;
 };
 
 }  // namespace kgacc

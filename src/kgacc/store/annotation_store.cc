@@ -282,7 +282,7 @@ Status AnnotationStore::Append(uint64_t audit_id, uint64_t cluster,
   const uint64_t frame_bytes = FrameSize(record.size());
   Status conflict;
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::LabelRecord::kType, record.span(), options_.sync_appends, [&] {
+      walfmt::LabelRecord::kType, record.span(), /*sync=*/false, [&] {
         file_bytes_ += frame_bytes;
         // Two writers may race the same novel key past the pre-check: both
         // frames are in the log and the first apply won, as in replay. If
@@ -355,7 +355,7 @@ Status AnnotationStore::AppendTenantSpend(const std::string& tenant,
   EncodeFields(balance, &record);
   const uint64_t frame_bytes = FrameSize(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      TenantBalance::kType, record.span(), options_.sync_appends, [&] {
+      TenantBalance::kType, record.span(), /*sync=*/false, [&] {
         file_bytes_ += frame_bytes;
         IndexLedger(balance, frame_bytes);
       }));

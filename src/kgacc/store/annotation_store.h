@@ -166,14 +166,10 @@ using TenantBalance = walfmt::LedgerRecord;
 class AnnotationStore {
  public:
   struct Options {
-    /// fsync checkpoint frames (annotation records are always flushed to
-    /// the OS per append; media durability for snapshots is opt-in).
+    /// fsync checkpoint frames. Annotation and ledger records are flushed
+    /// to the OS per append and never fsynced on their own; a checkpoint's
+    /// fsync also makes every frame written before it durable.
     bool sync_checkpoints = false;
-    /// fsync annotation appends too. Under concurrent writers the
-    /// group-commit queue coalesces a whole batch under one fsync, so this
-    /// buys media durability per label at far less than one fsync per
-    /// label.
-    bool sync_appends = false;
     /// When positive, `Compact()` runs automatically after an append pushes
     /// `garbage_ratio()` past this fraction (checked once the file exceeds
     /// `auto_compact_min_bytes`). A failed auto-compaction never fails the

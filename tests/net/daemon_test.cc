@@ -145,7 +145,7 @@ class TestPeer {
 
  private:
   OwnedFd fd_;
-  FrameAssembler assembler_{kDefaultMaxFrameBytes};
+  FrameAssembler assembler_;
 };
 
 TEST(AuditDaemonTest, HappyPathMatchesLocalRunByteForByte) {

@@ -197,30 +197,40 @@ TEST(NetFrameTest, CrcMismatchIsStickyEvenAfterMoreValidFrames) {
   EXPECT_EQ(again.status().code(), have.status().code());
 }
 
-TEST(NetFrameTest, OverlongFrameIsRejectedBeforeBuffering) {
-  // A length prefix beyond the cap must fail immediately — the assembler
-  // may not wait for (or buffer) a payload that large.
-  FrameAssembler assembler(/*max_frame_bytes=*/1024);
-  const std::vector<uint8_t> wire = EncodeFrame(1, Payload(2048));
-  // Feed just the header: type + varint length. The cap check needs no
-  // payload bytes.
-  assembler.Feed({wire.data(), 4});
-  NetFrame frame;
-  auto have = assembler.Next(&frame);
-  ASSERT_FALSE(have.ok());
-  EXPECT_EQ(have.status().code(), StatusCode::kOutOfRange);
-  EXPECT_FALSE(have.status().message().empty());
-}
-
-TEST(NetFrameTest, AtCapFrameStillRoundTrips) {
-  FrameAssembler assembler(/*max_frame_bytes=*/1024);
-  const std::vector<uint8_t> payload = Payload(1024);
+TEST(NetFrameTest, FrameAtTheCapIsDelivered) {
+  const std::vector<uint8_t> payload = Payload(kDefaultMaxFrameBytes);
+  FrameAssembler assembler;
   assembler.Feed(EncodeFrame(4, payload));
   NetFrame frame;
   auto have = assembler.Next(&frame);
   ASSERT_TRUE(have.ok()) << have.status().ToString();
   ASSERT_TRUE(*have);
+  EXPECT_EQ(frame.type, 4);
   EXPECT_EQ(frame.payload, payload);
+  EXPECT_EQ(assembler.buffered_bytes(), 0u);
+}
+
+TEST(NetFrameTest, OneByteOverTheCapFailsBeforeBuffering) {
+  // A length prefix one past the cap must fail at once, stickily: the
+  // assembler may not wait for (or buffer) a payload that large.
+  const std::vector<uint8_t> wire =
+      EncodeFrame(1, Payload(kDefaultMaxFrameBytes + 1));
+  // Feed just the header: the type byte and the 3-byte varint of 2^20 + 1.
+  // The cap check needs no payload bytes.
+  constexpr size_t kHeader = 4;
+  FrameAssembler assembler;
+  assembler.Feed({wire.data(), kHeader});
+  NetFrame frame;
+  auto have = assembler.Next(&frame);
+  ASSERT_FALSE(have.ok());
+  EXPECT_EQ(have.status().code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(have.status().message().empty());
+  EXPECT_EQ(assembler.buffered_bytes(), kHeader);
+  // The rest of the frame does not revive the stream.
+  assembler.Feed({wire.data() + kHeader, wire.size() - kHeader});
+  auto again = assembler.Next(&frame);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(NetFrameTest, UnterminatedVarintPrefixIsRejected) {
@@ -242,7 +252,7 @@ TEST(NetFrameTest, RandomGarbageNeverCrashesOrHangs) {
   // after the cap, or a delivered frame claiming a huge payload.
   std::mt19937 rng(99);
   for (int trial = 0; trial < 50; ++trial) {
-    FrameAssembler assembler(4096);
+    FrameAssembler assembler;
     bool dead = false;
     for (int chunk = 0; chunk < 64 && !dead; ++chunk) {
       std::vector<uint8_t> bytes(1 + rng() % 200);
@@ -256,12 +266,12 @@ TEST(NetFrameTest, RandomGarbageNeverCrashesOrHangs) {
           break;
         }
         if (!*have) break;
-        EXPECT_LE(frame.payload.size(), 4096u);
+        EXPECT_LE(frame.payload.size(), kDefaultMaxFrameBytes);
       }
     }
     // Either the stream died with a sticky error, or everything the fuzz
     // produced happened to parse — both fine; memory stayed bounded.
-    EXPECT_LE(assembler.buffered_bytes(), 4096u + 16u);
+    EXPECT_LE(assembler.buffered_bytes(), kDefaultMaxFrameBytes + 16u);
   }
 }
 

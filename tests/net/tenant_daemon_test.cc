@@ -134,7 +134,7 @@ class TenantPeer {
 
  private:
   OwnedFd fd_;
-  FrameAssembler assembler_{kDefaultMaxFrameBytes};
+  FrameAssembler assembler_;
 };
 
 TEST(TenantDaemonTest, BudgetExhaustionStarvesOneTenantNotTheOther) {

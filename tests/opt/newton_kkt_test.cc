@@ -111,6 +111,25 @@ TEST(NewtonKkt2Test, ReportsResidualGrowthOutsideBasin) {
   EXPECT_NE(solve->reason, NewtonKktStop::kConverged);
 }
 
+TEST(NewtonKkt2Test, ReportsResidualGrowthOnAnAscentDirection) {
+  // The Jacobian has the wrong sign, so every Newton step points away from
+  // the root at (0.3, 0.7): no backtracked trial lowers the residual, and
+  // the solver gives up after its growth allowance.
+  const auto wrong_sign = [](double x0, double x1, double* r, double* jac) {
+    r[0] = x0 - 0.3;
+    r[1] = x1 - 0.7;
+    jac[0] = -1.0;
+    jac[1] = 0.0;
+    jac[2] = 0.0;
+    jac[3] = -1.0;
+  };
+  const auto solve = SolveNewtonKkt2(wrong_sign, 0.4, 0.6);
+  ASSERT_TRUE(solve.ok());
+  EXPECT_FALSE(solve->converged);
+  EXPECT_EQ(solve->reason, NewtonKktStop::kResidualGrowth);
+  EXPECT_EQ(solve->iterations, kNewtonKktMaxGrowthIterations);
+}
+
 TEST(NewtonKkt2Test, ReportsPinnedAtBox) {
   // The root of this system lies outside the box: the iterate runs into
   // the wall and the solver reports the pin instead of grinding on it.
@@ -122,36 +141,40 @@ TEST(NewtonKkt2Test, ReportsPinnedAtBox) {
     jac[2] = 0.0;
     jac[3] = 1.0;
   };
-  NewtonKkt2Options options;
-  options.lo = 0.01;
-  options.hi = 0.99;
-  const auto solve = SolveNewtonKkt2(outside, 0.3, 0.6, options);
+  const auto solve = SolveNewtonKkt2(outside, 0.3, 0.6);
   ASSERT_TRUE(solve.ok());
   EXPECT_FALSE(solve->converged);
   EXPECT_EQ(solve->reason, NewtonKktStop::kPinnedAtBox);
-  EXPECT_LE(solve->x0, options.lo + 1e-12);
+  EXPECT_EQ(solve->x0, kNewtonKktLo);
 }
 
 TEST(NewtonKkt2Test, HonorsMaxIterations) {
-  NewtonKkt2Options options;
-  options.max_iterations = 1;
-  options.r0_tol = 1e-15;
-  options.r1_tol = 1e-15;
-  const auto solve = SolveNewtonKkt2(QuadraticSystem(), 0.01, 0.99, options);
+  // The Jacobian is twice the true one, so every full step covers half the
+  // remaining distance to the root at (0.3, 0.7) and always lowers the
+  // residual: from 0.2 away, 32 halvings leave ~5e-11, above the 1e-12
+  // coverage tolerance.
+  const auto halving = [](double x0, double x1, double* r, double* jac) {
+    r[0] = x0 - 0.3;
+    r[1] = x1 - 0.7;
+    jac[0] = 2.0;
+    jac[1] = 0.0;
+    jac[2] = 0.0;
+    jac[3] = 2.0;
+  };
+  const auto solve = SolveNewtonKkt2(halving, 0.1, 0.9);
   ASSERT_TRUE(solve.ok());
   EXPECT_FALSE(solve->converged);
   EXPECT_EQ(solve->reason, NewtonKktStop::kMaxIterations);
-  EXPECT_EQ(solve->iterations, 1);
+  EXPECT_EQ(solve->iterations, kNewtonKktMaxIterations);
+  EXPECT_GT(std::fabs(solve->r0), kNewtonKktR0Tol);
+  // One system evaluation at the start, one accepted trial per iteration.
+  EXPECT_EQ(solve->system_evals, kNewtonKktMaxIterations + 1);
 }
 
 TEST(NewtonKkt2Test, RejectsMalformedInput) {
-  NewtonKkt2Options empty_box;
-  empty_box.lo = 0.8;
-  empty_box.hi = 0.2;
-  EXPECT_FALSE(SolveNewtonKkt2(QuadraticSystem(), 0.1, 0.9, empty_box).ok());
-
   // Start collapses after clamping: x0 >= x1.
   EXPECT_FALSE(SolveNewtonKkt2(QuadraticSystem(), 0.9, 0.1).ok());
+  EXPECT_FALSE(SolveNewtonKkt2(QuadraticSystem(), 0.5, 0.5).ok());
 }
 
 TEST(NewtonKkt2Test, TemplatedSolveWithLambdaAllocatesNothing) {

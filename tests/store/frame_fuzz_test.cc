@@ -218,9 +218,12 @@ TEST(FrameFuzzTest, MutantsFailCleanlyAndAllReadersAgree) {
     const Result<StoreVerifyInfo> verify = VerifyStoreLog(path);
     ASSERT_EQ(ReadFile(path), mutant);
 
-    // The wire reader over the same frames, in random chunks, with the
-    // store's cap: it stops exactly where the log scan does.
-    FrameAssembler assembler(walfmt::kMaxPayloadBytes);
+    // The wire reader over the same frames, in random chunks: it stops
+    // exactly where the log scan does. Its cap is below the store's, but a
+    // mutant is far smaller than either, so a length prefix between the two
+    // stops both readers at the same frame (an error on the wire, a torn
+    // tail in the log).
+    FrameAssembler assembler;
     uint64_t wire_frames = 0;
     bool stream_failed = false;
     size_t off = walfmt::kMagicSize;
